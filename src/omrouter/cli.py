@@ -25,7 +25,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -204,14 +203,10 @@ def cmd_sweep(args) -> int:
     # derive (and therefore validate) every point before computing anything
     ops = [(v, derive_operating_point(p)) for v, p in value_params]
 
-    def _one(item):
-        value, op = item
-        if not assess_stability(op).stable:
-            return value, op, None
-        return value, op, output_spectra(grid, op)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(ops))) as pool:
-        results = list(pool.map(_one, ops))
+    results = []
+    for value, op in ops:
+        stable = assess_stability(op).stable
+        results.append((value, op, output_spectra(grid, op) if stable else None))
 
     if args.format == "csv":
         rows = []

@@ -16,6 +16,10 @@ the device a switchable router.
 Output spectra mix the probe line with the channels.  Densities are per
 unit omega/omega_m (so band integrals are photon probabilities); the grid
 itself stays in rad/s.
+
+The channel formulas live in :mod:`omrouter.kernels`, written once; this
+module validates inputs, guards the amplitude against a near-singular
+denominator, assembles the port spectra and scans the dip.
 """
 
 from __future__ import annotations
@@ -34,26 +38,13 @@ from .operating_point import OperatingPoint
 _SINGULAR_RTOL = 1e-12
 
 
-def _mech(omega, op: OperatingPoint):
-    return op.eff_mass * (op.mech_freq ** 2 - omega ** 2
-                          - 1j * op.gamma_m * omega)
-
-
-def _cav(omega, op: OperatingPoint):
-    return (2.0 * op.cavity_decay - 1j * omega) ** 2 + op.eff_detuning ** 2
-
-
-def _drive_term(op: OperatingPoint) -> float:
-    return 2.0 * op.hbar * op.g ** 2 * op.n_cav * op.eff_detuning
-
-
 def _d_scale(omega, op: OperatingPoint):
     """Cancellation-free magnitude of d's constituents: the typical scale
     |d| is compared against to detect catastrophic loss of precision."""
     aw = np.abs(omega)
     f1 = op.eff_mass * (op.mech_freq ** 2 + aw * aw + op.gamma_m * aw)
     f2 = np.abs(2.0 * op.cavity_decay - 1j * omega) ** 2 + op.eff_detuning ** 2
-    return f1 * f2 + abs(_drive_term(op))
+    return f1 * f2 + abs(kernels.drive_term(op))
 
 
 def denominator_d(omega, op: OperatingPoint):
@@ -66,7 +57,8 @@ def denominator_d(omega, op: OperatingPoint):
     Accepts real or complex omega, scalar or array.
     """
     w = np.asarray(omega)
-    return _mech(w, op) * _cav(w, op) - _drive_term(op)
+    return kernels.denominator(kernels.mech_factor(w, op),
+                               kernels.cav_factor(w, op), op)
 
 
 def response_E(omega, op: OperatingPoint):
@@ -82,15 +74,14 @@ def response_E(omega, op: OperatingPoint):
         real axis only happens at an instability threshold.
     """
     w = np.asarray(omega)
-    d = _mech(w, op) * _cav(w, op) - _drive_term(op)
+    mech = kernels.mech_factor(w, op)
+    d = kernels.denominator(mech, kernels.cav_factor(w, op), op)
     bad = np.abs(d) < _SINGULAR_RTOL * _d_scale(w, op)
     if np.any(bad):
         w_bad = np.atleast_1d(w)[np.atleast_1d(bad)][0]
         raise NumericalFailureError(
             f"near-singular response denominator at omega={w_bad:.9e}")
-    num = (_mech(w, op) * (2.0 * op.cavity_decay - 1j * (op.eff_detuning + w))
-           + 1j * op.hbar * op.g ** 2 * op.n_cav)
-    e = 2.0 * op.cavity_decay * num / d
+    e = kernels.e_numerator(w, op, mech) / d
     return complex(e) if np.ndim(omega) == 0 else e
 
 
@@ -117,9 +108,7 @@ def vacuum_noise(omega, op: OperatingPoint):
     survives at zero temperature and grows like the fourth power of the
     intracavity amplitude where d does not keep pace.
     """
-    d = denominator_d(omega, op)
-    val = 8.0 * (op.cavity_decay * op.hbar * op.g ** 2 * op.n_cav) ** 2 \
-        / np.abs(d) ** 2
+    val = kernels.sv_numerator(op) / np.abs(denominator_d(omega, op)) ** 2
     return float(val) if np.ndim(omega) == 0 else val
 
 
@@ -134,12 +123,8 @@ def thermal_noise(omega, op: OperatingPoint, bath_temp: float | None = None):
     if temp < 0.0:
         raise InvalidParameterError(f"bath_temp must be >= 0, got {temp!r}")
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    d = denominator_d(w, op)
-    v2 = (2.0 * op.cavity_decay * op.g ** 2 * op.n_cav
-          * np.abs(2.0 * op.cavity_decay - 1j * (op.eff_detuning + w)) ** 2
-          / np.abs(d) ** 2)
-    val = v2 * kernels.thermal_weight(w, op.gamma_m, op.eff_mass, op.hbar,
-                                      op.kB * temp)
+    val = (kernels.v2_numerator(w, op) / np.abs(denominator_d(w, op)) ** 2
+           * kernels.thermal_weight(w, op, op.kB * temp))
     return float(val[0]) if np.ndim(omega) == 0 else val
 
 
@@ -181,10 +166,7 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
     the rotating-frame noise formulas apply.
     """
     g = _check_grid(grid)
-    refl, trans, sv, st = kernels.channel_arrays(
-        g, op.eff_mass, op.mech_freq, op.gamma_m, op.cavity_decay,
-        op.eff_detuning, op.g ** 2 * op.n_cav, op.hbar,
-        op.kB * op.bath_temp)
+    refl, trans, sv, st = kernels.channel_arrays(g, op, op.kB * op.bath_temp)
     scin = op.mech_freq * lorentzian_input(g, op.input_center,
                                            op.input_bandwidth)
     return ChannelSpectra(grid=g, R=refl, Tx=trans, Sv=sv, St=st,
@@ -213,11 +195,10 @@ def eit_linewidth(op: OperatingPoint) -> float:
     formula runs 20% above that width; :func:`eit_linewidth_scan` agrees
     with the closed form to 0.03% there.
     """
-    op_ = op
-    drive = (op_.hbar * op_.g ** 2 * op_.eps_c ** 2
-             / (4.0 * op_.eff_mass * op_.mech_freq * op_.cavity_decay
-                * (4.0 * op_.cavity_decay ** 2 + op_.mech_freq ** 2)))
-    return op_.gamma_m / 2.0 + drive
+    drive = (op.hbar * op.g ** 2 * op.eps_c ** 2
+             / (4.0 * op.eff_mass * op.mech_freq * op.cavity_decay
+                * (4.0 * op.cavity_decay ** 2 + op.mech_freq ** 2)))
+    return op.gamma_m / 2.0 + drive
 
 
 @dataclass(frozen=True)
@@ -249,9 +230,7 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5),
         raise InvalidParameterError(f"bad scan window {window!r}")
     grid = np.linspace(window[0] * op.mech_freq, window[1] * op.mech_freq,
                        int(n_points))
-    _, trans, _, _ = kernels.channel_arrays(
-        grid, op.eff_mass, op.mech_freq, op.gamma_m, op.cavity_decay,
-        op.eff_detuning, op.g ** 2 * op.n_cav, op.hbar, 0.0)
+    _, trans, _, _ = kernels.channel_arrays(grid, op, 0.0)
 
     i0 = int(np.argmin(trans))
     if i0 == 0 or i0 == len(grid) - 1:

@@ -42,7 +42,6 @@ class RoutingReport:
     vacuum_leak: float    # band-integrated Sv, units of photons
     thermal_leak: float   # band-integrated St, units of photons
     band: tuple[float, float]   # analysis band [rad/s]
-    contrast: float | None = None  # filled by switching flows
 
 
 def _quad(f, lo, hi, points, limit):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -47,6 +48,15 @@ def test_spectrum_repeated_runs_byte_identical(tmp_path, capsys):
     assert _run(capsys, "spectrum", "--out", str(a))[0] == 0
     assert _run(capsys, "spectrum", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_spectrum_default_bytes_frozen(capsys):
+    # sha256 of `omrouter spectrum` with every default (4001-point csv); the
+    # benchmark gate pins the same digest as spectrum_csv|5e-6|20e-3
+    code, out, _ = _run(capsys, "spectrum")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "87cfd356f7fa3295155ad499f6db182c3089fc91a807aac7a0a482ccf30f94ef"
 
 
 def test_frequency_units_are_equivalent(tmp_path, write_config, capsys):

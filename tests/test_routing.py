@@ -21,7 +21,6 @@ def test_on_state_frozen_report(op_5uw):
     assert rep.vacuum_leak == pytest.approx(0.0030821363917223924, rel=1e-6)
     assert rep.thermal_leak == pytest.approx(0.009078437114529265, rel=1e-6)
     assert rep.band == (0.5 * WM, 1.5 * WM)
-    assert rep.contrast is None
 
 
 def test_on_state_against_independent_quadrature(op_5uw):
