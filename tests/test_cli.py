@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from omrouter import default_params
+import omrouter
+from omrouter import default_params, routing
 from omrouter.cli import main
 
 WM = default_params().mech_freq
@@ -194,6 +199,14 @@ def test_route_temp_flag_silences_thermal_leak(capsys):
     assert json.loads(out)["thermal_leak"] == 0.0
 
 
+def test_route_unconverged_band_integral_exits_4(monkeypatch, capsys):
+    # no error estimate reaches a zero tolerance, so the panel budget runs out
+    monkeypatch.setattr(routing, "_REL_TOL", 0.0)
+    code, out, err = _run(capsys, "route")
+    assert code == 4 and out == ""
+    assert err.startswith("error: band integrals did not converge")
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_csv_blocks(write_config, capsys):
@@ -278,3 +291,14 @@ def test_sweep_validates_every_point_before_writing(tmp_path, write_config,
                           "--out", str(path))
     assert code == 2
     assert not path.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(omrouter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import omrouter.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "False\n"
