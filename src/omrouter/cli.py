@@ -16,14 +16,20 @@ input_bandwidth, grid_lo/grid_hi, and detuning or bandwidth sweep values)
 are in units of mech_freq unless "units" is "rad_s"; mech_freq itself is
 always rad/s since it defines the unit.  The --grid flag is always in
 units of mech_freq.  Output is deterministic: identical inputs give byte
-identical files.
+identical files.  A grid, or a sweep's grid times its number of values, has
+at most MAX_ROWS points.  A regular file at --out is written whole or not
+at all: the text goes to a temporary file beside it, which replaces it only
+when complete and keeps the mode of the file it replaces.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -35,6 +41,7 @@ from .operating_point import SystemParams, derive_operating_point
 from .response import output_spectra
 from .routing import routing_probabilities
 from .stability import assess_stability
+from .textout import csv_rows, fmt as _fmt, json_text
 
 _SI_KEYS = ("wavelength", "cavity_length", "eff_mass", "mech_freq",
             "quality", "drive_power", "bath_temp")
@@ -48,6 +55,10 @@ _ALL_KEYS = set(_SI_KEYS) | set(_FREQ_KEYS) | set(_GRID_KEYS) \
 _SWEEP_PARAMS = ("power", "temperature", "detuning", "bandwidth")
 
 _COLUMNS = ("omega_over_omega_m", "R", "T", "Sv", "St", "Scout", "Sdout")
+
+# grid points of a spectrum, or of all blocks of a sweep, checked before
+# anything is allocated: 1e7 rows of csv are about 1.3 GB of text
+MAX_ROWS = 10_000_000
 
 
 def _num(value, key):
@@ -75,7 +86,7 @@ def _load_config(path):
 
 
 def _resolve(args):
-    """Config + flags -> (SystemParams, grid array, config dict)."""
+    """Config + flags -> (SystemParams, (lo, hi, n) grid, config dict)."""
     cfg = _load_config(args.config)
     units = cfg.get("units", "omega_m")
     if units not in ("omega_m", "rad_s"):
@@ -112,10 +123,17 @@ def _resolve(args):
             raise InvalidParameterError("grid_n must be an integer")
     if n < 2:
         raise InvalidParameterError(f"grid needs at least 2 points, got {n}")
+    _check_rows(n)
     if not (0.0 < lo < hi):
         raise InvalidParameterError(f"grid bounds must satisfy 0 < lo < hi, "
                                     f"got ({lo!r}, {hi!r})")
-    return params, np.linspace(lo, hi, n), cfg
+    return params, (lo, hi, n), cfg
+
+
+def _check_rows(rows, what="grid"):
+    if rows > MAX_ROWS:
+        raise InvalidParameterError(
+            f"{what} has {rows} points, more than the {MAX_ROWS} allowed")
 
 
 def _parse_grid_flag(text):
@@ -129,22 +147,52 @@ def _parse_grid_flag(text):
     return lo, hi, n
 
 
-def _fmt(value):
-    return f"{value:.12e}"
-
-
 def _csv(header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _write(text, out):
+def _write(pieces, out):
+    """Write the list of strings ``pieces`` in order to stdout or ``out``.
+
+    A regular file, new or not, is replaced whole: the text goes to a
+    temporary file beside the file ``out`` resolves to (through symlinks),
+    which is moved over it once complete.  It takes the mode of the file it
+    replaces, or of a new file from open(out, "w").  Anything else (a
+    device, a FIFO), or a file whose directory takes no new file, is
+    written in place as open(out, "w") writes it.
+    """
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        sys.stdout.writelines(pieces)
+        return
+    target = os.path.realpath(out)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is None or stat.S_ISREG(mode):
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+        try:
+            # O_EXCL on a fresh random name; 0o666 lets the umask set the
+            # mode of a new file, as open(out, "w") would
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            pass
+        else:
+            try:
+                with open(fd, "w", encoding="utf-8", newline="") as fh:
+                    if mode is not None:
+                        os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+                    fh.writelines(pieces)
+                os.replace(tmp, target)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+            return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(pieces)
 
 
 def _spectrum_columns(spectra, mech_freq):
@@ -161,19 +209,16 @@ def _require_stable(op):
 
 
 def cmd_spectrum(args) -> int:
-    params, grid, _ = _resolve(args)
+    params, (lo, hi, n), _ = _resolve(args)
     op = derive_operating_point(params)
     _require_stable(op)
-    spectra = output_spectra(grid, op)
+    spectra = output_spectra(np.linspace(lo, hi, n), op)
     cols = _spectrum_columns(spectra, op.mech_freq)
     if args.format == "csv":
-        rows = ([_fmt(c[i]) for c in cols] for i in range(len(grid)))
-        text = _csv(_COLUMNS, rows)
+        pieces = [",".join(_COLUMNS) + "\n"] + csv_rows(cols)
     else:
-        text = json.dumps(
-            {name: [float(v) for v in col]
-             for name, col in zip(_COLUMNS, cols)}, indent=2) + "\n"
-    _write(text, args.out)
+        pieces = [json_text(dict(zip(_COLUMNS, cols)))]
+    _write(pieces, args.out)
     return 0
 
 
@@ -198,10 +243,12 @@ def _sweep_params_list(cfg, base: SystemParams):
 
 
 def cmd_sweep(args) -> int:
-    base, grid, cfg = _resolve(args)
+    base, (lo, hi, n), cfg = _resolve(args)
     param, value_params = _sweep_params_list(cfg, base)
+    _check_rows(n * len(value_params), f"sweep of {len(value_params)} values")
     # derive (and therefore validate) every point before computing anything
     ops = [(v, derive_operating_point(p)) for v, p in value_params]
+    grid = np.linspace(lo, hi, n)
 
     results = []
     for value, op in ops:
@@ -209,17 +256,15 @@ def cmd_sweep(args) -> int:
         results.append((value, op, output_spectra(grid, op) if stable else None))
 
     if args.format == "csv":
-        rows = []
+        pieces = [",".join(("param", "value", "stable") + _COLUMNS) + "\n"]
         for value, op, spectra in results:
+            lead = f"{param},{_fmt(value)},"
             if spectra is None:
-                rows.append([param, _fmt(value), "0"]
-                            + [_fmt(math.nan)] * len(_COLUMNS))
+                pieces.append(lead + ",".join(["0"] + [_fmt(math.nan)]
+                                              * len(_COLUMNS)) + "\n")
                 continue
-            cols = _spectrum_columns(spectra, op.mech_freq)
-            for i in range(len(grid)):
-                rows.append([param, _fmt(value), "1"]
-                            + [_fmt(c[i]) for c in cols])
-        text = _csv(("param", "value", "stable") + _COLUMNS, rows)
+            pieces += csv_rows(_spectrum_columns(spectra, op.mech_freq),
+                               prefix=lead + "1,")
     else:
         blocks = []
         for value, op, spectra in results:
@@ -228,10 +273,9 @@ def cmd_sweep(args) -> int:
                 continue
             cols = _spectrum_columns(spectra, op.mech_freq)
             blocks.append({"value": value, "stable": True,
-                           "spectrum": {name: [float(v) for v in col]
-                                        for name, col in zip(_COLUMNS, cols)}})
-        text = json.dumps({"param": param, "blocks": blocks}, indent=2) + "\n"
-    _write(text, args.out)
+                           "spectrum": dict(zip(_COLUMNS, cols))})
+        pieces = [json_text({"param": param, "blocks": blocks})]
+    _write(pieces, args.out)
     return 0
 
 
@@ -254,7 +298,7 @@ def cmd_stability(args) -> int:
             "roots_re_over_omega_m": [r.real / wm for r in report.roots],
             "roots_im_over_omega_m": [r.imag / wm for r in report.roots],
         }, indent=2) + "\n"
-    _write(text, args.out)
+    _write([text], args.out)
     return 0 if report.stable else 3
 
 
@@ -284,7 +328,7 @@ def cmd_route(args) -> int:
     else:
         fields["band_over_omega_m"] = [on.band[0] / wm, on.band[1] / wm]
         text = json.dumps(fields, indent=2) + "\n"
-    _write(text, args.out)
+    _write([text], args.out)
     return 0
 
 
@@ -310,8 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not at import, and reused by later calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidParameterError as exc:

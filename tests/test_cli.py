@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import omrouter
-from omrouter import default_params, routing
+from omrouter import cli, default_params, routing
 from omrouter.cli import main
 
 WM = default_params().mech_freq
@@ -62,6 +62,30 @@ def test_spectrum_default_bytes_frozen(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "87cfd356f7fa3295155ad499f6db182c3089fc91a807aac7a0a482ccf30f94ef"
+
+
+# sha256 of whole outputs, recorded before the bulk writers replaced the
+# per-field ones; the sweep has a stable (+omega_m) and an unstable
+# (-omega_m, 5 uW) point, so it covers the nan row and the "stable": false
+# block
+_SWEEP_DETUNING = {"sweep_param": "detuning", "sweep_values": [1.0, -1.0]}
+
+
+@pytest.mark.parametrize("command, fmt, digest", [
+    ("spectrum", "json",
+     "68b4bdff71a0bcbe1a9446d4e4cb4f3c9783250d07a83861e359b9cc2e1d781f"),
+    ("sweep", "csv",
+     "979bd8e370019d726c37b4afe638a79f73133242197cbda7db0a31f49153a423"),
+    ("sweep", "json",
+     "159b3269afe00a78d1d37b55d19000418ca1e3322ad78bb927b47146d94e2ece"),
+])
+def test_bulk_output_bytes_frozen(command, fmt, digest, write_config, capsys):
+    argv = [command, "--format", fmt]
+    if command == "sweep":
+        argv += ["--config", write_config("sweep.json", **_SWEEP_DETUNING)]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_frequency_units_are_equivalent(tmp_path, write_config, capsys):
@@ -135,6 +159,108 @@ def test_bad_config_rejected_without_output(tmp_path, text, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+@pytest.mark.parametrize("n", [10 ** 12, 10 ** 30])
+def test_huge_grid_rejected_before_allocating(where, n, write_config,
+                                              capsys):
+    if where == "config":
+        argv = ["--config", write_config("huge.json", grid_n=n)]
+    else:
+        argv = [f"--grid=0.5:1.5:{n}"]
+    code, out, err = _run(capsys, "spectrum", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(cli.MAX_ROWS) in err
+
+
+def test_sweep_rows_bounded_by_grid_times_values(write_config, capsys):
+    n = cli.MAX_ROWS // 2 + 1
+    cfg = write_config("sweep.json", sweep_param="power", grid_n=n,
+                       sweep_values=[1e-6, 2e-6])
+    code, out, err = _run(capsys, "sweep", "--config", cfg)
+    assert code == 2 and out == ""
+    assert f"{2 * n} points" in err
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+def test_interrupted_write_leaves_target_and_no_temp(tmp_path, monkeypatch,
+                                                     capsys):
+    path = tmp_path / "spec.csv"
+    path.write_text("old\n")
+    monkeypatch.setattr(os, "replace", _interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["spectrum", "--grid", "0.9:1.1:5", "--out", str(path)])
+    assert os.listdir(tmp_path) == ["spec.csv"]
+    assert path.read_text() == "old\n"
+
+
+def test_new_out_file_gets_the_mode_open_gives(tmp_path, capsys):
+    ref, path = tmp_path / "ref.csv", tmp_path / "spec.csv"
+    old = os.umask(0o027)
+    try:
+        with open(ref, "w"):
+            pass
+        assert _run(capsys, "spectrum", "--grid", "0.9:1.1:5",
+                    "--out", str(path))[0] == 0
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == ref.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["ref.csv", "spec.csv"]
+
+
+def test_existing_out_file_keeps_its_mode(tmp_path, capsys):
+    path = tmp_path / "spec.csv"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        assert _run(capsys, "spectrum", "--grid", "0.9:1.1:5",
+                    "--out", str(path))[0] == 0
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert path.read_text().startswith("omega_over_omega_m,")
+    assert os.listdir(tmp_path) == ["spec.csv"]
+
+
+def test_out_symlink_is_written_through(tmp_path, capsys):
+    real, link = tmp_path / "data" / "spec.csv", tmp_path / "spec.csv"
+    real.parent.mkdir()
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert _run(capsys, "spectrum", "--grid", "0.9:1.1:5",
+                "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text().startswith("omega_over_omega_m,")
+    assert os.listdir(real.parent) == ["spec.csv"]
+    assert os.listdir(tmp_path) == ["data", "spec.csv"]
+
+
+def test_out_device_is_written_in_place(capsys):
+    code, out, _ = _run(capsys, "spectrum", "--grid", "0.9:1.1:5",
+                        "--out", os.devnull)
+    assert code == 0 and out == ""
+
+
+def test_out_dir_without_room_for_temp_is_written_in_place(
+        tmp_path, monkeypatch, capsys):
+    # a writable file in a directory that takes no new file: the temporary
+    # file cannot be made, so the file is written as open(out, "w") does
+    path = tmp_path / "spec.csv"
+    path.write_text("old\n")
+    want = _run(capsys, "spectrum", "--grid", "0.9:1.1:5")[1]
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(os, "open", refuse)
+    assert _run(capsys, "spectrum", "--grid", "0.9:1.1:5",
+                "--out", str(path))[0] == 0
+    assert path.read_text() == want
+    assert os.listdir(tmp_path) == ["spec.csv"]
+
+
 def test_missing_config_file(tmp_path, capsys):
     code, _, err = _run(capsys, "spectrum", "--config",
                         str(tmp_path / "nope.json"))
@@ -145,6 +271,26 @@ def test_unknown_format_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--format", "xml"])
     assert exc.value.code == 2
+
+
+def test_one_process_gives_the_bytes_of_separate_runs(capsys):
+    # main reuses one parser; commands run in turn, with argparse errors in
+    # between, must print what a fresh interpreter prints for each
+    runs = (["spectrum", "--grid", "0.9:1.1:21"], ["route", "--format", "json"],
+            ["stability"], ["spectrum", "--grid", "0.9:1.1:21", "--format",
+                            "json"])
+    fresh = [subprocess.run([sys.executable, "-m", "omrouter.cli", *argv],
+                            env=_src_env(), capture_output=True, text=True,
+                            check=True, timeout=120).stdout for argv in runs]
+    for _ in range(2):
+        for argv, want in zip(runs, fresh):
+            code, out, _ = _run(capsys, *argv)
+            assert code == 0 and out == want
+            for bad in (["spectrum", "--format", "xml"], [], ["bogus"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(bad)
+                assert exc.value.code == 2
+            capsys.readouterr()
 
 
 # ---------------------------------------------------------------- stability
@@ -293,12 +439,17 @@ def test_sweep_validates_every_point_before_writing(tmp_path, write_config,
     assert not path.exists()
 
 
-def test_cli_import_loads_no_scipy():
+def _src_env():
+    """The environment of a fresh interpreter that imports this omrouter."""
     src = str(Path(omrouter.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_cli_import_loads_no_scipy():
     out = subprocess.run(
         [sys.executable, "-c",
          "import omrouter.cli, sys; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+        env=_src_env(), capture_output=True, text=True, check=True,
+        timeout=60)
     assert out.stdout == "False\n"
