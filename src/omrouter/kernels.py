@@ -16,8 +16,9 @@ d is built from its two factors and the numerator of E from the mechanical
 one; the factors are passed in, so a grid evaluates each of them once.
 
 Keep the arithmetic order as written (x*x rather than x**2, the drive term
-grouped as 2*hbar*(g^2*|c_s|^2)*Delta): the command line spectra are
-pinned byte for byte.
+grouped as 2*hbar*(g^2*|c_s|^2)*Delta, complex array operands bound to
+names before they are multiplied): the command line spectra are pinned
+byte for byte.
 """
 
 import numpy as np
@@ -25,6 +26,14 @@ import numpy as np
 # past hbar*omega/(kB*T) = 30 the Bose factor is evaluated as exp(-x);
 # expm1 and exp agree to ~1e-13 there, well under the overflow regime
 COTH_GUARD = 30.0
+
+# Grid kernels run in blocks of this many points, writing into preallocated
+# outputs.  A block's temporaries then stay in cache, and below 16,384
+# complex points (256 KiB) numpy never elides a temporary into an
+# in-place operation.  Elision can swap the operands of a complex
+# multiply, whose SIMD loop is not bitwise commutative, so without blocks
+# a value's last bits would depend on the size of the array it sits in.
+BLOCK = 8192
 
 
 def coupling(op):
@@ -65,8 +74,10 @@ def denominator(mech, cav, op):
 
 def e_numerator(omega, op, mech):
     """E(omega) * d(omega), given mech = mech_factor(omega, op)."""
-    return 2.0 * op.cavity_decay * (mech * _sideband(omega, op)
-                                    + 1j * op.hbar * coupling(op))
+    # named, so that numpy cannot elide it into the product (see BLOCK):
+    # on arrays of 256 KiB or more that would run sb * mech, not mech * sb
+    sb = _sideband(omega, op)
+    return 2.0 * op.cavity_decay * (mech * sb + 1j * op.hbar * coupling(op))
 
 
 def sv_numerator(op):
@@ -98,15 +109,21 @@ def thermal_weight(omega, op, kbt):
         kB * T_bath in joules; 0 selects the vacuum bath.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.zeros_like(w)
     amp = 2.0 * op.hbar * op.gamma_m * op.eff_mass
 
     if kbt == 0.0:
+        out = np.zeros_like(w)
         neg = w < 0.0
         out[neg] = amp * (-w[neg])
         return out
 
     x = op.hbar * w / kbt
+    if w.size and w.min() > 0.0 and x.min() > 0.0 and x.max() <= COTH_GUARD:
+        # the usual grid, all absorption below the guard: the general
+        # path's operations on every point, without its masks
+        return amp * w * (1.0 / np.expm1(x))
+
+    out = np.zeros_like(w)
     ax = np.abs(x)
     small = ax <= COTH_GUARD
     occ = np.zeros_like(w)
@@ -122,11 +139,29 @@ def thermal_weight(omega, op, kbt):
     return out
 
 
+def _amplitude(w, op):
+    """E(omega) and d(omega) on one block of frequencies."""
+    mech = mech_factor(w, op)
+    cav = cav_factor(w, op)
+    d = denominator(mech, cav, op)
+    return e_numerator(w, op, mech) / d, d
+
+
+def _blocks(omega):
+    """The grid flattened, and the slices that cut it into BLOCK points."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    flat = w.reshape(-1)
+    return w.shape, flat, [slice(lo, lo + BLOCK)
+                           for lo in range(0, flat.size, BLOCK)]
+
+
 def channel_arrays(omega, op, kbt):
     """Evaluate the four response channels on a frequency grid.
 
     d is evaluated once and shared; there is no near-singular guard here
     (see :func:`omrouter.response.response_E` for the guarded amplitude).
+    The grid is evaluated BLOCK points at a time, so a value does not
+    depend on the size or shape of the grid around it.
 
     Parameters
     ----------
@@ -144,20 +179,25 @@ def channel_arrays(omega, op, kbt):
         density on the reflected port, and the thermal noise density, the
         latter two per unit omega/omega_m.
     """
-    # Keep mech, cav and v2 as named arrays until the return: the order in
-    # which numpy frees the 200,001-point temporaries decides how often
-    # glibc hands the top of the heap back to the system and faults it in
-    # again.  Folding them into expressions nearly doubled the page faults
-    # of a design_scan request and made it about 13% slower.
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    mech = mech_factor(w, op)
-    cav = cav_factor(w, op)
-    d = denominator(mech, cav, op)
-    e = e_numerator(w, op, mech) / d
-    refl = np.abs(e - 1.0) ** 2
-    trans = np.abs(e) ** 2
-    absd2 = np.abs(d) ** 2
-    sv = sv_numerator(op) / absd2
-    v2 = v2_numerator(w, op) / absd2
-    st = v2 * thermal_weight(w, op, kbt)
-    return refl, trans, sv, st
+    shape, flat, blocks = _blocks(omega)
+    refl, trans, sv, st = (np.empty(flat.size) for _ in range(4))
+    sv_num = sv_numerator(op)
+    for b in blocks:
+        w = flat[b]
+        e, d = _amplitude(w, op)
+        refl[b] = np.abs(e - 1.0) ** 2
+        trans[b] = np.abs(e) ** 2
+        absd2 = np.abs(d) ** 2
+        sv[b] = sv_num / absd2
+        st[b] = v2_numerator(w, op) / absd2 * thermal_weight(w, op, kbt)
+    return tuple(a.reshape(shape) for a in (refl, trans, sv, st))
+
+
+def transmission(omega, op):
+    """Probe transmission |E(omega)|^2 alone: channel_arrays' T, bit for bit."""
+    shape, flat, blocks = _blocks(omega)
+    trans = np.empty(flat.size)
+    for b in blocks:
+        e, _ = _amplitude(flat[b], op)
+        trans[b] = np.abs(e) ** 2
+    return trans.reshape(shape)

@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -184,6 +185,12 @@ def derive_operating_point(params: SystemParams,
     Returns
     -------
     OperatingPoint
+
+    Raises
+    ------
+    InvalidParameterError
+        From :func:`validate`, or when a derived quantity overflows (a
+        drive power of 1e300 W makes eps_c infinite).
     """
     validate(params)
     omega_c = TWO_PI * consts.c / params.wavelength
@@ -195,6 +202,14 @@ def derive_operating_point(params: SystemParams,
     c_s = eps_c / (2.0 * kappa + 1j * delta)
     n_cav = abs(c_s) ** 2
     q_s = -consts.hbar * g * n_cav / (params.eff_mass * params.mech_freq ** 2)
+
+    derived = {"omega_c": omega_c, "g": g, "gamma_m": gamma_m,
+               "eps_c": eps_c, "c_s": c_s, "n_cav": n_cav, "q_s": q_s}
+    for name, value in derived.items():
+        if not cmath.isfinite(value):
+            raise InvalidParameterError(
+                f"derived {name} is not finite ({value!r}): the inputs are "
+                "beyond the range of floating point")
 
     center = params.input_center if params.input_center is not None else delta
     bandwidth = (params.input_bandwidth if params.input_bandwidth is not None

@@ -212,6 +212,18 @@ class DipScan:
     level: float        # the half-depth level used for the crossings
 
 
+def _run_ends(below, i0):
+    """Ends of the run of True in ``below`` that holds ``i0``.
+
+    The last False index before i0 and the first after it, or the array's
+    ends where there is none.
+    """
+    left = np.flatnonzero(~below[:i0])
+    right = np.flatnonzero(~below[i0:])
+    return (int(left[-1]) if left.size else 0,
+            i0 + int(right[0]) if right.size else len(below) - 1)
+
+
 def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5),
                        n_points: int = 200001) -> DipScan:
     """Measure the transmission dip numerically on window*omega_m.
@@ -230,7 +242,7 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5),
         raise InvalidParameterError(f"bad scan window {window!r}")
     grid = np.linspace(window[0] * op.mech_freq, window[1] * op.mech_freq,
                        int(n_points))
-    _, trans, _, _ = kernels.channel_arrays(grid, op, 0.0)
+    trans = kernels.transmission(grid, op)
 
     i0 = int(np.argmin(trans))
     if i0 == 0 or i0 == len(grid) - 1:
@@ -246,12 +258,7 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5),
     if not below[i0]:
         raise NumericalFailureError("transmission dip too shallow to scan")
 
-    il = i0
-    while il > 0 and below[il]:
-        il -= 1
-    ir = i0
-    while ir < len(grid) - 1 and below[ir]:
-        ir += 1
+    il, ir = _run_ends(below, i0)
     if below[il] or below[ir]:
         raise NumericalFailureError("half-depth crossings leave the scan window")
 

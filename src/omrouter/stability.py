@@ -74,13 +74,15 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
     roots = np.roots(scaled / scaled[0]) * s
 
     # residual guard on both forms, measured against the summed term sizes
-    for r in roots:
-        terms = (np.abs(coeffs) * np.abs(r) ** powers).sum()
-        resid = abs(np.polyval(coeffs, r)) / terms
-        direct = abs(denominator_d(r, op)) / terms
-        if not (resid < _RESIDUAL_TOL and direct < _RESIDUAL_TOL):
-            raise NumericalFailureError(
-                f"root residual {max(resid, direct):.3e} exceeds {_RESIDUAL_TOL:.0e}")
+    terms = (np.abs(roots)[:, None] ** powers) @ np.abs(coeffs)
+    resid = np.abs(np.polyval(coeffs, roots)) / terms
+    direct = np.abs(denominator_d(roots, op)) / terms
+    bad = ~((resid < _RESIDUAL_TOL) & (direct < _RESIDUAL_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        failed = direct[k] if resid[k] < _RESIDUAL_TOL else resid[k]
+        raise NumericalFailureError(
+            f"root residual {failed:.3e} exceeds {_RESIDUAL_TOL:.0e}")
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]

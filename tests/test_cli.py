@@ -172,6 +172,14 @@ def test_huge_grid_rejected_before_allocating(where, n, write_config,
     assert err.startswith("error:") and str(cli.MAX_ROWS) in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "route", "stability"])
+def test_overflowing_power_exits_two(command, capsys):
+    # eps_c = sqrt(2*kappa*P/(hbar*omega_c)) overflows to inf at 1e300 W
+    code, out, err = _run(capsys, command, "--power", "1e300")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "eps_c" in err
+
+
 def test_sweep_rows_bounded_by_grid_times_values(write_config, capsys):
     n = cli.MAX_ROWS // 2 + 1
     cfg = write_config("sweep.json", sweep_param="power", grid_n=n,

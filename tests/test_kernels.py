@@ -140,3 +140,67 @@ def test_thermal_weight_detailed_balance():
     # emission exceeds absorption by exactly the spontaneous term
     assert down - up == pytest.approx(2.0 * HBAR * 0.7 * 4e-11 * w[0],
                                       rel=1e-9, abs=0.0)
+
+
+# design-scan pool points (power, bath temperature); bath_temp 0 takes the
+# vacuum branch of the thermal weight
+_DESIGN_POINTS = [(1e-6, 0.0), (5e-6, 20e-3), (20e-6, 50e-3)]
+
+
+def _design_point(power, temp):
+    return derive_operating_point(replace(default_params(), drive_power=power,
+                                          bath_temp=temp))
+
+
+@pytest.mark.parametrize("power,temp", _DESIGN_POINTS)
+def test_channel_bits_do_not_depend_on_array_size(power, temp):
+    # numpy reuses temporaries of 256 KiB or more in place; where that
+    # swaps a complex product's operands, the whole grid and its slices
+    # would round differently
+    op = _design_point(power, temp)
+    grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, 200001)
+    kbt = op.kB * temp
+    whole = kernels.channel_arrays(grid, op, kbt)
+    pieces = zip(*(kernels.channel_arrays(grid[i:i + 4001], op, kbt)
+                   for i in range(0, grid.size, 4001)))
+    for got, parts in zip(whole, pieces):
+        assert np.array_equal(got, np.concatenate(parts))
+    # the public building blocks too, unblocked
+    mech = kernels.mech_factor(grid, op)
+    numer = kernels.e_numerator(grid, op, mech)
+    for i in range(0, grid.size, 4001):
+        part = slice(i, i + 4001)
+        assert np.array_equal(
+            numer[part], kernels.e_numerator(grid[part], op, mech[part]))
+
+
+@pytest.mark.parametrize("power,temp", _DESIGN_POINTS)
+def test_transmission_is_the_channel_t(power, temp):
+    op = _design_point(power, temp)
+    for n in (1, 84, 200001):
+        grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n)
+        expected = kernels.channel_arrays(grid, op, op.kB * temp)[1]
+        assert np.array_equal(kernels.transmission(grid, op), expected)
+    assert kernels.transmission(np.empty(0), op).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [84, 4001, 200001])
+@pytest.mark.parametrize("temp", [20e-3, 0.3])
+def test_thermal_weight_fast_branch_matches_general_path(n, temp):
+    op = _design_point(5e-6, temp)
+    kbt = KB * temp
+    grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n)
+    # one omega = 0 point in front sends the grid down the masked path
+    general = kernels.thermal_weight(np.concatenate(([0.0], grid)), op, kbt)
+    assert np.array_equal(kernels.thermal_weight(grid, op, kbt), general[1:])
+
+
+def test_channel_arrays_keeps_the_grid_shape(op_5uw):
+    op = op_5uw
+    grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, 20000)
+    flat = kernels.channel_arrays(grid, op, op.kB * op.bath_temp)
+    square = kernels.channel_arrays(grid.reshape(100, 200), op,
+                                    op.kB * op.bath_temp)
+    for a, b in zip(flat, square):
+        assert b.shape == (100, 200)
+        assert np.array_equal(a, b.ravel())

@@ -119,3 +119,15 @@ def test_hierarchy_violations_warn_but_compute(field, value):
     with pytest.warns(RegimeWarning):
         op = derive_operating_point(params)
     assert np.isfinite(op.n_cav)
+
+
+@pytest.mark.parametrize("field,value,derived", [
+    ("drive_power", 1e300, "eps_c"),
+    ("cavity_length", 1e-320, "g"),
+])
+def test_overflowing_derivation_rejected(field, value, derived):
+    # finite inputs whose derived quantities overflow to inf would reach
+    # np.roots as inf and end in a LinAlgError
+    params = replace(default_params(), **{field: value})
+    with pytest.raises(InvalidParameterError, match=f"derived {derived} "):
+        derive_operating_point(params)

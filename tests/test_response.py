@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,94 @@ def test_dip_scan_agrees_with_independent_measurement(op_5uw, op_20uw):
         pytest.approx(0.07947, rel=2e-3)
     assert eit_linewidth_scan(op_20uw).full_width / WM == \
         pytest.approx(0.24472, rel=2e-3)
+
+
+@pytest.mark.parametrize("power", [1e-6, 5e-6, 20e-6])
+def test_dip_scan_matches_root_found_geometry(power):
+    # the scan's grid error against the minimum and the half-depth
+    # crossings found by root finding on the guarded pointwise T, with
+    # brackets taken from the scan; at 1 uW the width is off by 2e-8
+    from scipy.optimize import brentq
+    op = derive_operating_point(replace(default_params(), drive_power=power))
+    dip = eit_linewidth_scan(op)
+    step = op.mech_freq / 200000   # the scan's grid spacing
+
+    def slope(w, h=1e-3 * step):
+        return (transmission_T(w + h, op) - transmission_T(w - h, op)) / (2 * h)
+
+    def above(w):
+        return transmission_T(w, op) - dip.level
+
+    center = brentq(slope, dip.center - step, dip.center + step,
+                    xtol=1e-12, rtol=1e-15)
+    lo, hi = dip.center - dip.full_width, dip.center + dip.full_width
+    assert above(lo) > 0.0 > above(dip.center) and above(hi) > 0.0
+    left = brentq(above, lo, dip.center, xtol=1e-12, rtol=1e-15)
+    right = brentq(above, dip.center, hi, xtol=1e-12, rtol=1e-15)
+    assert dip.center == pytest.approx(center, rel=1e-7, abs=0.0)
+    assert dip.full_width == pytest.approx(right - left, rel=1e-7, abs=0.0)
+    assert dip.half_width == pytest.approx((right - left) / 2, rel=1e-7,
+                                           abs=0.0)
+
+
+def test_run_ends_match_the_index_walk():
+    from omrouter.response import _run_ends
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        below = rng.random(n) < rng.uniform(0.2, 1.0)
+        i0 = int(rng.integers(0, n))
+        # the walk the vectorized search replaced, from the same start
+        il = i0
+        while il > 0 and below[il]:
+            il -= 1
+        ir = i0
+        while ir < n - 1 and below[ir]:
+            ir += 1
+        if below[i0]:
+            assert _run_ends(below, i0) == (il, ir)
+
+
+@pytest.mark.parametrize("window", [(0.96, 1.0), (0.99, 1.04),
+                                    (0.995, 0.996)])
+def test_dip_scan_raises_when_a_crossing_leaves_the_window(op_5uw, window):
+    # the 5 uW dip spans about 0.955..1.035 omega_m at half depth
+    with pytest.raises(NumericalFailureError, match="crossings leave"):
+        eit_linewidth_scan(op_5uw, window=window)
+
+
+@pytest.mark.parametrize("window", [(0.5, 0.9), (1.1, 1.5)])
+def test_dip_scan_raises_when_the_dip_is_outside(op_5uw, window):
+    with pytest.raises(NumericalFailureError, match="not inside"):
+        eit_linewidth_scan(op_5uw, window=window)
+
+
+def _peak_mb(fn):
+    """fn's result and the peak of memory traced while it ran [MB]."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak / 1e6
+
+
+def test_design_path_memory_is_bounded(op_5uw):
+    # the grid kernels work in blocks: output_spectra holds little beyond
+    # its six 200,001-point outputs (9.6 MB), and the dip scan little
+    # beyond its grid and T.  Whole-grid temporaries took 31 and 27 MB.
+    grid = default_grid(op_5uw, 200001)
+    spectra, peak = _peak_mb(lambda: output_spectra(grid, op_5uw))
+    assert spectra.Sdout.size == 200001
+    assert peak <= 14.0
+    _, peak = _peak_mb(lambda: eit_linewidth_scan(op_5uw))
+    assert peak <= 6.0
 
 
 def test_dip_scan_requires_drive(op_off):

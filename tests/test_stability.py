@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omrouter import (InvalidParameterError, assess_stability,
+from omrouter import (InvalidParameterError, NumericalFailureError,
+                      assess_stability,
                       d_polynomial_coeffs, default_params, denominator_d,
                       derive_operating_point, max_stable_power)
 
@@ -85,6 +86,20 @@ def test_root_residuals_are_tiny(op_5uw, op_20uw):
             scale = sum(abs(c) * abs(r) ** (len(coeffs) - 1 - k)
                         for k, c in enumerate(coeffs))
             assert abs(denominator_d(r, op)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("which", [0, 3])
+def test_residual_guard_rejects_one_wrong_root(monkeypatch, op_5uw, which):
+    roots = np.roots
+
+    def one_off(p):
+        r = roots(p)
+        r[which] *= 1.0 + 1e-3
+        return r
+
+    monkeypatch.setattr(np, "roots", one_off)
+    with pytest.raises(NumericalFailureError, match="root residual"):
+        assess_stability(op_5uw)
 
 
 def test_repeated_assessment_is_deterministic(op_20uw):
