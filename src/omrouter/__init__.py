@@ -12,8 +12,7 @@ from .empty_cavity import (empty_reflectance, empty_transmittance,
                            lorentzian_band_mass, lorentzian_input)
 from .errors import (InvalidParameterError, NumericalFailureError,
                      RegimeWarning, UnstableOperatingPointError)
-from .operating_point import (CONSTANTS, OperatingPoint, PhysConstants,
-                              SystemParams, default_params,
+from .operating_point import (OperatingPoint, SystemParams, default_params,
                               derive_operating_point, validate)
 from .response import (ChannelSpectra, DipScan, default_grid, denominator_d,
                        eit_linewidth, eit_linewidth_scan, output_spectra,
@@ -26,9 +25,9 @@ from .stability import (StabilityReport, assess_stability,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS", "ChannelSpectra", "DipScan", "InvalidParameterError",
-    "NumericalFailureError", "OperatingPoint", "PhysConstants",
-    "RegimeWarning", "RoutingReport", "StabilityReport", "SystemParams",
+    "ChannelSpectra", "DipScan", "InvalidParameterError",
+    "NumericalFailureError", "OperatingPoint", "RegimeWarning",
+    "RoutingReport", "StabilityReport", "SystemParams",
     "UnstableOperatingPointError", "assess_stability", "d_polynomial_coeffs",
     "default_grid", "default_params", "denominator_d", "derive_operating_point",
     "eit_linewidth", "eit_linewidth_scan", "empty_reflectance",

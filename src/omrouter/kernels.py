@@ -23,6 +23,8 @@ byte for byte.
 
 import numpy as np
 
+from .operating_point import HBAR, KB
+
 # past hbar*omega/(kB*T) = 30 the Bose factor is evaluated as exp(-x);
 # expm1 and exp agree to ~1e-13 there, well under the overflow regime
 COTH_GUARD = 30.0
@@ -44,7 +46,7 @@ def coupling(op):
 
 def drive_term(op):
     """2*hbar*g^2*|c_s|^2*Delta, the drive's share of d(omega)."""
-    return 2.0 * op.hbar * coupling(op) * op.eff_detuning
+    return 2.0 * HBAR * coupling(op) * op.eff_detuning
 
 
 def mech_factor(omega, op):
@@ -77,12 +79,12 @@ def e_numerator(omega, op, mech):
     # named, so that numpy cannot elide it into the product (see BLOCK):
     # on arrays of 256 KiB or more that would run sb * mech, not mech * sb
     sb = _sideband(omega, op)
-    return 2.0 * op.cavity_decay * (mech * sb + 1j * op.hbar * coupling(op))
+    return 2.0 * op.cavity_decay * (mech * sb + 1j * HBAR * coupling(op))
 
 
 def sv_numerator(op):
     """Sv(omega) * |d(omega)|^2, the same at every frequency."""
-    return 8.0 * (op.cavity_decay * op.hbar * coupling(op)) ** 2
+    return 8.0 * (op.cavity_decay * HBAR * coupling(op)) ** 2
 
 
 def v2_numerator(omega, op):
@@ -91,25 +93,24 @@ def v2_numerator(omega, op):
         * np.abs(_sideband(omega, op)) ** 2
 
 
-def thermal_weight(omega, op, kbt):
-    """Thermal force weight hbar*gamma_m*m*(-omega)*(1 + coth(-hbar*omega/(2*kbt))).
+def thermal_weight(omega, op):
+    """Thermal force weight hbar*gamma_m*m*(-omega)*(1 + coth(-hbar*omega/(2*kB*T))).
 
     Evaluated branch by branch so it is finite and positive everywhere:
     for omega > 0 it is 2*hbar*gamma_m*m*omega*nbar(omega) (zero when
-    kbt = 0), for omega < 0 the spontaneous term survives, and omega = 0
-    carries the classical limit 2*gamma_m*m*kbt.
+    T = 0), for omega < 0 the spontaneous term survives, and omega = 0
+    carries the classical limit 2*gamma_m*m*kB*T.
 
     Parameters
     ----------
     omega : array_like
         Frequencies [rad/s].
     op : OperatingPoint
-        Supplies gamma_m, eff_mass and hbar.
-    kbt : float
-        kB * T_bath in joules; 0 selects the vacuum bath.
+        Supplies gamma_m, eff_mass and the bath temperature T (bath_temp).
     """
+    kbt = KB * op.bath_temp
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    amp = 2.0 * op.hbar * op.gamma_m * op.eff_mass
+    amp = 2.0 * HBAR * op.gamma_m * op.eff_mass
 
     if kbt == 0.0:
         out = np.zeros_like(w)
@@ -117,7 +118,7 @@ def thermal_weight(omega, op, kbt):
         out[neg] = amp * (-w[neg])
         return out
 
-    x = op.hbar * w / kbt
+    x = HBAR * w / kbt
     if w.size and w.min() > 0.0 and x.min() > 0.0 and x.max() <= COTH_GUARD:
         # the usual grid, all absorption below the guard: the general
         # path's operations on every point, without its masks
@@ -155,7 +156,7 @@ def _blocks(omega):
                            for lo in range(0, flat.size, BLOCK)]
 
 
-def channel_arrays(omega, op, kbt):
+def channel_arrays(omega, op):
     """Evaluate the four response channels on a frequency grid.
 
     d is evaluated once and shared; there is no near-singular guard here
@@ -168,9 +169,7 @@ def channel_arrays(omega, op, kbt):
     omega : array_like
         Sideband frequencies [rad/s], measured from the drive.
     op : OperatingPoint
-        The working point.
-    kbt : float
-        kB * T_bath [J] of the thermal channel.
+        The working point; its bath_temp sets the thermal channel.
 
     Returns
     -------
@@ -189,7 +188,7 @@ def channel_arrays(omega, op, kbt):
         trans[b] = np.abs(e) ** 2
         absd2 = np.abs(d) ** 2
         sv[b] = sv_num / absd2
-        st[b] = v2_numerator(w, op) / absd2 * thermal_weight(w, op, kbt)
+        st[b] = v2_numerator(w, op) / absd2 * thermal_weight(w, op)
     return tuple(a.reshape(shape) for a in (refl, trans, sv, st))
 
 

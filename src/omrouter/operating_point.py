@@ -31,22 +31,18 @@ from .errors import InvalidParameterError, RegimeWarning
 
 TWO_PI = 2.0 * math.pi
 
+# physical constants, SI
+HBAR = 1.0545718e-34      # [J s]
+KB = 1.380649e-23         # [J/K]
+C = 2.99792458e8          # [m/s]
+
+# imported once the constants exist: kernels reads HBAR and KB from here
+from . import kernels  # noqa: E402
+
 # hierarchy factor for gamma_m << kappa << omega_m, with slack so an exact
 # ratio of 10 (the default geometry) does not warn
 _HIERARCHY_FACTOR = 10.0
 _HIERARCHY_SLACK = 1.0 - 1e-9
-
-
-@dataclass(frozen=True)
-class PhysConstants:
-    """Physical constants, SI."""
-
-    hbar: float = 1.0545718e-34
-    kB: float = 1.380649e-23
-    c: float = 2.99792458e8
-
-
-CONSTANTS = PhysConstants()
 
 
 @dataclass(frozen=True)
@@ -152,9 +148,6 @@ class OperatingPoint:
     c_s: complex         # steady intracavity amplitude
     n_cav: float         # |c_s|^2, mean photon number
     q_s: float           # static membrane displacement [m]
-    # constants carried along so downstream modules agree with the derivation
-    hbar: float
-    kB: float
 
     @property
     def bare_detuning(self) -> float:
@@ -172,8 +165,7 @@ class OperatingPoint:
             input_bandwidth=self.input_bandwidth)
 
 
-def derive_operating_point(params: SystemParams,
-                           consts: PhysConstants = CONSTANTS) -> OperatingPoint:
+def derive_operating_point(params: SystemParams) -> OperatingPoint:
     """Validate inputs and compute the steady state.
 
     The intracavity amplitude follows from the drive via
@@ -190,36 +182,43 @@ def derive_operating_point(params: SystemParams,
     ------
     InvalidParameterError
         From :func:`validate`, or when a derived quantity overflows (a
-        drive power of 1e300 W makes eps_c infinite).
+        drive power of 1e300 W makes eps_c infinite, one of 1e270 W the
+        drive term 2*hbar*g^2*|c_s|^2*Delta).
     """
     validate(params)
-    omega_c = TWO_PI * consts.c / params.wavelength
+    omega_c = TWO_PI * C / params.wavelength
     g = -omega_c / params.cavity_length
     gamma_m = params.mech_freq / params.quality
     kappa = params.cavity_decay
     delta = params.eff_detuning
-    eps_c = math.sqrt(2.0 * kappa * params.drive_power / (consts.hbar * omega_c))
+    eps_c = math.sqrt(2.0 * kappa * params.drive_power / (HBAR * omega_c))
     c_s = eps_c / (2.0 * kappa + 1j * delta)
     n_cav = abs(c_s) ** 2
-    q_s = -consts.hbar * g * n_cav / (params.eff_mass * params.mech_freq ** 2)
-
-    derived = {"omega_c": omega_c, "g": g, "gamma_m": gamma_m,
-               "eps_c": eps_c, "c_s": c_s, "n_cav": n_cav, "q_s": q_s}
-    for name, value in derived.items():
-        if not cmath.isfinite(value):
-            raise InvalidParameterError(
-                f"derived {name} is not finite ({value!r}): the inputs are "
-                "beyond the range of floating point")
+    q_s = -HBAR * g * n_cav / (params.eff_mass * params.mech_freq ** 2)
 
     center = params.input_center if params.input_center is not None else delta
     bandwidth = (params.input_bandwidth if params.input_bandwidth is not None
                  else 0.01 * params.mech_freq)
 
-    return OperatingPoint(
+    op = OperatingPoint(
         wavelength=params.wavelength, cavity_length=params.cavity_length,
         eff_mass=params.eff_mass, mech_freq=params.mech_freq,
         quality=params.quality, cavity_decay=kappa, eff_detuning=delta,
         drive_power=params.drive_power, bath_temp=params.bath_temp,
         input_center=center, input_bandwidth=bandwidth,
         omega_c=omega_c, g=g, gamma_m=gamma_m, eps_c=eps_c, c_s=c_s,
-        n_cav=n_cav, q_s=q_s, hbar=consts.hbar, kB=consts.kB)
+        n_cav=n_cav, q_s=q_s)
+
+    try:
+        drive = kernels.drive_term(op)
+    except OverflowError:   # g**2 past the float range
+        drive = math.inf
+    derived = {"omega_c": omega_c, "g": g, "gamma_m": gamma_m,
+               "eps_c": eps_c, "c_s": c_s, "n_cav": n_cav, "q_s": q_s,
+               "drive term": drive}
+    for name, value in derived.items():
+        if not cmath.isfinite(value):
+            raise InvalidParameterError(
+                f"derived {name} is not finite ({value!r}): the inputs are "
+                "beyond the range of floating point")
+    return op

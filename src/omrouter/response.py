@@ -31,7 +31,9 @@ import numpy as np
 from . import kernels
 from .empty_cavity import lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
-from .operating_point import OperatingPoint
+from .operating_point import HBAR, OperatingPoint
+
+_SCAN_POINTS = 200001   # points of the dip scan's grid
 
 # |d| below this fraction of its typical (cancellation-free) scale means
 # the response value carries no trustworthy digits
@@ -112,19 +114,18 @@ def vacuum_noise(omega, op: OperatingPoint):
     return float(val) if np.ndim(omega) == 0 else val
 
 
-def thermal_noise(omega, op: OperatingPoint, bath_temp: float | None = None):
+def thermal_noise(omega, op: OperatingPoint):
     """Thermal noise density fed through the membrane, per unit omega/omega_m.
 
     |V(omega)|^2 * hbar*gamma_m*m*(-omega)*(1 + coth(-hbar*omega/(2*kB*T)))
-    with |V|^2 = 2*kappa*g^2*|c_s|^2*|2*kappa - i*(Delta+omega)|^2/|d|^2.
-    Zero for omega > 0 at T = 0; the omega = 0 value is the classical limit.
+    with |V|^2 = 2*kappa*g^2*|c_s|^2*|2*kappa - i*(Delta+omega)|^2/|d|^2
+    and T = op.bath_temp.  Zero for omega > 0 at T = 0; the omega = 0 value
+    is the classical limit.  For another temperature, re-derive the point:
+    derive_operating_point(replace(op.as_params(), bath_temp=T)).
     """
-    temp = op.bath_temp if bath_temp is None else bath_temp
-    if temp < 0.0:
-        raise InvalidParameterError(f"bath_temp must be >= 0, got {temp!r}")
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     val = (kernels.v2_numerator(w, op) / np.abs(denominator_d(w, op)) ** 2
-           * kernels.thermal_weight(w, op, op.kB * temp))
+           * kernels.thermal_weight(w, op))
     return float(val[0]) if np.ndim(omega) == 0 else val
 
 
@@ -166,7 +167,7 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
     the rotating-frame noise formulas apply.
     """
     g = _check_grid(grid)
-    refl, trans, sv, st = kernels.channel_arrays(g, op, op.kB * op.bath_temp)
+    refl, trans, sv, st = kernels.channel_arrays(g, op)
     scin = op.mech_freq * lorentzian_input(g, op.input_center,
                                            op.input_bandwidth)
     return ChannelSpectra(grid=g, R=refl, Tx=trans, Sv=sv, St=st,
@@ -195,7 +196,7 @@ def eit_linewidth(op: OperatingPoint) -> float:
     formula runs 20% above that width; :func:`eit_linewidth_scan` agrees
     with the closed form to 0.03% there.
     """
-    drive = (op.hbar * op.g ** 2 * op.eps_c ** 2
+    drive = (HBAR * op.g ** 2 * op.eps_c ** 2
              / (4.0 * op.eff_mass * op.mech_freq * op.cavity_decay
                 * (4.0 * op.cavity_decay ** 2 + op.mech_freq ** 2)))
     return op.gamma_m / 2.0 + drive
@@ -224,16 +225,15 @@ def _run_ends(below, i0):
             i0 + int(right[0]) if right.size else len(below) - 1)
 
 
-def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5),
-                       n_points: int = 200001) -> DipScan:
+def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5)) -> DipScan:
     """Measure the transmission dip numerically on window*omega_m.
 
-    Dense grid, parabolic refinement of the minimum, and linear
-    interpolation of the two crossings of level = (max+min)/2.  Reports the
-    full width between crossings and its half for direct comparison with
-    :func:`eit_linewidth`; near the onset of normal-mode splitting the
-    measured dip runs narrower than that first-order width, by about 17%
-    at the 5 uW default.
+    Dense grid of 200,001 points, parabolic refinement of the minimum, and
+    linear interpolation of the two crossings of level = (max+min)/2.
+    Reports the full width between crossings and its half for direct
+    comparison with :func:`eit_linewidth`; near the onset of normal-mode
+    splitting the measured dip runs narrower than that first-order width,
+    by about 17% at the 5 uW default.
     """
     if op.drive_power <= 0.0:
         raise InvalidParameterError(
@@ -241,7 +241,7 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5),
     if not (0.0 < window[0] < window[1]):
         raise InvalidParameterError(f"bad scan window {window!r}")
     grid = np.linspace(window[0] * op.mech_freq, window[1] * op.mech_freq,
-                       int(n_points))
+                       _SCAN_POINTS)
     trans = kernels.transmission(grid, op)
 
     i0 = int(np.argmin(trans))

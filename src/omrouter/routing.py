@@ -48,6 +48,9 @@ _BAND_COVER = 1.0
 # fraction of its value
 _REL_TOL = 1e-10
 
+# most Gauss-Kronrod panels the band may be split into
+_MAX_PANELS = 400
+
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1]: the positive Kronrod
 # abscissae and their weights, then the weights of the embedded 10-point
 # Gauss rule, whose abscissae are every second Kronrod one from the second
@@ -87,7 +90,7 @@ class RoutingReport:
     n_evals: int          # frequency nodes the band integrals evaluated
 
 
-def _gk21(a, b, op: OperatingPoint, kbt: float):
+def _gk21(a, b, op: OperatingPoint):
     """The five integrands' qk21 values and error estimates on panels [a, b].
 
     Returns two arrays of shape (5, len(a)), rows Scin, Scin*R, Scin*T, Sv
@@ -95,7 +98,7 @@ def _gk21(a, b, op: OperatingPoint, kbt: float):
     """
     half = 0.5 * (b - a)
     nodes = ((0.5 * (a + b))[:, None] + half[:, None] * _GK_X).ravel()
-    refl, trans, sv, st = kernels.channel_arrays(nodes, op, kbt)
+    refl, trans, sv, st = kernels.channel_arrays(nodes, op)
     scin = lorentzian_input(nodes, op.input_center, op.input_bandwidth)
     f = np.stack((scin, scin * refl, scin * trans, sv, st)).reshape(5, -1, 21)
     resk = f @ _GK_WK
@@ -110,8 +113,7 @@ def _gk21(a, b, op: OperatingPoint, kbt: float):
     return resk * half, err
 
 
-def _band_integrals(op: OperatingPoint, lo: float, hi: float,
-                    max_panels: int):
+def _band_integrals(op: OperatingPoint, lo: float, hi: float):
     """Integrate Scin, Scin*R, Scin*T, Sv and St over [lo, hi] together.
 
     Returns the five integrals as floats, the worst relative error estimate
@@ -120,18 +122,17 @@ def _band_integrals(op: OperatingPoint, lo: float, hi: float,
     Raises
     ------
     NumericalFailureError
-        When meeting the tolerance would take more than ``max_panels``
+        When meeting the tolerance would take more than _MAX_PANELS
         panels.
     """
     center, gamma = op.input_center, op.input_bandwidth
-    kbt = op.kB * op.bath_temp
     cuts = [p for p in (center - gamma, center, center + gamma, op.mech_freq)
             if lo < p < hi]
     # center == omega_m at the design point: a repeated cut would make a
     # zero-width panel
     edges = np.unique([lo, hi, *cuts])
     a, b = edges[:-1], edges[1:]
-    val, err = _gk21(a, b, op, kbt)
+    val, err = _gk21(a, b, op)
     n_evals = _GK_X.size * a.size
     while True:
         total, total_err = val.sum(axis=1), err.sum(axis=1)
@@ -141,15 +142,15 @@ def _band_integrals(op: OperatingPoint, lo: float, hi: float,
         # split each panel over its fair share of any integral's tolerance;
         # while one total is over, some panel is over its share of it
         split = np.any(err > (tol / a.size)[:, None], axis=0)
-        if a.size + np.count_nonzero(split) > max_panels:
+        if a.size + np.count_nonzero(split) > _MAX_PANELS:
             raise NumericalFailureError(
-                f"band integrals did not converge within {max_panels} panels")
+                f"band integrals did not converge within {_MAX_PANELS} panels")
         keep = ~split
         left, right = a[split], b[split]
         mid = 0.5 * (left + right)
         new_a = np.concatenate((left, mid))
         new_b = np.concatenate((mid, right))
-        new_val, new_err = _gk21(new_a, new_b, op, kbt)
+        new_val, new_err = _gk21(new_a, new_b, op)
         n_evals += _GK_X.size * new_a.size
         a = np.concatenate((a[keep], new_a))
         b = np.concatenate((b[keep], new_b))
@@ -160,8 +161,7 @@ def _band_integrals(op: OperatingPoint, lo: float, hi: float,
     return total.tolist(), worst, n_evals
 
 
-def routing_probabilities(op: OperatingPoint, band=None,
-                          quad_points: int = 400) -> RoutingReport:
+def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     """Integrate the channels against the probe line over the band.
 
     p_reflect = int_band Scin*R / int_band Scin, likewise for transmission;
@@ -172,8 +172,9 @@ def routing_probabilities(op: OperatingPoint, band=None,
 
     All five band integrals come from one adaptive 21-point Gauss-Kronrod
     pass (see the module docstring), which stops once each integral's error
-    estimate is within 1e-10 of its value; the report carries the worst
-    relative estimate and the number of frequency nodes evaluated.
+    estimate is within 1e-10 of its value, splitting the band into at most
+    400 panels; the report carries the worst relative estimate and the
+    number of frequency nodes evaluated.
 
     Parameters
     ----------
@@ -183,17 +184,12 @@ def routing_probabilities(op: OperatingPoint, band=None,
     band : (float, float), optional
         Analysis band [rad/s], default [0.5, 1.5]*omega_m.  Must cover the
         line core, center +- Gamma.
-    quad_points : int
-        Most Gauss-Kronrod panels the band may be split into, at least 200.
 
     Raises
     ------
     NumericalFailureError
-        When the integrals need more than ``quad_points`` panels.
+        When the integrals need more than 400 panels.
     """
-    if quad_points < 200:
-        raise InvalidParameterError(
-            f"quad_points must be >= 200, got {quad_points!r}")
     if band is None:
         band = (0.5 * op.mech_freq, 1.5 * op.mech_freq)
     lo, hi = float(band[0]), float(band[1])
@@ -207,7 +203,7 @@ def routing_probabilities(op: OperatingPoint, band=None,
             f"{center!r} +- {_BAND_COVER * gamma!r}")
 
     (mass, refl, trans, sv, st), quad_error, n_evals = _band_integrals(
-        op, lo, hi, quad_points)
+        op, lo, hi)
     # leaks live on the omega/omega_m axis, same measure as the spectra
     return RoutingReport(p_reflect=refl / mass, p_transmit=trans / mass,
                          vacuum_leak=sv / op.mech_freq,
@@ -215,8 +211,7 @@ def routing_probabilities(op: OperatingPoint, band=None,
                          quad_error=quad_error, n_evals=n_evals)
 
 
-def switching_contrast(params: SystemParams, p_on: float, band=None,
-                       quad_points: int = 400) -> float:
+def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
     """min(p_transmit with drive off, p_reflect at drive p_on).
 
     The figure of merit for using the device as a switch: how well it
@@ -231,9 +226,7 @@ def switching_contrast(params: SystemParams, p_on: float, band=None,
     if not (p_on >= 0.0 and math.isfinite(p_on)):
         raise InvalidParameterError(f"p_on must be >= 0 and finite, got {p_on!r}")
     off = routing_probabilities(
-        derive_operating_point(replace(params, drive_power=0.0)),
-        band=band, quad_points=quad_points)
+        derive_operating_point(replace(params, drive_power=0.0)), band=band)
     on = routing_probabilities(
-        derive_operating_point(replace(params, drive_power=p_on)),
-        band=band, quad_points=quad_points)
+        derive_operating_point(replace(params, drive_power=p_on)), band=band)
     return min(off.p_transmit, on.p_reflect)

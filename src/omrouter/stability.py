@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidParameterError, NumericalFailureError
 from .operating_point import OperatingPoint, SystemParams, derive_operating_point
 from .response import denominator_d
@@ -33,7 +34,7 @@ def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
         c1 = -i*m*(gamma_m*(4*kappa^2 + Delta^2) + 4*kappa*omega_m^2)
         c0 = m*omega_m^2*(4*kappa^2 + Delta^2) - 2*hbar*g^2*|c_s|^2*Delta
 
-    Only c0 depends on the drive.
+    Only c0 depends on the drive, through kernels.drive_term.
     """
     m = op.eff_mass
     wm2 = op.mech_freq ** 2
@@ -46,7 +47,7 @@ def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
         1j * m * (4.0 * k + gm),
         -m * (cav0 + 4.0 * k * gm + wm2),
         -1j * m * (gm * cav0 + 4.0 * k * wm2),
-        m * wm2 * cav0 - 2.0 * op.hbar * op.g ** 2 * op.n_cav * delta,
+        m * wm2 * cav0 - kernels.drive_term(op),
     ], dtype=complex)
 
 
@@ -65,18 +66,25 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
     Roots come from the companion matrix of the polynomial rescaled by
     z = omega/omega_m for conditioning.  Each root is checked against the
     residual metric |d(root)| / sum_k |c_k root^k| < 1e-6; failure raises
-    NumericalFailureError rather than returning a wrong verdict.
+    NumericalFailureError rather than returning a wrong verdict, as does a
+    rescaled coefficient or term sum past the float range (omega_m^4).
     """
     coeffs = d_polynomial_coeffs(op)
     s = op.mech_freq
     powers = np.array([4, 3, 2, 1, 0], dtype=float)
-    scaled = coeffs * s ** powers  # z = omega/s conditions the companion matrix
-    roots = np.roots(scaled / scaled[0]) * s
-
-    # residual guard on both forms, measured against the summed term sizes
-    terms = (np.abs(roots)[:, None] ** powers) @ np.abs(coeffs)
-    resid = np.abs(np.polyval(coeffs, roots)) / terms
-    direct = np.abs(denominator_d(roots, op)) / terms
+    with np.errstate(all="ignore"):
+        # z = omega/s conditions the companion matrix
+        scaled = coeffs * s ** powers
+        if not np.isfinite(scaled).all():
+            raise NumericalFailureError(
+                "rescaled d polynomial coefficients are not finite")
+        roots = np.roots(scaled / scaled[0]) * s
+        # residual guard on both forms, measured against the summed term sizes
+        terms = (np.abs(roots)[:, None] ** powers) @ np.abs(coeffs)
+        resid = np.abs(np.polyval(coeffs, roots)) / terms
+        direct = np.abs(denominator_d(roots, op)) / terms
+    if not np.isfinite(terms).all():
+        raise NumericalFailureError("root residual terms are not finite")
     bad = ~((resid < _RESIDUAL_TOL) & (direct < _RESIDUAL_TOL))
     if bad.any():
         k = int(np.argmax(bad))

@@ -117,7 +117,8 @@ def test_criterion_05_vacuum_noise_floor(op_5uw, op_20uw):
 
 def test_criterion_06_thermal_noise_scale(op_5uw, op_20uw):
     grid = default_grid(op_5uw)
-    hot = float(np.max(thermal_noise(grid, op_20uw, bath_temp=200e-3)))
+    hot_20uw = replace(op_20uw, bath_temp=200e-3)
+    hot = float(np.max(thermal_noise(grid, hot_20uw)))
     cold5 = float(np.max(thermal_noise(grid, op_5uw)))
     cold20 = float(np.max(thermal_noise(grid, op_20uw)))
     ok = abs(hot - 0.20) <= 0.06 and cold5 < 0.10 and cold20 < 0.10

@@ -147,7 +147,10 @@ def test_unstable_point_reports_and_writes_nothing(tmp_path, write_config,
 
 
 @pytest.mark.parametrize("text", ["{", "[1, 2]", "{\"bogus\": 1}",
-                                  "{\"mech_freq\": \"fast\"}"])
+                                  "{\"mech_freq\": \"fast\"}",
+                                  "{\"units\": \"hz\"}",
+                                  "{\"grid_n\": 4001.5}",
+                                  "{\"grid_n\": true}"])
 def test_bad_config_rejected_without_output(tmp_path, text, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
@@ -174,10 +177,24 @@ def test_huge_grid_rejected_before_allocating(where, n, write_config,
 
 @pytest.mark.parametrize("command", ["spectrum", "route", "stability"])
 def test_overflowing_power_exits_two(command, capsys):
-    # eps_c = sqrt(2*kappa*P/(hbar*omega_c)) overflows to inf at 1e300 W
-    code, out, err = _run(capsys, command, "--power", "1e300")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "eps_c" in err
+    # eps_c = sqrt(2*kappa*P/(hbar*omega_c)) overflows to inf past 2e284 W,
+    # the drive term 2*hbar*g^2*|c_s|^2*Delta past about 3e263 W
+    for power, derived in (("1e270", "drive term"), ("1e284", "drive term"),
+                           ("1e300", "eps_c")):
+        code, out, err = _run(capsys, command, "--power", power)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"derived {derived} " in err
+
+
+def test_stability_coefficients_past_float_range_exit_four(write_config,
+                                                            capsys):
+    # omega_m^4 = 1e312 overflows the rescaled d polynomial
+    cfg = write_config("fast.json", mech_freq=1e78)
+    with pytest.warns(omrouter.RegimeWarning):
+        code, out, err = _run(capsys, "stability", "--config", cfg)
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["error: rescaled d polynomial coefficients "
+                                "are not finite"]
 
 
 def test_sweep_rows_bounded_by_grid_times_values(write_config, capsys):

