@@ -8,7 +8,10 @@ stability  pole locations and stability margin of the working point
 route      band-integrated routing report, on state vs drive off
 
 Exit codes: 0 success, 2 invalid input or config, 3 unstable operating
-point, 4 numerical failure.
+point, 4 numerical failure.  The library decides stability: spectrum and
+route exit 3 on the UnstableOperatingPointError it raises, stability
+prints its report and exits 3, and sweep marks an unstable value inline
+(stable column 0) by the same verdict, kernels.is_stable.
 
 Config files are flat JSON objects; command line flags override file
 values.  Frequency-like entries (cavity_decay, eff_detuning, input_center,
@@ -37,6 +40,7 @@ import numpy as np
 
 from .errors import (InvalidParameterError, NumericalFailureError,
                      UnstableOperatingPointError)
+from .kernels import is_stable
 from .operating_point import SystemParams, derive_operating_point
 from .response import output_spectra
 from .routing import routing_probabilities
@@ -200,18 +204,9 @@ def _spectrum_columns(spectra, mech_freq):
             spectra.St, spectra.Scout, spectra.Sdout)
 
 
-def _require_stable(op):
-    report = assess_stability(op)
-    if not report.stable:
-        raise UnstableOperatingPointError(
-            f"operating point unstable (margin {report.margin:.6e} rad/s)")
-    return report
-
-
 def cmd_spectrum(args) -> int:
     params, (lo, hi, n), _ = _resolve(args)
     op = derive_operating_point(params)
-    _require_stable(op)
     spectra = output_spectra(np.linspace(lo, hi, n), op)
     cols = _spectrum_columns(spectra, op.mech_freq)
     if args.format == "csv":
@@ -250,10 +245,8 @@ def cmd_sweep(args) -> int:
     ops = [(v, derive_operating_point(p)) for v, p in value_params]
     grid = np.linspace(lo, hi, n)
 
-    results = []
-    for value, op in ops:
-        stable = assess_stability(op).stable
-        results.append((value, op, output_spectra(grid, op) if stable else None))
+    results = [(value, op, output_spectra(grid, op) if is_stable(op) else None)
+               for value, op in ops]
 
     if args.format == "csv":
         pieces = [",".join(("param", "value", "stable") + _COLUMNS) + "\n"]
@@ -305,7 +298,6 @@ def cmd_stability(args) -> int:
 def cmd_route(args) -> int:
     params, _, _ = _resolve(args)
     op = derive_operating_point(params)
-    _require_stable(op)
     on = routing_probabilities(op)
     off = routing_probabilities(
         derive_operating_point(replace(params, drive_power=0.0)))

@@ -15,14 +15,22 @@ and are ratios over it (E) or over |d|^2 (Sv and St):
 d is built from its two factors and the numerator of E from the mechanical
 one; the factors are passed in, so a grid evaluates each of them once.
 
+The channels mean something only where every zero of d lies below the
+real axis.  That verdict is also written once, here beside the drive term
+it turns on: :func:`is_stable`, from the Routh-Hurwitz conditions.
+
 Keep the arithmetic order as written (x*x rather than x**2, the drive term
 grouped as 2*hbar*(g^2*|c_s|^2)*Delta, complex array operands bound to
 names before they are multiplied): the command line spectra are pinned
 byte for byte.
 """
 
+import math
+
 import numpy as np
 
+from .errors import (InvalidParameterError, NumericalFailureError,
+                     UnstableOperatingPointError)
 from .operating_point import HBAR, KB
 
 # past hbar*omega/(kB*T) = 30 the Bose factor is evaluated as exp(-x);
@@ -47,6 +55,75 @@ def coupling(op):
 def drive_term(op):
     """2*hbar*g^2*|c_s|^2*Delta, the drive's share of d(omega)."""
     return 2.0 * HBAR * coupling(op) * op.eff_detuning
+
+
+def stable_drive_window(op):
+    """The open interval of drive_term(op)/m in which the point is stable.
+
+    With omega = i*s, the poles lie below the real axis exactly when every
+    root of p(s) = d(i*s)/m = s^4 + a3*s^3 + a2*s^2 + a1*s + a0 has
+    Re s < 0, where
+
+        a3 = 4*kappa + gamma_m
+        a2 = 4*kappa^2 + Delta^2 + 4*kappa*gamma_m + omega_m^2
+        a1 = gamma_m*(4*kappa^2 + Delta^2) + 4*kappa*omega_m^2
+        a0 = omega_m^2*(4*kappa^2 + Delta^2) - x,   x = drive_term(op)/m.
+
+    a1, a2 and a3 are positive, so by the Routh-Hurwitz conditions that
+    holds exactly when a0 > 0 and a3*a2*a1 - a1^2 - a3^2*a0 = H + a3^2*x
+    > 0, with the drive-free part
+
+        H = 4*kappa*gamma_m*[(Delta^2 - omega_m^2)^2
+            + 8*kappa^2*(Delta^2 + omega_m^2) + 16*kappa^4
+            + 4*kappa*gamma_m*(Delta^2 + 4*kappa^2 + omega_m^2)
+            + gamma_m^2*(Delta^2 + 4*kappa^2)].
+
+    H vanishes at gamma_m = 0, so formed as that difference it would lose
+    its last digits to cancellation; this form has none.  Only x depends
+    on the drive, in proportion to the drive power.
+
+    Returns
+    -------
+    (lo, hi) : (float, float)
+        -H/a3^2 < 0 and omega_m^2*(4*kappa^2 + Delta^2) > 0.
+
+    Raises
+    ------
+    NumericalFailureError
+        When a bound is past the float range (omega_m^6 overflows).
+    """
+    k = op.cavity_decay
+    gm = op.gamma_m
+    d2 = op.eff_detuning * op.eff_detuning
+    wm2 = op.mech_freq * op.mech_freq
+    k2 = k * k
+    a3 = 4.0 * k + gm
+    h = 4.0 * k * gm * ((d2 - wm2) * (d2 - wm2) + 8.0 * k2 * (d2 + wm2)
+                        + 16.0 * k2 * k2 + 4.0 * k * gm * (d2 + 4.0 * k2 + wm2)
+                        + gm * gm * (d2 + 4.0 * k2))
+    lo, hi = -h / (a3 * a3), wm2 * (4.0 * k2 + d2)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalFailureError("Hurwitz stability bounds are not finite")
+    return lo, hi
+
+
+def is_stable(op):
+    """Whether every pole of d(omega) lies strictly below the real axis.
+
+    The Routh-Hurwitz verdict of :func:`stable_drive_window`, exact up to
+    the rounding of a few operations: no roots are found.  It is monotone
+    in the drive power, which only moves drive_term(op)/m.
+    """
+    lo, hi = stable_drive_window(op)
+    return lo < drive_term(op) / op.eff_mass < hi
+
+
+def require_stable(op):
+    """Raise UnstableOperatingPointError unless :func:`is_stable` holds."""
+    if not is_stable(op):
+        raise UnstableOperatingPointError(
+            f"operating point unstable: at drive power {op.drive_power:.6e} W "
+            "a pole lies on or above the real axis")
 
 
 def mech_factor(omega, op):
@@ -107,7 +184,16 @@ def thermal_weight(omega, op):
         Frequencies [rad/s].
     op : OperatingPoint
         Supplies gamma_m, eff_mass and the bath temperature T (bath_temp).
+
+    Raises
+    ------
+    InvalidParameterError
+        When bath_temp is negative, NaN or infinite, as a point made by
+        dataclasses.replace, which skips validation, can carry.
     """
+    if not 0.0 <= op.bath_temp < math.inf:
+        raise InvalidParameterError(
+            f"bath_temp must be >= 0 and finite, got {op.bath_temp!r}")
     kbt = KB * op.bath_temp
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     amp = 2.0 * HBAR * op.gamma_m * op.eff_mass

@@ -183,7 +183,9 @@ def derive_operating_point(params: SystemParams) -> OperatingPoint:
     InvalidParameterError
         From :func:`validate`, or when a derived quantity overflows (a
         drive power of 1e300 W makes eps_c infinite, one of 1e270 W the
-        drive term 2*hbar*g^2*|c_s|^2*Delta).
+        drive term 2*hbar*g^2*|c_s|^2*Delta, and at the default geometry
+        one of about 1e137 W the vacuum noise numerator
+        8*(kappa*hbar*g^2*|c_s|^2)^2, at any detuning).
     """
     validate(params)
     omega_c = TWO_PI * C / params.wavelength
@@ -209,13 +211,16 @@ def derive_operating_point(params: SystemParams) -> OperatingPoint:
         omega_c=omega_c, g=g, gamma_m=gamma_m, eps_c=eps_c, c_s=c_s,
         n_cav=n_cav, q_s=q_s)
 
-    try:
-        drive = kernels.drive_term(op)
-    except OverflowError:   # g**2 past the float range
-        drive = math.inf
     derived = {"omega_c": omega_c, "g": g, "gamma_m": gamma_m,
-               "eps_c": eps_c, "c_s": c_s, "n_cav": n_cav, "q_s": q_s,
-               "drive term": drive}
+               "eps_c": eps_c, "c_s": c_s, "n_cav": n_cav, "q_s": q_s}
+    # the vacuum noise numerator is quadratic in g^2*|c_s|^2, so it
+    # overflows first, and alone at zero detuning, where the drive term is 0
+    for name, term in (("drive term", kernels.drive_term),
+                       ("vacuum noise numerator", kernels.sv_numerator)):
+        try:
+            derived[name] = term(op)
+        except OverflowError:   # a Python float ** past the float range
+            derived[name] = math.inf
     for name, value in derived.items():
         if not cmath.isfinite(value):
             raise InvalidParameterError(

@@ -19,7 +19,8 @@ itself stays in rad/s.
 
 The channel formulas live in :mod:`omrouter.kernels`, written once; this
 module validates inputs, guards the amplitude against a near-singular
-denominator, assembles the port spectra and scans the dip.
+denominator, assembles the port spectra and scans the dip.  The spectra
+and the dip scan refuse an unstable operating point.
 """
 
 from __future__ import annotations
@@ -165,7 +166,15 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
 
     integrate to photon numbers.  Grids are restricted to omega > 0, where
     the rotating-frame noise formulas apply.
+
+    Raises
+    ------
+    UnstableOperatingPointError
+        When a pole of the response lies on or above the real axis
+        (:func:`omrouter.kernels.is_stable`): the spectra would describe
+        fluctuations that do not decay.
     """
+    kernels.require_stable(op)
     g = _check_grid(grid)
     refl, trans, sv, st = kernels.channel_arrays(g, op)
     scin = op.mech_freq * lorentzian_input(g, op.input_center,
@@ -233,8 +242,10 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5)) -> DipScan:
     Reports the full width between crossings and its half for direct
     comparison with :func:`eit_linewidth`; near the onset of normal-mode
     splitting the measured dip runs narrower than that first-order width,
-    by about 17% at the 5 uW default.
+    by about 17% at the 5 uW default.  An unstable point raises
+    UnstableOperatingPointError, as in :func:`output_spectra`.
     """
+    kernels.require_stable(op)
     if op.drive_power <= 0.0:
         raise InvalidParameterError(
             "eit_linewidth_scan needs drive_power > 0: no dip without drive")

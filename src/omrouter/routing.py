@@ -179,17 +179,20 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     Parameters
     ----------
     op : OperatingPoint
-        Must be dynamically stable; this is the caller's contract (the
-        command line front end verifies it).
+        The working point; it must be dynamically stable.
     band : (float, float), optional
         Analysis band [rad/s], default [0.5, 1.5]*omega_m.  Must cover the
         line core, center +- Gamma.
 
     Raises
     ------
+    UnstableOperatingPointError
+        When a pole of the response lies on or above the real axis
+        (:func:`omrouter.kernels.is_stable`).
     NumericalFailureError
         When the integrals need more than 400 panels.
     """
+    kernels.require_stable(op)
     if band is None:
         band = (0.5 * op.mech_freq, 1.5 * op.mech_freq)
     lo, hi = float(band[0]), float(band[1])
@@ -221,7 +224,8 @@ def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
 
     The contrast is noise-free: it uses the probe channels only, so it does
     not depend on ``bath_temp``.  Temperature shows up only in
-    :attr:`RoutingReport.thermal_leak`.
+    :attr:`RoutingReport.thermal_leak`.  An unstable on state raises
+    UnstableOperatingPointError (the drive-off state is always stable).
     """
     if not (p_on >= 0.0 and math.isfinite(p_on)):
         raise InvalidParameterError(f"p_on must be >= 0 and finite, got {p_on!r}")

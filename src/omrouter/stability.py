@@ -2,14 +2,18 @@
 
 The channel denominator d(omega) is a degree-4 polynomial; with the
 exp(-i*omega*t) convention every zero must lie strictly below the real
-axis for fluctuations to decay.  ``margin`` is the distance of the closest
-zero to the axis (positive means stable).  Red detuning damps the membrane
-and is stable at the powers of interest; blue detuning anti-damps it and
-goes unstable at nanowatt-scale drive.
+axis for fluctuations to decay.  Whether they do is decided once, by the
+Routh-Hurwitz conditions in :func:`omrouter.kernels.is_stable`; this
+module adds the roots themselves, their ``margin`` (the distance of the
+closest zero to the axis, positive when stable) and the drive-power
+threshold.  Red detuning damps the membrane and is stable at the powers
+of interest; blue detuning anti-damps it and goes unstable at
+nanowatt-scale drive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,21 +57,27 @@ def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Root locations and the verdict they imply."""
+    """Root locations, their margin and the stability verdict."""
 
     roots: np.ndarray   # the four poles [rad/s], sorted by real part
     margin: float       # min over roots of -Im(root); > 0 means stable
-    stable: bool
+    stable: bool        # kernels.is_stable, the Routh-Hurwitz verdict
 
 
 def assess_stability(op: OperatingPoint) -> StabilityReport:
-    """Locate the poles and judge them.
+    """Locate the poles, measure their margin and give the verdict.
 
     Roots come from the companion matrix of the polynomial rescaled by
     z = omega/omega_m for conditioning.  Each root is checked against the
     residual metric |d(root)| / sum_k |c_k root^k| < 1e-6; failure raises
-    NumericalFailureError rather than returning a wrong verdict, as does a
+    NumericalFailureError rather than returning wrong roots, as does a
     rescaled coefficient or term sum past the float range (omega_m^4).
+
+    ``stable`` is not read off the roots: it is the exact Routh-Hurwitz
+    verdict of :func:`omrouter.kernels.is_stable`, the one every checked
+    entry point uses.  ``stable`` and ``margin > 0`` can disagree only
+    where the margin is within the roots' rounding noise of zero, next to
+    the threshold of :func:`max_stable_power`.
     """
     coeffs = d_polynomial_coeffs(op)
     s = op.mech_freq
@@ -95,45 +105,49 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
     margin = float(np.min(-roots.imag))
-    return StabilityReport(roots=roots, margin=margin, stable=margin > 0.0)
-
-
-def _stable_at(params: SystemParams, power: float) -> bool:
-    op = derive_operating_point(replace(params, drive_power=power))
-    return assess_stability(op).stable
+    return StabilityReport(roots=roots, margin=margin,
+                           stable=kernels.is_stable(op))
 
 
 def max_stable_power(params: SystemParams, p_max: float,
                      rel_tol: float = 0.01) -> float:
-    """Largest verified-stable drive power in [0, p_max].
+    """Largest stable drive power in [0, p_max].
 
-    Bisection to ``rel_tol`` relative on the bracket; returns ``p_max``
-    itself when the whole range is stable.  Along the power axis the stable
-    set is an interval starting at 0, so bisection is sound.
+    At fixed detuning drive_term/m is proportional to the drive power, and
+    the point is stable exactly while it stays inside
+    :func:`omrouter.kernels.stable_drive_window`.  So the threshold P* has
+    a closed form: red detuning crosses the static bound a0 = 0, blue
+    detuning the Hurwitz bound, and zero detuning crosses neither.  Returns
+    ``p_max`` itself when it is stable, else the largest float at which
+    :func:`omrouter.kernels.is_stable` holds next to P*, a few ulp away.
+    The next float up is unstable, so the result meets the contract of
+    every ``rel_tol`` (stable there, unstable at any larger power), and it
+    lies within the verdict's rounding, about 1e-15, of the exact P*.
+    ``rel_tol`` is validated but no longer sets the accuracy.
 
     Raises
     ------
     InvalidParameterError
-        If the point is unstable already at zero drive (the passive cavity
-        must be stable for the question to make sense), or for p_max < 0.
+        For p_max < 0 or not finite, or rel_tol outside (0, 1).
     """
     if not (p_max >= 0.0 and np.isfinite(p_max)):
         raise InvalidParameterError(f"p_max must be >= 0 and finite, got {p_max!r}")
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameterError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
-    if not _stable_at(params, 0.0):
-        raise InvalidParameterError(
-            "unstable at zero drive: passive damping contract violated")
-    if p_max == 0.0:
-        return 0.0
-    if _stable_at(params, p_max):
+    op = derive_operating_point(replace(params, drive_power=p_max))
+    if kernels.is_stable(op):
         return float(p_max)
 
-    lo, hi = 0.0, float(p_max)
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if _stable_at(params, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    def stable_at(power):
+        return kernels.is_stable(
+            derive_operating_point(replace(params, drive_power=power)))
+
+    lo, hi = kernels.stable_drive_window(op)
+    x = kernels.drive_term(op) / op.eff_mass
+    # the verdict is monotone in the power: walk the few ulp to its edge
+    p = p_max * ((hi if x > 0.0 else lo) / x)
+    while not stable_at(p):
+        p = math.nextafter(p, 0.0)
+    while stable_at(math.nextafter(p, p_max)):
+        p = math.nextafter(p, p_max)
+    return p

@@ -139,11 +139,14 @@ def test_unstable_point_reports_and_writes_nothing(tmp_path, write_config,
                                                    capsys):
     cfg = write_config("blue.json", eff_detuning=-1.0, drive_power=1e-6)
     path = tmp_path / "never.csv"
-    code, out, err = _run(capsys, "spectrum", "--config", cfg,
-                          "--out", str(path))
-    assert code == 3
-    assert not path.exists()
-    assert "unstable" in err
+    for command in ("spectrum", "route"):
+        code, out, err = _run(capsys, command, "--config", cfg,
+                              "--out", str(path))
+        assert code == 3
+        assert not path.exists()
+        assert "unstable" in err
+        code, out, err = _run(capsys, command, "--config", cfg)
+        assert (code, out) == (3, "")
 
 
 @pytest.mark.parametrize("text", ["{", "[1, 2]", "{\"bogus\": 1}",
@@ -184,6 +187,22 @@ def test_overflowing_power_exits_two(command, capsys):
         code, out, err = _run(capsys, command, "--power", power)
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"derived {derived} " in err
+
+
+def test_zero_detuning_overflow_exits_two(write_config, capsys):
+    # the drive term is 0 at zero detuning; the vacuum noise numerator
+    # 8*(kappa*hbar*g^2*|c_s|^2)^2 overflows from about 1e137 W
+    cfg = write_config("resonant.json", eff_detuning=0.0)
+    for power in ("1e140", "1e250"):
+        code, out, err = _run(capsys, "spectrum", "--config", cfg,
+                              "--power", power)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: derived vacuum noise numerator is not finite (inf): the "
+            "inputs are beyond the range of floating point"]
+    code, out, _ = _run(capsys, "spectrum", "--config", cfg, "--power",
+                        "1e130", "--grid", "0.5:1.5:5")
+    assert code == 0 and len(out.splitlines()) == 6
 
 
 def test_stability_coefficients_past_float_range_exit_four(write_config,

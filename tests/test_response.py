@@ -146,6 +146,13 @@ def test_thermal_noise_scales_with_occupation(op_20uw):
     assert ratio == pytest.approx(10.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("temp", [-0.02, math.nan])
+def test_thermal_noise_rejects_an_unphysical_temperature(op_5uw, temp):
+    # replace() skips validate(); the kernel checks the temperature it reads
+    with pytest.raises(InvalidParameterError, match="bath_temp"):
+        thermal_noise(0.97 * WM, replace(op_5uw, bath_temp=temp))
+
+
 def test_thermal_noise_monotone_in_temperature(op_5uw):
     w = 0.97 * WM
     vals = [thermal_noise(w, replace(op_5uw, bath_temp=t))

@@ -1,13 +1,20 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, NumericalFailureError,
-                      assess_stability,
-                      d_polynomial_coeffs, default_params, denominator_d,
-                      derive_operating_point, max_stable_power)
+                      UnstableOperatingPointError, assess_stability,
+                      d_polynomial_coeffs, default_grid, default_params,
+                      denominator_d, derive_operating_point,
+                      eit_linewidth_scan, kernels, max_stable_power,
+                      output_spectra, routing_probabilities,
+                      switching_contrast)
+from omrouter.operating_point import HBAR
 
 WM = default_params().mech_freq
 KAPPA = WM / 10.0
@@ -150,3 +157,135 @@ def test_search_rejects_bad_arguments():
         max_stable_power(params, 1e-6, rel_tol=0.0)
     with pytest.raises(InvalidParameterError):
         max_stable_power(params, 1e-6, rel_tol=1.5)
+
+
+# ------------------------------------------------- exact Hurwitz threshold
+
+BLUE_POWERS = (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6, 18e-6,
+               20e-6)
+
+
+def _stable(params, power):
+    return assess_stability(derive_operating_point(
+        replace(params, drive_power=power))).stable
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-15])
+def test_threshold_contract_holds_at_tight_tolerances(rel_tol):
+    # the bisection over a root-sign verdict broke this at 1e-9 on three
+    # of these thirty blue twins
+    for detuning in (0.95, 1.0, 1.05):
+        blue = replace(default_params(), eff_detuning=-detuning * WM)
+        for p_max in BLUE_POWERS:
+            p = max_stable_power(blue, p_max, rel_tol=rel_tol)
+            assert 0.0 < p < p_max
+            assert _stable(blue, p)
+            assert not _stable(blue, p * (1.0 + 2.0 * rel_tol))
+
+
+@pytest.mark.parametrize("detuning, threshold", [
+    (-1.0, 4.8211467454e-11), (-1.05, 5.6279888532e-11),
+    (-0.95, 4.6476787273e-11)])
+def test_blue_threshold_closed_form_values(detuning, threshold):
+    blue = replace(default_params(), eff_detuning=detuning * WM)
+    assert max_stable_power(blue, 1e-6) == pytest.approx(threshold,
+                                                         rel=1e-10, abs=0.0)
+
+
+def test_red_static_bound():
+    # a0 = 0: a pole crosses the axis at omega = 0
+    # (next to it the root at s = 0 is too small for the residual guard of
+    # assess_stability, so the verdict is asked directly)
+    params = default_params()
+    p = max_stable_power(params, 1.0)
+    assert p == pytest.approx(1.3652e-4, rel=1e-4)
+    for power, stable in ((p, True), (p * (1.0 + 1e-15), False)):
+        assert kernels.is_stable(derive_operating_point(
+            replace(params, drive_power=power))) is stable
+
+
+def test_threshold_takes_a_few_verdicts(monkeypatch):
+    # a bisection from 1 W down to the 5e-11 W blue threshold takes ~40
+    calls = []
+    verdict = kernels.is_stable
+    monkeypatch.setattr(kernels, "is_stable",
+                        lambda op: calls.append(op) or verdict(op))
+    for detuning in (-1.0, 1.0):
+        calls.clear()
+        max_stable_power(replace(default_params(), eff_detuning=detuning * WM),
+                         1.0)
+        assert len(calls) <= 16
+
+
+def _hierarchy_params(draw):
+    kappa = WM * draw(st.floats(0.011, 0.09))
+    quality = draw(st.floats(11.0 * WM / kappa, 1e8))
+    detuning = WM * draw(st.sampled_from([-1.0, 1.0])) \
+        * draw(st.floats(0.2, 2.0))
+    return replace(default_params(), cavity_decay=kappa, quality=quality,
+                   eff_detuning=detuning)
+
+
+def _mp_stable(op):
+    """Stability from 50-digit roots of d(i*s)/m, built from the op's fields.
+
+    The float d_polynomial_coeffs are not used: their rounding moves the
+    threshold of the rounded polynomial far more than 1e-12.
+    """
+    with mpmath.workdps(50):
+        wm, gm, k = (mpmath.mpf(v) for v in (op.mech_freq, op.gamma_m,
+                                             op.cavity_decay))
+        delta, m = mpmath.mpf(op.eff_detuning), mpmath.mpf(op.eff_mass)
+        x = 2 * mpmath.mpf(HBAR) * mpmath.mpf(op.g) ** 2 \
+            * mpmath.mpf(op.n_cav) * delta / m
+        cav0 = 4 * k * k + delta * delta
+        # s = wm*z, monic in z
+        coeffs = [1, (4 * k + gm) / wm,
+                  (cav0 + 4 * k * gm + wm * wm) / wm ** 2,
+                  (gm * cav0 + 4 * k * wm * wm) / wm ** 3,
+                  (wm * wm * cav0 - x) / wm ** 4]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
+        return all(mpmath.re(r) < 0 for r in roots)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_threshold_brackets_the_exact_roots(data):
+    params = _hierarchy_params(data.draw)
+    p_max = 1e3
+    p = max_stable_power(params, p_max)
+    assume(p < p_max)
+    below = derive_operating_point(replace(params, drive_power=p * (1 - 1e-12)))
+    above = derive_operating_point(replace(params, drive_power=p * (1 + 1e-12)))
+    assert _mp_stable(below) and kernels.is_stable(below)
+    assert not _mp_stable(above) and not kernels.is_stable(above)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verdict_matches_the_margin_sign_away_from_the_threshold(data):
+    params = _hierarchy_params(data.draw)
+    power = 10 ** data.draw(st.floats(-12.0, 0.0))
+    report = assess_stability(derive_operating_point(
+        replace(params, drive_power=power)))
+    assume(abs(report.margin) > 1e-6 * WM)
+    assert report.stable == (report.margin > 0.0)
+
+
+def test_zero_detuning_is_stable_at_any_power():
+    params = replace(default_params(), eff_detuning=0.0)
+    assert max_stable_power(params, 1e100) == 1e100
+
+
+@pytest.mark.parametrize("call", ["output_spectra", "routing_probabilities",
+                                  "eit_linewidth_scan", "switching_contrast"])
+def test_unstable_point_is_refused_by_the_library(call):
+    # blue twin of the design point, probe line on the window at omega_m
+    params = replace(default_params(), eff_detuning=-WM, input_center=WM)
+    op = derive_operating_point(params)
+    run = {"output_spectra": lambda: output_spectra(default_grid(op), op),
+           "routing_probabilities": lambda: routing_probabilities(op),
+           "eit_linewidth_scan": lambda: eit_linewidth_scan(op),
+           "switching_contrast": lambda: switching_contrast(params, 5e-6)}
+    with pytest.raises(UnstableOperatingPointError, match="unstable"):
+        run[call]()
