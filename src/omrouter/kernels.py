@@ -234,12 +234,33 @@ def _amplitude(w, op):
     return e_numerator(w, op, mech) / d, d
 
 
-def _blocks(omega):
-    """The grid flattened, and the slices that cut it into BLOCK points."""
+def _flat(omega):
+    """The grid's shape and the grid flattened to 1-d."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    flat = w.reshape(-1)
-    return w.shape, flat, [slice(lo, lo + BLOCK)
-                           for lo in range(0, flat.size, BLOCK)]
+    return w.shape, w.reshape(-1)
+
+
+def blocks(size):
+    """The slices that cut a flat grid of ``size`` points into BLOCK points."""
+    return [slice(lo, lo + BLOCK) for lo in range(0, size, BLOCK)]
+
+
+def fill_channels(flat, op, refl, trans, sv, st):
+    """Write R, T, Sv and St on the 1-d grid ``flat`` into the given arrays.
+
+    The grid is evaluated BLOCK points at a time, so a value does not
+    depend on the size of the grid around it.  The four outputs are
+    preallocated by the caller: separate arrays, or rows of one table.
+    """
+    sv_num = sv_numerator(op)
+    for b in blocks(flat.size):
+        w = flat[b]
+        e, d = _amplitude(w, op)
+        refl[b] = np.abs(e - 1.0) ** 2
+        trans[b] = np.abs(e) ** 2
+        absd2 = np.abs(d) ** 2
+        sv[b] = sv_num / absd2
+        st[b] = v2_numerator(w, op) / absd2 * thermal_weight(w, op)
 
 
 def channel_arrays(omega, op):
@@ -247,8 +268,7 @@ def channel_arrays(omega, op):
 
     d is evaluated once and shared; there is no near-singular guard here
     (see :func:`omrouter.response.response_E` for the guarded amplitude).
-    The grid is evaluated BLOCK points at a time, so a value does not
-    depend on the size or shape of the grid around it.
+    The grid is evaluated as in :func:`fill_channels`.
 
     Parameters
     ----------
@@ -264,25 +284,17 @@ def channel_arrays(omega, op):
         density on the reflected port, and the thermal noise density, the
         latter two per unit omega/omega_m.
     """
-    shape, flat, blocks = _blocks(omega)
-    refl, trans, sv, st = (np.empty(flat.size) for _ in range(4))
-    sv_num = sv_numerator(op)
-    for b in blocks:
-        w = flat[b]
-        e, d = _amplitude(w, op)
-        refl[b] = np.abs(e - 1.0) ** 2
-        trans[b] = np.abs(e) ** 2
-        absd2 = np.abs(d) ** 2
-        sv[b] = sv_num / absd2
-        st[b] = v2_numerator(w, op) / absd2 * thermal_weight(w, op)
-    return tuple(a.reshape(shape) for a in (refl, trans, sv, st))
+    shape, flat = _flat(omega)
+    out = [np.empty(flat.size) for _ in range(4)]
+    fill_channels(flat, op, *out)
+    return tuple(a.reshape(shape) for a in out)
 
 
 def transmission(omega, op):
     """Probe transmission |E(omega)|^2 alone: channel_arrays' T, bit for bit."""
-    shape, flat, blocks = _blocks(omega)
+    shape, flat = _flat(omega)
     trans = np.empty(flat.size)
-    for b in blocks:
+    for b in blocks(flat.size):
         e, _ = _amplitude(flat[b], op)
         trans[b] = np.abs(e) ** 2
     return trans.reshape(shape)

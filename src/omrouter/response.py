@@ -25,6 +25,7 @@ and the dip scan refuse an unstable operating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,14 @@ from .errors import InvalidParameterError, NumericalFailureError
 from .operating_point import HBAR, OperatingPoint
 
 _SCAN_POINTS = 200001   # points of the dip scan's grid
+_CELL = 64              # grid points per cell of the dip scan's bounds
+
+# Relative allowance for rounding, 64 unit roundoffs: the kernel's d and
+# E*d, a coefficient of T's polynomials below and each factor of a cell
+# bound are formed in at most 16 roundings (a complex product counts as
+# sqrt(5)), so each lies within _ROUND of its exact value, relative to its
+# cancellation-free size.
+_ROUND = 32.0 * np.finfo(float).eps
 
 # |d| below this fraction of its typical (cancellation-free) scale means
 # the response value carries no trustworthy digits
@@ -132,7 +141,13 @@ def thermal_noise(omega, op: OperatingPoint):
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpectra:
-    """Channel values on a grid.  Tx is transmission (T is reserved for temperature)."""
+    """Channel values on a grid.  Tx is transmission (T is reserved for temperature).
+
+    The six value arrays are the rows of one (6, n) table, allocated and
+    filled by :func:`output_spectra`: keeping any one of them alive keeps
+    the whole table (9.6 MB on the 200,001-point design grid).  Copy a row
+    to keep it alone.
+    """
 
     grid: np.ndarray    # sideband frequencies [rad/s]
     R: np.ndarray       # probe reflection
@@ -149,7 +164,7 @@ def _check_grid(grid) -> np.ndarray:
         raise InvalidParameterError("grid must be 1-d with at least 2 points")
     if not np.all(np.isfinite(g)) or g[0] <= 0.0:
         raise InvalidParameterError("grid must be finite and strictly positive")
-    if not np.all(np.diff(g) > 0.0):
+    if not np.all(g[1:] > g[:-1]):
         raise InvalidParameterError("grid must be strictly increasing")
     return g
 
@@ -165,7 +180,8 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
         Sdout = Scin*Tx + St     (transmitted port)
 
     integrate to photon numbers.  Grids are restricted to omega > 0, where
-    the rotating-frame noise formulas apply.
+    the rotating-frame noise formulas apply.  The six outputs are the rows
+    of one (6, n) table, filled in place block by block.
 
     Raises
     ------
@@ -173,14 +189,29 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
         When a pole of the response lies on or above the real axis
         (:func:`omrouter.kernels.is_stable`): the spectra would describe
         fluctuations that do not decay.
+    NumericalFailureError
+        When |d|^2 may overflow on the grid: the square of d's
+        cancellation-free scale at the grid's largest omega is not finite.
     """
     kernels.require_stable(op)
     g = _check_grid(grid)
-    refl, trans, sv, st = kernels.channel_arrays(g, op)
-    scin = op.mech_freq * lorentzian_input(g, op.input_center,
-                                           op.input_bandwidth)
+    with np.errstate(over="ignore"):
+        top = _d_scale(g[-1], op)
+        top2 = top * top
+    if not np.isfinite(top2):
+        raise NumericalFailureError(
+            f"|d|^2 overflows on the grid: d's scale at omega={g[-1]:.3e} "
+            f"is {top:.3e}")
+    table = np.empty((6, g.size))
+    refl, trans, sv, st, scout, sdout = table
+    kernels.fill_channels(g, op, refl, trans, sv, st)
+    for b in kernels.blocks(g.size):
+        scin = op.mech_freq * lorentzian_input(g[b], op.input_center,
+                                               op.input_bandwidth)
+        np.add(scin * refl[b], sv[b], out=scout[b])
+        np.add(scin * trans[b], st[b], out=sdout[b])
     return ChannelSpectra(grid=g, R=refl, Tx=trans, Sv=sv, St=st,
-                          Scout=scin * refl + sv, Sdout=scin * trans + st)
+                          Scout=scout, Sdout=sdout)
 
 
 def default_grid(op: OperatingPoint, n_points: int = 4001) -> np.ndarray:
@@ -222,28 +253,191 @@ class DipScan:
     level: float        # the half-depth level used for the crossings
 
 
-def _run_ends(below, i0):
-    """Ends of the run of True in ``below`` that holds ``i0``.
+def _within(values, bits):
+    """Whether every nonzero value is finite with |log2| <= bits."""
+    return all(v == 0.0 or (math.isfinite(v) and abs(math.log2(abs(v))) <= bits)
+               for v in values)
 
-    The last False index before i0 and the first after it, or the array's
-    ends where there is none.
+
+def _root_disks(coeffs, sizes):
+    """Roots of a monic polynomial and radii of disks that each hold one
+    root of the polynomial whose coefficients are exact, or None.
+
+    ``coeffs`` are computed within _ROUND*sizes of the exact coefficients.
+    A disk of radius n*|p(z)|/|p'(z)| around any z holds a root of p
+    (p'/p = sum 1/(z - root_k)); the residual and the slope are bounded
+    from the computed values with the allowances for the coefficients and
+    for Horner's rule.  When the n disks are pairwise disjoint each holds
+    exactly one root; otherwise the roots fail the check and None is
+    returned.
     """
-    left = np.flatnonzero(~below[:i0])
-    right = np.flatnonzero(~below[i0:])
-    return (int(left[-1]) if left.size else 0,
-            i0 + int(right[0]) if right.size else len(below) - 1)
+    n = len(coeffs) - 1
+    roots = np.roots(coeffs)
+    reach = np.abs(roots)
+    # p and p' at the roots, and the sums of term sizes that bound their
+    # rounding, by Horner's rule
+    value = slope = size = size_slope = 0.0
+    for c, s in zip(coeffs, sizes):
+        slope = slope * roots + value
+        value = value * roots + c
+        size_slope = size_slope * reach + size
+        size = size * reach + s
+    allow = (n + 1) * _ROUND * (1.0 + _ROUND)
+    resid = np.abs(value) * (1.0 + _ROUND) + allow * size
+    grip = np.abs(slope) * (1.0 - _ROUND) - allow * size_slope
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        radii = n * resid / grip * (1.0 + _ROUND)
+        gaps = np.abs(roots[:, None] - roots) * (1.0 - _ROUND)
+    if not (np.all(np.isfinite(roots)) and np.all(grip > 0.0)
+            and np.all(np.isfinite(radii))):
+        return None
+    # a root's own gap is 0, never wider than its radii
+    if np.count_nonzero(gaps > radii[:, None] + radii) != n * (n - 1):
+        return None
+    return roots, radii
+
+
+def _less(a, b):
+    """A lower bound of a - b from a, b within _ROUND of their exact values."""
+    return np.maximum(a * (1.0 - _ROUND) - b * (1.0 + _ROUND), 0.0)
+
+
+def _distances(x, roots, radii):
+    """Bounds of |z - root_k| for z on each cell [x[c], x[c+1]].
+
+    Returns (near, far), arrays of (root, cell).  The x are within
+    _ROUND*x[-1] of the exact cell edges, which the radii absorb.
+    """
+    p = roots.real[:, None]
+    q = np.abs(roots.imag)
+    r = (radii + _ROUND * x[-1])[:, None]
+    a = x - p
+    edge = np.sqrt(a * a + (q * q)[:, None])
+    near = np.minimum(edge[:, :-1], edge[:, 1:])
+    # a root whose real part lies on a cell is nearest straight above it
+    cell = np.searchsorted(x, roots.real, side="right") - 1
+    on = (cell >= 0) & (cell < near.shape[1])
+    near[on, cell[on]] = q[on]
+    far = (np.maximum(edge[:, :-1], edge[:, 1:]) + r) * (1.0 + _ROUND)
+    return _less(near, r), far
+
+
+def _cell_bounds(edges, op: OperatingPoint):
+    """Bounds of the kernel's computed T on each cell [edges[c], edges[c+1]]
+    of a grid [rad/s].
+
+    With z = omega/omega_m, E*d = 2*kappa*i*m*omega_m^3*prod_j (z - zeta_j)
+    and d = m*omega_m^4*prod_k (z - rho_k), so
+
+        T = (2*kappa/omega_m)^2 * prod_j |z - zeta_j|^2 / prod_k |z - rho_k|^2
+
+    with the three zeros zeta_j of the E*d cubic and the four poles rho_k.
+    On a cell, each |z - root| lies between the cell's nearest and farthest
+    distance to the root, padded by the root's certified radius
+    (:func:`_root_disks`).  The kernel's own rounding moves E*d and d by at
+    most _ROUND times their cancellation-free sizes (the :func:`_d_scale`
+    pattern) at the cell's largest omega, and its division, modulus and
+    square move T by less than 4*_ROUND relative.  Everything is formed in
+    units of omega_m, so no bound overflows where T is finite.
+
+    Returns (low, high), arrays over the cells; a cell whose bounds the
+    roots or the float range cannot certify gets (0, inf).
+    """
+    wm = op.mech_freq
+    mass = op.eff_mass
+    drive = kernels.drive_term(op)
+    push = HBAR * kernels.coupling(op)
+    low = np.zeros(edges.size - 1)
+    high = np.full(edges.size - 1, np.inf)
+    # the kernel's products have at most five factors; inputs within 2^128
+    # keep them, and six levels of cancellation below them, in the normal
+    # float range, so every rounding is relative
+    if not _within((mass, wm, op.gamma_m, op.cavity_decay, op.eff_detuning,
+                    drive, push, edges[0], edges[-1]), 128):
+        return low, high
+    k2 = 2.0 * op.cavity_decay / wm
+    g = op.gamma_m / wm
+    dl = op.eff_detuning / wm
+    dd = drive / mass / wm / wm / wm / wm
+    h = push / mass / wm / wm / wm
+    x = edges / wm
+    # in units of omega_m the bounds' products stay in range
+    if not _within((k2, g, dl, dd, h, x[0], x[-1]), 64):
+        return low, high
+    cav0 = k2 * k2 + dl * dl
+    zeros = _root_disks(
+        np.array([1.0, dl + 1j * (k2 + g), -1.0 - g * k2 + 1j * g * dl,
+                  (h - dl) - 1j * k2]),
+        np.array([1.0, abs(dl) + k2 + g, 1.0 + g * k2 + g * abs(dl),
+                  abs(h) + abs(dl) + k2]))
+    poles = _root_disks(
+        np.array([1.0, 1j * (2.0 * k2 + g), -(cav0 + 2.0 * k2 * g + 1.0),
+                  -1j * (g * cav0 + 2.0 * k2), cav0 - dd]),
+        np.array([1.0, 2.0 * k2 + g, cav0 + 2.0 * k2 * g + 1.0,
+                  g * cav0 + 2.0 * k2, cav0 + abs(dd)]))
+    if zeros is None or poles is None:
+        return low, high
+    near, far = _distances(x, np.concatenate((zeros[0], poles[0])),
+                           np.concatenate((zeros[1], poles[1])))
+    num_lo, den_lo = np.prod(near[:3], axis=0), np.prod(near[3:], axis=0)
+    num_hi, den_hi = np.prod(far[:3], axis=0), np.prod(far[3:], axis=0)
+    # cancellation-free sizes of E*d and d at the cell's largest omega
+    top = x[1:] * (1.0 + _ROUND)
+    mech = 1.0 + top * top + g * top
+    slack_e = _ROUND * (mech * (k2 + abs(dl) + top) + abs(h))
+    slack_d = _ROUND * (mech * (k2 * k2 + top * top + dl * dl) + abs(dd))
+    tiny = np.finfo(float).smallest_subnormal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo = (k2 * _less(num_lo, slack_e) / (den_hi + slack_d)) ** 2 \
+            * (1.0 - 4.0 * _ROUND)
+        hi = (k2 * (num_hi + slack_e) / _less(den_lo, slack_d)) ** 2 \
+            * (1.0 + 4.0 * _ROUND)
+        # underflow in the kernel's last steps: a few subnormal steps
+        hi = hi + 4.0 * tiny * (1.0 + np.sqrt(hi))
+    low = np.where(lo - 4.0 * tiny >= 0.0, lo - 4.0 * tiny, 0.0)
+    high = np.where(hi >= low, hi, np.inf)
+    return low, high
+
+
+def _linspace_at(start, stop, num):
+    """np.linspace(start, stop, num) as a function of the index, bit for bit.
+
+    Point i is start + i*step with step = (stop - start)/(num - 1), one
+    rounding per operation, and the last point is stop itself; a step that
+    underflows to 0 is formed as (i/(num - 1))*(stop - start).  Only the
+    points asked for are formed, so no num-point array is allocated.
+    """
+    delta = stop - start
+    div = num - 1
+    step = delta / div
+
+    def at(idx):
+        i = np.asarray(idx, dtype=float)
+        w = (i * step if step != 0.0 else i / div * delta) + start
+        return np.where(i == div, stop, w)
+    return at
 
 
 def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5)) -> DipScan:
     """Measure the transmission dip numerically on window*omega_m.
 
-    Dense grid of 200,001 points, parabolic refinement of the minimum, and
-    linear interpolation of the two crossings of level = (max+min)/2.
-    Reports the full width between crossings and its half for direct
-    comparison with :func:`eit_linewidth`; near the onset of normal-mode
-    splitting the measured dip runs narrower than that first-order width,
-    by about 17% at the 5 uW default.  An unstable point raises
-    UnstableOperatingPointError, as in :func:`output_spectra`.
+    The dip is measured on a grid of 200,001 points: the grid minimum with
+    parabolic refinement, and linear interpolation of the two crossings of
+    level = (max+min)/2.  Reports the full width between crossings and its
+    half for direct comparison with :func:`eit_linewidth`; near the onset
+    of normal-mode splitting the measured dip runs narrower than that
+    first-order width, by about 17% at the 5 uW default.  An unstable point
+    raises UnstableOperatingPointError, as in :func:`output_spectra`.
+
+    The answer is the one T evaluated on every grid point gives, bit for
+    bit (the same argmin, max, level and crossing indices), but T is
+    evaluated only on the 64-point cells that bounds cannot rule out as
+    holding the minimum, the maximum or a half-depth crossing; on the
+    benchmark's design points that is 2-8% of the grid.  The bounds come
+    from T's zeros and poles (:func:`_cell_bounds`).  Where they prove
+    nothing, the cell is evaluated, so the worst case is the whole grid.
+    The grid is np.linspace's, but only the points of those cells are
+    formed: the scan allocates no array of the grid's size.
     """
     kernels.require_stable(op)
     if op.drive_power <= 0.0:
@@ -251,36 +445,60 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5)) -> DipScan:
             "eit_linewidth_scan needs drive_power > 0: no dip without drive")
     if not (0.0 < window[0] < window[1]):
         raise InvalidParameterError(f"bad scan window {window!r}")
-    grid = np.linspace(window[0] * op.mech_freq, window[1] * op.mech_freq,
-                       _SCAN_POINTS)
-    trans = kernels.transmission(grid, op)
+    n = _SCAN_POINTS
+    grid = _linspace_at(window[0] * op.mech_freq, window[1] * op.mech_freq, n)
+    # cell c holds the points starts[c] <= i < stops[c]; its bounds cover
+    # [grid(starts[c]), grid(stops[c])], the last point joining the last cell
+    starts = np.arange(0, n - 1, _CELL)
+    stops = np.append(starts[1:], n)
+    low, high = _cell_bounds(grid(np.append(starts, n - 1)), op)
 
-    i0 = int(np.argmin(trans))
-    if i0 == 0 or i0 == len(grid) - 1:
+    def evaluate(cells):
+        # the grid indices of the cells, ascending, and T on them
+        idx = starts[cells, None] + np.arange(_CELL + 1)
+        idx = idx[idx < stops[cells, None]]
+        return idx, kernels.transmission(grid(idx), op)
+
+    # a cell holds no value below min(high) unless low <= min(high), and
+    # none above max(low) unless high >= max(low)
+    idx, trans = evaluate(np.flatnonzero((low <= high.min())
+                                         | (high >= low.max())))
+    i0 = int(idx[np.argmin(trans)])
+    if i0 == 0 or i0 == n - 1:
         raise NumericalFailureError("transmission dip not inside the scan window")
+    t_max = trans.max()
     # parabola through the three points around the minimum
-    y0, y1, y2 = trans[i0 - 1], trans[i0], trans[i0 + 1]
+    w = grid(np.arange(i0 - 1, i0 + 2))
+    y0, y1, y2 = kernels.transmission(w, op)
     denom = y0 - 2.0 * y1 + y2
     shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
-    center = grid[i0] + shift * (grid[1] - grid[0])
+    w0, w1 = grid(np.array([0, 1]))
+    center = w[1] + shift * (w1 - w0)
 
-    level = 0.5 * (float(trans.max()) + float(y1))
-    below = trans < level
-    if not below[i0]:
+    level = 0.5 * (float(t_max) + float(y1))
+    if not y1 < level:
         raise NumericalFailureError("transmission dip too shallow to scan")
 
-    il, ir = _run_ends(below, i0)
-    if below[il] or below[ir]:
+    # the nearest points at or above the level on either side of i0: in a
+    # cell with low >= level every point is, in one with high < level none
+    idx, trans = evaluate(np.flatnonzero((low < level) & (high >= level)))
+    at_or_above = idx[~(trans < level)]
+    clear = np.flatnonzero(low >= level)
+    cell0 = i0 // _CELL
+    lefts = np.concatenate((at_or_above[at_or_above < i0],
+                            stops[clear[clear < cell0]] - 1))
+    rights = np.concatenate((at_or_above[at_or_above > i0],
+                             starts[clear[clear > cell0]]))
+    if not (lefts.size and rights.size):
         raise NumericalFailureError("half-depth crossings leave the scan window")
+    il, ir = int(lefts.max()), int(rights.min())
 
-    def _cross(ia, ib):
-        # linear interpolation of the level crossing between neighbours
-        ya, yb = trans[ia], trans[ib]
-        return grid[ia] + (level - ya) / (yb - ya) * (grid[ib] - grid[ia])
-
-    left = _cross(il, il + 1)
-    right = _cross(ir - 1, ir)
+    wa, wb, wc, wd = w = grid(np.array([il, il + 1, ir - 1, ir]))
+    ya, yb, yc, yd = kernels.transmission(w, op)
+    # linear interpolation of the level crossings between neighbours
+    left = wa + (level - ya) / (yb - ya) * (wb - wa)
+    right = wc + (level - yc) / (yd - yc) * (wd - wc)
     full = right - left
     return DipScan(center=float(center), full_width=float(full),
                    half_width=float(full / 2.0),
-                   depth=float(trans.max() - y1), level=float(level))
+                   depth=float(t_max - y1), level=float(level))

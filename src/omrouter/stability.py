@@ -69,9 +69,12 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
 
     Roots come from the companion matrix of the polynomial rescaled by
     z = omega/omega_m for conditioning.  Each root is checked against the
-    residual metric |d(root)| / sum_k |c_k root^k| < 1e-6; failure raises
-    NumericalFailureError rather than returning wrong roots, as does a
-    rescaled coefficient or term sum past the float range (omega_m^4).
+    residual metric |d(root)| / sum_k |c_k| |root|^k < 1e-6, where |c_0| is
+    taken by its cancellation-free size m*omega_m^2*(4*kappa^2 + Delta^2)
+    + |drive term|: next to the red static bound c_0 -> 0, and a root near
+    omega = 0 is then smaller than the rounding of c_0 itself.  Failure
+    raises NumericalFailureError rather than returning wrong roots, as does
+    a rescaled coefficient or term sum past the float range (omega_m^4).
 
     ``stable`` is not read off the roots: it is the exact Routh-Hurwitz
     verdict of :func:`omrouter.kernels.is_stable`, the one every checked
@@ -90,7 +93,11 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
                 "rescaled d polynomial coefficients are not finite")
         roots = np.roots(scaled / scaled[0]) * s
         # residual guard on both forms, measured against the summed term sizes
-        terms = (np.abs(roots)[:, None] ** powers) @ np.abs(coeffs)
+        sizes = np.abs(coeffs)
+        k, delta = op.cavity_decay, op.eff_detuning
+        sizes[-1] = (op.eff_mass * (s * s) * (4.0 * k * k + delta * delta)
+                     + abs(kernels.drive_term(op)))
+        terms = (np.abs(roots)[:, None] ** powers) @ sizes
         resid = np.abs(np.polyval(coeffs, roots)) / terms
         direct = np.abs(denominator_d(roots, op)) / terms
     if not np.isfinite(terms).all():

@@ -216,6 +216,28 @@ def test_stability_coefficients_past_float_range_exit_four(write_config,
                                 "are not finite"]
 
 
+def test_stability_next_to_the_red_static_bound_exits_zero_or_three(capsys):
+    # within 8 ulp of the bound the root residual guard no longer fails
+    p = omrouter.max_stable_power(default_params(), 1.0)
+    for k in range(-8, 9):
+        power = p
+        for _ in range(abs(k)):
+            power = math.nextafter(power, 1.0 if k > 0 else 0.0)
+        code, out, err = _run(capsys, "stability", "--power", repr(power))
+        assert code == (0 if k <= 0 else 3), (k, err)
+        assert err == ""
+
+
+def test_spectrum_whose_d_squared_overflows_exits_four(write_config, capsys):
+    # omega_m = 1e42 is stable, but |d|^2 on its grid is past the float range
+    cfg = write_config("fast.json", mech_freq=1e42)
+    with pytest.warns(omrouter.RegimeWarning):
+        code, out, err = _run(capsys, "spectrum", "--config", cfg)
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: |d|^2 overflows")
+
+
 def test_sweep_rows_bounded_by_grid_times_values(write_config, capsys):
     n = cli.MAX_ROWS // 2 + 1
     cfg = write_config("sweep.json", sweep_param="power", grid_n=n,

@@ -1,17 +1,22 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, NumericalFailureError,
-                      default_grid, default_params, denominator_d,
-                      derive_operating_point, eit_linewidth,
-                      eit_linewidth_scan, empty_reflectance, lorentzian_input,
-                      output_spectra, reflection_R, response_E,
-                      thermal_noise, transmission_T, vacuum_noise)
+                      SystemParams, default_grid, default_params,
+                      denominator_d, derive_operating_point, eit_linewidth,
+                      eit_linewidth_scan, empty_reflectance, kernels,
+                      lorentzian_input, output_spectra, reflection_R,
+                      response_E, thermal_noise, transmission_T,
+                      vacuum_noise)
 from omrouter.operating_point import HBAR
+from omrouter.response import DipScan
 
 WM = default_params().mech_freq
 KAPPA = WM / 10.0
@@ -276,8 +281,74 @@ def test_dip_scan_matches_root_found_geometry(power):
                                            abs=0.0)
 
 
+@pytest.mark.parametrize("window", [(0.96, 1.0), (0.99, 1.04),
+                                    (0.995, 0.996)])
+def test_dip_scan_raises_when_a_crossing_leaves_the_window(op_5uw, window):
+    # the 5 uW dip spans about 0.955..1.035 omega_m at half depth
+    with pytest.raises(NumericalFailureError, match="crossings leave"):
+        eit_linewidth_scan(op_5uw, window=window)
+
+
+@pytest.mark.parametrize("window", [(0.5, 0.9), (1.1, 1.5)])
+def test_dip_scan_raises_when_the_dip_is_outside(op_5uw, window):
+    with pytest.raises(NumericalFailureError, match="not inside"):
+        eit_linewidth_scan(op_5uw, window=window)
+
+
+# ------------------------------------------------- the dense scan, as oracle
+
+def _run_ends(below, i0):
+    """Ends of the run of True in ``below`` that holds ``i0``.
+
+    The last False index before i0 and the first after it, or the array's
+    ends where there is none.
+    """
+    left = np.flatnonzero(~below[:i0])
+    right = np.flatnonzero(~below[i0:])
+    return (int(left[-1]) if left.size else 0,
+            i0 + int(right[0]) if right.size else len(below) - 1)
+
+
+def _dense_scan(op, window=(0.5, 1.5)):
+    """The dip scan with T evaluated on all 200,001 grid points.
+
+    The library's scan evaluates T only where its bounds cannot rule a
+    cell out, and must give this answer bit for bit, errors included.
+    """
+    grid = np.linspace(window[0] * op.mech_freq, window[1] * op.mech_freq,
+                       200001)
+    trans = kernels.transmission(grid, op)
+
+    i0 = int(np.argmin(trans))
+    if i0 == 0 or i0 == len(grid) - 1:
+        raise NumericalFailureError("transmission dip not inside the scan window")
+    y0, y1, y2 = trans[i0 - 1], trans[i0], trans[i0 + 1]
+    denom = y0 - 2.0 * y1 + y2
+    shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+    center = grid[i0] + shift * (grid[1] - grid[0])
+
+    level = 0.5 * (float(trans.max()) + float(y1))
+    below = trans < level
+    if not below[i0]:
+        raise NumericalFailureError("transmission dip too shallow to scan")
+
+    il, ir = _run_ends(below, i0)
+    if below[il] or below[ir]:
+        raise NumericalFailureError("half-depth crossings leave the scan window")
+
+    def _cross(ia, ib):
+        ya, yb = trans[ia], trans[ib]
+        return grid[ia] + (level - ya) / (yb - ya) * (grid[ib] - grid[ia])
+
+    left = _cross(il, il + 1)
+    right = _cross(ir - 1, ir)
+    full = right - left
+    return DipScan(center=float(center), full_width=float(full),
+                   half_width=float(full / 2.0),
+                   depth=float(trans.max() - y1), level=float(level))
+
+
 def test_run_ends_match_the_index_walk():
-    from omrouter.response import _run_ends
     rng = np.random.default_rng(5)
     for _ in range(500):
         n = int(rng.integers(1, 40))
@@ -294,18 +365,139 @@ def test_run_ends_match_the_index_walk():
             assert _run_ends(below, i0) == (il, ir)
 
 
-@pytest.mark.parametrize("window", [(0.96, 1.0), (0.99, 1.04),
-                                    (0.995, 0.996)])
-def test_dip_scan_raises_when_a_crossing_leaves_the_window(op_5uw, window):
-    # the 5 uW dip spans about 0.955..1.035 omega_m at half depth
-    with pytest.raises(NumericalFailureError, match="crossings leave"):
-        eit_linewidth_scan(op_5uw, window=window)
+def _outcome(scan, op, window):
+    try:
+        return scan(op, window)
+    except NumericalFailureError as exc:
+        return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("window", [(0.5, 0.9), (1.1, 1.5)])
-def test_dip_scan_raises_when_the_dip_is_outside(op_5uw, window):
-    with pytest.raises(NumericalFailureError, match="not inside"):
-        eit_linewidth_scan(op_5uw, window=window)
+def _design_pool():
+    # the benchmark's design requests: powers x detunings x temperatures
+    for power in (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6, 18e-6,
+                  20e-6):
+        for detuning in (0.95, 1.0, 1.05):
+            for temp in (0.0, 20e-3, 50e-3):
+                yield derive_operating_point(SystemParams(
+                    drive_power=power, bath_temp=temp,
+                    eff_detuning=detuning * WM))
+
+
+def test_dip_scan_is_the_dense_scan_on_the_design_pool():
+    for op in _design_pool():
+        assert eit_linewidth_scan(op) == _dense_scan(op)
+
+
+def test_dip_scan_evaluates_a_tenth_of_the_grid_at_most(monkeypatch):
+    points = []
+    evaluate = kernels.transmission
+    monkeypatch.setattr(kernels, "transmission",
+                        lambda w, op: points.append(np.size(w))
+                        or evaluate(w, op))
+    for op in _design_pool():
+        points.clear()
+        eit_linewidth_scan(op)
+        assert 0 < sum(points) <= 0.1 * 200001
+
+
+@pytest.mark.parametrize("start, stop", [(0.5 * WM, 1.5 * WM),
+                                         (3.3, 3.3000001),
+                                         (1e-320, 2e-320)])
+def test_scan_grid_points_are_linspace_bit_for_bit(start, stop):
+    # the last pair's step underflows to 0, which linspace forms apart
+    from omrouter.response import _linspace_at
+    grid = _linspace_at(start, stop, 200001)
+    assert np.array_equal(grid(np.arange(200001)),
+                          np.linspace(start, stop, 200001))
+
+
+def test_dip_scan_without_root_disks_evaluates_the_whole_grid(monkeypatch,
+                                                             op_5uw):
+    # roots that fail the residual check certify no cell: every cell is
+    # evaluated, and the answer is still the dense one
+    from omrouter import response
+    points = []
+    evaluate = kernels.transmission
+    monkeypatch.setattr(kernels, "transmission",
+                        lambda w, op: points.append(np.size(w))
+                        or evaluate(w, op))
+    monkeypatch.setattr(response, "_root_disks", lambda coeffs, sizes: None)
+    assert eit_linewidth_scan(op_5uw) == _dense_scan(op_5uw)
+    assert sum(points) >= 2 * 200001
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dip_scan_is_the_dense_scan_on_random_points(data):
+    # stable red-detuned points with gamma_m << kappa << omega_m, and
+    # windows that may cut the dip or miss it
+    kappa = WM * data.draw(st.floats(0.011, 0.09))
+    params = replace(default_params(), cavity_decay=kappa,
+                     quality=data.draw(st.floats(11.0 * WM / kappa, 1e8)),
+                     eff_detuning=WM * data.draw(st.floats(0.5, 1.5)),
+                     drive_power=10 ** data.draw(st.floats(-8.0, -4.0)),
+                     bath_temp=data.draw(st.sampled_from([0.0, 20e-3])))
+    op = derive_operating_point(params)
+    assume(kernels.is_stable(op))
+    lo = data.draw(st.floats(0.05, 1.5))
+    window = (lo, lo + data.draw(st.floats(1e-4, 1.5)))
+    assert _outcome(eit_linewidth_scan, op, window) == \
+        _outcome(_dense_scan, op, window)
+
+
+def test_design_spectra_and_dip_frozen_whole():
+    # sha256 of each 200,001-point channel and the full dip geometry at
+    # 1, 5 and 20 uW (Delta = omega_m, 20 mK), recorded before the spectra
+    # moved into one table and the scan to bounded cells
+    digests = {
+        1e-6: ("3c2443c426e28b25da2b99228c9b62e20454dc799ebbb812dd4e3c9951e886be",
+               "270a55b102f3d16aa3ed08bd76dbd2548f21d34527d02e260de3787e01ea705e",
+               "3cbbd9efd7252a3f6d8bd76ebfe6528a577a54cf5c0a35bbcefa1e46e2b7004b",
+               "8f6228fae019c3b035fadbf34231fb0faafb47806185c98d8ad14d5447292f35",
+               "a02098ced29c08dca07d8cf622620bfec894f55f93484f3b4091d9960e72a140",
+               "22e4a3d0e20f8dcc0839f0b6e3c9e2ea4536dd2cb4589f900a8cf5b1d289f7ff"),
+        5e-6: ("7bfd92033d337d6084518287d9e6f7468ef56738ef093744930961a3287d26f6",
+               "dd2808ba41e849a482341feed31b2009c1eda9f5ea3aa75d45c457dff248fa25",
+               "9142b7f699403f11b905f1b4b013a4e1f3041466f7288b1deddca9149135b4a2",
+               "c8d2df59cc8433ac7ebc6a08c0b1d92f1bdb9c0e1de1977a196dde691923fac7",
+               "1f902d333655e8f8e763fd1cf315af96065f1726138ff7ff678bd7345e0c159b",
+               "922bb4e9ee7cc80b7afc99597d223f3c1b94ca0870df71dc271243f61885a679"),
+        20e-6: ("89082c29cb80d5abde6502f645ee7a2ffc97c3c6303cae27b1253e0a517cfaa2",
+                "5dd051fd70bd5e8b4c66edd33ac97876b85a628e0ca2b4c8dcad5cb7c9e96b14",
+                "96751777dd53df26f794d65c83fe139714dc35d75716444dee285b15f1e0f484",
+                "23cfabd12358c5b3578b418f0818debc0cc8a54e94d4a3047542377b9394f691",
+                "cc32bbcee589f2b7c5375d262fcc43c07f2bc42b6f63d92538570de63d041584",
+                "1b81b262e4d6e886ecc5054b5eb63f75951e1c67e432b29b9430ff6096ee68ed"),
+    }
+    dips = {
+        1e-6: DipScan(center=841152.299210879, full_width=15219.875276038656,
+                      half_width=7609.937638019328, depth=1.000933292610969,
+                      level=0.5005658832075428),
+        5e-6: DipScan(center=837959.4368221936, full_width=66906.53071670327,
+                      half_width=33453.26535835164, depth=1.0057616630167858,
+                      level=0.502981590019495),
+        20e-6: DipScan(center=825769.3128736255, full_width=206041.5750460308,
+                       half_width=103020.7875230154, depth=1.0305861754043737,
+                       level=0.5153969762084538),
+    }
+    for power, want in digests.items():
+        op = derive_operating_point(replace(default_params(),
+                                            drive_power=power,
+                                            eff_detuning=WM, bath_temp=20e-3))
+        spec = output_spectra(default_grid(op, 200001), op)
+        got = tuple(hashlib.sha256(getattr(spec, ch).tobytes()).hexdigest()
+                    for ch in ("R", "Tx", "Sv", "St", "Scout", "Sdout"))
+        assert got == want
+        assert eit_linewidth_scan(op) == dips[power]
+
+
+def test_output_spectra_rows_share_one_table(op_5uw):
+    spec = output_spectra(default_grid(op_5uw), op_5uw)
+    table = spec.R.base
+    assert table.shape == (6, spec.grid.size)
+    for row, ch in enumerate(("R", "Tx", "Sv", "St", "Scout", "Sdout")):
+        assert getattr(spec, ch).base is table
+        assert np.shares_memory(getattr(spec, ch), table[row])
 
 
 def _peak_mb(fn):
@@ -326,14 +518,15 @@ def _peak_mb(fn):
 
 def test_design_path_memory_is_bounded(op_5uw):
     # the grid kernels work in blocks: output_spectra holds little beyond
-    # its six 200,001-point outputs (9.6 MB), and the dip scan little
-    # beyond its grid and T.  Whole-grid temporaries took 31 and 27 MB.
+    # its table of six 200,001-point outputs (9.6 MB), and the dip scan
+    # forms only the grid points it evaluates.  Whole-grid temporaries
+    # took 31 and 27 MB.
     grid = default_grid(op_5uw, 200001)
     spectra, peak = _peak_mb(lambda: output_spectra(grid, op_5uw))
     assert spectra.Sdout.size == 200001
-    assert peak <= 14.0
+    assert peak <= 12.0
     _, peak = _peak_mb(lambda: eit_linewidth_scan(op_5uw))
-    assert peak <= 6.0
+    assert peak <= 2.0
 
 
 def test_dip_scan_requires_drive(op_off):

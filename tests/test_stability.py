@@ -194,14 +194,26 @@ def test_blue_threshold_closed_form_values(detuning, threshold):
 
 def test_red_static_bound():
     # a0 = 0: a pole crosses the axis at omega = 0
-    # (next to it the root at s = 0 is too small for the residual guard of
-    # assess_stability, so the verdict is asked directly)
     params = default_params()
     p = max_stable_power(params, 1.0)
     assert p == pytest.approx(1.3652e-4, rel=1e-4)
     for power, stable in ((p, True), (p * (1.0 + 1e-15), False)):
         assert kernels.is_stable(derive_operating_point(
             replace(params, drive_power=power))) is stable
+
+
+def test_report_at_the_red_static_bound_matches_the_verdict():
+    # a root near omega = 0 is smaller there than the rounding of c0, so the
+    # residual guard measures c0 by its cancellation-free size
+    params = default_params()
+    p = max_stable_power(params, 1.0)
+    powers = [p]
+    for _ in range(8):
+        powers = ([math.nextafter(powers[0], 0.0)] + powers
+                  + [math.nextafter(powers[-1], 1.0)])
+    for power in powers:
+        op = derive_operating_point(replace(params, drive_power=power))
+        assert assess_stability(op).stable is kernels.is_stable(op)
 
 
 def test_threshold_takes_a_few_verdicts(monkeypatch):
