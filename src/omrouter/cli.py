@@ -212,7 +212,7 @@ def cmd_spectrum(args) -> int:
     if args.format == "csv":
         pieces = [",".join(_COLUMNS) + "\n"] + csv_rows(cols)
     else:
-        pieces = [json_text(dict(zip(_COLUMNS, cols)))]
+        pieces = json_text(dict(zip(_COLUMNS, cols)))
     _write(pieces, args.out)
     return 0
 
@@ -267,7 +267,7 @@ def cmd_sweep(args) -> int:
             cols = _spectrum_columns(spectra, op.mech_freq)
             blocks.append({"value": value, "stable": True,
                            "spectrum": dict(zip(_COLUMNS, cols))})
-        pieces = [json_text({"param": param, "blocks": blocks})]
+        pieces = json_text({"param": param, "blocks": blocks})
     _write(pieces, args.out)
     return 0
 

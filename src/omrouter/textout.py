@@ -1,12 +1,14 @@
 """Bulk text of float columns, byte for byte as Python prints each value.
 
-``csv_rows`` renders rows of ``"%.12e"`` fields without formatting them one
-by one: most values get their 13 digits from integer arithmetic on whole
-arrays, and each of those is proven to be the correctly rounded mantissa
-that ``fmt`` (CPython's dtoa) would print.  Every value the proof does not
-cover goes through ``fmt`` itself, so the format has one definition.
-``json_text`` is ``json.dumps(doc, indent=2)`` whose float columns are
-encoded by the json module's C encoder.
+``csv_rows`` renders rows of ``"%.12e"`` fields and ``json_text`` renders
+``json.dumps(doc, indent=2)`` without formatting the floats of a column one
+by one.  Most values get their digits from integer arithmetic on whole
+arrays, and each of those is proven to be the text Python prints: the
+correctly rounded 13-digit mantissa of ``fmt`` (CPython's dtoa) for csv,
+the shortest round-trip digits of ``repr`` for JSON.  Every value a proof
+does not cover goes through ``fmt``, or through ``json.dumps`` itself, so
+each format has one definition.  Because the proofs, not ``log10``, fix
+the digits, the text is the same on every numpy dispatch path.
 """
 
 from __future__ import annotations
@@ -31,6 +33,52 @@ _EXP_TEXT = np.array([list(f"e{e:+03d}".encode())
 _CHUNK = 1 << 13
 _DIGIT = ord("0")
 
+# decimal exponents e of the shortest-repr proof: 10**(16 - e) is then an
+# exact double, at most 1e22
+_R_MIN, _R_MAX = -6, 16
+_TEN = np.array([float(10 ** k) for k in range(23)])
+# Dekker's split of each 10**k into two halves of at most 26 bits
+_SPLITTER = 2.0 ** 27 + 1.0
+_TEN_HI = _TEN * _SPLITTER - (_TEN * _SPLITTER - _TEN)
+_TEN_LO = _TEN - _TEN_HI
+# a repr's bytes, NUL where unused: sign, "0.", 3 zeros, the 17 digits
+# each followed by a place for the point (none after the last), "e-05";
+# wide enough for any repr, "-2.2250738585072014e-308" included
+_R_SLOT = 43
+_R_DIGITS = slice(6, 39, 2)
+
+
+def _repr_template(e, n):
+    """repr's layout of n significant digits at decimal exponent e.
+
+    It is an AND mask on a row that holds the 17 digits at _R_DIGITS and
+    0xFF elsewhere: 0xFF keeps a digit, 0 drops it, and any other byte is
+    written as it is.  Fixed notation for -4 <= e < 16, as repr writes it
+    ("0.00012", "12000.0", "1.5"), else d1.d2...dn then "e-05" or "e+16"
+    ("1e+16").
+    """
+    row = bytearray(_R_SLOT)
+    if e < -4 or e >= 16:
+        keep, point = n, 1 if n > 1 else 0
+        row[39:43] = f"e{e:+03d}".encode()
+    elif e < 0:
+        keep, point = n, 0
+        row[1:2 - e] = b"0." + b"0" * (-e - 1)
+    else:
+        # the integer digits, zeros included, and at least one after the point
+        keep, point = max(n, e + 2), e + 1
+    row[_R_DIGITS] = b"\xff" * keep + b"\0" * (17 - keep)
+    if point:
+        row[5 + 2 * point] = ord(".")
+    return list(row)
+
+
+# _REPR_TEMPLATE[(e - _R_MIN) * 17 + n - 1]; e runs one past _R_MAX for a
+# value whose 17 digits round up to 10**(e + 1)
+_REPR_TEMPLATE = np.array([_repr_template(e, n)
+                           for e in range(_R_MIN, _R_MAX + 2)
+                           for n in range(1, 18)], np.uint8)
+
 
 def fmt(value) -> str:
     """The one definition of a CLI float field."""
@@ -45,6 +93,26 @@ def _pow10(k):
     """
     return (np.take(_UP, k + 22, mode="clip"),
             np.take(_DOWN, k + 22, mode="clip"))
+
+
+def _digit_table(n):
+    """(17, len(n)) uint8: the ASCII digits of each int64 in [0, 1e17),
+    zero-padded, most significant first.
+
+    The 8 + 9 digits of n // 10**9 and n % 10**9 come from 32-bit
+    arithmetic, two rows at a time; // by a scalar is far cheaper than %
+    or divmod.
+    """
+    high = n // 10 ** 9
+    q = np.stack([high, n - high * 10 ** 9]).astype(np.uint32)
+    table = np.empty((2, 9, len(n)), np.uint8)
+    for row in range(8, -1, -1):
+        rest = q // 10
+        table[:, row] = q - rest * 10
+        q = rest
+    table += _DIGIT
+    # the first of the 18 rows is the leading zero of n // 10**9
+    return table.reshape(18, -1)[1:]
 
 
 def _fast(x):
@@ -86,27 +154,123 @@ def _fast(x):
     slots[:, 0] = np.signbit(x) * ord("-")
     slots[:, 2] = ord(".")
     slots[:, 15:19] = np.take(_EXP_TEXT, e - _E_MIN, axis=0, mode="clip")
-    q = m.astype(np.int64)
-    for col in (14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 1):
-        # // by a scalar is far cheaper than % or divmod on int64 arrays
-        rest = q // 10
-        slots[:, col] = q - rest * 10 + _DIGIT
-        q = rest
+    digits = _digit_table(m.astype(np.int64))
+    slots[:, 1] = digits[4]
+    slots[:, 3:15] = digits[5:].T
     return slots, ok
 
 
-def _slots(x):
-    """"%.12e" text of every x[i], NUL-padded to one row of bytes each."""
+def _shortest(x):
+    """(slots, ok): repr of x as NUL-padded bytes, valid where ok.
+
+    Row i of ``slots`` holds repr(x[i]) if ok[i]; the other rows are left
+    for ``json.dumps``.  For |x| with decimal exponent e in [-6, 16], Y =
+    |x| * 10**(16 - e) is formed exactly as p + err by Dekker's TwoProduct
+    (10**(16 - e) is an exact double, and no FMA is needed), and split into
+    the integer A in [1e16, 1e17) and the fraction f = Y - A in [0, 1).
+    The decimals that read back as x are those within H = ulp(x)/2 scaled
+    by the same power of ten, an exact double in (0.55, 11.2): the
+    interval is symmetric except at a power of two, which is left to
+    ``json.dumps``.  So the nearest 17-digit integer, within 1/2 of Y,
+    always reads back.  A shorter candidate N, the nearest multiple of 100
+    (then stripped of its zeros) or else of 10, is taken only if |Y - N| <
+    H: s = fl((p - N) + err) is Y - N correctly rounded, and |s| < H, with
+    H a double, proves it, while |s| == H leaves the value to
+    ``json.dumps``.  The interval is narrower than 100, so a multiple of
+    100 in it is the only one and the shortest; repr takes the nearest of
+    several shortest candidates, so a tie (Y = 10m + 5, or f = 1/2) is left
+    to ``json.dumps`` too.  ``log10`` only proposes e: a miss leaves A
+    outside [1e16, 1e17) and the value to ``json.dumps``.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    ok = (a >= 1e-6) & (a < 1e17)
+    a = np.where(ok, a, 1.5)
+    mant, exp = np.frexp(a)
+    # a power of two has a rounding interval twice as wide above as below
+    ok &= mant != 0.5
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), _R_MIN, _R_MAX)
+    k = 16 - e
+    ten, ten_hi, ten_lo = _TEN[k], _TEN_HI[k], _TEN_LO[k]
+    p = a * ten
+    big = a * _SPLITTER
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    err = ((a_hi * ten_hi - p) + a_hi * ten_lo + a_lo * ten_hi) \
+        + a_lo * ten_lo
+    whole = np.floor(err)
+    p_int = p.astype(np.int64)
+    big_a = p_int + whole.astype(np.int64)
+    f = err - whole
+    half = np.ldexp(ten, exp - 54)
+    ok &= (big_a >= 10 ** 16) & (big_a < 10 ** 17) & (f != 0.5)
+
+    tens = big_a // 10
+    last = big_a - tens * 10
+    ok &= (last != 5) | (f != 0)
+    n10 = (tens + (last >= 5)) * 10
+    hundreds = tens // 10
+    n100 = (hundreds + (big_a - hundreds * 100 >= 50)) * 100
+    gap10 = np.abs((p_int - n10).astype(np.float64) + err)
+    gap100 = np.abs((p_int - n100).astype(np.float64) + err)
+    ok &= (gap10 != half) & (gap100 != half)
+    short, sixteen = gap100 < half, gap10 < half
+    n = np.where(short, n100, np.where(sixteen, n10, big_a + (f > 0.5)))
+    # 17 digits rounded up to 10**17: one digit, next decade
+    top = n == 10 ** 17
+    n[top] = 10 ** 16
+    e += top
+    # zero is "0.0", the one digit 0 at e = 0
+    ok |= zero
+    n[zero] = 0
+    e[zero] = 0
+
+    digits = _digit_table(n)
+    # a 17-digit pick ends in a nonzero digit (else the multiple of 10
+    # nearest Y would be as near, and taken), and a multiple of 10 taken
+    # is not one of 100 (else that would be taken): only the digits of a
+    # multiple of 100 are counted
+    count = np.where(sixteen, 16, 17)
+    rows = np.flatnonzero(short)
+    count[rows] = 17 - np.argmax(digits[::-1, rows] != _DIGIT, axis=0)
+    count[zero] = 1
+    slots = np.full((len(x), _R_SLOT), 0xFF, np.uint8)
+    slots[:, _R_DIGITS] = digits.T
+    slots &= _REPR_TEMPLATE.take((e - _R_MIN) * 17 + count - 1, axis=0)
+    slots[:, 0] = np.signbit(x) * ord("-")
+    return slots, ok
+
+
+def _text_slots(x, fast, texts, width):
+    """Text of every x[i], NUL-padded to one row of ``width`` bytes each:
+    ``fast``'s rows where it proved them, else from ``texts``, which maps a
+    list of floats to their texts."""
     with np.errstate(all="ignore"):
-        slots, ok = _fast(x)
+        slots, ok = fast(x)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        # one fmt call per distinct bit pattern: a column of zeros is one
+        # one text per distinct bit pattern: a column of zeros is one
         bits, where = np.unique(x[rest].view(np.int64), return_inverse=True)
-        text = np.array([fmt(v) for v in bits.view(np.float64).tolist()],
-                        dtype=f"S{_SLOT}")
-        slots[rest] = text.view(np.uint8).reshape(-1, _SLOT)[where]
+        text = np.array(texts(bits.view(np.float64).tolist()),
+                        dtype=f"S{width}")
+        slots[rest] = text.view(np.uint8).reshape(-1, width)[where]
     return slots
+
+
+def _fmt_texts(values):
+    """The "%.12e" text of each float in the list ``values``."""
+    return [fmt(v) for v in values]
+
+
+def _json_texts(values):
+    """The text json.dumps gives each float in the list ``values``: repr,
+    NaN, Infinity or -Infinity, from one call of its C encoder."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _ascii(lines) -> str:
+    """A uint8 array of NUL-padded text as one string, NULs dropped."""
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def csv_rows(cols, prefix: str = "") -> list[str]:
@@ -124,35 +288,46 @@ def csv_rows(cols, prefix: str = "") -> list[str]:
         block = table[start:start + per_chunk]
         n, k = block.shape
         fields = np.empty((n, k, _SLOT + 1), np.uint8)
-        fields[:, :, :_SLOT] = _slots(block.ravel()).reshape(n, k, _SLOT)
+        fields[:, :, :_SLOT] = _text_slots(block.ravel(), _fast, _fmt_texts,
+                                           _SLOT).reshape(n, k, _SLOT)
         fields[:, :, _SLOT] = ord(",")
         fields[:, -1, _SLOT] = ord("\n")
         lines = np.empty((n, lead.size + k * (_SLOT + 1)), np.uint8)
         lines[:, :lead.size] = lead
         lines[:, lead.size:] = fields.reshape(n, -1)
-        parts.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
+        parts.append(_ascii(lines))
+    return parts
+
+
+def _json_lines(values, pad: int) -> list[str]:
+    """The lines of a non-empty float array in json.dumps(indent=2), each
+    value at ``pad`` spaces and all but the last followed by a comma."""
+    x = values.astype(np.float64, copy=False)
+    parts = []
+    for start in range(0, len(x), _CHUNK):
+        block = x[start:start + _CHUNK]
+        lines = np.empty((len(block), pad + _R_SLOT + 2), np.uint8)
+        lines[:, :pad] = ord(" ")
+        lines[:, pad:-2] = _text_slots(block, _shortest, _json_texts,
+                                         _R_SLOT)
+        lines[:, -2] = ord(",")
+        lines[:, -1] = ord("\n")
+        if start + _CHUNK >= len(x):
+            lines[-1, -2] = 0
+        parts.append(_ascii(lines))
     return parts
 
 
 _COLUMN_MARK = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
 
 
-def _json_column(values, indent: str) -> str:
-    """A float list as json.dumps(indent=2) lays it out at ``indent``."""
-    flat = json.dumps(values)
-    if flat == "[]":
-        return flat
-    pad = indent + "  "
-    return "[\n" + pad + flat[1:-1].replace(", ", ",\n" + pad) \
-        + "\n" + indent + "]"
-
-
-def json_text(doc) -> str:
+def json_text(doc) -> list[str]:
     """json.dumps(doc, indent=2) plus a newline; arrays in doc are float lists.
 
-    ``indent=2`` sends json.dumps through its pure-Python encoder, so each
-    array is encoded flat by the C encoder (the same float repr, NaN and
-    Infinity) and laid out afterwards.
+    The text is returned in pieces of whole lines, to be written one after
+    another, as ``csv_rows`` returns it.  The document without its arrays
+    is laid out by json.dumps; each array's values are laid out one to a
+    line, in the text ``json.dumps`` gives a float (repr, NaN, Infinity).
     """
     columns = []
 
@@ -162,11 +337,21 @@ def json_text(doc) -> str:
         if isinstance(node, list):
             return [mark(value) for value in node]
         if isinstance(node, np.ndarray):
-            columns.append(node.tolist())
+            columns.append(node)
             return f"\0{len(columns) - 1}"
         return node
 
-    skeleton = json.dumps(mark(doc), indent=2)
-    return _COLUMN_MARK.sub(
-        lambda hit: hit[1] + hit[2]
-        + _json_column(columns[int(hit[3])], hit[1]), skeleton) + "\n"
+    skeleton = json.dumps(mark(doc), indent=2) + "\n"
+    parts, head, at = [], "", 0
+    for hit in _COLUMN_MARK.finditer(skeleton):
+        head += skeleton[at:hit.start(2)] + hit[2]
+        at = hit.end()
+        column = columns[int(hit[3])]
+        if column.size == 0:
+            head += "[]"
+            continue
+        parts.append(head + "[\n")
+        parts += _json_lines(column, len(hit[1]) + 2)
+        head = hit[1] + "]"
+    parts.append(head + skeleton[at:])
+    return parts

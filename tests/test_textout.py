@@ -1,7 +1,13 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,15 +101,125 @@ def test_rows_carry_prefix_and_separators():
                     "power,1.0,1,-2.500000000000e+00,0.000000000000e+00\n")
 
 
+def _spectrum_table(grid_n=4001, **changes):
+    """The CLI's seven spectrum columns at the default operating point."""
+    op = derive_operating_point(replace(default_params(), **changes))
+    grid = np.linspace(0.5, 1.5, grid_n) * op.mech_freq
+    return _spectrum_columns(output_spectra(grid, op), op.mech_freq)
+
+
 def test_fast_path_formats_the_default_spectrum():
     # a silent slide to the per-value fallback would keep the bytes but lose
     # the speed; the default spectrum's values lie in e in [-7, 1]
-    op = derive_operating_point(default_params())
-    grid = np.linspace(0.5, 1.5, 4001) * op.mech_freq
-    cols = _spectrum_columns(output_spectra(grid, op), op.mech_freq)
     with np.errstate(all="ignore"):
-        _, ok = textout._fast(np.concatenate(cols))
+        _, ok = textout._fast(np.concatenate(_spectrum_table()))
     assert ok.mean() >= 0.99
+
+
+# ------------------------------------------------------- JSON floats (repr)
+
+def _assert_like_json(values):
+    # json_text of one array against the C encoder's text of each value
+    x = np.asarray(values, dtype=np.float64)
+    got = "".join(textout.json_text({"v": x}))
+    want = json.dumps(x.tolist())[1:-1].split(", ")
+    if got != '{\n  "v": [\n    ' + ",\n    ".join(want) + "\n  ]\n}\n":
+        got = [line.strip(" ,") for line in got.splitlines()[2:-2]]
+        bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+        assert not bad, bad[:5]
+        assert len(got) == len(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                min_size=1, max_size=40))
+def test_repr_matches_json_on_any_floats(values):
+    _assert_like_json(values)
+
+
+def test_repr_matches_json_on_random_bit_patterns():
+    # every bit pattern, and patterns whose binary exponent lies in or
+    # around the proven decades [1e-6, 1e17) (2**-20 to 2**57), both signs
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 10 ** 6, dtype=np.int64)
+    near = rng.integers(1023 - 30, 1023 + 60, 9 * 10 ** 5)
+    bits[:near.size] = (bits[:near.size] & ~(0x7FF << 52)) | (near << 52)
+    _assert_like_json(bits.view(np.float64))
+
+
+def test_repr_matches_json_next_to_powers_of_ten():
+    # 10**e * (1 + k ulp) for |k| <= 300, where log10 can miss and where
+    # 17 digits can round up to 10**e
+    runs = []
+    for e in range(-8, 19):
+        bits = np.float64(float(f"1e{e}")).view(np.int64)
+        runs.append(np.arange(bits - 300, bits + 301).view(np.float64))
+    x = np.concatenate(runs)
+    _assert_like_json(np.concatenate([x, -x]))
+
+
+def test_repr_matches_json_on_edge_values():
+    tiny = np.arange(1, 2000, dtype=np.int64).view(np.float64)
+    x = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)),      # powers of two
+        tiny, np.nextafter(sys.float_info.min, 0) - tiny,   # subnormals
+        [0.0, -0.0, math.nan, math.inf, -math.inf, sys.float_info.max,
+         sys.float_info.min, 5e-324, 1e-7, 1e17, 9.999999999999999e16,
+         99999999999999999.0, 0.1, 0.3, 2 / 3, 1e16, 1e-5, 1e-4, 1.5e-5,
+         123456789012345.6, 1234567890123456.7]])
+    _assert_like_json(np.concatenate([x, -x]))
+
+
+def test_repr_matches_json_for_every_digit_count():
+    # decimals of 1 to 17 significant digits from 1e-8 to 1e18, read to the
+    # nearest double; their reprs take every length from 1 to 17 digits
+    rng = np.random.default_rng(3)
+    values = []
+    for n in range(1, 18):
+        m = rng.integers(10 ** (n - 1), 10 ** n, 3000, dtype=np.int64)
+        e = rng.integers(-8 - n, 19 - n, 3000)
+        values += [float(f"{a}e{b}") for a, b in zip(m.tolist(), e.tolist())]
+    digits = {len(repr(v).split("e")[0].replace(".", "").strip("0"))
+              for v in values}
+    assert digits == set(range(1, 18))
+    _assert_like_json(np.concatenate([values, np.negative(values)]))
+
+
+def test_repr_matches_json_on_exact_rounding_ties():
+    # M * 2**-j for odd M < 2**53 is exactly the decimal M * 5**j * 10**-j;
+    # with 17 or 18 significant digits, ending in 5, rounding it to 16 or 17
+    # digits is an exact tie
+    rng = np.random.default_rng(5)
+    values = []
+    for digits in (17, 18):
+        for j in range(1, 26):
+            lo, hi = -(-10 ** (digits - 1) // 5 ** j), 10 ** digits // 5 ** j
+            hi = min(hi, 2 ** 53)
+            if lo >= hi:
+                continue
+            m = rng.integers(lo, hi, 400, dtype=np.int64) | 1
+            m = m[m < hi]
+            values += [math.ldexp(v, -j) for v in m.tolist()]
+    ties = [v for v in values
+            if len(str(Fraction(v).numerator * 10 ** 30
+                       // Fraction(v).denominator).rstrip("0")) in (17, 18)]
+    assert len(ties) > 10_000
+    _assert_like_json(np.concatenate([ties, np.negative(ties)]))
+
+
+def test_repr_fast_path_covers_the_spectra():
+    # a silent slide to json.dumps would keep the bytes but lose the speed:
+    # the default spectrum, and a pool of 10 drive powers x 6 bath
+    # temperatures, are proven for at least 99% of their values
+    def share(cols):
+        with np.errstate(all="ignore"):
+            return textout._shortest(np.concatenate(cols))[1].mean()
+    assert share(_spectrum_table()) >= 0.99
+    pool = [_spectrum_table(drive_power=p, bath_temp=t)
+            for p in (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6,
+                      18e-6, 20e-6)
+            for t in (0.0, 10e-3, 20e-3, 30e-3, 40e-3, 50e-3)]
+    assert share([c for cols in pool for c in cols]) >= 0.99
 
 
 @pytest.mark.parametrize("doc", [
@@ -124,4 +240,68 @@ def test_json_text_matches_indented_dumps(doc):
         if isinstance(node, np.ndarray):
             return [float(v) for v in node]
         return node
-    assert textout.json_text(doc) == json.dumps(plain(doc), indent=2) + "\n"
+    assert "".join(textout.json_text(doc)) \
+        == json.dumps(plain(doc), indent=2) + "\n"
+
+
+def test_json_text_pieces_are_whole_lines_of_a_chunk():
+    x = np.linspace(0.0, 1.0, 2 * textout._CHUNK + 3)
+    pieces = textout.json_text({"a": x, "b": x[:5]})
+    assert "".join(pieces) == json.dumps({"a": x.tolist(), "b": x[:5].tolist()},
+                                         indent=2) + "\n"
+    assert all(piece.endswith("\n") for piece in pieces)
+    assert max(piece.count("\n") for piece in pieces) <= textout._CHUNK + 1
+
+
+def test_json_text_memory_is_bounded():
+    # the traced peak holds the returned text and one chunk's temporaries,
+    # not a Python float per value or whole copies of the text
+    doc = dict(zip("abcdefg", _spectrum_table(grid_n=200_001)))
+    tracemalloc.start()
+    try:
+        pieces = textout.json_text(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(len(piece) for piece in pieces)
+    assert size > 7 * 200_001 * 20
+    assert peak < 1.5 * size
+
+
+_DISPATCH_CHILD = """
+import sys
+import numpy as np
+from omrouter import textout
+cols = list(np.load(sys.argv[1]))
+text = "".join(textout.csv_rows(cols)) + "".join(textout.json_text(
+    {"x": cols[0], "rest": {str(i): c for i, c in enumerate(cols[1:])}}))
+sys.stdout.buffer.write(text.encode("ascii"))
+"""
+
+
+@pytest.mark.parametrize("disabled", [
+    "AVX512_SPR AVX512_ICL X86_V4",
+    "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+])
+def test_text_does_not_depend_on_numpy_dispatch(tmp_path, disabled):
+    # the proofs fix the digits, so the text of given values is the same
+    # whichever SIMD loops numpy picks for log10, floor and the arithmetic
+    cols = _spectrum_table()
+    np.save(tmp_path / "cols.npy", np.array(cols))
+    want = ("".join(textout.csv_rows(list(cols))) + "".join(
+        textout.json_text({"x": cols[0], "rest": {
+            str(i): c for i, c in enumerate(cols[1:])}}))).encode("ascii")
+    src = str(Path(textout.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    run = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD,
+                          str(tmp_path / "cols.npy")],
+                         env=env, capture_output=True, timeout=120)
+    refusal = run.stderr.decode(errors="replace").strip()
+    if run.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in refusal:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES="
+                    f"{disabled!r}: " + " ".join(refusal.splitlines()[-3:]))
+    assert run.returncode == 0, refusal
+    assert hashlib.sha256(run.stdout).hexdigest() \
+        == hashlib.sha256(want).hexdigest()
