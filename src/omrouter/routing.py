@@ -15,12 +15,18 @@ what push the routing toward ideal.
 
 The five band integrals (Scin, Scin*R, Scin*T, Sv and St) are computed
 together by one adaptive 21-point Gauss-Kronrod pass with QUADPACK's qk21
-error estimate.  The band starts out cut at the line core (center and
-center +- Gamma) and at omega_m; each refinement level evaluates the
-channels once, on the nodes of every panel it splits, and a panel is split
-while its error estimate exceeds its fair share of the tolerance for any
-of the five.  The pass stops when each integral's summed error estimate is
-within 1e-10 of its value.
+error estimate.  The first partition is graded toward the narrow features,
+whose place and width are known: cuts at the line center and at
+center +- Gamma*2^k, k = 0, 1, ..., out to the band edges, and, with the
+drive on, likewise around omega_m at the window half-width eit_linewidth
+(one set at the narrower width where the line sits on the window).
+Panels then shrink with the features they hold, so most reports need no
+refinement.  Where one does, each refinement level evaluates the channels
+once, on the nodes of every panel it splits, and a panel is split while
+its error estimate exceeds its fair share of the tolerance for any of the
+five.  The pass stops when each integral's summed error estimate is within
+1e-10 of its value.  The line is evaluated at offsets from its center,
+so a line as narrow as 1e-12*omega_m is integrated to that accuracy too.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .operating_point import OperatingPoint, SystemParams, derive_operating_poin
 # its response.pointwise layer and reports the layer absent without them.
 from .response import (reflection_R, thermal_noise,  # noqa: F401
                        transmission_T, vacuum_noise)
+from .response import eit_linewidth
 
 # the band must cover the line core, center +- one half-width; wider lines
 # legitimately spill outside the band (that spillage is the physics of a
@@ -48,7 +55,8 @@ _BAND_COVER = 1.0
 # fraction of its value
 _REL_TOL = 1e-10
 
-# most Gauss-Kronrod panels the band may be split into
+# most Gauss-Kronrod panels the band may be split into, the first
+# partition included
 _MAX_PANELS = 400
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1]: the positive Kronrod
@@ -90,27 +98,87 @@ class RoutingReport:
     n_evals: int          # frequency nodes the band integrals evaluated
 
 
+# an integrand that overflows is reported by the caller, as one error
+@np.errstate(all="ignore")
 def _gk21(a, b, op: OperatingPoint):
     """The five integrands' qk21 values and error estimates on panels [a, b].
 
-    Returns two arrays of shape (5, len(a)), rows Scin, Scin*R, Scin*T, Sv
-    and St.
+    The panel edges are offsets from the line center.  Returns two arrays
+    of shape (5, len(a)), rows Scin, Scin*R, Scin*T, Sv and St.
     """
     half = 0.5 * (b - a)
-    nodes = ((0.5 * (a + b))[:, None] + half[:, None] * _GK_X).ravel()
-    refl, trans, sv, st = kernels.channel_arrays(nodes, op)
-    scin = lorentzian_input(nodes, op.input_center, op.input_bandwidth)
+    offsets = ((0.5 * (a + b))[:, None] + half[:, None] * _GK_X).ravel()
+    refl, trans, sv, st = kernels.channel_arrays(op.input_center + offsets, op)
+    # the line is evaluated at the offsets themselves: rounded to the
+    # absolute axis, the nodes of a line 1e-9*omega_m wide would move by
+    # 1e-7 of its width, an error the rule cannot see
+    scin = lorentzian_input(offsets, 0.0, op.input_bandwidth)
     f = np.stack((scin, scin * refl, scin * trans, sv, st)).reshape(5, -1, 21)
     resk = f @ _GK_WK
     err = np.abs(resk - f @ _GK_WG) * half
     # the rule applied to |f - mean of f|; the weights sum to 2
     resasc = (np.abs(f - 0.5 * resk[..., None]) @ _GK_WK) * half
-    resabs = (np.abs(f) @ _GK_WK) * half
+    # the integrands are >= 0, so this is also the absolute integral that
+    # _ROUNDOFF scales
+    resk *= half
     # resasc * min(1, (200 * err / resasc)^1.5), dividing only below the cap
     ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err),
                       where=200.0 * err < resasc)
-    err = np.maximum(resasc * ratio ** 1.5, _ROUNDOFF * resabs)
-    return resk * half, err
+    err = np.maximum(resasc * ratio ** 1.5, _ROUNDOFF * resk)
+    return resk, err
+
+
+def _features(op: OperatingPoint):
+    """The narrow features of the integrands: (point, scale) pairs.
+
+    Points are offsets from the line center.  The line has half-width
+    Gamma at 0; with the drive on, the transparency window has half-width
+    eit_linewidth at omega_m.  Where the two coincide, the narrower scale
+    stands for both.  With the drive off the mechanics is decoupled, and
+    there is no window.
+    """
+    gamma = op.input_bandwidth
+    if kernels.coupling(op) == 0.0:
+        return [(0.0, gamma)]
+    window, width = op.mech_freq - op.input_center, eit_linewidth(op)
+    if window == 0.0:
+        return [(0.0, min(gamma, width))]
+    return [(0.0, gamma), (window, width)]
+
+
+def _doublings(reach, scale):
+    """An upper bound on the k >= 0 with scale*2^k < reach."""
+    if reach <= scale:
+        return 0
+    return 1 + math.floor(math.log2(reach) - math.log2(scale))
+
+
+def _first_edges(op: OperatingPoint, lo: float, hi: float):
+    """Panel edges of the first partition, as offsets from the line center.
+
+    Each feature gets the cuts point and point +- scale*2^k, k = 0, 1, ...,
+    that fall strictly inside the band; omega_m is always a cut.
+
+    Raises
+    ------
+    NumericalFailureError
+        When those cuts alone would make more than _MAX_PANELS panels; the
+        count is bounded from log2(band/scale) before any cut is made.
+    """
+    features = _features(op)
+    steps = [(_doublings(point - lo, scale), _doublings(hi - point, scale))
+             for point, scale in features]
+    n_panels = 2 + sum(1 + below + above for below, above in steps)
+    if n_panels > _MAX_PANELS:
+        raise NumericalFailureError(
+            f"band integrals did not converge within {_MAX_PANELS} panels: "
+            f"the graded first partition alone needs up to {n_panels}")
+    cuts = {lo, hi, op.mech_freq - op.input_center}
+    for (point, scale), (below, above) in zip(features, steps):
+        cuts.add(point)
+        cuts.update(point - scale * 2.0 ** k for k in range(below))
+        cuts.update(point + scale * 2.0 ** k for k in range(above))
+    return np.array(sorted(c for c in cuts if lo <= c <= hi))
 
 
 def _band_integrals(op: OperatingPoint, lo: float, hi: float):
@@ -123,26 +191,35 @@ def _band_integrals(op: OperatingPoint, lo: float, hi: float):
     ------
     NumericalFailureError
         When meeting the tolerance would take more than _MAX_PANELS
-        panels.
+        panels, when no panel is over its share of a tolerance that the
+        total is over, or when an integral or its error estimate is not
+        finite.
     """
-    center, gamma = op.input_center, op.input_bandwidth
-    cuts = [p for p in (center - gamma, center, center + gamma, op.mech_freq)
-            if lo < p < hi]
-    # center == omega_m at the design point: a repeated cut would make a
-    # zero-width panel
-    edges = np.unique([lo, hi, *cuts])
+    center = op.input_center
+    edges = _first_edges(op, lo - center, hi - center)
     a, b = edges[:-1], edges[1:]
     val, err = _gk21(a, b, op)
     n_evals = _GK_X.size * a.size
     while True:
         total, total_err = val.sum(axis=1), err.sum(axis=1)
+        # every term is >= 0, so the sum is finite only if all are
+        if not math.isfinite(total.sum() + total_err.sum()):
+            raise NumericalFailureError("band integrals did not converge: an "
+                                        "integral or its error estimate is "
+                                        "not finite")
         tol = _REL_TOL * np.abs(total)
         if np.all(total_err <= tol):
             break
         # split each panel over its fair share of any integral's tolerance;
-        # while one total is over, some panel is over its share of it
+        # while one total is over, some panel is over its share of it,
+        # unless rounding hides it
         split = np.any(err > (tol / a.size)[:, None], axis=0)
-        if a.size + np.count_nonzero(split) > _MAX_PANELS:
+        n_split = np.count_nonzero(split)
+        if n_split == 0:
+            raise NumericalFailureError(
+                "band integrals did not converge: no panel is over its "
+                "share of the tolerance")
+        if a.size + n_split > _MAX_PANELS:
             raise NumericalFailureError(
                 f"band integrals did not converge within {_MAX_PANELS} panels")
         keep = ~split
@@ -171,9 +248,11 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     reported as computed, never clamped.
 
     All five band integrals come from one adaptive 21-point Gauss-Kronrod
-    pass (see the module docstring), which stops once each integral's error
-    estimate is within 1e-10 of its value, splitting the band into at most
-    400 panels; the report carries the worst relative estimate and the
+    pass (see the module docstring).  It starts from panels graded
+    geometrically toward the line center and, with the drive on, toward
+    omega_m, and stops once each integral's error estimate is within 1e-10
+    of its value, with the band in at most 400 panels, the first partition
+    included; the report carries the worst relative estimate and the
     number of frequency nodes evaluated.
 
     Parameters
@@ -190,7 +269,9 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
         When a pole of the response lies on or above the real axis
         (:func:`omrouter.kernels.is_stable`).
     NumericalFailureError
-        When the integrals need more than 400 panels.
+        When the integrals need more than 400 panels (grading toward a
+        line of about 1e-60 of the band's width alone takes that many), or
+        when an integrand overflows.
     """
     kernels.require_stable(op)
     if band is None:

@@ -419,6 +419,33 @@ def test_route_unconverged_band_integral_exits_4(monkeypatch, capsys):
     assert err.startswith("error: band integrals did not converge")
 
 
+@pytest.mark.parametrize("flags, width", [
+    (["--temp", "1e305"], None), ([], 1e-300), ([], 1e-160), ([], 1e-12)],
+    ids=["temp-1e305", "width-1e-300", "width-1e-160", "width-1e-12"])
+def test_route_on_extreme_inputs_ends_cleanly(tmp_path, flags, width):
+    # an overflowing St (1e305 K) once made the band integrator loop
+    # forever on a NaN error estimate, and a graded start toward a line
+    # whose width squared underflows would do the same; each run must end,
+    # with a report or with exit 4
+    argv = [sys.executable, "-m", "omrouter.cli", "route", "--format", "json",
+            *flags]
+    if width is not None:
+        cfg = tmp_path / "line.json"
+        cfg.write_text(json.dumps({"input_bandwidth": width}))
+        argv += ["--config", str(cfg)]
+    run = subprocess.run(argv, env=_src_env(), capture_output=True,
+                         text=True, timeout=60)
+    if run.returncode == 4:
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("error: ")
+    else:
+        assert run.returncode == 0 and run.stderr == ""
+        fields = json.loads(run.stdout)
+        assert all(math.isfinite(v) for key, v in fields.items()
+                   if key != "band_over_omega_m")
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_csv_blocks(write_config, capsys):

@@ -2,6 +2,7 @@ import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       lorentzian_band_mass, reflection_R, routing,
                       routing_probabilities, switching_contrast,
                       thermal_noise, transmission_T, vacuum_noise)
+from omrouter import kernels
+from omrouter.operating_point import HBAR
 
 WM = default_params().mech_freq
 
@@ -146,25 +149,36 @@ def _default_band(op):
     return 0.5 * op.mech_freq, 1.5 * op.mech_freq
 
 
-def _two_lorentzian_band_integral(lo, hi, center, gamma, delta, width):
-    """int_lo^hi (gamma/pi)/((w-center)^2+gamma^2)
-                 * width^2/((w-delta)^2+width^2) dw, exactly.
+def _band_residues(num, poles, lo, hi):
+    """int_lo^hi num(w) / prod(w - p) dw over simple poles p, exactly.
 
-    The integrand is 1/prod(w - p) over four simple poles p (times the
-    constant in front), so the integral is the sum over the poles of
-    residue*[log(hi-p) - log(lo-p)]; no pole is real, so the principal
-    logarithm is continuous along the band.
+    num is a polynomial of degree below len(poles) - 1, so the integral is
+    the sum over the poles of residue*[log(hi-p) - log(lo-p)], the residue
+    being num(p)/prod(p - q) over the other poles q; no pole is real, so
+    the principal logarithm is continuous along the band.
     """
-    poles = (center + 1j * gamma, center - 1j * gamma,
-             delta + 1j * width, delta - 1j * width)
     total = 0j
     for i, p in enumerate(poles):
-        residue = 1.0
+        residue = num(p)
         for j, q in enumerate(poles):
             if j != i:
                 residue /= p - q
         total += residue * (cmath.log(hi - p) - cmath.log(lo - p))
-    return gamma / math.pi * width * width * total.real
+    return total.real
+
+
+def _line_poles(op):
+    center, gamma = op.input_center, op.input_bandwidth
+    return [center + 1j * gamma, center - 1j * gamma]
+
+
+def _two_lorentzian_band_integral(lo, hi, center, gamma, delta, width):
+    """int_lo^hi (gamma/pi)/((w-center)^2+gamma^2)
+                 * width^2/((w-delta)^2+width^2) dw, exactly."""
+    poles = (center + 1j * gamma, center - 1j * gamma,
+             delta + 1j * width, delta - 1j * width)
+    return gamma / math.pi * width * width * _band_residues(
+        lambda p: 1.0, poles, lo, hi)
 
 
 @pytest.mark.parametrize("width", [0.001, 0.05])
@@ -181,6 +195,75 @@ def test_drive_off_transmission_against_residues(width):
     assert rep.p_transmit * mass == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("width", [1e-4, 1e-6, 1e-9])
+def test_drive_off_reflection_of_narrow_lines_against_residues(width):
+    # drive off, R = (w - Delta)^2/(4kappa^2 + (w - Delta)^2).  At
+    # 1e-9*omega_m an ulp of omega_m is 1.4e-7 of the line's width: nodes
+    # rounded to the absolute axis put p_reflect off by 2.4e-8 there, under
+    # a reported error of 7.6e-11
+    op = _op(drive_power=0.0, input_bandwidth=width * WM)
+    lo, hi = _default_band(op)
+    delta, kappa2 = op.eff_detuning, 2.0 * op.cavity_decay
+    poles = _line_poles(op) + [delta + 1j * kappa2, delta - 1j * kappa2]
+    refl = op.input_bandwidth / math.pi * _band_residues(
+        lambda p: (p - delta) ** 2, poles, lo, hi)
+    mass = lorentzian_band_mass(lo, hi, op.input_center, op.input_bandwidth)
+    rep = routing_probabilities(op)
+    assert rep.p_reflect == pytest.approx(refl / mass, rel=1e-10, abs=0.0)
+    assert rep.quad_error <= 1e-10
+
+
+def _poly_roots(coeffs, scale):
+    """Roots of a polynomial (highest power first) with scale-sized roots,
+    found on the rescaled axis and polished by two Newton steps there."""
+    scaled = np.asarray(coeffs) * scale ** np.arange(len(coeffs) - 1, -1, -1)
+    deriv = np.polyder(scaled)
+    roots = np.roots(scaled)
+    for _ in range(2):
+        roots = roots - np.polyval(scaled, roots) / np.polyval(deriv, roots)
+    return list(roots * scale)
+
+
+@pytest.mark.parametrize("power, width", [
+    (5e-6, 0.01), (20e-6, 0.001), (1e-6, 0.02)])
+def test_drive_on_band_integrals_against_residues(power, width):
+    # drive on, R, T and Sv are rational in omega over d*conj(d), whose
+    # poles are the four zeros of d and their conjugates; Scin adds
+    # center +- i*Gamma.  St is not rational (the Bose factor).
+    op = _op(drive_power=power, input_bandwidth=width * WM)
+    lo, hi = _default_band(op)
+    kappa, delta, m = op.cavity_decay, op.eff_detuning, op.eff_mass
+    mech = m * np.array([-1.0, -1j * op.gamma_m, op.mech_freq ** 2])
+    cav = np.array([-1.0, -4j * kappa, 4.0 * kappa ** 2 + delta ** 2])
+    d = np.polymul(mech, cav)
+    d[-1] -= kernels.drive_term(op)
+    side = np.array([-1j, 2.0 * kappa - 1j * delta])
+    e_num = 2.0 * kappa * np.polyadd(np.polymul(mech, side),
+                                     [1j * HBAR * kernels.coupling(op)])
+    r_num = np.polysub(e_num, d)
+    zeros = _poly_roots(d, op.mech_freq)
+    assert all(z.imag < 0.0 for z in zeros)
+    noise_poles = zeros + [z.conjugate() for z in zeros]
+    # d's leading coefficient is m, so |d|^2 = m^2 prod(w - p)
+
+    def abs2(num):
+        return lambda p: (np.polyval(num, p)
+                          * np.polyval(np.conj(num), p) / (m * m))
+
+    scale = op.input_bandwidth / math.pi
+    mass = lorentzian_band_mass(lo, hi, op.input_center, op.input_bandwidth)
+    poles = noise_poles + _line_poles(op)
+    rep = routing_probabilities(op)
+    assert rep.p_reflect * mass == pytest.approx(
+        scale * _band_residues(abs2(r_num), poles, lo, hi), rel=1e-10, abs=0.0)
+    assert rep.p_transmit * mass == pytest.approx(
+        scale * _band_residues(abs2(e_num), poles, lo, hi), rel=1e-10, abs=0.0)
+    sv = _band_residues(lambda p: kernels.sv_numerator(op) / (m * m),
+                        noise_poles, lo, hi)
+    assert rep.vacuum_leak * op.mech_freq == pytest.approx(sv, rel=1e-10,
+                                                           abs=0.0)
+
+
 @pytest.mark.parametrize("power", [0.0, 5e-6, 20e-6])
 @pytest.mark.parametrize("width", [0.0005, 0.01, 0.1])
 def test_integrated_line_mass_is_exact(power, width):
@@ -192,11 +275,19 @@ def test_integrated_line_mass_is_exact(power, width):
         rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("power, temp, width", [
-    (5e-6, 20e-3, 0.01), (1e-6, 20e-3, 0.001), (20e-6, 50e-3, 0.02)])
-def test_against_tight_scalar_quadrature(power, temp, width):
+_CENTRED_LINES = ((5e-6, 20e-3, 0.01), (1e-6, 20e-3, 0.001),
+                  (20e-6, 50e-3, 0.02))
+
+
+@pytest.mark.parametrize("power, temp, width, center", [
+    *(pytest.param(p, t, w, 1.0, id=f"{p}-{t}-{w}")
+      for p, t, w in _CENTRED_LINES),
+    # off-centre lines, with the window at omega_m apart from the line
+    *((p, 20e-3, 0.01, c) for p in (1e-6, 5e-6, 20e-6) for c in (0.95, 1.05))])
+def test_against_tight_scalar_quadrature(power, temp, width, center):
     integrate = pytest.importorskip("scipy.integrate")
-    op = _op(drive_power=power, bath_temp=temp, input_bandwidth=width * WM)
+    op = _op(drive_power=power, bath_temp=temp, input_bandwidth=width * WM,
+             input_center=center * WM)
     lo, hi = _default_band(op)
     center, gamma = op.input_center, op.input_bandwidth
     pts = sorted({p for p in (center - gamma, center, center + gamma,
@@ -264,4 +355,65 @@ def test_exhausted_panel_budget_raises(op_5uw, monkeypatch):
     monkeypatch.setattr(routing, "_MAX_PANELS", 5)
     lo, hi = _default_band(op_5uw)
     with pytest.raises(NumericalFailureError, match="did not converge"):
+        routing._band_integrals(op_5uw, lo, hi)
+
+
+# the benchmark's routing pool: every report takes one qk21 pass over the
+# graded first partition, or two where a few panels still need splitting
+@pytest.mark.parametrize("power", [0.0, 1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6,
+                                   12e-6, 15e-6, 18e-6, 20e-6])
+def test_pool_reports_take_at_most_two_passes(power, monkeypatch):
+    passes = []
+    gk21 = routing._gk21
+
+    def counted(a, b, op):
+        passes.append(a.size)
+        return gk21(a, b, op)
+
+    monkeypatch.setattr(routing, "_gk21", counted)
+    for width in (0.001, 0.002, 0.005, 0.01, 0.015, 0.02):
+        passes.clear()
+        rep = routing_probabilities(_op(drive_power=power, bath_temp=20e-3,
+                                        input_bandwidth=width * WM))
+        assert len(passes) <= 2, (width, passes)
+        assert rep.quad_error <= 1e-10
+
+
+def test_graded_start_is_refused_before_it_is_built(monkeypatch):
+    # a line 1e-300*omega_m wide would need about 2,000 cuts to grade
+    # toward; the count is checked from log2(band/Gamma) instead
+    monkeypatch.setattr(routing, "_gk21", None)
+    op = _op(input_bandwidth=1e-300 * WM)
+    with pytest.raises(NumericalFailureError, match="first partition"):
+        routing._band_integrals(op, *_default_band(op))
+
+
+def test_non_finite_integral_raises():
+    # St overflows at a bath of 1e305 K; the loop used to split nothing
+    # and run forever on the NaN error estimate
+    op = _op(bath_temp=1e305)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        routing._band_integrals(op, *_default_band(op))
+
+
+def test_pass_that_splits_nothing_raises(op_5uw, monkeypatch):
+    # every panel's estimate exactly at its fair share of the tolerance,
+    # while the rounded sum of the shares is over it: splitting cannot help
+    lo, hi = _default_band(op_5uw)
+    center = op_5uw.input_center
+    n = routing._first_edges(op_5uw, lo - center, hi - center).size - 1
+
+    def over(x):
+        tol = routing._REL_TOL * np.full(n, x).sum()
+        return np.full(n, tol / n).sum() > tol
+
+    scale = next(x for x in 1.0 + np.arange(1, 4096) * 2.0 ** -30 if over(x))
+
+    def at_share(a, b, op):
+        val = np.full((5, a.size), scale)
+        tol = routing._REL_TOL * np.abs(val.sum(axis=1))
+        return val, np.repeat((tol / a.size)[:, None], a.size, axis=1)
+
+    monkeypatch.setattr(routing, "_gk21", at_share)
+    with pytest.raises(NumericalFailureError, match="no panel"):
         routing._band_integrals(op_5uw, lo, hi)
