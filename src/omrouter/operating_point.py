@@ -185,7 +185,8 @@ def derive_operating_point(params: SystemParams) -> OperatingPoint:
         drive power of 1e300 W makes eps_c infinite, one of 1e270 W the
         drive term 2*hbar*g^2*|c_s|^2*Delta, and at the default geometry
         one of about 1e137 W the vacuum noise numerator
-        8*(kappa*hbar*g^2*|c_s|^2)^2, at any detuning).
+        8*(kappa*hbar*g^2*|c_s|^2)^2, at any detuning), or when eps_c or
+        q_s divides by 0 or overflows (omega_m = 1e-160 or 1e160 rad/s).
     """
     validate(params)
     omega_c = TWO_PI * C / params.wavelength
@@ -193,10 +194,16 @@ def derive_operating_point(params: SystemParams) -> OperatingPoint:
     gamma_m = params.mech_freq / params.quality
     kappa = params.cavity_decay
     delta = params.eff_detuning
-    eps_c = math.sqrt(2.0 * kappa * params.drive_power / (HBAR * omega_c))
-    c_s = eps_c / (2.0 * kappa + 1j * delta)
-    n_cav = abs(c_s) ** 2
-    q_s = -HBAR * g * n_cav / (params.eff_mass * params.mech_freq ** 2)
+    try:
+        eps_c = math.sqrt(2.0 * kappa * params.drive_power / (HBAR * omega_c))
+        c_s = eps_c / (2.0 * kappa + 1j * delta)
+        n_cav = abs(c_s) ** 2
+        q_s = -HBAR * g * n_cav / (params.eff_mass * params.mech_freq ** 2)
+    except (ZeroDivisionError, OverflowError):
+        # hbar*omega_c or m*omega_m^2 underflows to 0, or a float ** overflows
+        raise InvalidParameterError(
+            "derived eps_c or q_s divides by 0 or overflows: the inputs are "
+            "beyond the range of floating point") from None
 
     center = params.input_center if params.input_center is not None else delta
     bandwidth = (params.input_bandwidth if params.input_bandwidth is not None

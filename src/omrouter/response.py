@@ -34,16 +34,10 @@ from . import kernels
 from .empty_cavity import lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
 from .operating_point import HBAR, OperatingPoint
+from .stability import _ROUND, _root_disks, pole_disks
 
 _SCAN_POINTS = 200001   # points of the dip scan's grid
 _CELL = 64              # grid points per cell of the dip scan's bounds
-
-# Relative allowance for rounding, 64 unit roundoffs: the kernel's d and
-# E*d, a coefficient of T's polynomials below and each factor of a cell
-# bound are formed in at most 16 roundings (a complex product counts as
-# sqrt(5)), so each lies within _ROUND of its exact value, relative to its
-# cancellation-free size.
-_ROUND = 32.0 * np.finfo(float).eps
 
 # |d| below this fraction of its typical (cancellation-free) scale means
 # the response value carries no trustworthy digits
@@ -259,44 +253,6 @@ def _within(values, bits):
                for v in values)
 
 
-def _root_disks(coeffs, sizes):
-    """Roots of a monic polynomial and radii of disks that each hold one
-    root of the polynomial whose coefficients are exact, or None.
-
-    ``coeffs`` are computed within _ROUND*sizes of the exact coefficients.
-    A disk of radius n*|p(z)|/|p'(z)| around any z holds a root of p
-    (p'/p = sum 1/(z - root_k)); the residual and the slope are bounded
-    from the computed values with the allowances for the coefficients and
-    for Horner's rule.  When the n disks are pairwise disjoint each holds
-    exactly one root; otherwise the roots fail the check and None is
-    returned.
-    """
-    n = len(coeffs) - 1
-    roots = np.roots(coeffs)
-    reach = np.abs(roots)
-    # p and p' at the roots, and the sums of term sizes that bound their
-    # rounding, by Horner's rule
-    value = slope = size = size_slope = 0.0
-    for c, s in zip(coeffs, sizes):
-        slope = slope * roots + value
-        value = value * roots + c
-        size_slope = size_slope * reach + size
-        size = size * reach + s
-    allow = (n + 1) * _ROUND * (1.0 + _ROUND)
-    resid = np.abs(value) * (1.0 + _ROUND) + allow * size
-    grip = np.abs(slope) * (1.0 - _ROUND) - allow * size_slope
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        radii = n * resid / grip * (1.0 + _ROUND)
-        gaps = np.abs(roots[:, None] - roots) * (1.0 - _ROUND)
-    if not (np.all(np.isfinite(roots)) and np.all(grip > 0.0)
-            and np.all(np.isfinite(radii))):
-        return None
-    # a root's own gap is 0, never wider than its radii
-    if np.count_nonzero(gaps > radii[:, None] + radii) != n * (n - 1):
-        return None
-    return roots, radii
-
-
 def _less(a, b):
     """A lower bound of a - b from a, b within _ROUND of their exact values."""
     return np.maximum(a * (1.0 - _ROUND) - b * (1.0 + _ROUND), 0.0)
@@ -364,21 +320,16 @@ def _cell_bounds(edges, op: OperatingPoint):
     # in units of omega_m the bounds' products stay in range
     if not _within((k2, g, dl, dd, h, x[0], x[-1]), 64):
         return low, high
-    cav0 = k2 * k2 + dl * dl
-    zeros = _root_disks(
+    zeros, zero_radii, _ = _root_disks(
         np.array([1.0, dl + 1j * (k2 + g), -1.0 - g * k2 + 1j * g * dl,
                   (h - dl) - 1j * k2]),
         np.array([1.0, abs(dl) + k2 + g, 1.0 + g * k2 + g * abs(dl),
                   abs(h) + abs(dl) + k2]))
-    poles = _root_disks(
-        np.array([1.0, 1j * (2.0 * k2 + g), -(cav0 + 2.0 * k2 * g + 1.0),
-                  -1j * (g * cav0 + 2.0 * k2), cav0 - dd]),
-        np.array([1.0, 2.0 * k2 + g, cav0 + 2.0 * k2 * g + 1.0,
-                  g * cav0 + 2.0 * k2, cav0 + abs(dd)]))
-    if zeros is None or poles is None:
+    poles, pole_radii, _ = pole_disks(op)
+    if zero_radii is None or pole_radii is None:
         return low, high
-    near, far = _distances(x, np.concatenate((zeros[0], poles[0])),
-                           np.concatenate((zeros[1], poles[1])))
+    near, far = _distances(x, np.concatenate((zeros, poles)),
+                           np.concatenate((zero_radii, pole_radii)))
     num_lo, den_lo = np.prod(near[:3], axis=0), np.prod(near[3:], axis=0)
     num_hi, den_hi = np.prod(far[:3], axis=0), np.prod(far[3:], axis=0)
     # cancellation-free sizes of E*d and d at the cell's largest omega

@@ -21,7 +21,6 @@ import numpy as np
 from . import kernels
 from .errors import InvalidParameterError, NumericalFailureError
 from .operating_point import OperatingPoint, SystemParams, derive_operating_point
-from .response import denominator_d
 
 _RESIDUAL_TOL = 1e-6
 
@@ -55,6 +54,72 @@ def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
     ], dtype=complex)
 
 
+# Relative allowance for rounding, 64 unit roundoffs.  The kernel's d and
+# E*d, a polynomial coefficient below and each factor of a cell bound of
+# the dip scan take at most 16 roundings (a complex product counts as
+# sqrt(5)): each is exact within _ROUND times its cancellation-free size.
+_ROUND = 32.0 * np.finfo(float).eps
+
+
+def _root_disks(coeffs, sizes):
+    """Roots of a monic polynomial, radii of disks that each hold one root
+    of the polynomial whose coefficients are exact, or None, and each
+    root's backward residual |p(z)| / sum_k sizes_k*|z|^k.
+
+    ``coeffs`` are computed within _ROUND*sizes of the exact coefficients.
+    A disk of radius n*|p(z)|/|p'(z)| around any z holds a root of p
+    (p'/p = sum 1/(z - root_k)); the residual and the slope are bounded
+    from the computed values with the allowances for the coefficients and
+    for Horner's rule.  When the n disks are pairwise disjoint each holds
+    exactly one root; otherwise the radii are None.
+    """
+    n = len(coeffs) - 1
+    with np.errstate(all="ignore"):
+        roots = np.roots(coeffs)
+        reach = np.abs(roots)
+        # p and p' at the roots, and the sums of term sizes that bound
+        # their rounding, by Horner's rule
+        value = slope = size = size_slope = 0.0
+        for c, s in zip(coeffs, sizes):
+            slope = slope * roots + value
+            value = value * roots + c
+            size_slope = size_slope * reach + size
+            size = size * reach + s
+        backward = np.abs(value) / size
+        allow = (n + 1) * _ROUND * (1.0 + _ROUND)
+        resid = np.abs(value) * (1.0 + _ROUND) + allow * size
+        grip = np.abs(slope) * (1.0 - _ROUND) - allow * size_slope
+        radii = n * resid / grip * (1.0 + _ROUND)
+        gaps = np.abs(roots[:, None] - roots) * (1.0 - _ROUND)
+    # a root's own gap is 0, never wider than its radii
+    if not (np.all(np.isfinite(roots)) and np.all(grip > 0.0)
+            and np.all(np.isfinite(radii))
+            and np.count_nonzero(gaps > radii[:, None] + radii)
+            == n * (n - 1)):
+        radii = None
+    return roots, radii, backward
+
+
+def pole_disks(op: OperatingPoint):
+    """:func:`_root_disks` of d's poles in units of omega_m: the roots of
+    the monic d(z*omega_m)/(m*omega_m^4), with c0 sized without
+    cancellation as m*omega_m^2*(4*kappa^2 + Delta^2) + |drive term|.
+    Raises NumericalFailureError when a coefficient is not finite.
+    """
+    s = op.mech_freq
+    k, delta = op.cavity_decay, op.eff_detuning
+    with np.errstate(all="ignore"):
+        scaled = d_polynomial_coeffs(op) * s ** np.array([4, 3, 2, 1, 0.0])
+        sizes = np.abs(scaled)
+        sizes[-1] = (op.eff_mass * (s * s) * (4.0 * k * k + delta * delta)
+                     + abs(kernels.drive_term(op)))
+        monic, sizes = scaled / scaled[0], sizes / sizes[0]
+    if not np.isfinite(monic).all():
+        raise NumericalFailureError(
+            "rescaled d polynomial coefficients are not finite")
+    return _root_disks(monic, sizes)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Root locations, their margin and the stability verdict."""
@@ -67,14 +132,12 @@ class StabilityReport:
 def assess_stability(op: OperatingPoint) -> StabilityReport:
     """Locate the poles, measure their margin and give the verdict.
 
-    Roots come from the companion matrix of the polynomial rescaled by
-    z = omega/omega_m for conditioning.  Each root is checked against the
-    residual metric |d(root)| / sum_k |c_k| |root|^k < 1e-6, where |c_0| is
-    taken by its cancellation-free size m*omega_m^2*(4*kappa^2 + Delta^2)
-    + |drive term|: next to the red static bound c_0 -> 0, and a root near
-    omega = 0 is then smaller than the rounding of c_0 itself.  Failure
-    raises NumericalFailureError rather than returning wrong roots, as does
-    a rescaled coefficient or term sum past the float range (omega_m^4).
+    The roots are those of :func:`pole_disks`.  A root whose backward
+    residual is not below 1e-6 raises NumericalFailureError; c0 is sized
+    without cancellation, since next to the red static bound c0 -> 0 and a
+    root near omega = 0 is smaller than c0's rounding.  The disks are no
+    such check: a root 1e-3 off can sit alone in its disk, and at the
+    exceptional point, where two poles merge, correct disks overlap.
 
     ``stable`` is not read off the roots: it is the exact Routh-Hurwitz
     verdict of :func:`omrouter.kernels.is_stable`, the one every checked
@@ -82,35 +145,13 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
     where the margin is within the roots' rounding noise of zero, next to
     the threshold of :func:`max_stable_power`.
     """
-    coeffs = d_polynomial_coeffs(op)
-    s = op.mech_freq
-    powers = np.array([4, 3, 2, 1, 0], dtype=float)
-    with np.errstate(all="ignore"):
-        # z = omega/s conditions the companion matrix
-        scaled = coeffs * s ** powers
-        if not np.isfinite(scaled).all():
-            raise NumericalFailureError(
-                "rescaled d polynomial coefficients are not finite")
-        roots = np.roots(scaled / scaled[0]) * s
-        # residual guard on both forms, measured against the summed term sizes
-        sizes = np.abs(coeffs)
-        k, delta = op.cavity_decay, op.eff_detuning
-        sizes[-1] = (op.eff_mass * (s * s) * (4.0 * k * k + delta * delta)
-                     + abs(kernels.drive_term(op)))
-        terms = (np.abs(roots)[:, None] ** powers) @ sizes
-        resid = np.abs(np.polyval(coeffs, roots)) / terms
-        direct = np.abs(denominator_d(roots, op)) / terms
-    if not np.isfinite(terms).all():
-        raise NumericalFailureError("root residual terms are not finite")
-    bad = ~((resid < _RESIDUAL_TOL) & (direct < _RESIDUAL_TOL))
-    if bad.any():
-        k = int(np.argmax(bad))
-        failed = direct[k] if resid[k] < _RESIDUAL_TOL else resid[k]
+    roots, _, residuals = pole_disks(op)
+    failed = residuals[~(residuals < _RESIDUAL_TOL)]
+    if failed.size:
         raise NumericalFailureError(
-            f"root residual {failed:.3e} exceeds {_RESIDUAL_TOL:.0e}")
-
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
+            f"root residual {failed[0]:.3e} exceeds {_RESIDUAL_TOL:.0e}")
+    roots = roots * op.mech_freq
+    roots = roots[np.lexsort((roots.imag, roots.real))]
     margin = float(np.min(-roots.imag))
     return StabilityReport(roots=roots, margin=margin,
                            stable=kernels.is_stable(op))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -207,13 +208,34 @@ def test_zero_detuning_overflow_exits_two(write_config, capsys):
 
 def test_stability_coefficients_past_float_range_exit_four(write_config,
                                                             capsys):
-    # omega_m^4 = 1e312 overflows the rescaled d polynomial
-    cfg = write_config("fast.json", mech_freq=1e78)
-    with pytest.warns(omrouter.RegimeWarning):
-        code, out, err = _run(capsys, "stability", "--config", cfg)
-    assert code == 4 and out == ""
-    assert err.splitlines() == ["error: rescaled d polynomial coefficients "
-                                "are not finite"]
+    # omega_m^4 = 1e312 overflows the rescaled d polynomial; m*omega_m^4 =
+    # 4e-331 underflows its leading coefficient to 0, where np.roots would
+    # raise numpy's LinAlgError
+    for mech_freq in (1e78, 1e-80):
+        cfg = write_config("fast.json", mech_freq=mech_freq)
+        with pytest.warns(omrouter.RegimeWarning):
+            code, out, err = _run(capsys, "stability", "--config", cfg)
+        assert code == 4 and out == ""
+        assert err.splitlines() == ["error: rescaled d polynomial "
+                                    "coefficients are not finite"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "route", "stability"])
+@pytest.mark.parametrize("field, value", [
+    ("wavelength", 1e300), ("mech_freq", 1e-160), ("mech_freq", 1e-300),
+    ("mech_freq", 1e160), ("mech_freq", 1e300)])
+def test_divisor_past_float_range_exits_two(write_config, capsys, command,
+                                            field, value):
+    # hbar*omega_c or m*omega_m^2 underflows to 0, or omega_m^2 overflows:
+    # these ended in a bare ZeroDivisionError or OverflowError, exit 1
+    cfg = write_config("far.json", **{field: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", omrouter.RegimeWarning)
+        code, out, err = _run(capsys, command, "--config", cfg)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: derived eps_c or q_s divides by 0 or overflows: the inputs "
+        "are beyond the range of floating point"]
 
 
 def test_stability_next_to_the_red_static_bound_exits_zero_or_three(capsys):

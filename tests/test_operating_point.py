@@ -133,3 +133,16 @@ def test_overflowing_derivation_rejected(field, value, derived):
     params = replace(default_params(), **{field: value})
     with pytest.raises(InvalidParameterError, match=f"derived {derived} "):
         derive_operating_point(params)
+
+
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+@pytest.mark.parametrize("field, value", [
+    ("wavelength", 1e300), ("mech_freq", 1e-160), ("mech_freq", 1e-300),
+    ("mech_freq", 1e160), ("mech_freq", 1e300)])
+def test_divisor_past_float_range_rejected(field, value):
+    # eps_c divides by hbar*omega_c and q_s by m*omega_m^2: these inputs
+    # raised a bare ZeroDivisionError or OverflowError
+    params = replace(default_params(), **{field: value})
+    with pytest.raises(InvalidParameterError,
+                       match="derived eps_c or q_s divides by 0 or overflows"):
+        derive_operating_point(params)

@@ -17,6 +17,7 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       vacuum_noise)
 from omrouter.operating_point import HBAR
 from omrouter.response import DipScan
+from omrouter.stability import pole_disks
 
 WM = default_params().mech_freq
 KAPPA = WM / 10.0
@@ -384,7 +385,12 @@ def _design_pool():
 
 
 def test_dip_scan_is_the_dense_scan_on_the_design_pool():
-    for op in _design_pool():
+    # and at the default geometry's exceptional point, where the disks of
+    # the merging poles overlap and the scan evaluates the whole grid
+    merged = derive_operating_point(replace(default_params(),
+                                            drive_power=5.2507297778e-6))
+    assert pole_disks(merged)[1] is None
+    for op in (*_design_pool(), merged):
         assert eit_linewidth_scan(op) == _dense_scan(op)
 
 
@@ -413,15 +419,21 @@ def test_scan_grid_points_are_linspace_bit_for_bit(start, stop):
 
 def test_dip_scan_without_root_disks_evaluates_the_whole_grid(monkeypatch,
                                                              op_5uw):
-    # roots that fail the residual check certify no cell: every cell is
-    # evaluated, and the answer is still the dense one
+    # poles whose disks overlap certify no cell: every cell is evaluated,
+    # and the answer is still the dense one
     from omrouter import response
     points = []
     evaluate = kernels.transmission
     monkeypatch.setattr(kernels, "transmission",
                         lambda w, op: points.append(np.size(w))
                         or evaluate(w, op))
-    monkeypatch.setattr(response, "_root_disks", lambda coeffs, sizes: None)
+    pole_disks = response.pole_disks
+
+    def overlapping(op):
+        roots, _, residuals = pole_disks(op)
+        return roots, None, residuals
+
+    monkeypatch.setattr(response, "pole_disks", overlapping)
     assert eit_linewidth_scan(op_5uw) == _dense_scan(op_5uw)
     assert sum(points) >= 2 * 200001
 

@@ -15,6 +15,7 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       output_spectra, routing_probabilities,
                       switching_contrast)
 from omrouter.operating_point import HBAR
+from omrouter.stability import pole_disks
 
 WM = default_params().mech_freq
 KAPPA = WM / 10.0
@@ -107,6 +108,24 @@ def test_residual_guard_rejects_one_wrong_root(monkeypatch, op_5uw, which):
     monkeypatch.setattr(np, "roots", one_off)
     with pytest.raises(NumericalFailureError, match="root residual"):
         assess_stability(op_5uw)
+
+
+# the default geometry's exceptional point, where the membrane pole and the
+# cavity pole merge: 5% above the 5 uW design drive
+EXCEPTIONAL_POWER = 5.2507297778e-6
+
+
+def test_assessment_holds_at_the_exceptional_point():
+    # the disks of the merging pair overlap on a few of these powers; the
+    # residual check still passes on every one, and the verdict is exact
+    params = default_params()
+    overlapping = 0
+    for rel in np.linspace(-3e-9, 3e-9, 6001):
+        op = derive_operating_point(replace(
+            params, drive_power=EXCEPTIONAL_POWER * (1.0 + rel)))
+        assert assess_stability(op).stable is kernels.is_stable(op)
+        overlapping += pole_disks(op)[1] is None
+    assert overlapping > 0
 
 
 def test_repeated_assessment_is_deterministic(op_20uw):
