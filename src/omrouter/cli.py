@@ -90,7 +90,7 @@ def _load_config(path):
 
 
 def _resolve(args):
-    """Config + flags -> (SystemParams, (lo, hi, n) grid, config dict)."""
+    """Config + flags -> (SystemParams, (lo, hi, n) grid, config, scale)."""
     cfg = _load_config(args.config)
     units = cfg.get("units", "omega_m")
     if units not in ("omega_m", "rad_s"):
@@ -118,10 +118,10 @@ def _resolve(args):
         lo, hi, n = _parse_grid_flag(args.grid)
         lo, hi = lo * mech_freq, hi * mech_freq
     else:
-        lo = _num(cfg.get("grid_lo", 0.5 if units == "omega_m"
-                          else 0.5 * mech_freq), "grid_lo") * scale
-        hi = _num(cfg.get("grid_hi", 1.5 if units == "omega_m"
-                          else 1.5 * mech_freq), "grid_hi") * scale
+        lo = _num(cfg["grid_lo"], "grid_lo") * scale if "grid_lo" in cfg \
+            else 0.5 * mech_freq
+        hi = _num(cfg["grid_hi"], "grid_hi") * scale if "grid_hi" in cfg \
+            else 1.5 * mech_freq
         n = cfg.get("grid_n", 4001)
         if isinstance(n, bool) or not isinstance(n, int):
             raise InvalidParameterError("grid_n must be an integer")
@@ -131,7 +131,7 @@ def _resolve(args):
     if not (0.0 < lo < hi):
         raise InvalidParameterError(f"grid bounds must satisfy 0 < lo < hi, "
                                     f"got ({lo!r}, {hi!r})")
-    return params, (lo, hi, n), cfg
+    return params, (lo, hi, n), cfg, scale
 
 
 def _check_rows(rows, what="grid"):
@@ -205,7 +205,7 @@ def _spectrum_columns(spectra, mech_freq):
 
 
 def cmd_spectrum(args) -> int:
-    params, (lo, hi, n), _ = _resolve(args)
+    params, (lo, hi, n), _, _ = _resolve(args)
     op = derive_operating_point(params)
     spectra = output_spectra(np.linspace(lo, hi, n), op)
     cols = _spectrum_columns(spectra, op.mech_freq)
@@ -217,7 +217,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _sweep_params_list(cfg, base: SystemParams):
+def _sweep_params_list(cfg, base: SystemParams, scale: float):
     param = cfg.get("sweep_param")
     values = cfg.get("sweep_values")
     if param not in _SWEEP_PARAMS:
@@ -226,20 +226,15 @@ def _sweep_params_list(cfg, base: SystemParams):
     if not isinstance(values, list) or not values:
         raise InvalidParameterError("sweep_values must be a non-empty list")
     values = [_num(v, "sweep_values") for v in values]
-    units = cfg.get("units", "omega_m")
-    scale = base.mech_freq if units == "omega_m" else 1.0
     field = {"power": "drive_power", "temperature": "bath_temp",
              "detuning": "eff_detuning", "bandwidth": "input_bandwidth"}[param]
-    out = []
-    for v in values:
-        actual = v * scale if param in ("detuning", "bandwidth") else v
-        out.append((v, replace(base, **{field: actual})))
-    return param, out
+    unit = scale if param in ("detuning", "bandwidth") else 1.0
+    return param, [(v, replace(base, **{field: v * unit})) for v in values]
 
 
 def cmd_sweep(args) -> int:
-    base, (lo, hi, n), cfg = _resolve(args)
-    param, value_params = _sweep_params_list(cfg, base)
+    base, (lo, hi, n), cfg, scale = _resolve(args)
+    param, value_params = _sweep_params_list(cfg, base, scale)
     _check_rows(n * len(value_params), f"sweep of {len(value_params)} values")
     # derive (and therefore validate) every point before computing anything
     ops = [(v, derive_operating_point(p)) for v, p in value_params]
@@ -273,7 +268,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    params, _, _ = _resolve(args)
+    params = _resolve(args)[0]
     op = derive_operating_point(params)
     report = assess_stability(op)
     wm = op.mech_freq
@@ -296,7 +291,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_route(args) -> int:
-    params, _, _ = _resolve(args)
+    params = _resolve(args)[0]
     op = derive_operating_point(params)
     on = routing_probabilities(op)
     off = routing_probabilities(

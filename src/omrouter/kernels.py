@@ -25,6 +25,7 @@ names before they are multiplied): the command line spectra are pinned
 byte for byte.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -245,12 +246,32 @@ def blocks(size):
     return [slice(lo, lo + BLOCK) for lo in range(0, size, BLOCK)]
 
 
+def _finite(kernel):
+    """``kernel`` raising NumericalFailureError where x/0 or an invalid
+    operation (0/0, inf - inf, 0 * inf) would write inf or NaN."""
+    @functools.wraps(kernel)
+    def checked(*args):
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                return kernel(*args)
+        except FloatingPointError as exc:
+            raise NumericalFailureError(f"channels are not finite: {exc}")
+    return checked
+
+
+@_finite
 def fill_channels(flat, op, refl, trans, sv, st):
     """Write R, T, Sv and St on the 1-d grid ``flat`` into the given arrays.
 
     The grid is evaluated BLOCK points at a time, so a value does not
     depend on the size of the grid around it.  The four outputs are
     preallocated by the caller: separate arrays, or rows of one table.
+
+    Raises
+    ------
+    NumericalFailureError
+        When a channel divides by zero or forms NaN: |d|^2 underflowing to
+        0 over a zero numerator (drive off), or inf arithmetic.
     """
     sv_num = sv_numerator(op)
     for b in blocks(flat.size):
@@ -283,6 +304,11 @@ def channel_arrays(omega, op):
         Probe reflection and transmission probabilities, the vacuum noise
         density on the reflected port, and the thermal noise density, the
         latter two per unit omega/omega_m.
+
+    Raises
+    ------
+    NumericalFailureError
+        As :func:`fill_channels`; an overflow to inf is not caught.
     """
     shape, flat = _flat(omega)
     out = [np.empty(flat.size) for _ in range(4)]
@@ -290,6 +316,7 @@ def channel_arrays(omega, op):
     return tuple(a.reshape(shape) for a in out)
 
 
+@_finite
 def transmission(omega, op):
     """Probe transmission |E(omega)|^2 alone: channel_arrays' T, bit for bit."""
     shape, flat = _flat(omega)

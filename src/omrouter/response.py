@@ -186,6 +186,8 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
     NumericalFailureError
         When |d|^2 may overflow on the grid: the square of d's
         cancellation-free scale at the grid's largest omega is not finite.
+        Or when a channel divides by zero or forms NaN, as
+        :func:`omrouter.kernels.fill_channels` raises it.
     """
     kernels.require_stable(op)
     g = _check_grid(grid)

@@ -2,13 +2,13 @@
 
 ``csv_rows`` renders rows of ``"%.12e"`` fields and ``json_text`` renders
 ``json.dumps(doc, indent=2)`` without formatting the floats of a column one
-by one.  Most values get their digits from integer arithmetic on whole
-arrays, and each of those is proven to be the text Python prints: the
-correctly rounded 13-digit mantissa of ``fmt`` (CPython's dtoa) for csv,
-the shortest round-trip digits of ``repr`` for JSON.  Every value a proof
-does not cover goes through ``fmt``, or through ``json.dumps`` itself, so
-each format has one definition.  Because the proofs, not ``log10``, fix
-the digits, the text is the same on every numpy dispatch path.
+by one.  Both prove each value's text by integer arithmetic on one exact
+decomposition of whole arrays (:func:`_decimal`): the correctly rounded
+13-digit mantissa of ``fmt`` (CPython's dtoa) for csv, the shortest
+round-trip digits of ``repr`` for JSON.  Every value a proof does not
+cover goes through ``fmt``, or through ``json.dumps`` itself, so each
+format has one definition.  Because the proofs, not ``log10``, fix the
+digits, the text is the same on every numpy dispatch path.
 """
 
 from __future__ import annotations
@@ -20,27 +20,22 @@ import numpy as np
 
 # the longest "%.12e" text of a double, "-1.234567890123e-308"
 _SLOT = 20
-# decimal exponents e of the fast path: 10**(12 - e) and 10**|e - 13| are
-# then at most 1e22, and every power of ten up to 1e22 is an exact double
-_E_MIN, _E_MAX = -9, 22
-# 10**k for k in [-22, 22] is _UP[k + 22] / _DOWN[k + 22]
-_UP = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
-_DOWN = np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)])
-# the text after the mantissa, "e-09" to "e+22", by e - _E_MIN
-_EXP_TEXT = np.array([list(f"e{e:+03d}".encode())
-                      for e in range(_E_MIN, _E_MAX + 1)], np.uint8)
-# values formatted per chunk, which bounds the temporaries of a large grid
-_CHUNK = 1 << 13
-_DIGIT = ord("0")
-
-# decimal exponents e of the shortest-repr proof: 10**(16 - e) is then an
+# decimal exponents e of the exact decomposition: 10**(16 - e) is then an
 # exact double, at most 1e22
-_R_MIN, _R_MAX = -6, 16
+_EXP_MIN, _EXP_MAX = -6, 16
 _TEN = np.array([float(10 ** k) for k in range(23)])
 # Dekker's split of each 10**k into two halves of at most 26 bits
 _SPLITTER = 2.0 ** 27 + 1.0
 _TEN_HI = _TEN * _SPLITTER - (_TEN * _SPLITTER - _TEN)
 _TEN_LO = _TEN - _TEN_HI
+# the text after a "%.12e" mantissa, "e-06" to "e+17", by e - _EXP_MIN;
+# e runs one past _EXP_MAX for a mantissa that rounds up to 10**13
+_EXP_TEXT = np.array([list(f"e{e:+03d}".encode())
+                      for e in range(_EXP_MIN, _EXP_MAX + 2)], np.uint8)
+# values formatted per chunk, which bounds the temporaries of a large grid
+_CHUNK = 1 << 13
+_DIGIT = ord("0")
+
 # a repr's bytes, NUL where unused: sign, "0.", 3 zeros, the 17 digits
 # each followed by a place for the point (none after the last), "e-05";
 # wide enough for any repr, "-2.2250738585072014e-308" included
@@ -73,26 +68,16 @@ def _repr_template(e, n):
     return list(row)
 
 
-# _REPR_TEMPLATE[(e - _R_MIN) * 17 + n - 1]; e runs one past _R_MAX for a
-# value whose 17 digits round up to 10**(e + 1)
+# _REPR_TEMPLATE[(e - _EXP_MIN) * 17 + n - 1]; e runs one past _EXP_MAX
+# for a value whose 17 digits round up to 10**(e + 1)
 _REPR_TEMPLATE = np.array([_repr_template(e, n)
-                           for e in range(_R_MIN, _R_MAX + 2)
+                           for e in range(_EXP_MIN, _EXP_MAX + 2)
                            for n in range(1, 18)], np.uint8)
 
 
 def fmt(value) -> str:
     """The one definition of a CLI float field."""
     return f"{value:.12e}"
-
-
-def _pow10(k):
-    """10**k for integers k in [-22, 22] as factors (up, down).
-
-    One of the two is 1.0, so x * up / down is x * 10**k with one correctly
-    rounded operation on exact operands.
-    """
-    return (np.take(_UP, k + 22, mode="clip"),
-            np.take(_DOWN, k + 22, mode="clip"))
 
 
 def _digit_table(n):
@@ -115,81 +100,20 @@ def _digit_table(n):
     return table.reshape(18, -1)[1:]
 
 
-def _fast(x):
-    """(slots, ok): "%.12e" text of x as NUL-padded bytes, valid where ok.
+def _decimal(x):
+    """(e, A, f, ok): |x| = (A + f) * 10**(e - 16) exactly where ok, with
+    the int64 A in [1e16, 1e17) and f in [0, 1).
 
-    Row i of ``slots`` holds the text of x[i] if ok[i]; the other rows are
-    left for ``fmt``.  For |x| with decimal exponent e in [-9, 22], the
-    candidate mantissa m = rint(|x| * 10**(12 - e)), an integer in
-    [1e12, 1e13), is accepted only when
-    fl((10m - d) * 10**(e - 13)) < |x| < fl((10m + 5) * 10**(e - 13)),
-    with d = 5, or d = 0.5 when m = 1e12: below 10**e the next 13-digit
-    value down is 9.999999999999 * 10**(e - 1), ten times nearer.  Both
-    10m - d and 10m + 5 are exact doubles below 2**53, as is the power of
-    ten, so each bound is the correctly rounded true midpoint.  A double below the rounded upper
-    midpoint is below the true one (else the rounding would have found a
-    nearer double, itself), and likewise above the lower one; so |x| lies
-    strictly between the midpoints around m, which makes m the correctly
-    rounded 13-digit mantissa and rules out a tie.  The proof holds for any
-    candidate, so the candidate itself need not be exact.
+    ``log10`` proposes e, clipped to [-6, 16] so that 10**(16 - e) is an
+    exact double.  Dekker's TwoProduct (no FMA needed) forms Y = |x| *
+    10**(16 - e) exactly as p + err, p = fl(Y) an integer once Y >= 2**53,
+    so A = p + floor(err) and f = err - floor(err) are exact.  A miss of
+    ``log10`` by one leaves A outside [1e16, 1e17), and ok false.
     """
     a = np.abs(x)
-    ok = (a >= 1e-9) & (a < 1e23)
-    a = np.where(ok, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    up, down = _pow10(12 - e)
-    m = np.rint(a * up / down)
-    # the mantissa carried into the next decade (or log10 missed by one,
-    # just below a power of ten): 10**13 * 10**(e - 12) is 10**12 * 10**(e+1)
-    carry = m >= 1e13
-    e += carry
-    m[carry] = 1e12
-    ok &= (e >= _E_MIN) & (e <= _E_MAX) & (m >= 1e12)
-    ten_m = m * 10.0
-    up, down = _pow10(e - 13)
-    lo = ten_m - np.where(m == 1e12, 0.5, 5.0)
-    ok &= (lo * up / down < a) & (a < (ten_m + 5.0) * up / down)
-
-    slots = np.zeros((len(x), _SLOT), np.uint8)
-    slots[:, 0] = np.signbit(x) * ord("-")
-    slots[:, 2] = ord(".")
-    slots[:, 15:19] = np.take(_EXP_TEXT, e - _E_MIN, axis=0, mode="clip")
-    digits = _digit_table(m.astype(np.int64))
-    slots[:, 1] = digits[4]
-    slots[:, 3:15] = digits[5:].T
-    return slots, ok
-
-
-def _shortest(x):
-    """(slots, ok): repr of x as NUL-padded bytes, valid where ok.
-
-    Row i of ``slots`` holds repr(x[i]) if ok[i]; the other rows are left
-    for ``json.dumps``.  For |x| with decimal exponent e in [-6, 16], Y =
-    |x| * 10**(16 - e) is formed exactly as p + err by Dekker's TwoProduct
-    (10**(16 - e) is an exact double, and no FMA is needed), and split into
-    the integer A in [1e16, 1e17) and the fraction f = Y - A in [0, 1).
-    The decimals that read back as x are those within H = ulp(x)/2 scaled
-    by the same power of ten, an exact double in (0.55, 11.2): the
-    interval is symmetric except at a power of two, which is left to
-    ``json.dumps``.  So the nearest 17-digit integer, within 1/2 of Y,
-    always reads back.  A shorter candidate N, the nearest multiple of 100
-    (then stripped of its zeros) or else of 10, is taken only if |Y - N| <
-    H: s = fl((p - N) + err) is Y - N correctly rounded, and |s| < H, with
-    H a double, proves it, while |s| == H leaves the value to
-    ``json.dumps``.  The interval is narrower than 100, so a multiple of
-    100 in it is the only one and the shortest; repr takes the nearest of
-    several shortest candidates, so a tie (Y = 10m + 5, or f = 1/2) is left
-    to ``json.dumps`` too.  ``log10`` only proposes e: a miss leaves A
-    outside [1e16, 1e17) and the value to ``json.dumps``.
-    """
-    a = np.abs(x)
-    zero = a == 0
     ok = (a >= 1e-6) & (a < 1e17)
     a = np.where(ok, a, 1.5)
-    mant, exp = np.frexp(a)
-    # a power of two has a rounding interval twice as wide above as below
-    ok &= mant != 0.5
-    e = np.clip(np.floor(np.log10(a)).astype(np.int64), _R_MIN, _R_MAX)
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), _EXP_MIN, _EXP_MAX)
     k = 16 - e
     ten, ten_hi, ten_lo = _TEN[k], _TEN_HI[k], _TEN_LO[k]
     p = a * ten
@@ -199,11 +123,62 @@ def _shortest(x):
     err = ((a_hi * ten_hi - p) + a_hi * ten_lo + a_lo * ten_hi) \
         + a_lo * ten_lo
     whole = np.floor(err)
-    p_int = p.astype(np.int64)
-    big_a = p_int + whole.astype(np.int64)
-    f = err - whole
-    half = np.ldexp(ten, exp - 54)
-    ok &= (big_a >= 10 ** 16) & (big_a < 10 ** 17) & (f != 0.5)
+    big_a = p.astype(np.int64) + whole.astype(np.int64)
+    ok &= (big_a >= 10 ** 16) & (big_a < 10 ** 17)
+    return e, big_a, err - whole, ok
+
+
+def _fast(x):
+    """(slots, ok): "%.12e" text of x as NUL-padded bytes, valid where ok.
+
+    Row i of ``slots`` holds the text of x[i] if ok[i]; the other rows are
+    left for ``fmt``.  The 13-digit mantissa is (A + f) / 10**4 rounded
+    (:func:`_decimal`): q = A // 10**4 and r = A - 10**4 * q, rounded up
+    when r > 5000, or r == 5000 and f > 0.  An exact tie (r == 5000, f ==
+    0) is left to ``fmt``; q + 1 = 10**13 is 10**12 at e + 1.
+    """
+    e, big_a, f, ok = _decimal(x)
+    q = big_a // 10 ** 4
+    r = big_a - q * 10 ** 4
+    ok &= (r != 5000) | (f != 0)
+    q += r >= 5000
+    top = q == 10 ** 13
+    q[top] = 10 ** 12
+    e += top
+
+    slots = np.zeros((len(x), _SLOT), np.uint8)
+    slots[:, 0] = np.signbit(x) * ord("-")
+    slots[:, 2] = ord(".")
+    slots[:, 15:19] = np.take(_EXP_TEXT, e - _EXP_MIN, axis=0)
+    digits = _digit_table(q)
+    slots[:, 1] = digits[4]
+    slots[:, 3:15] = digits[5:].T
+    return slots, ok
+
+
+def _shortest(x):
+    """(slots, ok): repr of x as NUL-padded bytes, valid where ok.
+
+    Row i of ``slots`` holds repr(x[i]) if ok[i]; the other rows are left
+    for ``json.dumps``.  With Y = A + f (:func:`_decimal`), the decimals
+    that read back as x are those within H = ulp(x)/2 of Y, scaled as Y:
+    an exact double in (0.55, 11.2).  The interval is symmetric except at
+    a power of two, which is left to ``json.dumps``.  So the nearest
+    17-digit integer, within 1/2 of Y, always reads back.  A shorter
+    candidate N, the nearest multiple of 100 (then stripped of its zeros)
+    or else of 10, is taken only if |Y - N| < H: s = fl((A - N) + f) is Y
+    - N correctly rounded, and |s| < H, with H a double, proves it, while
+    |s| == H leaves the value to ``json.dumps``.  The interval is narrower
+    than 100, so a multiple of 100 in it is the only one and the shortest;
+    repr takes the nearest of several shortest candidates, so a tie (Y =
+    10m + 5, or f = 1/2) is left to ``json.dumps`` too.
+    """
+    e, big_a, f, ok = _decimal(x)
+    zero = x == 0
+    mant, exp = np.frexp(np.abs(x))
+    # a power of two has a rounding interval twice as wide above as below
+    ok &= (mant != 0.5) & (f != 0.5)
+    half = np.ldexp(_TEN[16 - e], exp - 54)
 
     tens = big_a // 10
     last = big_a - tens * 10
@@ -211,8 +186,8 @@ def _shortest(x):
     n10 = (tens + (last >= 5)) * 10
     hundreds = tens // 10
     n100 = (hundreds + (big_a - hundreds * 100 >= 50)) * 100
-    gap10 = np.abs((p_int - n10).astype(np.float64) + err)
-    gap100 = np.abs((p_int - n100).astype(np.float64) + err)
+    gap10 = np.abs((big_a - n10).astype(np.float64) + f)
+    gap100 = np.abs((big_a - n100).astype(np.float64) + f)
     ok &= (gap10 != half) & (gap100 != half)
     short, sixteen = gap100 < half, gap10 < half
     n = np.where(short, n100, np.where(sixteen, n10, big_a + (f > 0.5)))
@@ -236,7 +211,7 @@ def _shortest(x):
     count[zero] = 1
     slots = np.full((len(x), _R_SLOT), 0xFF, np.uint8)
     slots[:, _R_DIGITS] = digits.T
-    slots &= _REPR_TEMPLATE.take((e - _R_MIN) * 17 + count - 1, axis=0)
+    slots &= _REPR_TEMPLATE.take((e - _EXP_MIN) * 17 + count - 1, axis=0)
     slots[:, 0] = np.signbit(x) * ord("-")
     return slots, ok
 

@@ -468,6 +468,24 @@ def test_route_on_extreme_inputs_ends_cleanly(tmp_path, flags, width):
                    if key != "band_over_omega_m")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mech_freq", 1e-100), ("eff_mass", 1e-300), ("quality", 1e300)])
+def test_zero_over_zero_spectrum_exits_four(tmp_path, field, value):
+    # with the drive off |d|^2 underflows to 0 under a zero numerator; this
+    # printed nan rows after a RuntimeWarning and exited 0
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({field: value}))
+    run = subprocess.run([sys.executable, "-m", "omrouter.cli", "spectrum",
+                          "--power", "0", "--grid", "0.5:1.5:3",
+                          "--config", str(cfg)],
+                         env=_src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 4 and run.stdout == ""
+    assert "RuntimeWarning" not in run.stderr
+    assert run.stderr.splitlines()[-1].startswith(
+        "error: channels are not finite")
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_csv_blocks(write_config, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omrouter import (assess_stability, default_params,
-                      derive_operating_point, kernels)
+from omrouter import (NumericalFailureError, RegimeWarning,
+                      assess_stability, default_params,
+                      derive_operating_point, kernels, output_spectra)
 from omrouter.operating_point import HBAR, KB
 
 _BASE = derive_operating_point(default_params())
@@ -198,3 +200,31 @@ def test_channel_arrays_keeps_the_grid_shape(op_5uw):
     for a, b in zip(flat, square):
         assert b.shape == (100, 200)
         assert np.array_equal(a, b.ravel())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mech_freq", 1e-100), ("eff_mass", 1e-300), ("quality", 1e300)])
+def test_zero_over_zero_channels_raise(field, value):
+    # with the drive off Sv and St have zero numerators, and here |d|^2
+    # underflows to 0 on every grid point (or at omega = omega_m): 0/0
+    # once left NaN in the spectra behind a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        op = derive_operating_point(
+            replace(default_params(), drive_power=0.0, **{field: value}))
+    grid = np.linspace(0.5, 1.5, 3) * op.mech_freq
+    for evaluate in (kernels.channel_arrays, output_spectra):
+        with pytest.raises(NumericalFailureError,
+                           match="channels are not finite"):
+            evaluate(grid, op)
+
+
+def test_zero_over_zero_transmission_raises():
+    # an undamped membrane with the drive off: d(omega_m) = 0 exactly, and
+    # so is the numerator of E
+    op = _point(gamma_m=0.0, n_cav=0.0)
+    grid = np.array([0.5, 1.0, 1.5]) * op.mech_freq
+    for evaluate in (kernels.transmission, kernels.channel_arrays):
+        with pytest.raises(NumericalFailureError,
+                           match="invalid value encountered in divide"):
+            evaluate(grid, op)

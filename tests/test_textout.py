@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -91,6 +92,54 @@ def test_matches_percent_format_next_to_powers_of_ten():
             runs.append(np.arange(bits - 300, bits + 300).view(np.float64))
     x = np.concatenate(runs + [[10 - 282 * 2.0 ** -49]])
     _assert_like_percent(np.concatenate([x, -x]))
+
+
+def test_matches_percent_format_at_the_edges_of_the_proven_range():
+    # 300 doubles either side of 1e-7, 1e-6, 1e16 and 1e17: the decades
+    # where the exact decomposition starts and ends, and next to them.
+    # Nothing outside [1e-6, 1e17) is proven, and below 1e17 e is 16
+    # whatever log10 rounds to, so every value there is
+    runs = []
+    for edge in (1e-7, 1e-6, 1e16, 1e17):
+        bits = np.float64(edge).view(np.int64)
+        runs.append(np.arange(bits - 300, bits + 301).view(np.float64))
+    x = np.concatenate(runs)
+    x = np.concatenate([x, -x])
+    with np.errstate(all="ignore"):
+        ok = textout._fast(x)[1]
+    a = np.abs(x)
+    assert not ok[(a < 1e-6) | (a >= 1e17)].any()
+    assert ok[(a > 9.99999e16) & (a < 1e17)].all()
+    _assert_like_percent(x)
+
+
+def test_matches_percent_format_on_exact_13_digit_ties():
+    # M * 2**-j, odd M < 2**53, is exactly the decimal M * 5**j * 10**-j,
+    # and with M * 5**j of 14 digits its 14th digit is a 5: a tie between
+    # two 13-digit mantissas, at decimal exponent 13 - j.  For j <= 0 the
+    # tie is N * 10**-j, N an odd multiple of 5 of 14 digits.  e runs over
+    # the whole proven range [-6, 16]; every tie is left to fmt
+    rng = np.random.default_rng(13)
+    ties = []
+    for j in range(-3, 20):
+        if j > 0:
+            lo, hi = -(-10 ** 13 // 5 ** j), -(-10 ** 14 // 5 ** j)
+            m = rng.integers(lo, hi, 500, dtype=np.int64) | 1
+            ties += [math.ldexp(v, -j) for v in m[m < hi].tolist()]
+        else:
+            n = rng.integers(10 ** 12, 10 ** 13, 500, dtype=np.int64) * 10 + 5
+            n = n[n * 5 ** -j < 2 ** 53]
+            ties += [float(v * 10 ** -j) for v in n.tolist()]
+    exact = [v for v in ties
+             if len(str(Fraction(v).numerator * 10 ** 30
+                        // Fraction(v).denominator).rstrip("0")) == 14]
+    assert len(exact) == len(ties) > 8000
+    exponents = {math.floor(math.log10(v)) for v in ties}
+    assert exponents == set(range(-6, 17))
+    x = np.concatenate([ties, np.negative(ties)])
+    with np.errstate(all="ignore"):
+        assert not textout._fast(x)[1].any()
+    _assert_like_percent(x)
 
 
 def test_rows_carry_prefix_and_separators():
@@ -207,19 +256,34 @@ def test_repr_matches_json_on_exact_rounding_ties():
     _assert_like_json(np.concatenate([ties, np.negative(ties)]))
 
 
+@functools.cache
+def _spectrum_pool():
+    """The values of 60 spectra: 10 drive powers x 6 bath temperatures."""
+    return np.concatenate([
+        c for p in (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6,
+                    18e-6, 20e-6)
+        for t in (0.0, 10e-3, 20e-3, 30e-3, 40e-3, 50e-3)
+        for c in _spectrum_table(drive_power=p, bath_temp=t)])
+
+
 def test_repr_fast_path_covers_the_spectra():
     # a silent slide to json.dumps would keep the bytes but lose the speed:
     # the default spectrum, and a pool of 10 drive powers x 6 bath
     # temperatures, are proven for at least 99% of their values
-    def share(cols):
+    def share(x):
         with np.errstate(all="ignore"):
-            return textout._shortest(np.concatenate(cols))[1].mean()
-    assert share(_spectrum_table()) >= 0.99
-    pool = [_spectrum_table(drive_power=p, bath_temp=t)
-            for p in (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6,
-                      18e-6, 20e-6)
-            for t in (0.0, 10e-3, 20e-3, 30e-3, 40e-3, 50e-3)]
-    assert share([c for cols in pool for c in cols]) >= 0.99
+            return textout._shortest(x)[1].mean()
+    assert share(np.concatenate(_spectrum_table())) >= 0.99
+    assert share(_spectrum_pool()) >= 0.99
+
+
+def test_csv_fast_path_covers_the_spectra():
+    # as above for "%.12e": the pool's nonzero values are proven for at
+    # least 99%; zeros are left to fmt by design
+    x = _spectrum_pool()
+    x = x[x != 0]
+    with np.errstate(all="ignore"):
+        assert textout._fast(x)[1].mean() >= 0.99
 
 
 @pytest.mark.parametrize("doc", [
