@@ -3,9 +3,11 @@
 With the membrane removed (or the drive off) the cavity is a symmetric
 two-mirror etalon: a Lorentzian transmission window of half-width 2*kappa
 around resonance.  These closed forms anchor the limits of the full model
-and supply the input spectrum for the routing integrals.
+and supply the input spectrum for the routing integrals, and the line's
+band integrals against the empty cavity are the drive-off routing report.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -55,3 +57,93 @@ def lorentzian_band_mass(lo, hi, center, bandwidth):
             f"input_bandwidth must be > 0 and finite, got {bandwidth!r}")
     return (math.atan((hi - center) / bandwidth)
             - math.atan((lo - center) / bandwidth)) / math.pi
+
+
+# below this |w| the series of log1p(w)/w is summed: its 18 terms reach
+# 8^-17/18 < 2^-55 there, where the logarithm of 1 + w would lose
+# -log2|w| bits to the rounding of 1 + w
+_SERIES_RADIUS = 0.125
+_SERIES_TERMS = 18
+
+
+def _log1p_over(w, ratio):
+    """phi(w) = log1p(w)/w, given w and ratio = 1 + w, each formed directly.
+
+    The logarithm is taken of ``ratio`` rather than of the rounded 1 + w,
+    so that a ratio near 0 keeps its relative accuracy too.
+    """
+    if abs(w) < _SERIES_RADIUS:
+        phi = 0j
+        for k in range(_SERIES_TERMS, 0, -1):
+            phi = 1.0 / k - w * phi
+        return phi
+    return cmath.log(ratio) / w
+
+
+def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
+    """The line's band mass and its overlaps with the empty cavity, exactly.
+
+    Returns (mass, int L*R, int L*T) over [lo, hi], L being the unit-mass
+    line of :func:`lorentzian_input` and R, T the empty reflectance and
+    transmittance.  On the axis u = omega - resonance, with the band
+    [a, b], the line at s and W = 2*kappa, both integrands are
+    N(u)/(|u-z1|^2 |u-z2|^2) with the upper poles z1 = s + i*Gamma and
+    z2 = i*W, and N = u^2 for R, W^2 for T.  Summing the residues of the
+    four poles against G(z) = Log(b-z) - Log(a-z) gives 2*Re H[z1, z2],
+    the divided difference of H = N*G*K with K(z) = 1/((z-conj z1)(z-conj z2)).
+
+    H[z1, z2] is expanded by the Leibniz rule with the narrower pole zn
+    first: (GK)[zn, zw] = G(zn)*K[zn, zw] + G[zn, zw]*K(zw), and likewise
+    K[x, y] = -A(x)*B(y)*(B(x) + A(y)) for K = A*B, A(z) = 1/(z - conj z1),
+    B(z) = 1/(z - conj z2), so that no divided difference is formed by
+    subtraction.  Both G and G[zn, zw] are written through phi(w) = log1p(w)/w (:func:`_log1p_over`): G(z) is
+    log1p(w) with w = (b-a)/(a-z), and each logarithm's divided difference
+    is [Log(c-.)][x, y] = -phi(w)/(c-y) with w = (y-x)/(c-y), which holds
+    as z1 -> z2 (Gamma = 2*kappa on resonance).  The arguments of the
+    logarithms lie below the real axis, so each difference of two
+    principal logarithms is the principal logarithm of their ratio.
+    int L*R comes from N[zn, zw] = zn + zw when the line is the narrower
+    pole; otherwise int L*T is under half the mass and int L*R is their
+    difference.
+
+    Raises
+    ------
+    InvalidParameterError
+        As :func:`lorentzian_band_mass`.
+    """
+    mass = lorentzian_band_mass(lo, hi, center, bandwidth)
+    a, b = lo - resonance, hi - resonance
+    width = 2.0 * decay
+    line, cavity = complex(center - resonance, bandwidth), complex(0.0, width)
+    narrow, wide = (line, cavity) if bandwidth <= width else (cavity, line)
+
+    def g(z):
+        w = (b - a) / (a - z)
+        return w * _log1p_over(w, (b - z) / (a - z))
+
+    def log_slope(c):
+        cw = c - wide
+        w = (wide - narrow) / cw
+        return -_log1p_over(w, (c - narrow) / cw) / cw
+
+    def line_factor(z):
+        return 1.0 / (z - line.conjugate())
+
+    def cavity_factor(z):
+        return 1.0 / (z - cavity.conjugate())
+
+    k_wide = line_factor(wide) * cavity_factor(wide)
+    k_slope = -line_factor(narrow) * cavity_factor(wide) \
+        * (cavity_factor(narrow) + line_factor(wide))
+    gk_wide = g(wide) * k_wide
+    gk_slope = g(narrow) * k_slope + (log_slope(b) - log_slope(a)) * k_wide
+    scale = 2.0 * bandwidth / math.pi
+    # W*(W*...): W^2 alone would be subnormal for kappa below about
+    # 1e-154 rad/s
+    trans = scale * (width * (width * gk_slope)).real
+    if bandwidth <= width:
+        refl = scale * (narrow * narrow * gk_slope
+                        + (narrow + wide) * gk_wide).real
+    else:
+        refl = mass - trans
+    return mass, refl, trans

@@ -163,6 +163,24 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
+@kernels._finite
+def _fill_ports(g, op, table):
+    """Rows 4 and 5 of output_spectra's table, Scout and Sdout, from rows 0-3.
+
+    Raises
+    ------
+    NumericalFailureError
+        When the line density divides by zero or forms NaN: Gamma^2
+        underflowing to 0 at the line center, or inf times 0.
+    """
+    refl, trans, sv, st, scout, sdout = table
+    for b in kernels.blocks(g.size):
+        scin = op.mech_freq * lorentzian_input(g[b], op.input_center,
+                                               op.input_bandwidth)
+        np.add(scin * refl[b], sv[b], out=scout[b])
+        np.add(scin * trans[b], st[b], out=sdout[b])
+
+
 def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
     """Evaluate all channels and the port outputs on a grid.
 
@@ -187,7 +205,8 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
         When |d|^2 may overflow on the grid: the square of d's
         cancellation-free scale at the grid's largest omega is not finite.
         Or when a channel divides by zero or forms NaN, as
-        :func:`omrouter.kernels.fill_channels` raises it.
+        :func:`omrouter.kernels.fill_channels` raises it, or the line
+        density does (a line so narrow that Gamma^2 underflows).
     """
     kernels.require_stable(op)
     g = _check_grid(grid)
@@ -201,11 +220,7 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
     table = np.empty((6, g.size))
     refl, trans, sv, st, scout, sdout = table
     kernels.fill_channels(g, op, refl, trans, sv, st)
-    for b in kernels.blocks(g.size):
-        scin = op.mech_freq * lorentzian_input(g[b], op.input_center,
-                                               op.input_bandwidth)
-        np.add(scin * refl[b], sv[b], out=scout[b])
-        np.add(scin * trans[b], st[b], out=sdout[b])
+    _fill_ports(g, op, table)
     return ChannelSpectra(grid=g, R=refl, Tx=trans, Sv=sv, St=st,
                           Scout=scout, Sdout=sdout)
 

@@ -27,6 +27,12 @@ its error estimate exceeds its fair share of the tolerance for any of the
 five.  The pass stops when each integral's summed error estimate is within
 1e-10 of its value.  The line is evaluated at offsets from its center,
 so a line as narrow as 1e-12*omega_m is integrated to that accuracy too.
+
+With the drive off (g^2*|c_s|^2 = 0) there is no pass: the membrane
+decouples, Sv and St vanish, and R and T are the empty cavity's
+Lorentzians, so the line mass, Scin*R and Scin*T are rational band
+integrals with a closed form (see
+:func:`omrouter.empty_cavity._lorentzian_band_integrals`).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .empty_cavity import lorentzian_input
+from .empty_cavity import _lorentzian_band_integrals, lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
 from .operating_point import OperatingPoint, SystemParams, derive_operating_point
 # Not used here.  perfbench/tracer.py wraps these names in this module as
@@ -94,8 +100,11 @@ class RoutingReport:
     vacuum_leak: float    # band-integrated Sv, units of photons
     thermal_leak: float   # band-integrated St, units of photons
     band: tuple[float, float]   # analysis band [rad/s]
-    quad_error: float     # worst relative error estimate of the band integrals
-    n_evals: int          # frequency nodes the band integrals evaluated
+    # worst relative error estimate of the band integrals; 0.0 with the
+    # drive off, where they come from the closed form
+    quad_error: float
+    # frequency nodes the band integrals evaluated; 0 with the drive off
+    n_evals: int
 
 
 # an integrand that overflows is reported by the caller, as one error
@@ -108,12 +117,14 @@ def _gk21(a, b, op: OperatingPoint):
     """
     half = 0.5 * (b - a)
     offsets = ((0.5 * (a + b))[:, None] + half[:, None] * _GK_X).ravel()
-    refl, trans, sv, st = kernels.channel_arrays(op.input_center + offsets, op)
+    table = np.empty((5, offsets.size))
+    kernels.fill_channels(op.input_center + offsets, op, *table[1:])
     # the line is evaluated at the offsets themselves: rounded to the
     # absolute axis, the nodes of a line 1e-9*omega_m wide would move by
     # 1e-7 of its width, an error the rule cannot see
-    scin = lorentzian_input(offsets, 0.0, op.input_bandwidth)
-    f = np.stack((scin, scin * refl, scin * trans, sv, st)).reshape(5, -1, 21)
+    table[0] = lorentzian_input(offsets, 0.0, op.input_bandwidth)
+    table[1:3] *= table[0]
+    f = table.reshape(5, -1, 21)
     resk = f @ _GK_WK
     err = np.abs(resk - f @ _GK_WG) * half
     # the rule applied to |f - mean of f|; the weights sum to 2
@@ -238,6 +249,32 @@ def _band_integrals(op: OperatingPoint, lo: float, hi: float):
     return total.tolist(), worst, n_evals
 
 
+def _empty_cavity_report(op: OperatingPoint, lo: float, hi: float):
+    """The drive-off report, from the empty cavity's closed form.
+
+    Raises
+    ------
+    NumericalFailureError
+        When a probability is not finite, or a ratio under a logarithm
+        underflows to 0: the cavity or the line is too narrow or too far
+        away for the float range.
+    """
+    try:
+        mass, refl, trans = _lorentzian_band_integrals(
+            lo, hi, op.input_center, op.input_bandwidth, op.eff_detuning,
+            op.cavity_decay)
+    except ValueError as exc:   # cmath.log(0)
+        raise NumericalFailureError(
+            f"empty-cavity band integrals failed: {exc}") from None
+    p_reflect, p_transmit = refl / mass, trans / mass
+    if not (math.isfinite(p_reflect) and math.isfinite(p_transmit)):
+        raise NumericalFailureError(
+            "empty-cavity band integrals are not finite")
+    return RoutingReport(p_reflect=p_reflect, p_transmit=p_transmit,
+                         vacuum_leak=0.0, thermal_leak=0.0, band=(lo, hi),
+                         quad_error=0.0, n_evals=0)
+
+
 def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     """Integrate the channels against the probe line over the band.
 
@@ -247,13 +284,16 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     Values may exceed 1 by the small margin R itself does; they are
     reported as computed, never clamped.
 
-    All five band integrals come from one adaptive 21-point Gauss-Kronrod
-    pass (see the module docstring).  It starts from panels graded
-    geometrically toward the line center and, with the drive on, toward
+    With the drive on, all five band integrals come from one adaptive
+    21-point Gauss-Kronrod pass (see the module docstring).  It starts
+    from panels graded geometrically toward the line center and toward
     omega_m, and stops once each integral's error estimate is within 1e-10
     of its value, with the band in at most 400 panels, the first partition
     included; the report carries the worst relative estimate and the
-    number of frequency nodes evaluated.
+    number of frequency nodes evaluated.  With the drive off
+    (kernels.coupling(op) == 0) the probe integrals come from the empty
+    cavity's closed form instead, exact to rounding: both leaks are 0.0,
+    quad_error is 0.0 and n_evals is 0.
 
     Parameters
     ----------
@@ -270,8 +310,9 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
         (:func:`omrouter.kernels.is_stable`).
     NumericalFailureError
         When the integrals need more than 400 panels (grading toward a
-        line of about 1e-60 of the band's width alone takes that many), or
-        when an integrand overflows.
+        line of about 1e-60 of the band's width alone takes that many),
+        when an integrand overflows, or when the drive-off closed form is
+        not finite.
     """
     kernels.require_stable(op)
     if band is None:
@@ -286,6 +327,8 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
             f"band {band!r} excludes the input line core "
             f"{center!r} +- {_BAND_COVER * gamma!r}")
 
+    if kernels.coupling(op) == 0.0:
+        return _empty_cavity_report(op, lo, hi)
     (mass, refl, trans, sv, st), quad_error, n_evals = _band_integrals(
         op, lo, hi)
     # leaks live on the omega/omega_m axis, same measure as the spectra
@@ -307,6 +350,8 @@ def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
     not depend on ``bath_temp``.  Temperature shows up only in
     :attr:`RoutingReport.thermal_leak`.  An unstable on state raises
     UnstableOperatingPointError (the drive-off state is always stable).
+    The drive-off report comes from the empty cavity's closed form, so only
+    the on state takes a quadrature pass (none at all when p_on = 0).
     """
     if not (p_on >= 0.0 and math.isfinite(p_on)):
         raise InvalidParameterError(f"p_on must be >= 0 and finite, got {p_on!r}")

@@ -486,6 +486,40 @@ def test_zero_over_zero_spectrum_exits_four(tmp_path, field, value):
         "error: channels are not finite")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cavity_decay", 1e-12), ("eff_mass", 1e-300)])
+def test_route_drive_off_closed_form_on_extreme_points(tmp_path, field,
+                                                       value):
+    # a cavity 1e-12*omega_m wide ran the quadrature out of panels, and a
+    # 1e-300 kg membrane made the drive-off channels 0/0, although with
+    # the drive off neither matters to the empty cavity's closed form
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({field: value}))
+    run = subprocess.run([sys.executable, "-m", "omrouter.cli", "route",
+                          "--power", "0", "--format", "json",
+                          "--config", str(cfg)],
+                         env=_src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    fields = json.loads(run.stdout)
+    assert math.isclose(fields["p_reflect_off"] + fields["p_transmit_off"],
+                        1.0, rel_tol=0.0, abs_tol=1e-12)
+
+
+def test_spectrum_with_underflowing_line_density_exits_four(tmp_path):
+    # Gamma^2 underflows to 0, so the line density at its center was x/0:
+    # this printed inf in Scout and Sdout and exited 0
+    cfg = tmp_path / "line.json"
+    cfg.write_text(json.dumps({"input_bandwidth": 1e-300}))
+    run = subprocess.run([sys.executable, "-m", "omrouter.cli", "spectrum",
+                          "--grid", "0.5:1.5:5", "--config", str(cfg)],
+                         env=_src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 4 and run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("error: ")
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_csv_blocks(write_config, capsys):

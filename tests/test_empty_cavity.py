@@ -1,11 +1,14 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from omrouter import (InvalidParameterError, empty_reflectance,
                       empty_transmittance, lorentzian_band_mass,
                       lorentzian_input)
+from omrouter.empty_cavity import _lorentzian_band_integrals
 
 W0 = 841946.8311620646
 KAPPA = W0 / 10.0
@@ -81,3 +84,101 @@ def test_nonpositive_bandwidth_rejected(bad):
         lorentzian_input(W0, W0, bad)
     with pytest.raises(InvalidParameterError):
         lorentzian_band_mass(0.5 * W0, 1.5 * W0, W0, bad)
+
+
+# ------------------------------------- the line's overlaps with the cavity
+
+def _mp_band_integrals(lo, hi, center, gamma, resonance, decay):
+    """(mass, int L*R, int L*T) over [lo, hi] at 50 digits.
+
+    The float inputs are taken exactly.  Each integrand is a ratio of
+    polynomials over the four simple poles center +- i*gamma and
+    resonance +- 2i*kappa, so its band integral is the sum over the poles
+    of residue*[log(hi-p) - log(lo-p)].  Where the line and the cavity
+    have the same pole, the mean over gamma*(1 +- 1e-20) stands in for it,
+    off by about 1e-40.
+    """
+    with mpmath.workdps(50):
+        lo, hi, center, gamma, resonance, decay = (
+            mpmath.mpf(v) for v in (lo, hi, center, gamma, resonance, decay))
+        width = 2 * decay
+
+        def band(num, gamma):
+            poles = [mpmath.mpc(center, gamma), mpmath.mpc(center, -gamma),
+                     mpmath.mpc(resonance, width),
+                     mpmath.mpc(resonance, -width)]
+            total = mpmath.mpc(0)
+            for i, p in enumerate(poles):
+                residue = num(p)
+                for j, q in enumerate(poles):
+                    if j != i:
+                        residue /= p - q
+                total += residue * (mpmath.log(hi - p) - mpmath.log(lo - p))
+            return total.real * gamma / mpmath.pi
+
+        def overlap(num):
+            if center != resonance or gamma != width:
+                return band(num, gamma)
+            shift = gamma * mpmath.mpf(10) ** -20
+            return (band(num, gamma + shift) + band(num, gamma - shift)) / 2
+
+        mass = (mpmath.atan((hi - center) / gamma)
+                - mpmath.atan((lo - center) / gamma)) / mpmath.pi
+        refl = overlap(lambda p: (p - resonance) ** 2)
+        trans = overlap(lambda p: width * width)
+        return float(mass), float(refl), float(trans)
+
+
+def _assert_closed_form_matches(cases):
+    for gamma, width, offset in cases:
+        args = (0.5 * W0, 1.5 * W0, W0 + offset * W0, gamma * W0, W0,
+                0.5 * width * W0)
+        got = _lorentzian_band_integrals(*args)
+        exact = _mp_band_integrals(*args)
+        for name, value, ref in zip(("mass", "refl", "trans"), got, exact):
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0), \
+                (name, gamma, width, offset)
+
+
+# line half-widths Gamma and cavity half-widths W = 2*kappa, per omega_m
+_GAMMAS = (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.45)
+_WIDTHS = (1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.2)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.01, -0.01, -0.05, 0.2, -0.3])
+def test_closed_form_against_mpmath(offset):
+    # the line sits offset*omega_m from the cavity resonance
+    _assert_closed_form_matches(
+        (gamma, width, offset)
+        for gamma, width in itertools.product(_GAMMAS, _WIDTHS))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9])
+def test_closed_form_where_the_poles_meet(offset):
+    # Gamma = 2*kappa on resonance makes the two upper poles one double
+    # pole; the divided difference must hold there and around it
+    _assert_closed_form_matches(
+        (width * (1.0 + sign * eps), width, offset)
+        for width in _WIDTHS
+        for eps in (0.0, 1e-16, 1e-13, 1e-10, 1e-7, 1e-5, 1e-3)
+        for sign in (1.0, -1.0))
+
+
+@pytest.mark.parametrize("edge", [0.5, -0.5])
+def test_closed_form_with_the_line_at_a_band_edge(edge):
+    # the core just inside the band: the logarithm's ratio at that edge,
+    # (edge - line)/(edge - cavity), is near 0, where log(1 + w) formed
+    # from the rounded 1 + w would lose its relative accuracy
+    _assert_closed_form_matches(
+        (gamma, width, edge - math.copysign(1.001 * gamma, edge))
+        for gamma in (1e-12, 1e-9, 1e-6, 1e-3)
+        for width in _WIDTHS)
+
+
+@pytest.mark.parametrize("gamma, width", [
+    (0.01, 2e12), (0.01, 2e3), (0.01, 2e-160), (0.01, 2e-300),
+    (1e-160, 0.2), (1e-300, 0.2), (1e-300, 2e3)])
+def test_closed_form_far_outside_the_resolved_sidebands(gamma, width):
+    # a cavity far wider than the band, where G(z) is the logarithm of a
+    # ratio near 1, or one so narrow that W^2 alone would be subnormal
+    _assert_closed_form_matches([(gamma, width, 0.0), (gamma, width, 0.2)])

@@ -313,23 +313,26 @@ def test_against_tight_scalar_quadrature(power, temp, width, center):
         band(lambda w: thermal_noise(w, op)) / op.mech_freq, rel=1e-10)
 
 
-# drive off, inside gamma_m << kappa << omega_m; the line core stays inside
-# the default band [0.5, 1.5]*omega_m
+# drive off, inside gamma_m << kappa << omega_m, cavities down to
+# 3e-5*omega_m and lines up to 0.2*omega_m off center; the line core stays
+# inside the default band [0.5, 1.5]*omega_m
 _dark_points = st.builds(
-    lambda log_wm, log_kappa, log_gamma, detuning, log_width, temp:
+    lambda log_wm, log_kappa, log_gamma, detuning, log_width, center, temp:
         replace(default_params(),
                 mech_freq=10 ** log_wm,
                 cavity_decay=10 ** (log_wm + log_kappa),
                 quality=10 ** -(log_kappa + log_gamma),
                 eff_detuning=detuning * 10 ** log_wm,
                 input_bandwidth=10 ** (log_wm + log_width),
+                input_center=center * 10 ** log_wm,
                 drive_power=0.0,
                 bath_temp=temp),
     log_wm=st.floats(4.0, 7.0),
-    log_kappa=st.floats(-2.5, -1.0),
+    log_kappa=st.floats(-4.5, -1.0),
     log_gamma=st.floats(-4.0, -1.0),
     detuning=st.floats(0.7, 1.3),
     log_width=st.floats(-3.5, -1.5),
+    center=st.floats(0.8, 1.2),
     temp=st.floats(0.0, 0.3),
 )
 
@@ -340,6 +343,58 @@ def test_drive_off_probabilities_sum_to_one(params):
     rep = routing_probabilities(derive_operating_point(params))
     assert math.isclose(rep.p_reflect + rep.p_transmit, 1.0,
                         rel_tol=0.0, abs_tol=1e-12)
+
+
+@settings(deadline=None, max_examples=50)
+@given(params=_dark_points)
+def test_drive_off_closed_form_against_quadrature(params):
+    # the drive-off report comes from the empty cavity's closed form; the
+    # general band integrator, run on the same point, is its reference
+    op = derive_operating_point(params)
+    rep = routing_probabilities(op)
+    (mass, refl, trans, sv, st_), _, _ = routing._band_integrals(op, *rep.band)
+    assert rep.p_reflect == pytest.approx(refl / mass, rel=1e-10, abs=0.0)
+    assert rep.p_transmit == pytest.approx(trans / mass, rel=1e-10, abs=0.0)
+    assert sv == st_ == 0.0 == rep.vacuum_leak == rep.thermal_leak
+
+
+def test_drive_off_closed_form_runs_no_quadrature_pass(op_off, monkeypatch):
+    passes = []
+    gk21 = routing._gk21
+
+    def counted(a, b, op):
+        passes.append(a.size)
+        return gk21(a, b, op)
+
+    monkeypatch.setattr(routing, "_gk21", counted)
+    rep = routing_probabilities(op_off)
+    assert passes == []
+    assert type(rep.quad_error) is float and rep.quad_error == 0.0
+    assert type(rep.n_evals) is int and rep.n_evals == 0
+    assert all(type(getattr(rep, name)) is float for name in
+               ("p_reflect", "p_transmit", "vacuum_leak", "thermal_leak"))
+    # the on state of a switch still takes its quadrature passes
+    switching_contrast(default_params(), 5e-6)
+    assert 1 <= len(passes) <= 2
+
+
+def test_closed_form_logarithm_of_zero_raises(op_off):
+    # a line 1e-300 rad/s wide at the band's lower edge and the cavity
+    # 1e30 rad/s away: one ratio under a logarithm underflows to 0
+    op = replace(op_off, eff_detuning=1e30, input_bandwidth=1e-300)
+    center = op.input_center
+    with pytest.raises(NumericalFailureError, match="failed"):
+        routing_probabilities(op, band=(center, center + 1.0))
+
+
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+def test_non_finite_closed_form_raises():
+    # line and cavity both 1e-300*omega_m wide: the products of three
+    # inverse widths in the pole factors overflow
+    op = _op(drive_power=0.0, input_bandwidth=1e-300 * WM,
+             cavity_decay=5e-301 * WM)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        routing_probabilities(op)
 
 
 def test_report_carries_its_quadrature_diagnostics(op_5uw):
