@@ -102,9 +102,10 @@ def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
     as z1 -> z2 (Gamma = 2*kappa on resonance).  The arguments of the
     logarithms lie below the real axis, so each difference of two
     principal logarithms is the principal logarithm of their ratio.
-    int L*R comes from N[zn, zw] = zn + zw when the line is the narrower
-    pole; otherwise int L*T is under half the mass and int L*R is their
-    difference.
+    int L*R comes from N[zn, zw] = zn + zw.  u is measured in units of a
+    power of two near max(Gamma, W), which changes no bit of a result
+    that is in range without it, and keeps K's products of three inverse
+    widths finite however narrow the line and the cavity are.
 
     Raises
     ------
@@ -112,10 +113,15 @@ def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
         As :func:`lorentzian_band_mass`.
     """
     mass = lorentzian_band_mass(lo, hi, center, bandwidth)
-    a, b = lo - resonance, hi - resonance
     width = 2.0 * decay
-    line, cavity = complex(center - resonance, bandwidth), complex(0.0, width)
-    narrow, wide = (line, cavity) if bandwidth <= width else (cavity, line)
+    # lengths on the u axis in units of a power of two near max(Gamma, W):
+    # exact, and K's three inverse widths then stay in the float range
+    unit = math.ldexp(1.0, -math.frexp(max(bandwidth, width))[1])
+    a, b = (lo - resonance) * unit, (hi - resonance) * unit
+    gamma, width = bandwidth * unit, width * unit
+    line = complex((center - resonance) * unit, gamma)
+    cavity = complex(0.0, width)
+    narrow, wide = (line, cavity) if gamma <= width else (cavity, line)
 
     def g(z):
         w = (b - a) / (a - z)
@@ -137,13 +143,10 @@ def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
         * (cavity_factor(narrow) + line_factor(wide))
     gk_wide = g(wide) * k_wide
     gk_slope = g(narrow) * k_slope + (log_slope(b) - log_slope(a)) * k_wide
-    scale = 2.0 * bandwidth / math.pi
-    # W*(W*...): W^2 alone would be subnormal for kappa below about
-    # 1e-154 rad/s
+    scale = 2.0 * gamma / math.pi
+    # W*(W*...): W^2 alone would be subnormal for a cavity narrower than
+    # about 1e-154 of the line
     trans = scale * (width * (width * gk_slope)).real
-    if bandwidth <= width:
-        refl = scale * (narrow * narrow * gk_slope
-                        + (narrow + wide) * gk_wide).real
-    else:
-        refl = mass - trans
+    refl = scale * (narrow * narrow * gk_slope
+                    + (narrow + wide) * gk_wide).real
     return mass, refl, trans

@@ -58,6 +58,17 @@ def drive_term(op):
     return 2.0 * HBAR * coupling(op) * op.eff_detuning
 
 
+def _hurwitz_coeffs(op):
+    """a3, a2, a1 and the drive-free part omega_m^2*(4*kappa^2 + Delta^2)
+    of a0, the coefficients of :func:`stable_drive_window`'s quartic p(s)."""
+    k = op.cavity_decay
+    gm = op.gamma_m
+    wm2 = op.mech_freq * op.mech_freq
+    cav0 = 4.0 * (k * k) + op.eff_detuning * op.eff_detuning
+    return (4.0 * k + gm, cav0 + 4.0 * k * gm + wm2, gm * cav0 + 4.0 * k * wm2,
+            wm2 * cav0)
+
+
 def stable_drive_window(op):
     """The open interval of drive_term(op)/m in which the point is stable.
 
@@ -98,11 +109,11 @@ def stable_drive_window(op):
     d2 = op.eff_detuning * op.eff_detuning
     wm2 = op.mech_freq * op.mech_freq
     k2 = k * k
-    a3 = 4.0 * k + gm
+    a3, _, _, hi = _hurwitz_coeffs(op)
     h = 4.0 * k * gm * ((d2 - wm2) * (d2 - wm2) + 8.0 * k2 * (d2 + wm2)
                         + 16.0 * k2 * k2 + 4.0 * k * gm * (d2 + 4.0 * k2 + wm2)
                         + gm * gm * (d2 + 4.0 * k2))
-    lo, hi = -h / (a3 * a3), wm2 * (4.0 * k2 + d2)
+    lo = -h / (a3 * a3)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalFailureError("Hurwitz stability bounds are not finite")
     return lo, hi

@@ -434,9 +434,10 @@ def test_route_temp_flag_silences_thermal_leak(capsys):
 
 
 def test_route_unconverged_band_integral_exits_4(monkeypatch, capsys):
-    # no error estimate reaches a zero tolerance, so the panel budget runs out
+    # no error estimate reaches a zero tolerance, so the panel budget runs
+    # out; a bath of 0.5 mK takes the drive-on report to the quadrature
     monkeypatch.setattr(routing, "_REL_TOL", 0.0)
-    code, out, err = _run(capsys, "route")
+    code, out, err = _run(capsys, "route", "--temp", "0.5e-3")
     assert code == 4 and out == ""
     assert err.startswith("error: band integrals did not converge")
 

@@ -2,20 +2,25 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, NumericalFailureError,
-                      default_params, derive_operating_point, eit_linewidth,
+                      assess_stability, default_params,
+                      derive_operating_point, eit_linewidth,
                       lorentzian_band_mass, reflection_R, routing,
                       routing_probabilities, switching_contrast,
                       thermal_noise, transmission_T, vacuum_noise)
-from omrouter import kernels
-from omrouter.operating_point import HBAR
+from omrouter import kernels, stability
+from omrouter.operating_point import HBAR, KB
 
 WM = default_params().mech_freq
+# a bath at which hbar*omega/(kB*T) passes 0.01 on the default band, so
+# that a drive-on report falls back to the quadrature
+_SUB_MK_BATH = 0.5e-3
 
 
 def _op(**overrides):
@@ -373,8 +378,9 @@ def test_drive_off_closed_form_runs_no_quadrature_pass(op_off, monkeypatch):
     assert type(rep.n_evals) is int and rep.n_evals == 0
     assert all(type(getattr(rep, name)) is float for name in
                ("p_reflect", "p_transmit", "vacuum_leak", "thermal_leak"))
-    # the on state of a switch still takes its quadrature passes
-    switching_contrast(default_params(), 5e-6)
+    # the on state of a switch still takes its quadrature passes where St
+    # is not polynomial on the band: a bath below 1 mK
+    switching_contrast(replace(default_params(), bath_temp=_SUB_MK_BATH), 5e-6)
     assert 1 <= len(passes) <= 2
 
 
@@ -390,15 +396,18 @@ def test_closed_form_logarithm_of_zero_raises(op_off):
 @pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
 def test_non_finite_closed_form_raises():
     # line and cavity both 1e-300*omega_m wide: the products of three
-    # inverse widths in the pole factors overflow
+    # inverse widths in the pole factors overflowed and raised, until the
+    # u axis was measured in units of a power of two near the widths
     op = _op(drive_power=0.0, input_bandwidth=1e-300 * WM,
              cavity_decay=5e-301 * WM)
-    with pytest.raises(NumericalFailureError, match="not finite"):
-        routing_probabilities(op)
+    rep = routing_probabilities(op)
+    assert math.isclose(rep.p_reflect + rep.p_transmit, 1.0,
+                        rel_tol=0.0, abs_tol=1e-12)
 
 
-def test_report_carries_its_quadrature_diagnostics(op_5uw):
-    rep = routing_probabilities(op_5uw)
+def test_report_carries_its_quadrature_diagnostics():
+    # a bath below 1 mK takes the drive-on report to the quadrature
+    rep = routing_probabilities(_op(bath_temp=_SUB_MK_BATH))
     assert type(rep.quad_error) is float and type(rep.n_evals) is int
     assert all(type(getattr(rep, name)) is float for name in
                ("p_reflect", "p_transmit", "vacuum_leak", "thermal_leak"))
@@ -413,8 +422,9 @@ def test_exhausted_panel_budget_raises(op_5uw, monkeypatch):
         routing._band_integrals(op_5uw, lo, hi)
 
 
-# the benchmark's routing pool: every report takes one qk21 pass over the
-# graded first partition, or two where a few panels still need splitting
+# the benchmark's routing pool: every report, drive on or off, at every
+# bath temperature of the pool, comes from a closed form and takes no
+# qk21 pass
 @pytest.mark.parametrize("power", [0.0, 1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6,
                                    12e-6, 15e-6, 18e-6, 20e-6])
 def test_pool_reports_take_at_most_two_passes(power, monkeypatch):
@@ -426,12 +436,12 @@ def test_pool_reports_take_at_most_two_passes(power, monkeypatch):
         return gk21(a, b, op)
 
     monkeypatch.setattr(routing, "_gk21", counted)
-    for width in (0.001, 0.002, 0.005, 0.01, 0.015, 0.02):
-        passes.clear()
-        rep = routing_probabilities(_op(drive_power=power, bath_temp=20e-3,
-                                        input_bandwidth=width * WM))
-        assert len(passes) <= 2, (width, passes)
-        assert rep.quad_error <= 1e-10
+    for temp in (0.0, 10e-3, 20e-3, 30e-3, 40e-3, 50e-3):
+        for width in (0.001, 0.002, 0.005, 0.01, 0.015, 0.02):
+            rep = routing_probabilities(_op(drive_power=power, bath_temp=temp,
+                                            input_bandwidth=width * WM))
+            assert passes == [], (temp, width, passes)
+            assert rep.quad_error == 0.0 and rep.n_evals == 0
 
 
 def test_graded_start_is_refused_before_it_is_built(monkeypatch):
@@ -472,3 +482,246 @@ def test_pass_that_splits_nothing_raises(op_5uw, monkeypatch):
     monkeypatch.setattr(routing, "_gk21", at_share)
     with pytest.raises(NumericalFailureError, match="no panel"):
         routing._band_integrals(op_5uw, lo, hi)
+
+
+# ----------------------------------------- the drive-on closed form
+
+# the default geometry's exceptional point [W], where two poles of d merge
+_EP = 5.2507297778e-6
+
+
+def _mp_polymul(p, q):
+    out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _mp_drive_on_report(op, lo, hi):
+    """(p_reflect, p_transmit, vacuum_leak, thermal_leak) at 50 digits.
+
+    The float fields of op are taken exactly.  On the axis u = omega/omega_m
+    every channel is a ratio over |D(u)|^2, D = d/(m*omega_m^4) being a
+    monic quartic, whose zeros mpmath.polyroots finds.  Each rational band
+    integral is the sum over its poles p of residue*[log(b-p) - log(a-p)].
+    St carries the true Bose factor: its numerator n(u)*B(theta*u), with
+    B(x) = x/(e^x - 1) and theta = hbar*omega_m/(kB*T), is not a
+    polynomial.  Dividing n times B's Taylor series to x^30 by |D|^2 leaves
+    a polynomial part S, integrated exactly, and a remainder equal to
+    n*B at the poles, integrated by residues.
+    """
+    with mpmath.workdps(50):
+        mpf, mpc = mpmath.mpf, mpmath.mpc
+        wm = mpf(op.mech_freq)
+        k = mpf(op.cavity_decay) / wm
+        gm = mpf(op.gamma_m) / wm
+        dl = mpf(op.eff_detuning) / wm
+        h = (mpf(HBAR) * mpf(kernels.coupling(op))
+             / (mpf(op.eff_mass) * wm ** 3))
+        a, b = mpf(lo) / wm, mpf(hi) / wm
+        c, gw = mpf(op.input_center) / wm, mpf(op.input_bandwidth) / wm
+        i = mpc(0, 1)
+        # ascending coefficients of D
+        d = _mp_polymul([mpc(1), -i * gm, mpc(-1)],
+                        [(2 * k) ** 2 + dl ** 2, -4 * i * k, mpc(-1)])
+        d[0] -= 2 * h * dl
+        zeros = mpmath.polyroots(d[::-1], maxsteps=500, extraprec=400)
+        noise_poles = list(zeros) + [mpmath.conj(z) for z in zeros]
+        line_poles = [mpc(c, gw), mpc(c, -gw)]
+
+        def band(num, poles):
+            total = mpc(0)
+            for j, p in enumerate(poles):
+                residue = num(p)
+                for m, q in enumerate(poles):
+                    if m != j:
+                        residue /= p - q
+                total += residue * (mpmath.log(b - p) - mpmath.log(a - p))
+            return total.real
+
+        def d_at(u):
+            return sum(coef * u ** n for n, coef in enumerate(d))
+
+        def e_num(u):
+            return 2 * k * ((1 - u * u - i * gm * u) * (2 * k - i * (dl + u))
+                            + i * h)
+
+        def abs2(f):
+            return lambda p: f(p) * mpmath.conj(f(mpmath.conj(p)))
+
+        weight = gw / mpmath.pi
+        mass = (mpmath.atan((b - c) / gw) - mpmath.atan((a - c) / gw)) \
+            / mpmath.pi
+        refl = weight * band(abs2(lambda u: e_num(u) - d_at(u)),
+                             noise_poles + line_poles)
+        trans = weight * band(abs2(e_num), noise_poles + line_poles)
+        sv = 8 * (k * h) ** 2 * band(lambda p: mpc(1), noise_poles)
+        st = mpf(0)
+        kbt = mpf(KB) * mpf(op.bath_temp)
+        if kbt:
+            theta = mpf(HBAR) * wm / kbt
+            side = [dl ** 2 + 4 * k * k, 2 * dl, mpf(1)]
+            series = [mpmath.bernoulli(n) / mpmath.factorial(n) * theta ** n
+                      for n in range(31)]
+            num = _mp_polymul(side, series)
+            denom = _mp_polymul(d, [mpmath.conj(x) for x in d])
+            part = mpc(0)
+            for deg in range(len(num) - 1, 7, -1):
+                coef = num[deg]
+                part += coef * (b ** (deg - 7) - a ** (deg - 7)) / (deg - 7)
+                for n in range(9):
+                    num[deg - 8 + n] -= coef * denom[n]
+
+            def bose(p):
+                x = theta * p
+                return (p * p + 2 * dl * p + dl ** 2 + 4 * k * k) \
+                    * x / mpmath.expm1(x)
+
+            st = 4 * k * gm * h / theta * (band(bose, noise_poles)
+                                           + part.real)
+        return tuple(float(v) for v in (refl / mass, trans / mass, sv, st))
+
+
+def _report_values(rep):
+    return (rep.p_reflect, rep.p_transmit, rep.vacuum_leak, rep.thermal_leak)
+
+
+def _quadrature_report(op, band):
+    """The report routing_probabilities makes from the qk21 pass."""
+    (mass, refl, trans, sv, st_), quad_error, n_evals = \
+        routing._band_integrals(op, *band)
+    return routing.RoutingReport(
+        p_reflect=refl / mass, p_transmit=trans / mass,
+        vacuum_leak=sv / op.mech_freq, thermal_leak=st_ / op.mech_freq,
+        band=band, quad_error=quad_error, n_evals=n_evals)
+
+
+def _assert_near_quadrature(rep, op):
+    quad = _quadrature_report(op, rep.band)
+    for value, ref in zip(_report_values(rep), _report_values(quad)):
+        assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def _assert_near_oracle(rep, op):
+    exact = _mp_drive_on_report(op, *rep.band)
+    for name, value, ref in zip(("p_reflect", "p_transmit", "vacuum_leak",
+                                 "thermal_leak"), _report_values(rep), exact):
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0), name
+
+
+_WIDTHS_AND_BATHS = ((1e-12, 20e-3), (1e-6, 0.0), (1e-3, 0.3), (0.02, 20e-3),
+                     (0.1, 10e-3))
+
+
+@pytest.mark.parametrize("center", [0.95, 1.0, 1.05])
+@pytest.mark.parametrize("power", [1e-6, 5e-6, 20e-6, _EP * 0.99,
+                                   _EP * 1.01])
+def test_drive_on_closed_form_against_mpmath(power, center):
+    # off-centre lines, widths from 1e-12*omega_m, and powers 1% from the
+    # exceptional point: every report is a closed form, within 1e-12 of
+    # the 50-digit residues
+    for width, temp in _WIDTHS_AND_BATHS:
+        op = _op(drive_power=power, bath_temp=temp,
+                 input_bandwidth=width * WM, input_center=center * WM)
+        rep = routing_probabilities(op)
+        assert rep.quad_error == 0.0 and rep.n_evals == 0, (width, temp)
+        _assert_near_oracle(rep, op)
+
+
+def _closed_form_or_quadrature(op):
+    """Whether op's report is a closed form, after checking that it is
+    within 1e-12 of the 50-digit residues or is the quadrature's own."""
+    rep = routing_probabilities(op)
+    if rep.n_evals == 0:
+        assert rep.quad_error == 0.0
+        _assert_near_oracle(rep, op)
+        return True
+    assert rep == _quadrature_report(op, rep.band)
+    return False
+
+
+def test_drive_on_closed_form_across_the_exceptional_point():
+    # two poles of d merge at the exceptional point, where their residues
+    # cancel
+    closed = set()
+    for step in (0.0, 1e-9, 1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1):
+        for sign in ((1.0,) if step == 0.0 else (1.0, -1.0)):
+            if _closed_form_or_quadrature(
+                    _op(drive_power=_EP * (1.0 + sign * step))):
+                closed.add(step)
+    assert {0.0, 1e-9, 1e-6} & closed == set()
+    assert {1e-2, 3e-2, 0.1} <= closed
+
+
+def test_drive_on_closed_form_with_the_line_on_a_pole():
+    # the line's pole center + i*Gamma next to an upper pole of d's: the
+    # two residues cancel, although d's zeros are well apart
+    poles = [r.conjugate() for r in assess_stability(_op()).roots
+             if r.real > 0.0]
+    assert len(poles) == 2
+    for pole in poles:
+        closed = set()
+        for step in (0.0, 1e-8, 1e-5, 1e-3, 0.1):
+            if _closed_form_or_quadrature(
+                    _op(input_center=pole.real,
+                        input_bandwidth=pole.imag * (1.0 + step))):
+                closed.add(step)
+        assert 0.1 in closed and {0.0, 1e-8} & closed == set()
+
+
+# drive on, inside gamma_m << kappa << omega_m, with lines off center; the
+# power scales with omega_m^3 so that the drive's share of d stays near
+# the default point's
+_bright_points = st.builds(
+    lambda log_wm, log_kappa, log_gamma, detuning, log_width, center, temp,
+    log_power:
+        replace(default_params(),
+                mech_freq=10 ** log_wm,
+                cavity_decay=10 ** (log_wm + log_kappa),
+                quality=10 ** -(log_kappa + log_gamma),
+                eff_detuning=detuning * 10 ** log_wm,
+                input_bandwidth=10 ** (log_wm + log_width),
+                input_center=center * 10 ** log_wm,
+                drive_power=10 ** log_power * (10 ** log_wm / WM) ** 3,
+                bath_temp=temp),
+    log_wm=st.floats(5.0, 6.5),
+    log_kappa=st.floats(-1.3, -1.0),
+    log_gamma=st.floats(-4.0, -1.05),
+    detuning=st.floats(0.8, 1.2),
+    log_width=st.floats(-6.0, -1.5),
+    center=st.floats(0.9, 1.1),
+    temp=st.floats(0.0, 0.3),
+    log_power=st.floats(-7.0, -4.7),
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(params=_bright_points)
+def test_drive_on_closed_form_against_quadrature(params):
+    op = derive_operating_point(params)
+    assume(kernels.is_stable(op))
+    lo, hi = _default_band(op)
+    rep = routing._residue_report(op, lo, hi)
+    assume(rep is not None)
+    _assert_near_quadrature(rep, op)
+
+
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+@pytest.mark.parametrize("overrides", [
+    # a cavity wider than omega_m and an overdamped membrane, where the
+    # resolvent cubic's largest root is positive and both quadratic
+    # factors are solved (the overdamped pair of zeros is imaginary), and
+    # a cavity of 0.9*omega_m, where it is negative as in the hierarchy
+    {"cavity_decay": 1.6 * WM, "quality": 27.0, "eff_detuning": 1.54 * WM},
+    {"cavity_decay": 0.9 * WM, "eff_detuning": 0.95 * WM},
+    {"quality": 0.4, "cavity_decay": 0.06 * WM, "eff_detuning": 0.6 * WM}])
+def test_drive_on_closed_form_outside_the_resolved_sidebands(overrides):
+    op = _op(**overrides)
+    zeros, _, backward = routing._hurwitz_zeros(op)
+    roots, _, _ = stability.pole_disks(op)
+    for root in roots:
+        assert min(abs(root - z) for z in zeros) < 1e-12
+    assert backward <= stability._ROUND
+    _assert_near_quadrature(routing._residue_report(op, *_default_band(op)),
+                            op)
