@@ -80,6 +80,20 @@ def _log1p_over(w, ratio):
     return cmath.log(ratio) / w
 
 
+def _band_log(a, b, z):
+    """Log((b - z)/(a - z)) for z off the real band [a, b].
+
+    Far from the band, where w = (b - a)/(a - z) is below _SERIES_RADIUS,
+    it is w*phi(w) (:func:`_log1p_over`), so a ratio near 1 loses no digits
+    to its rounding; elsewhere it is the logarithm of the ratio.
+    """
+    az = a - z
+    if abs(az) * _SERIES_RADIUS > b - a:
+        w = (b - a) / az
+        return w * _log1p_over(w, (b - z) / az)
+    return cmath.log((b - z) / az)
+
+
 def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
     """The line's band mass and its overlaps with the empty cavity, exactly.
 
@@ -96,11 +110,11 @@ def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
     first: (GK)[zn, zw] = G(zn)*K[zn, zw] + G[zn, zw]*K(zw), and likewise
     K[x, y] = -A(x)*B(y)*(B(x) + A(y)) for K = A*B, A(z) = 1/(z - conj z1),
     B(z) = 1/(z - conj z2), so that no divided difference is formed by
-    subtraction.  Both G and G[zn, zw] are written through phi(w) = log1p(w)/w (:func:`_log1p_over`): G(z) is
-    log1p(w) with w = (b-a)/(a-z), and each logarithm's divided difference
-    is [Log(c-.)][x, y] = -phi(w)/(c-y) with w = (y-x)/(c-y), which holds
-    as z1 -> z2 (Gamma = 2*kappa on resonance).  The arguments of the
-    logarithms lie below the real axis, so each difference of two
+    subtraction.  G is :func:`_band_log`, and G[zn, zw] is written through
+    phi(w) = log1p(w)/w (:func:`_log1p_over`): each logarithm's divided
+    difference is [Log(c-.)][x, y] = -phi(w)/(c-y) with w = (y-x)/(c-y),
+    which holds as z1 -> z2 (Gamma = 2*kappa on resonance).  The arguments
+    of the logarithms lie below the real axis, so each difference of two
     principal logarithms is the principal logarithm of their ratio.
     int L*R comes from N[zn, zw] = zn + zw.  u is measured in units of a
     power of two near max(Gamma, W), which changes no bit of a result
@@ -123,10 +137,6 @@ def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
     cavity = complex(0.0, width)
     narrow, wide = (line, cavity) if gamma <= width else (cavity, line)
 
-    def g(z):
-        w = (b - a) / (a - z)
-        return w * _log1p_over(w, (b - z) / (a - z))
-
     def log_slope(c):
         cw = c - wide
         w = (wide - narrow) / cw
@@ -141,8 +151,9 @@ def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
     k_wide = line_factor(wide) * cavity_factor(wide)
     k_slope = -line_factor(narrow) * cavity_factor(wide) \
         * (cavity_factor(narrow) + line_factor(wide))
-    gk_wide = g(wide) * k_wide
-    gk_slope = g(narrow) * k_slope + (log_slope(b) - log_slope(a)) * k_wide
+    gk_wide = _band_log(a, b, wide) * k_wide
+    gk_slope = _band_log(a, b, narrow) * k_slope \
+        + (log_slope(b) - log_slope(a)) * k_wide
     scale = 2.0 * gamma / math.pi
     # W*(W*...): W^2 alone would be subnormal for a cavity narrower than
     # about 1e-154 of the line

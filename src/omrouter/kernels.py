@@ -59,14 +59,19 @@ def drive_term(op):
 
 
 def _hurwitz_coeffs(op):
-    """a3, a2, a1 and the drive-free part omega_m^2*(4*kappa^2 + Delta^2)
-    of a0, the coefficients of :func:`stable_drive_window`'s quartic p(s)."""
+    """a3, a2, a1 of :func:`stable_drive_window`'s quartic p(s), and the two
+    factors omega_m*omega_m and 4*kappa^2 + Delta^2 of a0's drive-free part.
+
+    Every expansion of d's quartic is built from these terms: the Hurwitz
+    bounds, :func:`omrouter.stability.d_polynomial_coeffs` and the zeros of
+    the routing residues.
+    """
     k = op.cavity_decay
     gm = op.gamma_m
     wm2 = op.mech_freq * op.mech_freq
     cav0 = 4.0 * (k * k) + op.eff_detuning * op.eff_detuning
     return (4.0 * k + gm, cav0 + 4.0 * k * gm + wm2, gm * cav0 + 4.0 * k * wm2,
-            wm2 * cav0)
+            wm2, cav0)
 
 
 def stable_drive_window(op):
@@ -107,13 +112,14 @@ def stable_drive_window(op):
     k = op.cavity_decay
     gm = op.gamma_m
     d2 = op.eff_detuning * op.eff_detuning
-    wm2 = op.mech_freq * op.mech_freq
     k2 = k * k
-    a3, _, _, hi = _hurwitz_coeffs(op)
+    a3, _, _, wm2, cav0 = _hurwitz_coeffs(op)
+    # cav0 = d2 + 4*k2 to the bit: 4*k2 is exact and + commutes
     h = 4.0 * k * gm * ((d2 - wm2) * (d2 - wm2) + 8.0 * k2 * (d2 + wm2)
-                        + 16.0 * k2 * k2 + 4.0 * k * gm * (d2 + 4.0 * k2 + wm2)
-                        + gm * gm * (d2 + 4.0 * k2))
+                        + 16.0 * k2 * k2 + 4.0 * k * gm * (cav0 + wm2)
+                        + gm * gm * cav0)
     lo = -h / (a3 * a3)
+    hi = wm2 * cav0
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalFailureError("Hurwitz stability bounds are not finite")
     return lo, hi
@@ -299,7 +305,7 @@ def channel_arrays(omega, op):
     """Evaluate the four response channels on a frequency grid.
 
     d is evaluated once and shared; there is no near-singular guard here
-    (see :func:`omrouter.response.response_E` for the guarded amplitude).
+    (the pointwise functions of :mod:`omrouter.response` add one).
     The grid is evaluated as in :func:`fill_channels`.
 
     Parameters

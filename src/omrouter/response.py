@@ -18,9 +18,11 @@ unit omega/omega_m (so band integrals are photon probabilities); the grid
 itself stays in rad/s.
 
 The channel formulas live in :mod:`omrouter.kernels`, written once; this
-module validates inputs, guards the amplitude against a near-singular
-denominator, assembles the port spectra and scans the dip.  The spectra
-and the dip scan refuse an unstable operating point.
+module validates inputs, assembles the port spectra and scans the dip.
+The pointwise functions (:func:`response_E` and the four channels) are
+the grid kernel's values at the caller's frequencies, bit for bit, behind
+one guard: they refuse an unstable operating point, as the spectra and
+the dip scan do, and a frequency where d cancels to near zero.
 """
 
 from __future__ import annotations
@@ -67,27 +69,52 @@ def denominator_d(omega, op: OperatingPoint):
                                kernels.cav_factor(w, op), op)
 
 
+def _guarded_amplitude(omega, op: OperatingPoint):
+    """E(omega), behind the checks every pointwise function shares (see
+    :func:`response_E`)."""
+    kernels.require_stable(op)
+    w = np.asarray(omega)
+    # an E divided by a d of 0 is never returned: the guard refuses that d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e, d = kernels._amplitude(w, op)
+    bad = np.abs(d) < _SINGULAR_RTOL * _d_scale(w, op)
+    if np.any(bad):
+        w_bad = np.atleast_1d(w)[np.atleast_1d(bad)][0]
+        raise NumericalFailureError(
+            f"near-singular response denominator at omega={w_bad:.9e}")
+    return e
+
+
+def _channel(omega, op: OperatingPoint, row):
+    """Row ``row`` of kernels.channel_arrays at the real frequencies
+    omega, behind the shared checks; a float for a scalar omega."""
+    _guarded_amplitude(omega, op)
+    val = kernels.channel_arrays(omega, op)[row]
+    return float(val[0]) if np.ndim(omega) == 0 else val
+
+
 def response_E(omega, op: OperatingPoint):
     """Transmitted probe amplitude E(omega).
 
     E = 2*kappa*[m*(omega_m^2 - omega^2 - i*gamma_m*omega)
         *(2*kappa - i*(Delta+omega)) + i*hbar*g^2*|c_s|^2] / d(omega)
 
+    E and d come from the grid kernel's :func:`omrouter.kernels._amplitude`,
+    and the four channels below are rows of
+    :func:`omrouter.kernels.channel_arrays` at omega, bit for bit.  All
+    five share one guard.
+
     Raises
     ------
+    UnstableOperatingPointError
+        When a pole of the response lies on or above the real axis
+        (:func:`omrouter.kernels.is_stable`).
     NumericalFailureError
-        When d(omega) cancels below 1e-12 of its largest term, which on the
-        real axis only happens at an instability threshold.
+        When |d(omega)| cancels below 1e-12 of its cancellation-free
+        scale, which on the real axis only happens next to an instability
+        threshold.
     """
-    w = np.asarray(omega)
-    mech = kernels.mech_factor(w, op)
-    d = kernels.denominator(mech, kernels.cav_factor(w, op), op)
-    bad = np.abs(d) < _SINGULAR_RTOL * _d_scale(w, op)
-    if np.any(bad):
-        w_bad = np.atleast_1d(w)[np.atleast_1d(bad)][0]
-        raise NumericalFailureError(
-            f"near-singular response denominator at omega={w_bad:.9e}")
-    e = kernels.e_numerator(w, op, mech) / d
+    e = _guarded_amplitude(omega, op)
     return complex(e) if np.ndim(omega) == 0 else e
 
 
@@ -95,16 +122,16 @@ def reflection_R(omega, op: OperatingPoint):
     """Probe reflection probability |E(omega) - 1|^2.
 
     Can slightly exceed 1 near the working point (the mechanically
-    mediated sideband adds to the directly reflected field).
+    mediated sideband adds to the directly reflected field).  Raises as
+    :func:`response_E`.
     """
-    e = response_E(omega, op)
-    return np.abs(np.asarray(e) - 1.0) ** 2 if np.ndim(omega) else abs(e - 1.0) ** 2
+    return _channel(omega, op, 0)
 
 
 def transmission_T(omega, op: OperatingPoint):
-    """Probe transmission probability |E(omega)|^2."""
-    e = response_E(omega, op)
-    return np.abs(np.asarray(e)) ** 2 if np.ndim(omega) else abs(e) ** 2
+    """Probe transmission probability |E(omega)|^2.  Raises as
+    :func:`response_E`."""
+    return _channel(omega, op, 1)
 
 
 def vacuum_noise(omega, op: OperatingPoint):
@@ -112,10 +139,10 @@ def vacuum_noise(omega, op: OperatingPoint):
 
     Sv(omega) = 8*|kappa*hbar*g^2*c_s^2 / d(omega)|^2; drive-induced, it
     survives at zero temperature and grows like the fourth power of the
-    intracavity amplitude where d does not keep pace.
+    intracavity amplitude where d does not keep pace.  Raises as
+    :func:`response_E`.
     """
-    val = kernels.sv_numerator(op) / np.abs(denominator_d(omega, op)) ** 2
-    return float(val) if np.ndim(omega) == 0 else val
+    return _channel(omega, op, 2)
 
 
 def thermal_noise(omega, op: OperatingPoint):
@@ -125,12 +152,11 @@ def thermal_noise(omega, op: OperatingPoint):
     with |V|^2 = 2*kappa*g^2*|c_s|^2*|2*kappa - i*(Delta+omega)|^2/|d|^2
     and T = op.bath_temp.  Zero for omega > 0 at T = 0; the omega = 0 value
     is the classical limit.  For another temperature, re-derive the point:
-    derive_operating_point(replace(op.as_params(), bath_temp=T)).
+    derive_operating_point(replace(op.as_params(), bath_temp=T)).  Raises
+    as :func:`response_E`, and InvalidParameterError for a bath_temp that
+    is negative or not finite.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    val = (kernels.v2_numerator(w, op) / np.abs(denominator_d(w, op)) ** 2
-           * kernels.thermal_weight(w, op))
-    return float(val[0]) if np.ndim(omega) == 0 else val
+    return _channel(omega, op, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +176,26 @@ class ChannelSpectra:
     St: np.ndarray      # thermal noise density, per unit omega/omega_m
     Scout: np.ndarray   # total reflected-port output density
     Sdout: np.ndarray   # total transmitted-port output density
+
+
+def _pair(value):
+    """``value`` as two floats; (nan, nan) unless it is a pair of numbers."""
+    try:
+        lo, hi = map(float, value)
+    except (TypeError, ValueError):
+        return math.nan, math.nan
+    return lo, hi
+
+
+def _require_finite_d2(top, op: OperatingPoint):
+    """Raise NumericalFailureError unless the square of d's
+    cancellation-free scale at omega = top, a grid's largest, is finite."""
+    with np.errstate(over="ignore"):
+        scale = _d_scale(top, op)
+        if not np.isfinite(scale * scale):
+            raise NumericalFailureError(
+                f"|d|^2 overflows on the grid: d's scale at omega={top:.3e} "
+                f"is {scale:.3e}")
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -210,13 +256,7 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
     """
     kernels.require_stable(op)
     g = _check_grid(grid)
-    with np.errstate(over="ignore"):
-        top = _d_scale(g[-1], op)
-        top2 = top * top
-    if not np.isfinite(top2):
-        raise NumericalFailureError(
-            f"|d|^2 overflows on the grid: d's scale at omega={g[-1]:.3e} "
-            f"is {top:.3e}")
+    _require_finite_d2(g[-1], op)
     table = np.empty((6, g.size))
     refl, trans, sv, st, scout, sdout = table
     kernels.fill_channels(g, op, refl, trans, sv, st)
@@ -395,7 +435,10 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5)) -> DipScan:
     half for direct comparison with :func:`eit_linewidth`; near the onset
     of normal-mode splitting the measured dip runs narrower than that
     first-order width, by about 17% at the 5 uW default.  An unstable point
-    raises UnstableOperatingPointError, as in :func:`output_spectra`.
+    raises UnstableOperatingPointError, and a window on which |d|^2 may
+    overflow NumericalFailureError, as in :func:`output_spectra`.  A
+    window that is not two finite numbers 0 < lo < hi with hi*omega_m
+    finite raises InvalidParameterError.
 
     The answer is the one T evaluated on every grid point gives, bit for
     bit (the same argmin, max, level and crossing indices), but T is
@@ -411,10 +454,12 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5)) -> DipScan:
     if op.drive_power <= 0.0:
         raise InvalidParameterError(
             "eit_linewidth_scan needs drive_power > 0: no dip without drive")
-    if not (0.0 < window[0] < window[1]):
+    lo, hi = _pair(window)
+    if not (0.0 < lo < hi and math.isfinite(hi * op.mech_freq)):
         raise InvalidParameterError(f"bad scan window {window!r}")
+    _require_finite_d2(hi * op.mech_freq, op)
     n = _SCAN_POINTS
-    grid = _linspace_at(window[0] * op.mech_freq, window[1] * op.mech_freq, n)
+    grid = _linspace_at(lo * op.mech_freq, hi * op.mech_freq, n)
     # cell c holds the points starts[c] <= i < stops[c]; its bounds cover
     # [grid(starts[c]), grid(stops[c])], the last point joining the last cell
     starts = np.arange(0, n - 1, _CELL)

@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .empty_cavity import (_log1p_over, _lorentzian_band_integrals,
+from .empty_cavity import (_band_log, _lorentzian_band_integrals,
                            lorentzian_band_mass, lorentzian_input)
 from .errors import InvalidParameterError, NumericalFailureError
 from .operating_point import (HBAR, KB, OperatingPoint, SystemParams,
@@ -75,7 +75,7 @@ from .operating_point import (HBAR, KB, OperatingPoint, SystemParams,
 # its response.pointwise layer and reports the layer absent without them.
 from .response import (reflection_R, thermal_noise,  # noqa: F401
                        transmission_T, vacuum_noise)
-from .response import eit_linewidth
+from .response import _pair, eit_linewidth
 from .stability import _ROUND
 
 # the band must cover the line core, center +- one half-width; wider lines
@@ -331,10 +331,9 @@ def _hurwitz_zeros(op: OperatingPoint):
     cancellation as in :func:`omrouter.stability.pole_disks`.
     """
     wm = op.mech_freq
-    a3, a2, a1, a0 = kernels._hurwitz_coeffs(op)
+    a3, a2, a1, w2, cav0 = kernels._hurwitz_coeffs(op)
     x = kernels.drive_term(op) / op.eff_mass
-    w2 = wm * wm
-    a3, a2, a1 = a3 / wm, a2 / w2, a1 / w2 / wm
+    a3, a2, a1, a0 = a3 / wm, a2 / w2, a1 / w2 / wm, w2 * cav0
     size0 = (a0 + abs(x)) / w2 / w2
     a0 = (a0 - x) / w2 / w2
     s = 0.25 * a3
@@ -432,17 +431,8 @@ def _residue_integrals(op: OperatingPoint, lo: float, hi: float):
     # (E - 1)*d's constant: 2i*kappa*hbar*g^2*|c_s|^2 plus the drive term
     refl0 = complex(2.0 * h * dl, k2 * h)
     a, b = lo / wm, hi / wm
-    reach = 8.0 * (b - a)
     line = complex(op.input_center / wm, op.input_bandwidth / wm)
     line_c = line.conjugate()
-
-    def glog(z):
-        # Log((b - z)/(a - z)), through log1p where the ratio is near 1
-        az = a - z
-        if abs(az) > reach:
-            w = (b - a) / az
-            return w * _log1p_over(w, (b - z) / az)
-        return cmath.log((b - z) / az)
 
     def channels(u):
         # E*d, (E - 1)*d and the sideband 2*kappa - i*(Delta + omega) at u,
@@ -466,7 +456,7 @@ def _residue_integrals(op: OperatingPoint, lo: float, hi: float):
         o1, o2, o3 = zeros[:j] + zeros[j + 1:]
         slope = (z - o1) * (z - o2) * (z - o3)
         at_conj = (zc - z) * (zc - o1) * (zc - o2) * (zc - o3)
-        common = glog(zc) / (at_conj * slope.conjugate())
+        common = _band_log(a, b, zc) / (at_conj * slope.conjugate())
         condition = max(condition, sizes[j] / (abs(slope) * -z.imag))
         en_c, rn_c, sb_c = channels(zc)
         en, rn, sb = channels(z)
@@ -493,7 +483,8 @@ def _residue_integrals(op: OperatingPoint, lo: float, hi: float):
         d_line_c *= line_c - z
     en, rn, _ = channels(line)
     en_c, rn_c, _ = channels(line_c)
-    common = glog(line) / (2j * math.pi * d_line * d_line_c.conjugate())
+    common = _band_log(a, b, line) \
+        / (2j * math.pi * d_line * d_line_c.conjugate())
     t = rn * rn_c.conjugate() * common
     refl += t.real
     refl_abs += abs(t)
@@ -570,8 +561,8 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     op : OperatingPoint
         The working point; it must be dynamically stable.
     band : (float, float), optional
-        Analysis band [rad/s], default [0.5, 1.5]*omega_m.  Must cover the
-        line core, center +- Gamma.
+        Analysis band [rad/s], default [0.5, 1.5]*omega_m: two finite
+        numbers 0 < lo < hi.  Must cover the line core, center +- Gamma.
 
     Raises
     ------
@@ -588,9 +579,10 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     kernels.require_stable(op)
     if band is None:
         band = (0.5 * op.mech_freq, 1.5 * op.mech_freq)
-    lo, hi = float(band[0]), float(band[1])
+    lo, hi = _pair(band)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-        raise InvalidParameterError(f"band must satisfy 0 < lo < hi, got {band!r}")
+        raise InvalidParameterError(
+            f"band must be two finite numbers 0 < lo < hi, got {band!r}")
     center = op.input_center
     gamma = op.input_bandwidth
     if lo > center - _BAND_COVER * gamma or hi < center + _BAND_COVER * gamma:

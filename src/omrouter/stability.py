@@ -37,21 +37,14 @@ def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
         c1 = -i*m*(gamma_m*(4*kappa^2 + Delta^2) + 4*kappa*omega_m^2)
         c0 = m*omega_m^2*(4*kappa^2 + Delta^2) - 2*hbar*g^2*|c_s|^2*Delta
 
-    Only c0 depends on the drive, through kernels.drive_term.
+    Only c0 depends on the drive, through kernels.drive_term.  The terms
+    are those of :func:`omrouter.kernels._hurwitz_coeffs`, with c0's
+    drive-free part formed as (m*omega_m^2)*(4*kappa^2 + Delta^2).
     """
     m = op.eff_mass
-    wm2 = op.mech_freq ** 2
-    gm = op.gamma_m
-    k = op.cavity_decay
-    delta = op.eff_detuning
-    cav0 = 4.0 * k * k + delta * delta
-    return np.array([
-        m,
-        1j * m * (4.0 * k + gm),
-        -m * (cav0 + 4.0 * k * gm + wm2),
-        -1j * m * (gm * cav0 + 4.0 * k * wm2),
-        m * wm2 * cav0 - kernels.drive_term(op),
-    ], dtype=complex)
+    a3, a2, a1, wm2, cav0 = kernels._hurwitz_coeffs(op)
+    return np.array([m, 1j * m * a3, -m * a2, -1j * m * a1,
+                     m * wm2 * cav0 - kernels.drive_term(op)], dtype=complex)
 
 
 # Relative allowance for rounding, 64 unit roundoffs.  The kernel's d and
@@ -106,13 +99,12 @@ def pole_disks(op: OperatingPoint):
     cancellation as m*omega_m^2*(4*kappa^2 + Delta^2) + |drive term|.
     Raises NumericalFailureError when a coefficient is not finite.
     """
-    s = op.mech_freq
-    k, delta = op.cavity_decay, op.eff_detuning
+    _, _, _, wm2, cav0 = kernels._hurwitz_coeffs(op)
     with np.errstate(all="ignore"):
-        scaled = d_polynomial_coeffs(op) * s ** np.array([4, 3, 2, 1, 0.0])
+        scaled = d_polynomial_coeffs(op) \
+            * op.mech_freq ** np.array([4, 3, 2, 1, 0.0])
         sizes = np.abs(scaled)
-        sizes[-1] = (op.eff_mass * (s * s) * (4.0 * k * k + delta * delta)
-                     + abs(kernels.drive_term(op)))
+        sizes[-1] = op.eff_mass * wm2 * cav0 + abs(kernels.drive_term(op))
         monic, sizes = scaled / scaled[0], sizes / sizes[0]
     if not np.isfinite(monic).all():
         raise NumericalFailureError(

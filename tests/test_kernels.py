@@ -32,16 +32,28 @@ def _random_point(rng):
                   bath_temp=rng.choice([0.0, 20e-3, 0.3]))
 
 
+_POINTWISE = ("reflection_R", "transmission_T", "vacuum_noise",
+              "thermal_noise")
+
+
 def test_kernel_matches_pointwise_formulas(op_5uw):
-    # the grid kernel and the guarded pointwise functions are separate routes
-    from omrouter import reflection_R, thermal_noise, transmission_T, vacuum_noise
+    # the guarded pointwise functions are the grid kernel's rows: on a
+    # linspace grid and at 2,000 random frequencies around the window, as
+    # 1-d and 2-d arrays and as scalars, which give floats
+    import omrouter
     op = op_5uw
-    grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, 101)
-    refl, trans, sv, st = kernels.channel_arrays(grid, op)
-    np.testing.assert_allclose(refl, reflection_R(grid, op), rtol=1e-12)
-    np.testing.assert_allclose(trans, transmission_T(grid, op), rtol=1e-12)
-    np.testing.assert_allclose(sv, vacuum_noise(grid, op), rtol=1e-12)
-    np.testing.assert_allclose(st, thermal_noise(grid, op), rtol=1e-12)
+    rng = np.random.default_rng(1049)
+    for grid in (np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, 101),
+                 rng.uniform(0.5, 1.5, 2000) * op.mech_freq):
+        rows = kernels.channel_arrays(grid, op)
+        for name, row in zip(_POINTWISE, rows):
+            channel = getattr(omrouter, name)
+            assert np.array_equal(channel(grid, op), row)
+            assert np.array_equal(channel(np.stack((grid, grid[::-1])), op),
+                                  np.stack((row, row[::-1])))
+            for w, expected in zip(grid[:200].tolist(), row[:200].tolist()):
+                value = channel(w, op)
+                assert type(value) is float and value == expected
 
 
 def test_channels_nonnegative_random_parameters():
@@ -84,14 +96,10 @@ def test_kernel_matches_pointwise_at_scalar_frequency(params, x):
     assume(assess_stability(op).stable)
     w = x * op.mech_freq
     refl, trans, sv, st_ = kernels.channel_arrays(w, op)
-    # R = |E - 1|^2 cancels where the probe passes (E near 1), and numpy's
-    # scalar and array arithmetic round E differently in the last bit: a
-    # pass-band R of 3.4e-9 differs by 1.4e-12 of itself, so R also gets an
-    # absolute floor of 1e-12 of the unit probability
-    assert refl[0] == pytest.approx(reflection_R(w, op), rel=1e-12, abs=1e-12)
-    assert trans[0] == pytest.approx(transmission_T(w, op), rel=1e-12, abs=0.0)
-    assert sv[0] == pytest.approx(vacuum_noise(w, op), rel=1e-12, abs=0.0)
-    assert st_[0] == pytest.approx(thermal_noise(w, op), rel=1e-12, abs=0.0)
+    assert refl[0] == reflection_R(w, op)
+    assert trans[0] == transmission_T(w, op)
+    assert sv[0] == vacuum_noise(w, op)
+    assert st_[0] == thermal_noise(w, op)
 
     dark = derive_operating_point(replace(params, drive_power=0.0))
     r_off, t_off, _, _ = kernels.channel_arrays(w, dark)

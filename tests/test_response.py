@@ -546,10 +546,21 @@ def test_dip_scan_requires_drive(op_off):
         eit_linewidth_scan(op_off)
 
 
-@pytest.mark.parametrize("window", [(1.5, 0.5), (0.0, 1.0)])
+# the window must be two finite numbers 0 < lo < hi with hi*omega_m finite
+@pytest.mark.parametrize("window", [(1.5, 0.5), (0.0, 1.0), (0.5, math.inf),
+                                    (0.5,), (0.5, 1.5, 2.0), "ab", None,
+                                    (0.5, 1e308)])
 def test_dip_scan_rejects_a_bad_window(op_5uw, window):
     with pytest.raises(InvalidParameterError, match="bad scan window"):
         eit_linewidth_scan(op_5uw, window=window)
+
+
+def test_dip_scan_window_where_d_overflows_raises(op_5uw):
+    # 1e300*omega_m is finite, but d's scale there is not: the scan says
+    # so up front, as output_spectra does, with no RuntimeWarning (an
+    # error in this suite) from the kernel on the way
+    with pytest.raises(NumericalFailureError, match="overflows on the grid"):
+        eit_linewidth_scan(op_5uw, window=(0.5, 1e300))
 
 
 def test_dip_narrower_than_closed_form_near_mode_splitting(op_5uw):
@@ -560,12 +571,33 @@ def test_dip_narrower_than_closed_form_near_mode_splitting(op_5uw):
 
 # --------------------------------------------------------------- guard rail
 
+_POINTWISE = (response_E, reflection_R, transmission_T, vacuum_noise,
+              thermal_noise)
+
+
 def test_near_singular_denominator_raises():
+    # one guard serves every pointwise function, Sv and St included,
+    # which divide by the same |d|^2
     from omrouter import assess_stability, max_stable_power
     blue = replace(default_params(), eff_detuning=-WM)
     threshold = max_stable_power(blue, 1e-6, rel_tol=1e-12)
     op = derive_operating_point(replace(blue, drive_power=threshold))
     report = assess_stability(op)
     worst = report.roots[np.argmax(report.roots.imag)]
-    with pytest.raises(NumericalFailureError):
-        response_E(worst.real, op)
+    for channel in _POINTWISE:
+        with pytest.raises(NumericalFailureError, match="near-singular"):
+            channel(worst.real, op)
+
+
+@pytest.mark.parametrize("channel", _POINTWISE,
+                         ids=[f.__name__ for f in _POINTWISE])
+def test_pointwise_functions_refuse_an_unstable_point(channel):
+    # blue-detuned at 1 uW, far past its 4.8e-11 W threshold: R(omega_m)
+    # would read 1.01, with no word that the fluctuations grow
+    from omrouter import UnstableOperatingPointError
+    op = derive_operating_point(replace(default_params(), eff_detuning=-WM,
+                                        drive_power=1e-6))
+    with pytest.raises(UnstableOperatingPointError):
+        channel(WM, op)
+    with pytest.raises(UnstableOperatingPointError):
+        channel(default_grid(op), op)

@@ -137,6 +137,11 @@ def test_band_must_cover_the_line(op_5uw):
     (-0.5 * WM, 1.5 * WM),
     (0.0, 1.5 * WM),
     (0.5 * WM, float("nan")),
+    # not a pair of numbers: refused, not indexed into
+    (0.5 * WM,),
+    (0.5 * WM, 1.5 * WM, 2.0 * WM),
+    "ab",
+    5.0,
 ])
 def test_bad_bands_rejected(op_5uw, band):
     with pytest.raises(InvalidParameterError):

@@ -48,6 +48,41 @@ def test_coefficients_reproduce_the_denominator(op_5uw):
         assert abs(direct - poly) <= 1e-9 * scale
 
 
+def _expanded_coeffs(op):
+    # d's quartic expanded by hand, every square a product: the reference
+    # d_polynomial_coeffs must equal bit for bit
+    m, k, gm, dl = op.eff_mass, op.cavity_decay, op.gamma_m, op.eff_detuning
+    wm2 = op.mech_freq * op.mech_freq
+    cav0 = 4.0 * (k * k) + dl * dl
+    return np.array([m, 1j * m * (4.0 * k + gm),
+                     -m * (cav0 + 4.0 * k * gm + wm2),
+                     -1j * m * (gm * cav0 + 4.0 * k * wm2),
+                     m * wm2 * cav0 - 2.0 * HBAR * (op.g ** 2 * op.n_cav) * dl])
+
+
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+def test_d_coefficients_are_the_direct_expansion_bit_for_bit():
+    # on the benchmark's powers at the three design detunings, and on a
+    # seeded sweep of random geometries and drives.  With glibc's pow on
+    # x86-64, omega_m**2 rounds otherwise than omega_m*omega_m on 4 of the
+    # sweep's 3,000 omega_m
+    rng = np.random.default_rng(3000)
+    points = [_op(power, detuning * WM) for power in
+              (0.0, 1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6, 18e-6,
+               20e-6) for detuning in (0.95, 1.0, 1.05)]
+    for _ in range(3000):
+        wm = 10 ** rng.uniform(3.0, 8.0)
+        points.append(derive_operating_point(replace(
+            default_params(), mech_freq=wm,
+            eff_mass=10 ** rng.uniform(-13.0, -8.0),
+            quality=10 ** rng.uniform(2.0, 8.0),
+            cavity_decay=wm * 10 ** rng.uniform(-3.0, 0.5),
+            eff_detuning=wm * rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0),
+            drive_power=10 ** rng.uniform(-10.0, -3.0))))
+    for op in points:
+        assert np.array_equal(d_polynomial_coeffs(op), _expanded_coeffs(op))
+
+
 def test_drive_enters_only_the_constant_term(op_off, op_20uw):
     a = d_polynomial_coeffs(op_off)
     b = d_polynomial_coeffs(op_20uw)
