@@ -36,7 +36,7 @@ from . import kernels
 from .empty_cavity import lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
 from .operating_point import HBAR, OperatingPoint
-from .stability import _ROUND, _root_disks, pole_disks
+from .stability import _ROUND
 
 _SCAN_POINTS = 200001   # points of the dip scan's grid
 _CELL = 64              # grid points per cell of the dip scan's bounds
@@ -315,46 +315,46 @@ def _less(a, b):
     return np.maximum(a * (1.0 - _ROUND) - b * (1.0 + _ROUND), 0.0)
 
 
-def _distances(x, roots, radii):
-    """Bounds of |z - root_k| for z on each cell [x[c], x[c+1]].
+def _times(a, b):
+    """The Taylor coefficients of a product, from those of its factors."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
 
-    Returns (near, far), arrays of (root, cell).  The x are within
-    _ROUND*x[-1] of the exact cell edges, which the radii absorb.
+
+def _spread(coeffs, sizes, r):
+    """A bound of |P(x) - P_0| over |x - c| <= r, for the computed Taylor
+    coefficients P_k of P at c, each within _ROUND*sizes[k] of the exact.
     """
-    p = roots.real[:, None]
-    q = np.abs(roots.imag)
-    r = (radii + _ROUND * x[-1])[:, None]
-    a = x - p
-    edge = np.sqrt(a * a + (q * q)[:, None])
-    near = np.minimum(edge[:, :-1], edge[:, 1:])
-    # a root whose real part lies on a cell is nearest straight above it
-    cell = np.searchsorted(x, roots.real, side="right") - 1
-    on = (cell >= 0) & (cell < near.shape[1])
-    near[on, cell[on]] = q[on]
-    far = (np.maximum(edge[:, :-1], edge[:, 1:]) + r) * (1.0 + _ROUND)
-    return _less(near, r), far
+    spread = 0.0
+    for p, size in zip(coeffs[:0:-1], sizes[:0:-1]):
+        spread = (spread + np.abs(p) + _ROUND * size) * r
+    return (spread + _ROUND * sizes[0]) * (1.0 + _ROUND)
 
 
 def _cell_bounds(edges, op: OperatingPoint):
     """Bounds of the kernel's computed T on each cell [edges[c], edges[c+1]]
     of a grid [rad/s].
 
-    With z = omega/omega_m, E*d = 2*kappa*i*m*omega_m^3*prod_j (z - zeta_j)
-    and d = m*omega_m^4*prod_k (z - rho_k), so
+    With x = omega/omega_m, E*d = 2*kappa*m*omega_m^3*N(x) and d =
+    m*omega_m^4*D(x), so T = (2*kappa/omega_m)^2*|N|^2/|D|^2, with the cubic
+    N = mech*sb + i*h and the quartic D = mech*cav - dd built from the
+    kernel's factors mech = 1 - x^2 - i*g*x, cav = (k2 - i*x)^2 + dl^2 and
+    sb = k2 - i*(dl + x).  On a cell of centre c and half-width r, |N| and
+    |D| lie within sum_{k>=1} |P_k|*r^k of |P_0|, P_k being their Taylor
+    coefficients at c, formed from the factors' and each within _ROUND
+    times its cancellation-free size (:func:`_spread`).  The kernel's own
+    rounding moves E*d and d by at most _ROUND times their sizes (the
+    :func:`_d_scale` pattern) at the cell's largest omega, and its
+    division, modulus and square move T by less than 4*_ROUND relative.
+    Everything is formed in units of omega_m, so no bound overflows where
+    T is finite.
 
-        T = (2*kappa/omega_m)^2 * prod_j |z - zeta_j|^2 / prod_k |z - rho_k|^2
-
-    with the three zeros zeta_j of the E*d cubic and the four poles rho_k.
-    On a cell, each |z - root| lies between the cell's nearest and farthest
-    distance to the root, padded by the root's certified radius
-    (:func:`_root_disks`).  The kernel's own rounding moves E*d and d by at
-    most _ROUND times their cancellation-free sizes (the :func:`_d_scale`
-    pattern) at the cell's largest omega, and its division, modulus and
-    square move T by less than 4*_ROUND relative.  Everything is formed in
-    units of omega_m, so no bound overflows where T is finite.
-
-    Returns (low, high), arrays over the cells; a cell whose bounds the
-    roots or the float range cannot certify gets (0, inf).
+    Returns (low, high), arrays over the cells; every cell gets (0, inf)
+    when the float range cannot certify the bounds, and a cell whose lower
+    bound on |D| reaches 0 gets an infinite high.
     """
     wm = op.mech_freq
     mass = op.eff_mass
@@ -377,29 +377,35 @@ def _cell_bounds(edges, op: OperatingPoint):
     # in units of omega_m the bounds' products stay in range
     if not _within((k2, g, dl, dd, h, x[0], x[-1]), 64):
         return low, high
-    zeros, zero_radii, _ = _root_disks(
-        np.array([1.0, dl + 1j * (k2 + g), -1.0 - g * k2 + 1j * g * dl,
-                  (h - dl) - 1j * k2]),
-        np.array([1.0, abs(dl) + k2 + g, 1.0 + g * k2 + g * abs(dl),
-                  abs(h) + abs(dl) + k2]))
-    poles, pole_radii, _ = pole_disks(op)
-    if zero_radii is None or pole_radii is None:
-        return low, high
-    near, far = _distances(x, np.concatenate((zeros, poles)),
-                           np.concatenate((zero_radii, pole_radii)))
-    num_lo, den_lo = np.prod(near[:3], axis=0), np.prod(near[3:], axis=0)
-    num_hi, den_hi = np.prod(far[:3], axis=0), np.prod(far[3:], axis=0)
+    c = 0.5 * (x[:-1] + x[1:])
+    # the x are within _ROUND*x[1:] of the exact cell edges
+    r = 0.5 * (x[1:] - x[:-1]) + _ROUND * x[1:]
+    u = k2 - 1j * c
+    mech = [1.0 - c * c - 1j * g * c, -2.0 * c - 1j * g, -1.0]
+    mech_size = [1.0 + c * c + g * c, 2.0 * c + g, 1.0]
+    num = _times(mech, [k2 - 1j * (dl + c), -1j])
+    num_size = _times(mech_size, [k2 + abs(dl) + c, 1.0])
+    den = _times(mech, [u * u + dl * dl, -2j * u, -1.0])
+    den_size = _times(mech_size, [(k2 + c) ** 2 + dl * dl, 2.0 * (k2 + c), 1.0])
+    num[0] = num[0] + 1j * h
+    num_size[0] = num_size[0] + abs(h)
+    den[0] = den[0] - dd
+    den_size[0] = den_size[0] + abs(dd)
     # cancellation-free sizes of E*d and d at the cell's largest omega
     top = x[1:] * (1.0 + _ROUND)
-    mech = 1.0 + top * top + g * top
-    slack_e = _ROUND * (mech * (k2 + abs(dl) + top) + abs(h))
-    slack_d = _ROUND * (mech * (k2 * k2 + top * top + dl * dl) + abs(dd))
+    mech_top = 1.0 + top * top + g * top
+    slack_e = _ROUND * (mech_top * (k2 + abs(dl) + top) + abs(h))
+    slack_d = _ROUND * (mech_top * (k2 * k2 + top * top + dl * dl) + abs(dd))
+    num_spread = _spread(num, num_size, r) + slack_e
+    den_spread = _spread(den, den_size, r) + slack_d
+    num, den = np.abs(num[0]), np.abs(den[0])
     tiny = np.finfo(float).smallest_subnormal
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo = (k2 * _less(num_lo, slack_e) / (den_hi + slack_d)) ** 2 \
+        lo = (k2 * _less(num, num_spread)
+              / ((den + den_spread) * (1.0 + _ROUND))) ** 2 \
             * (1.0 - 4.0 * _ROUND)
-        hi = (k2 * (num_hi + slack_e) / _less(den_lo, slack_d)) ** 2 \
-            * (1.0 + 4.0 * _ROUND)
+        hi = (k2 * (num + num_spread) * (1.0 + _ROUND)
+              / _less(den, den_spread)) ** 2 * (1.0 + 4.0 * _ROUND)
         # underflow in the kernel's last steps: a few subnormal steps
         hi = hi + 4.0 * tiny * (1.0 + np.sqrt(hi))
     low = np.where(lo - 4.0 * tiny >= 0.0, lo - 4.0 * tiny, 0.0)
@@ -444,9 +450,10 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5)) -> DipScan:
     bit (the same argmin, max, level and crossing indices), but T is
     evaluated only on the 64-point cells that bounds cannot rule out as
     holding the minimum, the maximum or a half-depth crossing; on the
-    benchmark's design points that is 2-8% of the grid.  The bounds come
-    from T's zeros and poles (:func:`_cell_bounds`).  Where they prove
-    nothing, the cell is evaluated, so the worst case is the whole grid.
+    benchmark's design points that is 2-8% of the grid, and 5% at the
+    exceptional point, where two poles merge.  The bounds come from the
+    Taylor expansions of E*d and d on each cell (:func:`_cell_bounds`),
+    so no root is found.  Where they prove nothing, the cell is evaluated.
     The grid is np.linspace's, but only the points of those cells are
     formed: the scan allocates no array of the grid's size.
     """

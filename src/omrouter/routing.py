@@ -327,8 +327,8 @@ def _hurwitz_zeros(op: OperatingPoint):
     root is polished by one Newton step.  Where T < 0 the two quadratics
     are each other's conjugates, so only the first is solved.  Each zero
     then takes one Newton step on the quartic.  The backward residual is
-    that of :func:`omrouter.stability._root_disks`, with a0 sized without
-    cancellation as in :func:`omrouter.stability.pole_disks`.
+    that of :func:`omrouter.stability.poles`, with a0 sized without
+    cancellation as there.
     """
     wm = op.mech_freq
     a3, a2, a1, w2, cav0 = kernels._hurwitz_coeffs(op)

@@ -48,56 +48,21 @@ def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
 
 
 # Relative allowance for rounding, 64 unit roundoffs.  The kernel's d and
-# E*d, a polynomial coefficient below and each factor of a cell bound of
-# the dip scan take at most 16 roundings (a complex product counts as
-# sqrt(5)): each is exact within _ROUND times its cancellation-free size.
+# E*d, a polynomial coefficient below and each Taylor coefficient of a cell
+# bound of the dip scan take at most 16 roundings (a complex product counts
+# as sqrt(5)): each is exact within _ROUND times its cancellation-free size.
 _ROUND = 32.0 * np.finfo(float).eps
 
 
-def _root_disks(coeffs, sizes):
-    """Roots of a monic polynomial, radii of disks that each hold one root
-    of the polynomial whose coefficients are exact, or None, and each
-    root's backward residual |p(z)| / sum_k sizes_k*|z|^k.
+def poles(op: OperatingPoint):
+    """d's poles in units of omega_m, and each one's backward residual.
 
-    ``coeffs`` are computed within _ROUND*sizes of the exact coefficients.
-    A disk of radius n*|p(z)|/|p'(z)| around any z holds a root of p
-    (p'/p = sum 1/(z - root_k)); the residual and the slope are bounded
-    from the computed values with the allowances for the coefficients and
-    for Horner's rule.  When the n disks are pairwise disjoint each holds
-    exactly one root; otherwise the radii are None.
-    """
-    n = len(coeffs) - 1
-    with np.errstate(all="ignore"):
-        roots = np.roots(coeffs)
-        reach = np.abs(roots)
-        # p and p' at the roots, and the sums of term sizes that bound
-        # their rounding, by Horner's rule
-        value = slope = size = size_slope = 0.0
-        for c, s in zip(coeffs, sizes):
-            slope = slope * roots + value
-            value = value * roots + c
-            size_slope = size_slope * reach + size
-            size = size * reach + s
-        backward = np.abs(value) / size
-        allow = (n + 1) * _ROUND * (1.0 + _ROUND)
-        resid = np.abs(value) * (1.0 + _ROUND) + allow * size
-        grip = np.abs(slope) * (1.0 - _ROUND) - allow * size_slope
-        radii = n * resid / grip * (1.0 + _ROUND)
-        gaps = np.abs(roots[:, None] - roots) * (1.0 - _ROUND)
-    # a root's own gap is 0, never wider than its radii
-    if not (np.all(np.isfinite(roots)) and np.all(grip > 0.0)
-            and np.all(np.isfinite(radii))
-            and np.count_nonzero(gaps > radii[:, None] + radii)
-            == n * (n - 1)):
-        radii = None
-    return roots, radii, backward
-
-
-def pole_disks(op: OperatingPoint):
-    """:func:`_root_disks` of d's poles in units of omega_m: the roots of
-    the monic d(z*omega_m)/(m*omega_m^4), with c0 sized without
-    cancellation as m*omega_m^2*(4*kappa^2 + Delta^2) + |drive term|.
-    Raises NumericalFailureError when a coefficient is not finite.
+    The poles are the roots of the monic d(z*omega_m)/(m*omega_m^4).  A
+    root's backward residual is |p(z)| / sum_k sizes_k*|z|^k by Horner's
+    rule, with each coefficient's size its modulus, except c0's, which is
+    sized without cancellation as m*omega_m^2*(4*kappa^2 + Delta^2) +
+    |drive term|.  Raises NumericalFailureError when a coefficient is not
+    finite.
     """
     _, _, _, wm2, cav0 = kernels._hurwitz_coeffs(op)
     with np.errstate(all="ignore"):
@@ -106,10 +71,16 @@ def pole_disks(op: OperatingPoint):
         sizes = np.abs(scaled)
         sizes[-1] = op.eff_mass * wm2 * cav0 + abs(kernels.drive_term(op))
         monic, sizes = scaled / scaled[0], sizes / sizes[0]
-    if not np.isfinite(monic).all():
-        raise NumericalFailureError(
-            "rescaled d polynomial coefficients are not finite")
-    return _root_disks(monic, sizes)
+        if not np.isfinite(monic).all():
+            raise NumericalFailureError(
+                "rescaled d polynomial coefficients are not finite")
+        roots = np.roots(monic)
+        reach = np.abs(roots)
+        value = size = 0.0
+        for c, s in zip(monic, sizes):
+            value = value * roots + c
+            size = size * reach + s
+        return roots, np.abs(value) / size
 
 
 @dataclass(frozen=True)
@@ -124,12 +95,14 @@ class StabilityReport:
 def assess_stability(op: OperatingPoint) -> StabilityReport:
     """Locate the poles, measure their margin and give the verdict.
 
-    The roots are those of :func:`pole_disks`.  A root whose backward
-    residual is not below 1e-6 raises NumericalFailureError; c0 is sized
-    without cancellation, since next to the red static bound c0 -> 0 and a
-    root near omega = 0 is smaller than c0's rounding.  The disks are no
-    such check: a root 1e-3 off can sit alone in its disk, and at the
-    exceptional point, where two poles merge, correct disks overlap.
+    The roots are those of :func:`poles`.  A root whose backward residual
+    is not below 1e-6 raises NumericalFailureError; c0 is sized without
+    cancellation, since next to the red static bound c0 -> 0 and a root
+    near omega = 0 is smaller than c0's rounding.  The roots are sorted by
+    real part, then imaginary part, with a real part within _ROUND times the
+    largest root's modulus read as 0: a pair on the imaginary axis, whose
+    real parts are rounding noise, keeps one order under a 1-ulp change of
+    the inputs.  The printed values are the roots as found.
 
     ``stable`` is not read off the roots: it is the exact Routh-Hurwitz
     verdict of :func:`omrouter.kernels.is_stable`, the one every checked
@@ -137,13 +110,15 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
     where the margin is within the roots' rounding noise of zero, next to
     the threshold of :func:`max_stable_power`.
     """
-    roots, _, residuals = pole_disks(op)
+    roots, residuals = poles(op)
     failed = residuals[~(residuals < _RESIDUAL_TOL)]
     if failed.size:
         raise NumericalFailureError(
             f"root residual {failed[0]:.3e} exceeds {_RESIDUAL_TOL:.0e}")
     roots = roots * op.mech_freq
-    roots = roots[np.lexsort((roots.imag, roots.real))]
+    re = roots.real
+    re = np.where(np.abs(re) <= _ROUND * np.abs(roots).max(), 0.0, re)
+    roots = roots[np.lexsort((roots.imag, re))]
     margin = float(np.min(-roots.imag))
     return StabilityReport(roots=roots, margin=margin,
                            stable=kernels.is_stable(op))

@@ -17,7 +17,6 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       vacuum_noise)
 from omrouter.operating_point import HBAR
 from omrouter.response import DipScan
-from omrouter.stability import pole_disks
 
 WM = default_params().mech_freq
 KAPPA = WM / 10.0
@@ -384,13 +383,15 @@ def _design_pool():
                     eff_detuning=detuning * WM))
 
 
+# the default geometry's exceptional point, where the membrane pole and the
+# cavity pole merge
+_MERGED = derive_operating_point(replace(default_params(),
+                                         drive_power=5.2507297778e-6))
+
+
 def test_dip_scan_is_the_dense_scan_on_the_design_pool():
-    # and at the default geometry's exceptional point, where the disks of
-    # the merging poles overlap and the scan evaluates the whole grid
-    merged = derive_operating_point(replace(default_params(),
-                                            drive_power=5.2507297778e-6))
-    assert pole_disks(merged)[1] is None
-    for op in (*_design_pool(), merged):
+    # and at the exceptional point, where two poles merge
+    for op in (*_design_pool(), _MERGED):
         assert eit_linewidth_scan(op) == _dense_scan(op)
 
 
@@ -400,10 +401,31 @@ def test_dip_scan_evaluates_a_tenth_of_the_grid_at_most(monkeypatch):
     monkeypatch.setattr(kernels, "transmission",
                         lambda w, op: points.append(np.size(w))
                         or evaluate(w, op))
-    for op in _design_pool():
+    for op in (*_design_pool(), _MERGED):
         points.clear()
         eit_linewidth_scan(op)
         assert 0 < sum(points) <= 0.1 * 200001
+
+
+def _assert_bounds_enclose(op, window=(0.5, 1.5)):
+    # the scan's cells: 64 points each, the last point joining the last cell
+    from omrouter.response import _cell_bounds
+    n = 200001
+    grid = np.linspace(window[0] * op.mech_freq, window[1] * op.mech_freq, n)
+    starts = np.arange(0, n - 1, 64)
+    low, high = _cell_bounds(grid[np.append(starts, n - 1)], op)
+    cell = np.minimum(np.arange(n) // 64, starts.size - 1)
+    trans = kernels.transmission(grid, op)
+    assert np.all((low[cell] <= trans) & (trans <= high[cell]))
+    return high
+
+
+def test_cell_bounds_enclose_the_kernel():
+    # on a third of the design pool and at the exceptional point every
+    # cell has a finite upper bound, and each holds every value the kernel
+    # computes
+    for op in (*list(_design_pool())[::3], _MERGED):
+        assert np.all(np.isfinite(_assert_bounds_enclose(op)))
 
 
 @pytest.mark.parametrize("start, stop", [(0.5 * WM, 1.5 * WM),
@@ -417,9 +439,9 @@ def test_scan_grid_points_are_linspace_bit_for_bit(start, stop):
                           np.linspace(start, stop, 200001))
 
 
-def test_dip_scan_without_root_disks_evaluates_the_whole_grid(monkeypatch,
-                                                             op_5uw):
-    # poles whose disks overlap certify no cell: every cell is evaluated,
+def test_dip_scan_with_uncertified_cells_evaluates_the_whole_grid(
+        monkeypatch, op_5uw):
+    # bounds that prove nothing rule out no cell: every cell is evaluated,
     # and the answer is still the dense one
     from omrouter import response
     points = []
@@ -427,13 +449,9 @@ def test_dip_scan_without_root_disks_evaluates_the_whole_grid(monkeypatch,
     monkeypatch.setattr(kernels, "transmission",
                         lambda w, op: points.append(np.size(w))
                         or evaluate(w, op))
-    pole_disks = response.pole_disks
-
-    def overlapping(op):
-        roots, _, residuals = pole_disks(op)
-        return roots, None, residuals
-
-    monkeypatch.setattr(response, "pole_disks", overlapping)
+    monkeypatch.setattr(response, "_cell_bounds",
+                        lambda edges, op: (np.zeros(edges.size - 1),
+                                           np.full(edges.size - 1, np.inf)))
     assert eit_linewidth_scan(op_5uw) == _dense_scan(op_5uw)
     assert sum(points) >= 2 * 200001
 
@@ -442,7 +460,8 @@ def test_dip_scan_without_root_disks_evaluates_the_whole_grid(monkeypatch,
 @given(st.data())
 def test_dip_scan_is_the_dense_scan_on_random_points(data):
     # stable red-detuned points with gamma_m << kappa << omega_m, and
-    # windows that may cut the dip or miss it
+    # windows that may cut the dip or miss it; the cell bounds hold the
+    # kernel's values on them too
     kappa = WM * data.draw(st.floats(0.011, 0.09))
     params = replace(default_params(), cavity_decay=kappa,
                      quality=data.draw(st.floats(11.0 * WM / kappa, 1e8)),
@@ -455,6 +474,7 @@ def test_dip_scan_is_the_dense_scan_on_random_points(data):
     window = (lo, lo + data.draw(st.floats(1e-4, 1.5)))
     assert _outcome(eit_linewidth_scan, op, window) == \
         _outcome(_dense_scan, op, window)
+    _assert_bounds_enclose(op, window)
 
 
 def test_design_spectra_and_dip_frozen_whole():

@@ -724,7 +724,7 @@ def test_drive_on_closed_form_against_quadrature(params):
 def test_drive_on_closed_form_outside_the_resolved_sidebands(overrides):
     op = _op(**overrides)
     zeros, _, backward = routing._hurwitz_zeros(op)
-    roots, _, _ = stability.pole_disks(op)
+    roots, _ = stability.poles(op)
     for root in roots:
         assert min(abs(root - z) for z in zeros) < 1e-12
     assert backward <= stability._ROUND

@@ -15,7 +15,7 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       output_spectra, routing_probabilities,
                       switching_contrast)
 from omrouter.operating_point import HBAR
-from omrouter.stability import pole_disks
+from omrouter.stability import poles
 
 WM = default_params().mech_freq
 KAPPA = WM / 10.0
@@ -151,16 +151,19 @@ EXCEPTIONAL_POWER = 5.2507297778e-6
 
 
 def test_assessment_holds_at_the_exceptional_point():
-    # the disks of the merging pair overlap on a few of these powers; the
-    # residual check still passes on every one, and the verdict is exact
+    # the sweep reaches the merge, where the two closest poles lie within
+    # 1e-6*omega_m of each other; the residual check still passes on every
+    # power, and the verdict is exact
     params = default_params()
-    overlapping = 0
+    closest = math.inf
     for rel in np.linspace(-3e-9, 3e-9, 6001):
         op = derive_operating_point(replace(
             params, drive_power=EXCEPTIONAL_POWER * (1.0 + rel)))
         assert assess_stability(op).stable is kernels.is_stable(op)
-        overlapping += pole_disks(op)[1] is None
-    assert overlapping > 0
+        roots, _ = poles(op)
+        gaps = np.abs(roots[:, None] - roots)[~np.eye(4, dtype=bool)]
+        closest = min(closest, gaps.min())
+    assert closest < 1e-6
 
 
 def test_repeated_assessment_is_deterministic(op_20uw):
@@ -169,6 +172,23 @@ def test_repeated_assessment_is_deterministic(op_20uw):
     assert np.array_equal(a.roots, b.roots)
     assert a.margin == b.margin
     assert a.stable == b.stable
+
+
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+def test_root_order_holds_under_one_ulp_nudges():
+    # an overdamped membrane has a pole pair on the imaginary axis whose
+    # real parts are rounding noise; nudging omega_m by 1-3 ulp must not
+    # swap the rows they print on
+    for quality in np.linspace(0.29, 0.31, 21):
+        params = replace(default_params(), quality=float(quality))
+        ref = assess_stability(derive_operating_point(params)).roots
+        for steps in (-3, -2, -1, 1, 2, 3):
+            wm = params.mech_freq
+            for _ in range(abs(steps)):
+                wm = math.nextafter(wm, math.copysign(math.inf, steps))
+            roots = assess_stability(derive_operating_point(
+                replace(params, mech_freq=wm))).roots
+            assert np.max(np.abs(roots - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------- power search
