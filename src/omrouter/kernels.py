@@ -34,10 +34,6 @@ from .errors import (InvalidParameterError, NumericalFailureError,
                      UnstableOperatingPointError)
 from .operating_point import HBAR, KB
 
-# past hbar*omega/(kB*T) = 30 the Bose factor is evaluated as exp(-x);
-# expm1 and exp agree to ~1e-13 there, well under the overflow regime
-COTH_GUARD = 30.0
-
 # Grid kernels run in blocks of this many points, writing into preallocated
 # outputs.  A block's temporaries then stay in cache, and below 16,384
 # complex points (256 KiB) numpy never elides a temporary into an
@@ -191,10 +187,13 @@ def v2_numerator(omega, op):
 def thermal_weight(omega, op):
     """Thermal force weight hbar*gamma_m*m*(-omega)*(1 + coth(-hbar*omega/(2*kB*T))).
 
-    Evaluated branch by branch so it is finite and positive everywhere:
-    for omega > 0 it is 2*hbar*gamma_m*m*omega*nbar(omega) (zero when
-    T = 0), for omega < 0 the spontaneous term survives, and omega = 0
-    carries the classical limit 2*gamma_m*m*kB*T.
+    One expression at every omega, 2*hbar*gamma_m*m*omega/expm1(x) with
+    x = hbar*omega/(kB*T): for omega > 0 it is 2*hbar*gamma_m*m*omega*nbar
+    (zero when T = 0), and for omega < 0 expm1 tends to -1, so the
+    spontaneous term survives.  Where |x| is below the float epsilon it
+    takes the classical limit 2*gamma_m*m*kB*T, exact to rounding there:
+    at omega = 0, where 1/expm1(x) overflows (|x| below about 5.6e-309),
+    and where 2*hbar*gamma_m*m*omega underflows.
 
     Parameters
     ----------
@@ -222,25 +221,13 @@ def thermal_weight(omega, op):
         out[neg] = amp * (-w[neg])
         return out
 
-    x = HBAR * w / kbt
-    if w.size and w.min() > 0.0 and x.min() > 0.0 and x.max() <= COTH_GUARD:
-        # the usual grid, all absorption below the guard: the general
-        # path's operations on every point, without its masks
-        return amp * w * (1.0 / np.expm1(x))
-
-    out = np.zeros_like(w)
-    ax = np.abs(x)
-    small = ax <= COTH_GUARD
-    occ = np.zeros_like(w)
-    nz = small & (ax > 0.0)
-    occ[nz] = 1.0 / np.expm1(ax[nz])
-    occ[~small] = np.exp(-ax[~small])
-
-    pos = w > 0.0
-    neg = w < 0.0
-    out[pos] = amp * w[pos] * occ[pos]
-    out[neg] = amp * (-w[neg]) * (occ[neg] + 1.0)
-    out[w == 0.0] = 2.0 * op.gamma_m * op.eff_mass * kbt
+    # x overflowing to inf gives a weight of 0 for omega > 0; 1/expm1(x)
+    # overflowing, and 0 * inf at omega = 0, only where |x| < eps
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = HBAR * w / kbt
+        out = amp * w * (1.0 / np.expm1(x))
+    out[np.abs(x) < np.finfo(float).eps] = \
+        2.0 * op.gamma_m * op.eff_mass * kbt
     return out
 
 
@@ -264,12 +251,12 @@ def blocks(size):
 
 
 def _finite(kernel):
-    """``kernel`` raising NumericalFailureError where x/0 or an invalid
-    operation (0/0, inf - inf, 0 * inf) would write inf or NaN."""
+    """``kernel`` raising NumericalFailureError where x/0, an overflow or
+    an invalid operation (0/0, inf - inf, 0 * inf) would write inf or NaN."""
     @functools.wraps(kernel)
     def checked(*args):
         try:
-            with np.errstate(divide="raise", invalid="raise"):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return kernel(*args)
         except FloatingPointError as exc:
             raise NumericalFailureError(f"channels are not finite: {exc}")
@@ -287,8 +274,9 @@ def fill_channels(flat, op, refl, trans, sv, st):
     Raises
     ------
     NumericalFailureError
-        When a channel divides by zero or forms NaN: |d|^2 underflowing to
-        0 over a zero numerator (drive off), or inf arithmetic.
+        When a channel divides by zero, overflows or forms NaN: |d|^2
+        underflowing to 0 over a zero numerator (drive off), St past the
+        float range (a bath near 1e308 K), or inf arithmetic.
     """
     sv_num = sv_numerator(op)
     for b in blocks(flat.size):
@@ -325,7 +313,7 @@ def channel_arrays(omega, op):
     Raises
     ------
     NumericalFailureError
-        As :func:`fill_channels`; an overflow to inf is not caught.
+        As :func:`fill_channels`.
     """
     shape, flat = _flat(omega)
     out = [np.empty(flat.size) for _ in range(4)]

@@ -324,14 +324,13 @@ def _times(a, b):
     return out
 
 
-def _spread(coeffs, sizes, r):
-    """A bound of |P(x) - P_0| over |x - c| <= r, for the computed Taylor
-    coefficients P_k of P at c, each within _ROUND*sizes[k] of the exact.
-    """
+def _spread(coeffs, r):
+    """A bound of sum_{k>=1} |P_k|*r^k, for the Taylor coefficients P_k of
+    P at c: of |P(x) - P_0| over |x - c| <= r."""
     spread = 0.0
-    for p, size in zip(coeffs[:0:-1], sizes[:0:-1]):
-        spread = (spread + np.abs(p) + _ROUND * size) * r
-    return (spread + _ROUND * sizes[0]) * (1.0 + _ROUND)
+    for p in coeffs[:0:-1]:
+        spread = (spread + np.abs(p)) * r
+    return spread * (1.0 + _ROUND)
 
 
 def _cell_bounds(edges, op: OperatingPoint):
@@ -344,13 +343,15 @@ def _cell_bounds(edges, op: OperatingPoint):
     kernel's factors mech = 1 - x^2 - i*g*x, cav = (k2 - i*x)^2 + dl^2 and
     sb = k2 - i*(dl + x).  On a cell of centre c and half-width r, |N| and
     |D| lie within sum_{k>=1} |P_k|*r^k of |P_0|, P_k being their Taylor
-    coefficients at c, formed from the factors' and each within _ROUND
-    times its cancellation-free size (:func:`_spread`).  The kernel's own
-    rounding moves E*d and d by at most _ROUND times their sizes (the
-    :func:`_d_scale` pattern) at the cell's largest omega, and its
-    division, modulus and square move T by less than 4*_ROUND relative.
-    Everything is formed in units of omega_m, so no bound overflows where
-    T is finite.
+    coefficients at c, formed from the factors' (:func:`_spread`).  The
+    cancellation-free sizes of N and D, sums of the moduli of their terms,
+    have nonnegative Taylor coefficients, so at the cell's top c + r each
+    is the sum of the sizes of the P_k times r^k: within _ROUND of it lie
+    both the coefficients' rounding and the kernel's rounding of E*d and
+    d on the cell (D's size takes |k2 - i*x|^2 as (k2 + x)^2).  The
+    kernel's division, modulus and square move T by less than 4*_ROUND
+    relative.  Everything is formed in units of omega_m, so no bound
+    overflows where T is finite.
 
     Returns (low, high), arrays over the cells; every cell gets (0, inf)
     when the float range cannot certify the bounds, and a cell whose lower
@@ -382,22 +383,18 @@ def _cell_bounds(edges, op: OperatingPoint):
     r = 0.5 * (x[1:] - x[:-1]) + _ROUND * x[1:]
     u = k2 - 1j * c
     mech = [1.0 - c * c - 1j * g * c, -2.0 * c - 1j * g, -1.0]
-    mech_size = [1.0 + c * c + g * c, 2.0 * c + g, 1.0]
     num = _times(mech, [k2 - 1j * (dl + c), -1j])
-    num_size = _times(mech_size, [k2 + abs(dl) + c, 1.0])
     den = _times(mech, [u * u + dl * dl, -2j * u, -1.0])
-    den_size = _times(mech_size, [(k2 + c) ** 2 + dl * dl, 2.0 * (k2 + c), 1.0])
     num[0] = num[0] + 1j * h
-    num_size[0] = num_size[0] + abs(h)
     den[0] = den[0] - dd
-    den_size[0] = den_size[0] + abs(dd)
-    # cancellation-free sizes of E*d and d at the cell's largest omega
+    # the sizes of N and D at the cell's top, c + r: _ROUND of each for
+    # the coefficients' rounding and _ROUND for the kernel's
     top = x[1:] * (1.0 + _ROUND)
     mech_top = 1.0 + top * top + g * top
-    slack_e = _ROUND * (mech_top * (k2 + abs(dl) + top) + abs(h))
-    slack_d = _ROUND * (mech_top * (k2 * k2 + top * top + dl * dl) + abs(dd))
-    num_spread = _spread(num, num_size, r) + slack_e
-    den_spread = _spread(den, den_size, r) + slack_d
+    size_e = mech_top * (k2 + abs(dl) + top) + abs(h)
+    size_d = mech_top * ((k2 + top) ** 2 + dl * dl) + abs(dd)
+    num_spread = _spread(num, r) + 2.0 * _ROUND * size_e
+    den_spread = _spread(den, r) + 2.0 * _ROUND * size_d
     num, den = np.abs(num[0]), np.abs(den[0])
     tiny = np.finfo(float).smallest_subnormal
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -469,6 +469,29 @@ def test_route_on_extreme_inputs_ends_cleanly(tmp_path, flags, width):
                    if key != "band_over_omega_m")
 
 
+@pytest.mark.parametrize("temp, code", [("1e305", 0), ("1e308", 4)])
+def test_spectrum_at_extreme_bath_temperatures(temp, code):
+    # at 1e305 K, 1/expm1(x) overflowed and St printed inf after a raw
+    # RuntimeWarning; at 1e308 K, St is past the float range, and an inf
+    # printed with exit 0
+    run = subprocess.run([sys.executable, "-m", "omrouter.cli", "spectrum",
+                          "--temp", temp, "--grid", "0.5:1.5:3"],
+                         env=_src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == code
+    if code == 0:
+        assert run.stderr == ""
+        rows = [line.split(",") for line in run.stdout.splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        # St at omega_m: 2*kB*T*gamma_m*m times |V|^2
+        assert float(rows[1][4]) == pytest.approx(3.0e305, rel=1e-3)
+    else:
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("error: channels are not finite")
+
+
 @pytest.mark.parametrize("field, value", [
     ("mech_freq", 1e-100), ("eff_mass", 1e-300), ("quality", 1e300)])
 def test_zero_over_zero_spectrum_exits_four(tmp_path, field, value):

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -119,10 +120,15 @@ def _bath(temp):
 
 def test_thermal_weight_zero_frequency_classical_limit():
     kbt = KB * 20e-3
-    exact = kernels.thermal_weight(np.array([0.0]), _bath(20e-3))[0]
+    # at omega = 0, and at frequencies so low that hbar*gamma_m*m*omega
+    # underflows (1e-285 rad/s) or x does (1e-300 rad/s)
+    low = np.array([0.0, 1e-285, -1e-285, 1e-300])
+    weights = kernels.thermal_weight(low, _bath(20e-3))
     # the weights are ~1e-35: without abs=0, approx's default absolute
     # tolerance of 1e-12 would accept any value
-    assert exact == pytest.approx(2.0 * 0.7 * 4e-11 * kbt, rel=1e-12, abs=0.0)
+    assert weights == pytest.approx(2.0 * 0.7 * 4e-11 * kbt, rel=1e-12,
+                                    abs=0.0)
+    exact = weights[0]
     # and the omega -> 0 approach is continuous
     near = kernels.thermal_weight(np.array([1e-6]), _bath(20e-3))[0]
     assert near == pytest.approx(exact, rel=1e-9, abs=0.0)
@@ -131,13 +137,36 @@ def test_thermal_weight_zero_frequency_classical_limit():
 def test_thermal_weight_guard_crossover_continuous():
     kbt = KB * 20e-3
     w30 = 30.0 * kbt / HBAR
-    # either side of the guard equals the exact weight at its own frequency;
-    # the two sides differ by ~6e-8 from the slope alone, so comparing them
-    # with each other at 1e-9 would need approx's default abs of 1e-12
+    # either side of x = 30, where the absorption weight is ~1e-13 of the
+    # classical one, it is the exact weight at its own frequency; the two
+    # sides differ by ~6e-8 from the slope alone, so comparing them with
+    # each other at 1e-9 would need approx's default abs of 1e-12
     for w in (w30 * (1 - 1e-9), w30 * (1 + 1e-9)):
         got = kernels.thermal_weight(np.array([w]), _bath(20e-3))[0]
         exact = 2.0 * HBAR * 0.7 * 4e-11 * w / math.expm1(HBAR * w / kbt)
         assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_thermal_weight_against_mpmath():
+    # 2*hbar*gamma_m*m*omega/expm1(x) to 50 digits, x = hbar*omega/(kB*T)
+    # from +-1e-300 to +-700 and 0; the bath makes kB*T = 1 J, so that
+    # every weight and every factor of it is a normal float.  The weight's
+    # condition number in x is about |x|, so the reference takes the x
+    # the kernel forms: from there it must be exact to a few ulp
+    op = _point(gamma_m=1.0, eff_mass=1.0, bath_temp=1.0 / KB)
+    kbt = KB * op.bath_temp
+    xs = [1e-300, 1e-200, 1e-100, 1e-16, 3e-16, 1e-8, 1e-3, 0.5, 1.0, 10.0,
+          30.0 * (1 - 1e-9), 30.0 * (1 + 1e-9), 30.5, 37.0, 100.0, 300.0,
+          700.0]
+    w = np.array([0.0] + [x * (kbt / HBAR) for x in xs + [-x for x in xs]])
+    got = kernels.thermal_weight(w, op)
+    with mpmath.workdps(50):
+        for omega, value in zip(w.tolist(), got.tolist()):
+            x = mpmath.mpf(HBAR * omega / kbt)
+            # x/expm1(x) -> 1 at x = 0: the classical limit 2*gamma_m*m*kB*T
+            ratio = x / mpmath.expm1(x) if x else mpmath.mpf(1)
+            exact = 2 * mpmath.mpf(kbt) * ratio
+            assert abs(value / exact - 1) <= 4 * np.finfo(float).eps, omega
 
 
 def test_thermal_weight_detailed_balance():
@@ -191,11 +220,35 @@ def test_transmission_is_the_channel_t(power, temp):
 
 
 @pytest.mark.parametrize("n", [84, 4001, 200001])
+@pytest.mark.parametrize("power,temp", [p for p in _DESIGN_POINTS if p[1]])
+def test_thermal_channel_is_the_one_formula_bit_for_bit(n, power, temp):
+    # St on the spectra's grids, and at frequencies with x between 1e-15
+    # and 30, is the expression below evaluated block by block: the
+    # frozen spectra pin these bits
+    op = _design_point(power, temp)
+    kbt = KB * temp
+    amp = 2.0 * HBAR * op.gamma_m * op.eff_mass
+    rng = np.random.default_rng(n)
+    for grid in (np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n),
+                 np.sort(10 ** rng.uniform(-15.0, np.log10(30.0), n))
+                 * (kbt / HBAR)):
+        expected = np.empty(n)
+        for b in kernels.blocks(n):
+            w = grid[b]
+            weight = amp * w * (1.0 / np.expm1(HBAR * w / kbt))
+            _, d = kernels._amplitude(w, op)
+            expected[b] = kernels.v2_numerator(w, op) / np.abs(d) ** 2 \
+                * weight
+        assert np.array_equal(kernels.channel_arrays(grid, op)[3], expected)
+
+
+@pytest.mark.parametrize("n", [84, 4001, 200001])
 @pytest.mark.parametrize("temp", [20e-3, 0.3])
 def test_thermal_weight_fast_branch_matches_general_path(n, temp):
     op = _design_point(5e-6, temp)
     grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n)
-    # one omega = 0 point in front sends the grid down the masked path
+    # one omega = 0 point in front takes the classical limit and leaves
+    # every other value's bits as they are
     general = kernels.thermal_weight(np.concatenate(([0.0], grid)), op)
     assert np.array_equal(kernels.thermal_weight(grid, op), general[1:])
 

@@ -459,8 +459,10 @@ def test_graded_start_is_refused_before_it_is_built(monkeypatch):
 
 
 def test_non_finite_integral_raises():
-    # St overflows at a bath of 1e305 K; the loop used to split nothing
-    # and run forever on the NaN error estimate
+    # at a bath of 1e305 K St is finite (3e305 at omega_m), but its
+    # integral over a panel wider than about 600 rad/s there overflows;
+    # the loop used to split nothing and run forever on the NaN error
+    # estimate
     op = _op(bath_temp=1e305)
     with pytest.raises(NumericalFailureError, match="not finite"):
         routing._band_integrals(op, *_default_band(op))
