@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -158,14 +159,16 @@ def _csv(header, rows):
 
 
 def _write(pieces, out):
-    """Write the list of strings ``pieces`` in order to stdout or ``out``.
+    """Write the strings of the iterable ``pieces`` in order to stdout or
+    ``out``, each as it comes.
 
     A regular file, new or not, is replaced whole: the text goes to a
     temporary file beside the file ``out`` resolves to (through symlinks),
-    which is moved over it once complete.  It takes the mode of the file it
-    replaces, or of a new file from open(out, "w").  Anything else (a
-    device, a FIFO), or a file whose directory takes no new file, is
-    written in place as open(out, "w") writes it.
+    which is moved over it once complete and removed if ``pieces`` raises.
+    It takes the mode of the file it replaces, or of a new file from
+    open(out, "w").  Anything else (a device, a FIFO), or a file whose
+    directory takes no new file, is written in place as open(out, "w")
+    writes it.
     """
     if out is None:
         sys.stdout.writelines(pieces)
@@ -210,7 +213,8 @@ def cmd_spectrum(args) -> int:
     spectra = output_spectra(np.linspace(lo, hi, n), op)
     cols = _spectrum_columns(spectra, op.mech_freq)
     if args.format == "csv":
-        pieces = [",".join(_COLUMNS) + "\n"] + csv_rows(cols)
+        pieces = itertools.chain([",".join(_COLUMNS) + "\n"],
+                                 csv_rows(cols))
     else:
         pieces = json_text(dict(zip(_COLUMNS, cols)))
     _write(pieces, args.out)
@@ -232,6 +236,20 @@ def _sweep_params_list(cfg, base: SystemParams, scale: float):
     return param, [(v, replace(base, **{field: v * unit})) for v in values]
 
 
+def _sweep_csv(param, results):
+    """The csv text of a sweep's (value, op, spectra or None) results, in
+    pieces of whole lines."""
+    yield ",".join(("param", "value", "stable") + _COLUMNS) + "\n"
+    for value, op, spectra in results:
+        lead = f"{param},{_fmt(value)},"
+        if spectra is None:
+            yield lead + ",".join(["0"] + [_fmt(math.nan)]
+                                  * len(_COLUMNS)) + "\n"
+            continue
+        yield from csv_rows(_spectrum_columns(spectra, op.mech_freq),
+                            prefix=lead + "1,")
+
+
 def cmd_sweep(args) -> int:
     base, (lo, hi, n), cfg, scale = _resolve(args)
     param, value_params = _sweep_params_list(cfg, base, scale)
@@ -244,15 +262,7 @@ def cmd_sweep(args) -> int:
                for value, op in ops]
 
     if args.format == "csv":
-        pieces = [",".join(("param", "value", "stable") + _COLUMNS) + "\n"]
-        for value, op, spectra in results:
-            lead = f"{param},{_fmt(value)},"
-            if spectra is None:
-                pieces.append(lead + ",".join(["0"] + [_fmt(math.nan)]
-                                              * len(_COLUMNS)) + "\n")
-                continue
-            pieces += csv_rows(_spectrum_columns(spectra, op.mech_freq),
-                               prefix=lead + "1,")
+        pieces = _sweep_csv(param, results)
     else:
         blocks = []
         for value, op, spectra in results:

@@ -149,11 +149,15 @@ class RoutingReport:
 def _gk21(a, b, op: OperatingPoint):
     """The five integrands' qk21 values and error estimates on panels [a, b].
 
-    The panel edges are offsets from the line center.  Returns two arrays
-    of shape (5, len(a)), rows Scin, Scin*R, Scin*T, Sv and St.
+    The panel edges are offsets from the line center in rad/s; the values
+    are integrals on the omega/omega_m axis, where a St that is finite
+    has a finite integral however wide the panel.  Returns two arrays of
+    shape (5, len(a)), rows Scin, Scin*R, Scin*T, Sv and St.
     """
     half = 0.5 * (b - a)
     offsets = ((0.5 * (a + b))[:, None] + half[:, None] * _GK_X).ravel()
+    # the panels' half-widths on the omega/omega_m axis
+    scale = half / op.mech_freq
     table = np.empty((5, offsets.size))
     kernels.fill_channels(op.input_center + offsets, op, *table[1:])
     # the line is evaluated at the offsets themselves: rounded to the
@@ -163,12 +167,12 @@ def _gk21(a, b, op: OperatingPoint):
     table[1:3] *= table[0]
     f = table.reshape(5, -1, 21)
     resk = f @ _GK_WK
-    err = np.abs(resk - f @ _GK_WG) * half
+    err = np.abs(resk - f @ _GK_WG) * scale
     # the rule applied to |f - mean of f|; the weights sum to 2
-    resasc = (np.abs(f - 0.5 * resk[..., None]) @ _GK_WK) * half
+    resasc = (np.abs(f - 0.5 * resk[..., None]) @ _GK_WK) * scale
     # the integrands are >= 0, so this is also the absolute integral that
     # _ROUNDOFF scales
-    resk *= half
+    resk *= scale
     # resasc * min(1, (200 * err / resasc)^1.5), dividing only below the cap
     ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err),
                       where=200.0 * err < resasc)
@@ -232,8 +236,9 @@ def _first_edges(op: OperatingPoint, lo: float, hi: float):
 def _band_integrals(op: OperatingPoint, lo: float, hi: float):
     """Integrate Scin, Scin*R, Scin*T, Sv and St over [lo, hi] together.
 
-    Returns the five integrals as floats, the worst relative error estimate
-    among them and the number of frequency nodes evaluated.
+    Returns the five integrals on the omega/omega_m axis as floats, the
+    worst relative error estimate among them and the number of frequency
+    nodes evaluated.
 
     Raises
     ------
@@ -595,12 +600,12 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     report = _residue_report(op, lo, hi)
     if report is not None:
         return report
+    # the leaks are integrals on the omega/omega_m axis, the measure of the
+    # spectra
     (mass, refl, trans, sv, st), quad_error, n_evals = _band_integrals(
         op, lo, hi)
-    # leaks live on the omega/omega_m axis, same measure as the spectra
     return RoutingReport(p_reflect=refl / mass, p_transmit=trans / mass,
-                         vacuum_leak=sv / op.mech_freq,
-                         thermal_leak=st / op.mech_freq, band=(lo, hi),
+                         vacuum_leak=sv, thermal_leak=st, band=(lo, hi),
                          quad_error=quad_error, n_evals=n_evals)
 
 

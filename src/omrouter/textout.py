@@ -9,17 +9,26 @@ round-trip digits of ``repr`` for JSON.  Every value a proof does not
 cover goes through ``fmt``, or through ``json.dumps`` itself, so each
 format has one definition.  Because the proofs, not ``log10``, fix the
 digits, the text is the same on every numpy dispatch path.
+
+``csv_rows`` yields its text chunk by chunk, as each chunk of rows is
+formed.  A chunk whose values are all proven and none negative (the St
+column of zeros at T = 0 included) is laid out in fields of exactly 18
+bytes; any other chunk in NUL-padded slots, the NULs then dropped.
+``json_text`` returns a list of pieces.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
 # the longest "%.12e" text of a double, "-1.234567890123e-308"
 _SLOT = 20
+# every proven "%.12e" text without a sign, "1.234567890123e-06"
+_FIELD = 18
 # decimal exponents e of the exact decomposition: 10**(16 - e) is then an
 # exact double, at most 1e22
 _EXP_MIN, _EXP_MAX = -6, 16
@@ -129,13 +138,14 @@ def _decimal(x):
 
 
 def _fast(x):
-    """(slots, ok): "%.12e" text of x as NUL-padded bytes, valid where ok.
+    """(q, e, ok): the "%.12e" text of x is [-]d.dddddddddddde±XX, with
+    the 13 digits of q and the decimal exponent e, where ok.
 
-    Row i of ``slots`` holds the text of x[i] if ok[i]; the other rows are
-    left for ``fmt``.  The 13-digit mantissa is (A + f) / 10**4 rounded
-    (:func:`_decimal`): q = A // 10**4 and r = A - 10**4 * q, rounded up
-    when r > 5000, or r == 5000 and f > 0.  An exact tie (r == 5000, f ==
-    0) is left to ``fmt``; q + 1 = 10**13 is 10**12 at e + 1.
+    The mantissa is (A + f) / 10**4 rounded (:func:`_decimal`): q = A //
+    10**4 and r = A - 10**4 * q, rounded up when r > 5000, or r == 5000
+    and f > 0.  An exact tie (r == 5000, f == 0) is left to ``fmt``; q + 1
+    = 10**13 is 10**12 at e + 1.  Zero, either sign, is q = 0 at e = 0.
+    Where ok, e lies in [-6, 17].
     """
     e, big_a, f, ok = _decimal(x)
     q = big_a // 10 ** 4
@@ -145,15 +155,24 @@ def _fast(x):
     top = q == 10 ** 13
     q[top] = 10 ** 12
     e += top
+    zero = x == 0
+    ok |= zero
+    q[zero] = 0
+    e[zero] = 0
+    return q, e, ok
 
-    slots = np.zeros((len(x), _SLOT), np.uint8)
-    slots[:, 0] = np.signbit(x) * ord("-")
-    slots[:, 2] = ord(".")
-    slots[:, 15:19] = np.take(_EXP_TEXT, e - _EXP_MIN, axis=0)
+
+def _lay_out(out, q, e):
+    """Write the _FIELD bytes "d.dddddddddddde±XX" of each mantissa q and
+    exponent e from :func:`_fast` into out[..., :_FIELD]; q and e are flat,
+    in the order of out's leading axes."""
+    shape = out.shape[:-1]
     digits = _digit_table(q)
-    slots[:, 1] = digits[4]
-    slots[:, 3:15] = digits[5:].T
-    return slots, ok
+    out[..., 0] = digits[4].reshape(shape)
+    out[..., 1] = ord(".")
+    out[..., 2:14] = digits[5:].T.reshape(shape + (12,))
+    out[..., 14:_FIELD] = _EXP_TEXT.take(e - _EXP_MIN, axis=0) \
+        .reshape(shape + (4,))
 
 
 def _shortest(x):
@@ -216,20 +235,17 @@ def _shortest(x):
     return slots, ok
 
 
-def _text_slots(x, fast, texts, width):
-    """Text of every x[i], NUL-padded to one row of ``width`` bytes each:
-    ``fast``'s rows where it proved them, else from ``texts``, which maps a
-    list of floats to their texts."""
-    with np.errstate(all="ignore"):
-        slots, ok = fast(x)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        # one text per distinct bit pattern: a column of zeros is one
-        bits, where = np.unique(x[rest].view(np.int64), return_inverse=True)
+def _patch(slots, miss, x, texts):
+    """Write the text of each x[miss], NUL-padded, into the byte rows
+    slots[miss], from ``texts``, which maps a list of floats to their
+    texts."""
+    if miss.any():
+        # one text per distinct bit pattern: a column of NaN is one
+        bits, where = np.unique(x[miss].view(np.int64), return_inverse=True)
+        width = slots.shape[-1]
         text = np.array(texts(bits.view(np.float64).tolist()),
                         dtype=f"S{width}")
-        slots[rest] = text.view(np.uint8).reshape(-1, width)[where]
-    return slots
+        slots[miss] = text.view(np.uint8).reshape(-1, width)[where]
 
 
 def _fmt_texts(values):
@@ -248,30 +264,59 @@ def _ascii(lines) -> str:
     return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def csv_rows(cols, prefix: str = "") -> list[str]:
+def _rows(lead, n, k, width):
+    """(lines, fields): a chunk's buffer of n lines, each the bytes ``lead``
+    then k fields of ``width`` bytes, each field followed by a comma and
+    the last by a newline, and the (n, k, width) view of the fields."""
+    lines = np.empty((n, lead.size + k * (width + 1)), np.uint8)
+    lines[:, :lead.size] = lead
+    fields = lines[:, lead.size:].reshape(n, k, width + 1)
+    fields[:, :, width] = ord(",")
+    fields[:, -1, width] = ord("\n")
+    return lines, fields[:, :, :width]
+
+
+def csv_rows(cols, prefix: str = "") -> Iterator[str]:
     """Rows of "%.12e" fields of the equal-length columns, comma-separated.
 
     Each line starts with ``prefix`` and ends with a newline.  The text is
-    returned in pieces of whole lines, to be written one after another: no
-    string longer than one chunk is built.
+    yielded one chunk of rows at a time, in pieces of whole lines to be
+    written as they come; the columns are stacked a chunk at a time too,
+    so no copy of the whole table or of its text is made.
+
+    Where :func:`_fast` proves every value of a chunk and none has its sign
+    bit set, every field is exactly _FIELD bytes, and the digits go
+    straight into the chunk's lines.  A chunk that holds a negative
+    value or -0.0, NaN, an infinity or a value the proof leaves to ``fmt``
+    is laid out in NUL-padded slots of _SLOT bytes instead, and the NULs
+    are dropped from its text.
     """
-    table = np.column_stack(cols).astype(np.float64, copy=False)
+    lengths = {len(col) for col in cols}
+    if len(lengths) != 1:
+        raise ValueError(f"columns of equal length needed, got {lengths}")
+    (size,) = lengths
     lead = np.frombuffer(prefix.encode("ascii"), np.uint8)
-    per_chunk = max(1, _CHUNK // table.shape[1])
-    parts = []
-    for start in range(0, len(table), per_chunk):
-        block = table[start:start + per_chunk]
-        n, k = block.shape
-        fields = np.empty((n, k, _SLOT + 1), np.uint8)
-        fields[:, :, :_SLOT] = _text_slots(block.ravel(), _fast, _fmt_texts,
-                                           _SLOT).reshape(n, k, _SLOT)
-        fields[:, :, _SLOT] = ord(",")
-        fields[:, -1, _SLOT] = ord("\n")
-        lines = np.empty((n, lead.size + k * (_SLOT + 1)), np.uint8)
-        lines[:, :lead.size] = lead
-        lines[:, lead.size:] = fields.reshape(n, -1)
-        parts.append(_ascii(lines))
-    return parts
+    k = len(cols)
+    per_chunk = max(1, _CHUNK // k)
+    for start in range(0, size, per_chunk):
+        block = np.column_stack([col[start:start + per_chunk]
+                                 for col in cols]).astype(np.float64,
+                                                          copy=False)
+        n = len(block)
+        with np.errstate(all="ignore"):
+            q, e, ok = _fast(block.ravel())
+        negative = np.signbit(block)
+        if ok.all() and not negative.any():
+            lines, fields = _rows(lead, n, k, _FIELD)
+            _lay_out(fields, q, e)
+            yield str(lines, "ascii")
+            continue
+        lines, slots = _rows(lead, n, k, _SLOT)
+        slots[..., 0] = negative * ord("-")
+        _lay_out(slots[..., 1:], q, e)
+        slots[..., _FIELD + 1:] = 0
+        _patch(slots, ~ok.reshape(n, k), block, _fmt_texts)
+        yield _ascii(lines)
 
 
 def _json_lines(values, pad: int) -> list[str]:
@@ -283,8 +328,10 @@ def _json_lines(values, pad: int) -> list[str]:
         block = x[start:start + _CHUNK]
         lines = np.empty((len(block), pad + _R_SLOT + 2), np.uint8)
         lines[:, :pad] = ord(" ")
-        lines[:, pad:-2] = _text_slots(block, _shortest, _json_texts,
-                                         _R_SLOT)
+        with np.errstate(all="ignore"):
+            slots, ok = _shortest(block)
+        _patch(slots, ~ok, block, _json_texts)
+        lines[:, pad:-2] = slots
         lines[:, -2] = ord(",")
         lines[:, -1] = ord("\n")
         if start + _CHUNK >= len(x):
@@ -299,8 +346,8 @@ _COLUMN_MARK = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
 def json_text(doc) -> list[str]:
     """json.dumps(doc, indent=2) plus a newline; arrays in doc are float lists.
 
-    The text is returned in pieces of whole lines, to be written one after
-    another, as ``csv_rows`` returns it.  The document without its arrays
+    The text is returned as a list of pieces of whole lines, one per chunk
+    of an array's values, to be written one after another.  The document without its arrays
     is laid out by json.dumps; each array's values are laid out one to a
     line, in the text ``json.dumps`` gives a float (repr, NaN, Infinity).
     """

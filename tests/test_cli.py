@@ -284,6 +284,32 @@ def test_interrupted_write_leaves_target_and_no_temp(tmp_path, monkeypatch,
     assert path.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--grid", "0.9:1.1:5"], ["sweep", "--grid", "0.9:1.1:5"]],
+    ids=["spectrum", "sweep"])
+def test_out_file_survives_a_failed_stream(tmp_path, monkeypatch,
+                                           write_config, capsys, argv):
+    # csv pieces go to the temporary file as they are formed: one written
+    # before the failure must reach neither the target nor the directory
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / "spec.csv"
+    path.write_bytes(b"old,bytes\r\n")
+
+    def one_then_fail(cols, prefix=""):
+        yield prefix + "1.000000000000e+00\n"
+        raise omrouter.NumericalFailureError("stream failed")
+
+    monkeypatch.setattr(cli, "csv_rows", one_then_fail)
+    if argv[0] == "sweep":
+        argv = argv + ["--config", write_config(sweep_param="power",
+                                                sweep_values=[5e-6])]
+    code, out, err = _run(capsys, *argv, "--out", str(path))
+    assert code == 4 and out == ""
+    assert err == "error: stream failed\n"
+    assert path.read_bytes() == b"old,bytes\r\n"
+    assert os.listdir(tmp_path / "out") == ["spec.csv"]
+
+
 def test_new_out_file_gets_the_mode_open_gives(tmp_path, capsys):
     ref, path = tmp_path / "ref.csv", tmp_path / "spec.csv"
     old = os.umask(0o027)
@@ -467,6 +493,19 @@ def test_route_on_extreme_inputs_ends_cleanly(tmp_path, flags, width):
         fields = json.loads(run.stdout)
         assert all(math.isfinite(v) for key, v in fields.items()
                    if key != "band_over_omega_m")
+
+
+def test_route_quadrature_at_an_extreme_bath(capsys):
+    # at the exceptional point the drive-on report is the quadrature's; at
+    # 1e305 K its St integral overflowed in rad/s and the route exited 4,
+    # while at 5 uW the closed form reported thermal_leak 4.5e304
+    code, out, err = _run(capsys, "route", "--format", "json", "--temp",
+                          "1e305", "--power", "5.2507297778e-6")
+    assert code == 0 and err == ""
+    fields = json.loads(out)
+    assert all(math.isfinite(v) for key, v in fields.items()
+               if key != "band_over_omega_m")
+    assert fields["thermal_leak"] == pytest.approx(4.54e304, rel=1e-2)
 
 
 @pytest.mark.parametrize("temp, code", [("1e305", 0), ("1e308", 4)])

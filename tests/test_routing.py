@@ -280,7 +280,8 @@ def test_integrated_line_mass_is_exact(power, width):
     op = _op(drive_power=power, input_bandwidth=width * WM)
     lo, hi = _default_band(op)
     (mass, *_), _, _ = routing._band_integrals(op, lo, hi)
-    assert mass == pytest.approx(
+    # the quadrature integrates on the omega/omega_m axis
+    assert mass * op.mech_freq == pytest.approx(
         lorentzian_band_mass(lo, hi, op.input_center, op.input_bandwidth),
         rel=1e-12, abs=0.0)
 
@@ -458,14 +459,32 @@ def test_graded_start_is_refused_before_it_is_built(monkeypatch):
         routing._band_integrals(op, *_default_band(op))
 
 
-def test_non_finite_integral_raises():
-    # at a bath of 1e305 K St is finite (3e305 at omega_m), but its
-    # integral over a panel wider than about 600 rad/s there overflows;
-    # the loop used to split nothing and run forever on the NaN error
-    # estimate
-    op = _op(bath_temp=1e305)
+def test_non_finite_integral_raises(monkeypatch):
+    # an integrand that is inf (here St at every node) gives inf panel sums
+    # and NaN error estimates; the loop used to split nothing and run
+    # forever on a NaN error estimate
+    fill = kernels.fill_channels
+
+    def overflowing(flat, op, refl, trans, sv, st_):
+        fill(flat, op, refl, trans, sv, st_)
+        st_[:] = math.inf
+
+    monkeypatch.setattr(kernels, "fill_channels", overflowing)
+    op = _op()
     with pytest.raises(NumericalFailureError, match="not finite"):
         routing._band_integrals(op, *_default_band(op))
+
+
+def test_quadrature_of_a_finite_st_at_an_extreme_bath_is_finite():
+    # at 1e305 K St is finite (3e305 at omega_m); integrated on the
+    # omega/omega_m axis its band integral is too, where panel sums in
+    # rad/s overflowed.  At the exceptional point the report is the
+    # quadrature's; at 5 uW, the closed form's
+    quad = routing_probabilities(_op(drive_power=_EP, bath_temp=1e305))
+    closed = routing_probabilities(_op(drive_power=5e-6, bath_temp=1e305))
+    assert quad.n_evals > 0 and closed.n_evals == 0
+    assert quad.thermal_leak == pytest.approx(4.54e304, rel=1e-2)
+    assert closed.thermal_leak == pytest.approx(4.54e304, rel=1e-2)
 
 
 def test_pass_that_splits_nothing_raises(op_5uw, monkeypatch):
@@ -600,8 +619,8 @@ def _quadrature_report(op, band):
         routing._band_integrals(op, *band)
     return routing.RoutingReport(
         p_reflect=refl / mass, p_transmit=trans / mass,
-        vacuum_leak=sv / op.mech_freq, thermal_leak=st_ / op.mech_freq,
-        band=band, quad_error=quad_error, n_evals=n_evals)
+        vacuum_leak=sv, thermal_leak=st_, band=band, quad_error=quad_error,
+        n_evals=n_evals)
 
 
 def _assert_near_quadrature(rep, op):

@@ -106,7 +106,7 @@ def test_matches_percent_format_at_the_edges_of_the_proven_range():
     x = np.concatenate(runs)
     x = np.concatenate([x, -x])
     with np.errstate(all="ignore"):
-        ok = textout._fast(x)[1]
+        ok = textout._fast(x)[2]
     a = np.abs(x)
     assert not ok[(a < 1e-6) | (a >= 1e17)].any()
     assert ok[(a > 9.99999e16) & (a < 1e17)].all()
@@ -138,7 +138,7 @@ def test_matches_percent_format_on_exact_13_digit_ties():
     assert exponents == set(range(-6, 17))
     x = np.concatenate([ties, np.negative(ties)])
     with np.errstate(all="ignore"):
-        assert not textout._fast(x)[1].any()
+        assert not textout._fast(x)[2].any()
     _assert_like_percent(x)
 
 
@@ -161,8 +161,76 @@ def test_fast_path_formats_the_default_spectrum():
     # a silent slide to the per-value fallback would keep the bytes but lose
     # the speed; the default spectrum's values lie in e in [-7, 1]
     with np.errstate(all="ignore"):
-        _, ok = textout._fast(np.concatenate(_spectrum_table()))
+        _, _, ok = textout._fast(np.concatenate(_spectrum_table()))
     assert ok.mean() >= 0.99
+
+
+_SPECIALS = [-0.0, 0.0, -2.5, math.nan, math.inf, -math.inf, 1e-7, 5e-324,
+             1e-300, 1e300]
+
+
+@pytest.mark.parametrize("prefix", ["", "power,1.000000000000e-06,1,"])
+@pytest.mark.parametrize("extra", [-1, 0, 1, "2n+1"])
+@pytest.mark.parametrize("specials", [False, True])
+def test_both_csv_layouts_match_fmt(monkeypatch, prefix, extra, specials):
+    # chunks of proven, non-negative values (zeros among them) take the
+    # 18-byte layout; a row of values that are negative, -0.0, not finite
+    # or left to fmt sends its chunk, and only that one, to the NUL slots.
+    # Exact 13-digit ties, also left to fmt, are rare below 1e12, and
+    # these draws hold none
+    k = len(_SPECIALS)
+    per_chunk = textout._CHUNK // k
+    rows = 2 * per_chunk + 1 if extra == "2n+1" else per_chunk + extra
+    rng = np.random.default_rng(rows)
+    table = 10 ** rng.uniform(-6, 12, (rows, k))
+    table[rng.random((rows, k)) < 0.05] = 0.0
+    if specials:
+        table[rows // 2] = _SPECIALS
+    calls = []
+    ascii_ = textout._ascii
+    monkeypatch.setattr(textout, "_ascii",
+                        lambda lines: calls.append(lines) or ascii_(lines))
+    pieces = list(textout.csv_rows(list(table.T), prefix=prefix))
+    want = "".join(prefix + ",".join(f"{v:.12e}" for v in row) + "\n"
+                   for row in table.tolist())
+    assert "".join(pieces) == want
+    assert len(pieces) == -(-rows // per_chunk)
+    assert all(piece.endswith("\n") for piece in pieces)
+    assert len(calls) == specials
+
+
+@pytest.mark.parametrize("temp", [0.0, 20e-3])
+def test_csv_rows_lays_out_the_default_spectrum_whole(monkeypatch, temp):
+    # the 18-byte layout is the speed of csv_rows: every value of the
+    # default spectrum, the St zeros at T = 0 included, is proven, and no
+    # chunk goes to the NUL slots
+    cols = _spectrum_table(bath_temp=temp)
+    with np.errstate(all="ignore"):
+        assert textout._fast(np.concatenate(cols))[2].all()
+
+    def refuse(lines):
+        raise AssertionError("a chunk went to the NUL slots")
+
+    monkeypatch.setattr(textout, "_ascii", refuse)
+    assert sum(len(piece) for piece in textout.csv_rows(cols)) \
+        == 4001 * 7 * 19
+
+
+def test_csv_rows_memory_is_bounded():
+    # the pieces are consumed as they come: the traced peak holds one
+    # chunk's stacked values, temporaries and text, not the whole table
+    # stacked or the whole text
+    cols = _spectrum_table(grid_n=200_001)
+    size = 0
+    tracemalloc.start()
+    try:
+        for piece in textout.csv_rows(cols):
+            size += len(piece)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == 200_001 * 7 * 19
+    assert peak < 4e6
 
 
 # ------------------------------------------------------- JSON floats (repr)
@@ -278,12 +346,11 @@ def test_repr_fast_path_covers_the_spectra():
 
 
 def test_csv_fast_path_covers_the_spectra():
-    # as above for "%.12e": the pool's nonzero values are proven for at
-    # least 99%; zeros are left to fmt by design
+    # as above for "%.12e": the pool's values, zeros included, are proven
+    # for at least 99%
     x = _spectrum_pool()
-    x = x[x != 0]
     with np.errstate(all="ignore"):
-        assert textout._fast(x)[1].mean() >= 0.99
+        assert textout._fast(x)[2].mean() >= 0.99
 
 
 @pytest.mark.parametrize("doc", [
