@@ -69,7 +69,11 @@ MAX_ROWS = 10_000_000
 def _num(value, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidParameterError(f"config key {key!r} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:   # a json integer past the float range
+        raise InvalidParameterError(
+            f"config key {key!r} is past the float range") from None
 
 
 def _load_config(path):

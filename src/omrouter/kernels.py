@@ -54,13 +54,33 @@ def drive_term(op):
     return 2.0 * HBAR * coupling(op) * op.eff_detuning
 
 
+def reduced(op):
+    """d in units of omega_m: the record (k2, g, dl, dd, h, theta).
+
+    k2 = 2*kappa/omega_m, g = gamma_m/omega_m, dl = Delta/omega_m,
+    dd = drive_term(op)/(m*omega_m^4) and h = hbar*coupling(op)/(m*omega_m^3),
+    both divided by m and omega_m one factor at a time, and theta =
+    hbar*omega_m/(kB*T).  On x = omega/omega_m, d = m*omega_m^4*D and
+    E*d = k2*m*omega_m^4*N, with D = mech*cav - dd and N = mech*sb + i*h
+    built from mech = 1 - x^2 - i*g*x, cav = (k2 - i*x)^2 + dl^2 and
+    sb = k2 - i*(dl + x).  theta is 0.0 where kB*T is 0, and NaN where
+    only the quotient is (an infinite bath, or one so hot that it
+    underflows: St is not 0 there) or the bath is NaN.
+    """
+    wm, mass = op.mech_freq, op.eff_mass
+    kbt = KB * op.bath_temp
+    theta = (HBAR * wm / kbt or math.nan) if kbt else 0.0
+    return (2.0 * op.cavity_decay / wm, op.gamma_m / wm,
+            op.eff_detuning / wm, drive_term(op) / mass / wm / wm / wm / wm,
+            HBAR * coupling(op) / mass / wm / wm / wm, theta)
+
+
 def _hurwitz_coeffs(op):
     """a3, a2, a1 of :func:`stable_drive_window`'s quartic p(s), and the two
     factors omega_m*omega_m and 4*kappa^2 + Delta^2 of a0's drive-free part.
 
-    Every expansion of d's quartic is built from these terms: the Hurwitz
-    bounds, :func:`omrouter.stability.d_polynomial_coeffs` and the zeros of
-    the routing residues.
+    The Hurwitz bounds and :func:`omrouter.stability.d_polynomial_coeffs`
+    expand d's quartic from these terms in rad/s.
     """
     k = op.cavity_decay
     gm = op.gamma_m

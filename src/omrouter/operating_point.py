@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -43,6 +44,13 @@ from . import kernels  # noqa: E402
 # ratio of 10 (the default geometry) does not warn
 _HIERARCHY_FACTOR = 10.0
 _HIERARCHY_SLACK = 1.0 - 1e-9
+
+# the fields validate requires > 0 (input_bandwidth where it is not None)
+_POSITIVE = ("wavelength", "cavity_length", "eff_mass", "mech_freq",
+             "quality", "cavity_decay", "input_bandwidth")
+# the numbers validate accepts, float first: a check against the abstract
+# numbers.Real alone is several times slower for a float
+_REAL = (float, numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,11 @@ def validate(params: SystemParams) -> None:
     Raises
     ------
     InvalidParameterError
-        Naming the offending field.  Strictly positive: wavelength,
-        cavity_length, eff_mass, mech_freq, quality, cavity_decay and the
-        resolved input_bandwidth.  Non-negative: drive_power, bath_temp.
-        Everything must be finite.
+        Naming the offending field.  Every field must be a finite
+        numbers.Real other than a bool, or None for input_center and
+        input_bandwidth.  Strictly positive: wavelength, cavity_length,
+        eff_mass, mech_freq, quality, cavity_decay and the resolved
+        input_bandwidth.  Non-negative: drive_power, bath_temp.
 
     Warns
     -----
@@ -93,24 +102,22 @@ def validate(params: SystemParams) -> None:
     """
     for f in fields(params):
         value = getattr(params, f.name)
-        if value is None:
+        if value is None and f.default is None:
             continue
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, _REAL):
+            raise InvalidParameterError(
+                f"{f.name} must be a real number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:   # an int past the float range
+            raise InvalidParameterError(
+                f"{f.name} is past the float range") from None
+        if not finite:
             raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
-
-    for name in ("wavelength", "cavity_length", "eff_mass", "mech_freq",
-                 "quality", "cavity_decay"):
-        if getattr(params, name) <= 0.0:
-            raise InvalidParameterError(
-                f"{name} must be > 0, got {getattr(params, name)!r}")
-    for name in ("drive_power", "bath_temp"):
-        if getattr(params, name) < 0.0:
-            raise InvalidParameterError(
-                f"{name} must be >= 0, got {getattr(params, name)!r}")
-    bandwidth = params.input_bandwidth
-    if bandwidth is not None and bandwidth <= 0.0:
-        raise InvalidParameterError(
-            f"input_bandwidth must be > 0, got {bandwidth!r}")
+        if value <= 0.0 and f.name in _POSITIVE:
+            raise InvalidParameterError(f"{f.name} must be > 0, got {value!r}")
+        if value < 0.0 and f.name in ("drive_power", "bath_temp"):
+            raise InvalidParameterError(f"{f.name} must be >= 0, got {value!r}")
 
     gamma_m = params.mech_freq / params.quality
     kappa = params.cavity_decay

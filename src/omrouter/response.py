@@ -337,43 +337,34 @@ def _cell_bounds(edges, op: OperatingPoint):
     """Bounds of the kernel's computed T on each cell [edges[c], edges[c+1]]
     of a grid [rad/s].
 
-    With x = omega/omega_m, E*d = 2*kappa*m*omega_m^3*N(x) and d =
-    m*omega_m^4*D(x), so T = (2*kappa/omega_m)^2*|N|^2/|D|^2, with the cubic
-    N = mech*sb + i*h and the quartic D = mech*cav - dd built from the
-    kernel's factors mech = 1 - x^2 - i*g*x, cav = (k2 - i*x)^2 + dl^2 and
-    sb = k2 - i*(dl + x).  On a cell of centre c and half-width r, |N| and
-    |D| lie within sum_{k>=1} |P_k|*r^k of |P_0|, P_k being their Taylor
-    coefficients at c, formed from the factors' (:func:`_spread`).  The
-    cancellation-free sizes of N and D, sums of the moduli of their terms,
-    have nonnegative Taylor coefficients, so at the cell's top c + r each
-    is the sum of the sizes of the P_k times r^k: within _ROUND of it lie
-    both the coefficients' rounding and the kernel's rounding of E*d and
-    d on the cell (D's size takes |k2 - i*x|^2 as (k2 + x)^2).  The
-    kernel's division, modulus and square move T by less than 4*_ROUND
-    relative.  Everything is formed in units of omega_m, so no bound
-    overflows where T is finite.
+    With x = omega/omega_m, T = k2^2*|N|^2/|D|^2, with the cubic N and the
+    quartic D of :func:`omrouter.kernels.reduced`.  On a cell of centre c
+    and half-width r, |N| and |D| lie within sum_{k>=1} |P_k|*r^k of
+    |P_0|, P_k being their Taylor coefficients at c, formed from the
+    factors' (:func:`_spread`).  The cancellation-free sizes of N and D,
+    sums of the moduli of their terms, have nonnegative Taylor
+    coefficients, so at the cell's top c + r each is the sum of the sizes
+    of the P_k times r^k: within _ROUND of it lie both the coefficients'
+    rounding and the kernel's rounding of E*d and d on the cell (D's size
+    takes |k2 - i*x|^2 as (k2 + x)^2).  The kernel's division, modulus and
+    square move T by less than 4*_ROUND relative.  Everything is formed in
+    units of omega_m, so no bound overflows where T is finite.
 
     Returns (low, high), arrays over the cells; every cell gets (0, inf)
     when the float range cannot certify the bounds, and a cell whose lower
     bound on |D| reaches 0 gets an infinite high.
     """
     wm = op.mech_freq
-    mass = op.eff_mass
-    drive = kernels.drive_term(op)
-    push = HBAR * kernels.coupling(op)
     low = np.zeros(edges.size - 1)
     high = np.full(edges.size - 1, np.inf)
     # the kernel's products have at most five factors; inputs within 2^128
     # keep them, and six levels of cancellation below them, in the normal
     # float range, so every rounding is relative
-    if not _within((mass, wm, op.gamma_m, op.cavity_decay, op.eff_detuning,
-                    drive, push, edges[0], edges[-1]), 128):
+    if not _within((op.eff_mass, wm, op.gamma_m, op.cavity_decay,
+                    op.eff_detuning, kernels.drive_term(op),
+                    HBAR * kernels.coupling(op), edges[0], edges[-1]), 128):
         return low, high
-    k2 = 2.0 * op.cavity_decay / wm
-    g = op.gamma_m / wm
-    dl = op.eff_detuning / wm
-    dd = drive / mass / wm / wm / wm / wm
-    h = push / mass / wm / wm / wm
+    k2, g, dl, dd, h, _ = kernels.reduced(op)
     x = edges / wm
     # in units of omega_m the bounds' products stay in range
     if not _within((k2, g, dl, dd, h, x[0], x[-1]), 64):

@@ -18,16 +18,15 @@ adaptive quadrature.  With the drive on, R, T and Sv are rational in
 omega over |d|^2, and so is St on the band wherever hbar*omega/(kB*T)
 stays at or below 0.01 there: the Bose factor x/(e^x - 1) is then its
 Bernoulli polynomial 1 - x/2 + x^2/12 - x^4/720, within x^6/30240 (at
-T = 0, St is 0 on the band).  Each of the four integrals is
-2*Re sum N(p)/Q'(p)*Log((b-p)/(a-p)) over its upper poles: the conjugates
-of d's four zeros and, for Scin*R and Scin*T, the line's pole
-center + i*Gamma; the line mass is an arctangent.  The zeros come from
-Ferrari's factorization of the real Hurwitz quartic d(i*s)/m and one
-Newton step each.  The closed form is taken when every zero's backward
-residual is within stability._ROUND and the rounding error, amplified by
-the cancellation among the terms and by the conditioning of the zeros, is
-estimated below 2048 ulp of 1 (4.5e-13); against 50-digit residues the
-error stays within 1.5 times that estimate.  Otherwise the report falls
+T = 0, St is 0 on the band).  Each of the four integrals is a sum of
+residues at its upper poles, the conjugates of d's zeros (by Ferrari's
+method, on d in units of omega_m) and for Scin*R and Scin*T the line's;
+the line mass is an arctangent.  The closed form is taken when every
+zero's backward residual is within stability._ROUND and the rounding
+error, amplified by the cancellation among the terms and by the
+conditioning of the zeros, is estimated below 2048 ulp of 1 (4.5e-13);
+against 50-digit residues the error stays within 1.5 times that
+estimate.  Otherwise the report falls
 back to the quadrature: where poles cluster (next to the exceptional
 point, where two zeros of d merge, or with the line's pole on one of
 d's), where a zero sits so close to the real axis that its rounding
@@ -69,7 +68,7 @@ from . import kernels
 from .empty_cavity import (_band_log, _lorentzian_band_integrals,
                            lorentzian_band_mass, lorentzian_input)
 from .errors import InvalidParameterError, NumericalFailureError
-from .operating_point import (HBAR, KB, OperatingPoint, SystemParams,
+from .operating_point import (OperatingPoint, SystemParams,
                               derive_operating_point)
 # Not used here.  perfbench/tracer.py wraps these names in this module as
 # its response.pointwise layer and reports the layer absent without them.
@@ -317,15 +316,15 @@ def _empty_cavity_report(op: OperatingPoint, lo: float, hi: float):
                          quad_error=0.0, n_evals=0)
 
 
-def _hurwitz_zeros(op: OperatingPoint):
-    """The zeros of d on the omega/omega_m axis and their worst backward
-    residual.
+def _hurwitz_zeros(red):
+    """The zeros of D on the omega/omega_m axis and their worst backward
+    residual, from the record ``red`` of :func:`omrouter.kernels.reduced`.
 
-    With omega = i*s*omega_m, d/(m*omega_m^4) is the real quartic
-    s^4 + a3*s^3 + a2*s^2 + a1*s + a0 of
-    :func:`omrouter.kernels.stable_drive_window`, rescaled.  Ferrari's
-    method writes its depressed form y^4 + p*y^2 + q*y + r, y = s + a3/4,
-    as (y^2 + t*y + m1)*(y^2 - t*y + m2), where T = t^2 is a root of the
+    D(i*s) = s^4 + a3*s^3 + a2*s^2 + a1*s + a0 is the real quartic of
+    :func:`omrouter.kernels.stable_drive_window` in units of omega_m.
+    Ferrari's method writes its
+    depressed form y^4 + p*y^2 + q*y + r, y = s + a3/4, as
+    (y^2 + t*y + m1)*(y^2 - t*y + m2), where T = t^2 is a root of the
     resolvent cubic T^3 + 2p*T^2 + (p^2 - 4r)*T - q^2.  The cubic is solved
     in its depressed form by the trigonometric (or hyperbolic) formula,
     taking the root of largest magnitude so that q/t stays small, and that
@@ -333,14 +332,12 @@ def _hurwitz_zeros(op: OperatingPoint):
     are each other's conjugates, so only the first is solved.  Each zero
     then takes one Newton step on the quartic.  The backward residual is
     that of :func:`omrouter.stability.poles`, with a0 sized without
-    cancellation as there.
+    cancellation as c0 + |dd|.
     """
-    wm = op.mech_freq
-    a3, a2, a1, w2, cav0 = kernels._hurwitz_coeffs(op)
-    x = kernels.drive_term(op) / op.eff_mass
-    a3, a2, a1, a0 = a3 / wm, a2 / w2, a1 / w2 / wm, w2 * cav0
-    size0 = (a0 + abs(x)) / w2 / w2
-    a0 = (a0 - x) / w2 / w2
+    k2, g, dl, dd, _, _ = red
+    c0 = k2 * k2 + dl * dl
+    a3, a2, a1 = 2.0 * k2 + g, c0 + 2.0 * k2 * g + 1.0, g * c0 + 2.0 * k2
+    a0, size0 = c0 - dd, c0 + abs(dd)
     s = 0.25 * a3
     s2 = s * s
     p = a2 - 6.0 * s2
@@ -403,19 +400,20 @@ def _hurwitz_zeros(op: OperatingPoint):
     return zeros, sizes, backward
 
 
-def _residue_integrals(op: OperatingPoint, lo: float, hi: float):
+def _residue_integrals(red, a: float, b: float, line: complex):
     """The drive-on band integrals from the residues at their upper poles.
 
-    On u = omega/omega_m with the band [a, b] and D = d/(m*omega_m^4), the
-    product of u - z_k over d's zeros, each integrand is N/Q with
-    Q = D*conj(D) for Sv and St, times (u - c)^2 + gamma^2 for Scin*R and
-    Scin*T, and int N/Q = 2*Re sum N(p)/Q'(p)*Log((b-p)/(a-p)) over the
-    upper poles p: the conj(z_k) and the line's c + i*gamma.  N is
-    gamma/pi times |(E - 1)*D|^2 or |E*D|^2, a constant for Sv, and for St
-    |sb|^2 times the Bernoulli polynomial of the Bose factor.  The
-    conjugate factor of N at conj(z_j) is the conjugate of its value at
-    z_j, and Q' is formed from differences of the computed zeros, so that
-    the sum is exact for them.
+    On u = omega/omega_m, with D of the record ``red`` of
+    :func:`omrouter.kernels.reduced`, the band [a, b] and the line's pole
+    ``line`` = c + i*gamma, each integrand is N/Q with Q = D*conj(D) for
+    Sv and St, times (u - c)^2 + gamma^2 for Scin*R and Scin*T, and
+    int N/Q = 2*Re sum N(p)/Q'(p)*Log((b-p)/(a-p)) over the upper poles p:
+    c + i*gamma and the conjugates of D's zeros z_k.  N is gamma/pi times
+    |(E - 1)*D|^2 or |E*D|^2, a constant for Sv, and for St |sb|^2 times
+    the Bernoulli polynomial of the Bose factor.  The conjugate factor of
+    N at conj(z_j) is the conjugate of its value at z_j, and Q' is formed
+    from differences of the computed zeros, so that the sum is exact for
+    them.
 
     Returns the list [int Scin*R, int Scin*T, vacuum_leak, thermal_leak],
     the zeros' worst backward residual, the worst ratio of the sum of
@@ -424,35 +422,25 @@ def _residue_integrals(op: OperatingPoint, lo: float, hi: float):
     the size of D's terms there, moves the integrals.  May raise
     ArithmeticError or ValueError outside the float range.
     """
-    zeros, sizes, backward = _hurwitz_zeros(op)
-    wm = op.mech_freq
-    k = op.cavity_decay / wm
-    gm = op.gamma_m / wm
-    dl = op.eff_detuning / wm
-    h = HBAR * kernels.coupling(op) / (op.eff_mass * (wm * wm) * wm)
-    k2 = 2.0 * k
-    ih, igm, idl = 1j * h, 1j * gm, 1j * dl
+    zeros, sizes, backward = _hurwitz_zeros(red)
+    k2, g, dl, _, h, theta = red
+    ih, ig, idl = 1j * h, 1j * g, 1j * dl
     side0 = complex(k2, -dl)
-    # (E - 1)*d's constant: 2i*kappa*hbar*g^2*|c_s|^2 plus the drive term
+    # (E - 1)*D's constant: i*k2*h plus the drive's share dd = 2*h*dl
     refl0 = complex(2.0 * h * dl, k2 * h)
-    a, b = lo / wm, hi / wm
-    line = complex(op.input_center / wm, op.input_bandwidth / wm)
     line_c = line.conjugate()
 
     def channels(u):
-        # E*d, (E - 1)*d and the sideband 2*kappa - i*(Delta + omega) at u,
-        # (E - 1)*d without cancellation as mech*sb*i*(omega - Delta) +
-        # 2i*kappa*hbar*g^2*|c_s|^2 + drive term
+        # E*D, (E - 1)*D and the sideband sb at u, (E - 1)*D without
+        # cancellation as mech*sb*i*(u - dl) + i*k2*h + dd
         iu = 1j * u
         sb = side0 - iu
-        ms = (1.0 - u * (u + igm)) * sb
+        ms = (1.0 - u * (u + ig)) * sb
         return k2 * (ms + ih), ms * (iu - idl) + refl0, sb
 
-    kbt = KB * op.bath_temp
-    theta = HBAR * wm / kbt if kbt else 0.0
-    sv_num = 8.0 * (k * h) * (k * h)
-    st_num = 4.0 * k * gm * h / theta if kbt else 0.0
-    weight = op.input_bandwidth / wm / math.pi
+    sv_num = 2.0 * (k2 * h) * (k2 * h)
+    st_num = 2.0 * k2 * g * h / theta if theta else 0.0
+    weight = line.imag / math.pi
     refl = trans = sv = st = 0.0
     refl_abs = trans_abs = sv_abs = st_abs = 0.0
     condition = 0.0
@@ -475,7 +463,7 @@ def _residue_integrals(op: OperatingPoint, lo: float, hi: float):
         t = sv_num * common
         sv += t.real
         sv_abs += abs(t)
-        if kbt:
+        if theta:
             xz = theta * zc
             x2 = xz * xz
             bern = 1.0 - 0.5 * xz + x2 * (1.0 / 12.0 - x2 / 720.0)
@@ -497,7 +485,7 @@ def _residue_integrals(op: OperatingPoint, lo: float, hi: float):
     trans += t.real
     trans_abs += abs(t)
     cancel = max(refl_abs / abs(refl), trans_abs / abs(trans),
-                 sv_abs / abs(sv), st_abs / abs(st) if kbt else 1.0)
+                 sv_abs / abs(sv), st_abs / abs(st) if theta else 1.0)
     return ([2.0 * refl, 2.0 * trans, 2.0 * sv, 2.0 * st], backward, cancel,
             condition)
 
@@ -505,19 +493,25 @@ def _residue_integrals(op: OperatingPoint, lo: float, hi: float):
 def _residue_report(op: OperatingPoint, lo: float, hi: float):
     """The drive-on report from :func:`_residue_integrals`, or None.
 
-    None where the closed form is not certified: St is not polynomial on
-    the band, a zero of d is not converged (backward residual above
-    stability._ROUND), the error estimate exceeds _RESIDUE_TOL, or the
-    point is outside the float range.
+    The record of :func:`omrouter.kernels.reduced` is formed once, and the
+    band and the line are passed in units of omega_m.  None where the
+    closed form is not certified: St is not polynomial on the band, a zero
+    of d is not converged (backward residual above stability._ROUND), the
+    error estimate exceeds _RESIDUE_TOL, or the point is outside the float
+    range.
     """
     if not 0.0 <= op.bath_temp < math.inf:
         return None
-    kbt = KB * op.bath_temp
-    if kbt and HBAR * hi > _BERNOULLI_REACH * kbt:
+    wm = op.mech_freq
+    red = kernels.reduced(op)
+    # theta*hi/omega_m, the Bose factor's largest argument on the band
+    if not red[5] * hi / wm <= _BERNOULLI_REACH:
         return None
     try:
         (refl, trans, sv, st), backward, cancel, condition = \
-            _residue_integrals(op, lo, hi)
+            _residue_integrals(red, lo / wm, hi / wm,
+                               complex(op.input_center / wm,
+                                       op.input_bandwidth / wm))
         mass = lorentzian_band_mass(lo, hi, op.input_center,
                                     op.input_bandwidth)
         p_reflect, p_transmit = refl / mass, trans / mass

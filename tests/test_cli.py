@@ -154,7 +154,10 @@ def test_unstable_point_reports_and_writes_nothing(tmp_path, write_config,
                                   "{\"mech_freq\": \"fast\"}",
                                   "{\"units\": \"hz\"}",
                                   "{\"grid_n\": 4001.5}",
-                                  "{\"grid_n\": true}"])
+                                  "{\"grid_n\": true}",
+                                  pytest.param(
+                                      "{\"quality\": 1" + "0" * 400 + "}",
+                                      id="int-past-float-range")])
 def test_bad_config_rejected_without_output(tmp_path, text, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
@@ -649,6 +652,7 @@ def test_sweep_matches_single_spectrum(tmp_path, write_config, capsys):
     {"sweep_param": "frequency", "sweep_values": [1.0]},
     {"sweep_values": [1.0]},
     {"sweep_param": "power", "sweep_values": [1e-6, "hot"]},
+    {"sweep_param": "power", "sweep_values": [10 ** 400]},
 ])
 def test_bad_sweep_configs_rejected(write_config, entries, capsys):
     cfg = write_config("sweep.json", **entries)

@@ -97,6 +97,11 @@ def test_operating_point_immutable(op_5uw):
     ("input_bandwidth", -5.0),
     ("wavelength", float("nan")),
     ("drive_power", float("inf")),
+    # not a float: an int past the float range, a string, a bool, None
+    pytest.param("quality", 10 ** 400, id="quality-10**400"),
+    ("quality", "5"),
+    ("drive_power", True),
+    ("mech_freq", None),
 ])
 def test_invalid_inputs_name_the_field(field, value):
     params = replace(default_params(), **{field: value})
@@ -108,6 +113,13 @@ def test_defaults_pass_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         validate(default_params())
+
+
+def test_numpy_scalars_and_ints_are_valid_inputs():
+    params = replace(default_params(), quality=np.float32(1.1e6),
+                     drive_power=np.float64(5e-6), eff_mass=np.int64(1),
+                     cavity_length=1)
+    assert derive_operating_point(params).quality == np.float32(1.1e6)
 
 
 @pytest.mark.parametrize("field,value", [

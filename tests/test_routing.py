@@ -724,6 +724,59 @@ _bright_points = st.builds(
 
 @settings(deadline=None, max_examples=50)
 @given(params=_bright_points)
+def test_reduced_model_is_d_in_units_of_omega_m(params):
+    # the record's monic quartic D = mech*cav - dd, expanded from its
+    # factors, times m*omega_m^(4-k), is d_polynomial_coeffs to within
+    # _ROUND of each coefficient's cancellation-free size; h and theta
+    # scale back to E's numerator and the Bose factor's argument
+    op = derive_operating_point(params)
+    k2, g, dl, dd, h, theta = kernels.reduced(op)
+    m, wm = op.eff_mass, op.mech_freq
+    monic = np.polymul([-1.0, -1j * g, 1.0],
+                       [-1.0, -2j * k2, k2 * k2 + dl * dl])
+    monic[-1] -= dd
+    want = stability.d_polynomial_coeffs(op)
+    size = np.abs(want)
+    size[-1] = m * wm * wm * (4.0 * op.cavity_decay ** 2
+                              + op.eff_detuning ** 2) \
+        + abs(kernels.drive_term(op))
+    assert np.all(np.abs(monic * m * wm ** np.arange(5.0) - want)
+                  <= stability._ROUND * size)
+    assert h * m * wm ** 3 == pytest.approx(HBAR * kernels.coupling(op),
+                                            rel=stability._ROUND)
+    kbt = KB * op.bath_temp
+    assert theta == (pytest.approx(HBAR * wm / kbt) if kbt else 0.0)
+
+
+@pytest.mark.parametrize("temp", [math.inf, math.nan])
+def test_reduced_model_never_reads_an_unbounded_bath_as_zero_kelvin(
+        op_5uw, temp):
+    # hbar*omega_m/(kB*T) is 0.0 at T = inf, as it is at T = 0, but St is
+    # not: theta is NaN, the residues decline such a bath, and the
+    # quadrature refuses it
+    op = replace(op_5uw, bath_temp=temp)
+    assert routing._residue_report(op, *_default_band(op)) is None
+    with pytest.raises(InvalidParameterError, match="bath_temp"):
+        routing_probabilities(op)
+    assert math.isnan(kernels.reduced(op)[5])
+
+
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+def test_reduced_model_never_reads_a_hot_bath_as_zero_kelvin():
+    # a finite bath so hot that hbar*omega_m/(kB*T) underflows to 0: the
+    # residues, which take the point at T = 0, decline it
+    wm = 1e-5
+    op = _op(mech_freq=wm, cavity_decay=0.1 * wm, eff_detuning=wm,
+             input_bandwidth=0.01 * wm, drive_power=5e-6 * (wm / WM) ** 4,
+             bath_temp=1e308)
+    band = _default_band(op)
+    assert routing._residue_report(replace(op, bath_temp=0.0), *band)
+    assert routing._residue_report(op, *band) is None
+    assert math.isnan(kernels.reduced(op)[5])
+
+
+@settings(deadline=None, max_examples=50)
+@given(params=_bright_points)
 def test_drive_on_closed_form_against_quadrature(params):
     op = derive_operating_point(params)
     assume(kernels.is_stable(op))
@@ -731,6 +784,15 @@ def test_drive_on_closed_form_against_quadrature(params):
     rep = routing._residue_report(op, lo, hi)
     assume(rep is not None)
     _assert_near_quadrature(rep, op)
+
+
+# a third of the benchmark's design pool (list(_design_pool())[::3] of
+# tests/test_response.py): its points at T = 0, every zero set of the pool
+_DESIGN_THIRD = [{"drive_power": power, "eff_detuning": detuning * WM,
+                  "bath_temp": 0.0}
+                 for power in (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6,
+                               15e-6, 18e-6, 20e-6)
+                 for detuning in (0.95, 1.0, 1.05)]
 
 
 @pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
@@ -741,10 +803,11 @@ def test_drive_on_closed_form_against_quadrature(params):
     # a cavity of 0.9*omega_m, where it is negative as in the hierarchy
     {"cavity_decay": 1.6 * WM, "quality": 27.0, "eff_detuning": 1.54 * WM},
     {"cavity_decay": 0.9 * WM, "eff_detuning": 0.95 * WM},
-    {"quality": 0.4, "cavity_decay": 0.06 * WM, "eff_detuning": 0.6 * WM}])
+    {"quality": 0.4, "cavity_decay": 0.06 * WM, "eff_detuning": 0.6 * WM},
+    *_DESIGN_THIRD])
 def test_drive_on_closed_form_outside_the_resolved_sidebands(overrides):
     op = _op(**overrides)
-    zeros, _, backward = routing._hurwitz_zeros(op)
+    zeros, _, backward = routing._hurwitz_zeros(kernels.reduced(op))
     roots, _ = stability.poles(op)
     for root in roots:
         assert min(abs(root - z) for z in zeros) < 1e-12
