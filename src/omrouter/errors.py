@@ -13,7 +13,7 @@ class NumericalFailureError(RuntimeError):
     """A numerical routine lost accuracy.
 
     Raised for near-singular response denominators, root residuals beyond
-    tolerance, and quadrature that fails to converge.
+    tolerance, and band integrals that are not certified or not finite.
     """
 
 

@@ -81,6 +81,26 @@ def default_params() -> SystemParams:
     return SystemParams()
 
 
+def _real(name, value) -> float:
+    """``value`` as a finite float, or InvalidParameterError naming ``name``.
+
+    A finite numbers.Real other than a bool; an int past the float range is
+    refused, not rounded.  A float, what callers pass, is tested first.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, _REAL):
+            raise InvalidParameterError(
+                f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:   # an int past the float range
+            raise InvalidParameterError(
+                f"{name} is past the float range") from None
+    if value - value != 0.0:   # inf or NaN
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def validate(params: SystemParams) -> None:
     """Reject unphysical inputs; warn when the sideband hierarchy fails.
 
@@ -104,16 +124,7 @@ def validate(params: SystemParams) -> None:
         value = getattr(params, f.name)
         if value is None and f.default is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, _REAL):
-            raise InvalidParameterError(
-                f"{f.name} must be a real number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:   # an int past the float range
-            raise InvalidParameterError(
-                f"{f.name} is past the float range") from None
-        if not finite:
-            raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
+        _real(f.name, value)
         if value <= 0.0 and f.name in _POSITIVE:
             raise InvalidParameterError(f"{f.name} must be > 0, got {value!r}")
         if value < 0.0 and f.name in ("drive_power", "bath_temp"):

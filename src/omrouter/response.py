@@ -28,6 +28,7 @@ the dip scan do, and a frequency where d cancels to near zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +183,7 @@ def _pair(value):
     """``value`` as two floats; (nan, nan) unless it is a pair of numbers."""
     try:
         lo, hi = map(float, value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return math.nan, math.nan
     return lo, hi
 
@@ -266,7 +267,12 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
 
 
 def default_grid(op: OperatingPoint, n_points: int = 4001) -> np.ndarray:
-    """The standard scan window [0.5, 1.5]*omega_m."""
+    """The standard scan window [0.5, 1.5]*omega_m in n_points points;
+    InvalidParameterError unless n_points is an int >= 2."""
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) \
+            or n_points < 2:
+        raise InvalidParameterError(
+            f"n_points must be an int >= 2, got {n_points!r}")
     return np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n_points)
 
 

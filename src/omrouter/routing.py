@@ -13,68 +13,63 @@ eit_linewidth_scan) loses roughly Gamma/(Gamma+w) of its mass to the skirts
 where the window no longer reflects.  Narrow lines or stronger drive are
 what push the routing toward ideal.
 
-Most reports come from closed forms, exact to rounding; the rest from an
-adaptive quadrature.  With the drive on, R, T and Sv are rational in
-omega over |d|^2, and so is St on the band wherever hbar*omega/(kB*T)
-stays at or below 0.01 there: the Bose factor x/(e^x - 1) is then its
-Bernoulli polynomial 1 - x/2 + x^2/12 - x^4/720, within x^6/30240 (at
-T = 0, St is 0 on the band).  Each of the four integrals is a sum of
-residues at its upper poles, the conjugates of d's zeros (by Ferrari's
-method, on d in units of omega_m) and for Scin*R and Scin*T the line's;
-the line mass is an arctangent.  The closed form is taken when every
-zero's backward residual is within stability._ROUND and the rounding
-error, amplified by the cancellation among the terms and by the
-conditioning of the zeros, is estimated below 2048 ulp of 1 (4.5e-13);
-against 50-digit residues the error stays within 1.5 times that
-estimate.  Otherwise the report falls
-back to the quadrature: where poles cluster (next to the exceptional
-point, where two zeros of d merge, or with the line's pole on one of
-d's), where a zero sits so close to the real axis that its rounding
-matters (a weakly driven membrane: 0.1 uW at the defaults, 1 uW with
-kappa = 0.03*omega_m), and where St is not polynomial (below about 1 mK
-on the default band).
-
-The quadrature computes the five band integrals (Scin, Scin*R, Scin*T, Sv
-and St) together by one adaptive 21-point Gauss-Kronrod pass with
-QUADPACK's qk21 error estimate.  The first partition is graded toward the
-narrow features, whose place and width are known: cuts at the line center
-and at center +- Gamma*2^k, k = 0, 1, ..., out to the band edges, and
-likewise around omega_m at the window half-width eit_linewidth (one set at
-the narrower width where the line sits on the window).
-Panels then shrink with the features they hold, so most reports need no
-refinement.  Where one does, each refinement level evaluates the channels
-once, on the nodes of every panel it splits, and a panel is split while
-its error estimate exceeds its fair share of the tolerance for any of the
-five.  The pass stops when each integral's summed error estimate is within
-1e-10 of its value.  The line is evaluated at offsets from its center,
-so a line as narrow as 1e-12*omega_m is integrated to that accuracy too.
-
-With the drive off (g^2*|c_s|^2 = 0) there is never a pass: the membrane
-decouples, Sv and St vanish, and R and T are the empty cavity's
-Lorentzians, so the line mass, Scin*R and Scin*T are rational band
-integrals with a closed form (see
+Every report comes from a closed form and evaluates no channel on a grid.
+With the drive off (g^2*|c_s|^2 = 0) the membrane decouples, Sv and St
+vanish, and R and T are the empty cavity's Lorentzians (see
 :func:`omrouter.empty_cavity._lorentzian_band_integrals`).
+
+With the drive on, on u = omega/omega_m and the band [a, b], each
+integrand is a rational f times the Bose factor B(theta*u), B(x) =
+x/(e^x - 1) for St and 1 for the others, and
+
+    int_a^b f*B du = 2*Re sum_p Res_p(f) * J(p),
+    J(z) = int_a^b B(theta*u)/(u - z) du,
+
+over f's upper poles p: the conjugates of D's zeros (Ferrari's method,
+then one Newton step on D's factored form) and, for Scin*R and Scin*T,
+the line's c + i*Gamma.  Where B is 1, J is Log((b-z)/(a-z)).  For St,
+J(z) is B(theta*z)*Log((b-z)/(a-z)) plus the integral of the smooth
+(B(theta*u) - B(theta*z))/(u - z) by a Gauss-Legendre rule, or, where
+B(theta*z) is more than twice B on the band and that would cancel, the
+rule's integral of B(theta*u)/(u - z).  The rule has 2 nodes where
+theta*|u| <= 0.01 (B is then its quartic to 1e-17, the integrand a
+cubic), else 16 up to 1,024 as theta*(b - a) grows.  Upper poles closer
+together than an eighth of their heights above the real axis (next to
+the exceptional point, or the line's pole on one of D's) would cancel;
+such a cluster is summed as one contour integral of f*J, by the
+trapezoid rule on a circle about it, with f formed from D's factors.
+
+A report is certified when every zero's backward residual is within
+stability._ROUND and its rounding error, amplified by the cancellation
+among the terms and by the conditioning of the isolated zeros and of D
+on the contours, counting the rounding of the record, of the line's pole
+and of the rule's nodes, is estimated below 1e-10, the contract of the
+adaptive quadrature these sums replaced.  On 3,000 random points inside
+the hierarchy and across the exceptional point the error against
+50-digit residues stayed below 2e-13 and within 4 times the estimate
+(0.74 times where it is above 1e-13).  A report that is not certified
+raises NumericalFailureError; there is no other method to fall back to.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import kernels
 from .empty_cavity import (_band_log, _lorentzian_band_integrals,
-                           lorentzian_band_mass, lorentzian_input)
+                           lorentzian_band_mass)
 from .errors import InvalidParameterError, NumericalFailureError
-from .operating_point import (OperatingPoint, SystemParams,
+from .operating_point import (OperatingPoint, SystemParams, _real,
                               derive_operating_point)
 # Not used here.  perfbench/tracer.py wraps these names in this module as
 # its response.pointwise layer and reports the layer absent without them.
 from .response import (reflection_R, thermal_noise,  # noqa: F401
                        transmission_T, vacuum_noise)
-from .response import _pair, eit_linewidth
+from .response import _pair
 from .stability import _ROUND
 
 # the band must cover the line core, center +- one half-width; wider lines
@@ -82,49 +77,27 @@ from .stability import _ROUND
 # too-broad photon) and only the normalization accounts for it
 _BAND_COVER = 1.0
 
-# each band integral stops once its summed error estimate is within this
-# fraction of its value
-_REL_TOL = 1e-10
-
-# most Gauss-Kronrod panels the band may be split into, the first
-# partition included
-_MAX_PANELS = 400
-
-# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1]: the positive Kronrod
-# abscissae and their weights, then the weights of the embedded 10-point
-# Gauss rule, whose abscissae are every second Kronrod one from the second
-_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-       0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-       0.123491976262065851077208564865465, 0.134709217311473325928054001771707,
-       0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
-_WK0 = 0.149445554002916905664936468389821   # Kronrod weight of the center
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-_GK_X = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
-_GK_WK = np.array(list(_WK) + [_WK0] + list(reversed(_WK)))
-_GK_WG = np.zeros(21)
-_GK_WG[1:10:2] = _WG
-_GK_WG[19:10:-2] = _WG
-# qk21's floor on an error estimate: 50 ulp of the panel's absolute integral
-_ROUNDOFF = 50.0 * np.finfo(float).eps
-
-_EPS = float(np.finfo(float).eps)
-# a drive-on report comes from the residues where their rounding error,
-# amplified by the cancellation among the terms and by the conditioning
-# of d's zeros, is estimated below this; measured, the true error stays
-# within 1.5 times the estimate
-_RESIDUE_TOL = 2048.0 * _EPS
-# the Bernoulli polynomial stands for x/(e^x - 1), x = hbar*omega/(kB*T),
-# while x stays below this on the band: its error is below x^6/30240
-_BERNOULLI_REACH = 0.01
+_EPS = sys.float_info.epsilon
+# a drive-on report is certified where the rounding error of its residue
+# sums, amplified by the cancellation among the terms and by the
+# conditioning of d's zeros, is estimated below this (see the module
+# docstring for how far the true error stays from the estimate)
+_RESIDUE_TOL = 1e-10
 _THIRD_TURN = 2.0 * math.pi / 3.0
+# the record's dd and h are formed by up to 7 and 5 roundings, so the
+# sizes of the terms that carry them count them at this many ulp
+_RECORD = 4.0
+
+# upper poles closer together than this fraction of their heights above
+# the real axis form one cluster
+_CLUSTER = 0.125
+# a cluster's contour rule stops once its aliasing falls below 2^-56
+_ALIAS_BITS = 56.0
+
+# the largest Gauss-Legendre rule St's integral may take: 1,024 nodes
+# reach theta*(b - a) = 2,048, beyond which B underflows on the whole
+# default band
+_MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -136,158 +109,6 @@ class RoutingReport:
     vacuum_leak: float    # band-integrated Sv, units of photons
     thermal_leak: float   # band-integrated St, units of photons
     band: tuple[float, float]   # analysis band [rad/s]
-    # worst relative error estimate of the quadrature's band integrals;
-    # 0.0 for a closed-form report (drive off, or drive on and certified)
-    quad_error: float
-    # frequency nodes the quadrature evaluated; 0 for a closed-form report
-    n_evals: int
-
-
-# an integrand that overflows is reported by the caller, as one error
-@np.errstate(all="ignore")
-def _gk21(a, b, op: OperatingPoint):
-    """The five integrands' qk21 values and error estimates on panels [a, b].
-
-    The panel edges are offsets from the line center in rad/s; the values
-    are integrals on the omega/omega_m axis, where a St that is finite
-    has a finite integral however wide the panel.  Returns two arrays of
-    shape (5, len(a)), rows Scin, Scin*R, Scin*T, Sv and St.
-    """
-    half = 0.5 * (b - a)
-    offsets = ((0.5 * (a + b))[:, None] + half[:, None] * _GK_X).ravel()
-    # the panels' half-widths on the omega/omega_m axis
-    scale = half / op.mech_freq
-    table = np.empty((5, offsets.size))
-    kernels.fill_channels(op.input_center + offsets, op, *table[1:])
-    # the line is evaluated at the offsets themselves: rounded to the
-    # absolute axis, the nodes of a line 1e-9*omega_m wide would move by
-    # 1e-7 of its width, an error the rule cannot see
-    table[0] = lorentzian_input(offsets, 0.0, op.input_bandwidth)
-    table[1:3] *= table[0]
-    f = table.reshape(5, -1, 21)
-    resk = f @ _GK_WK
-    err = np.abs(resk - f @ _GK_WG) * scale
-    # the rule applied to |f - mean of f|; the weights sum to 2
-    resasc = (np.abs(f - 0.5 * resk[..., None]) @ _GK_WK) * scale
-    # the integrands are >= 0, so this is also the absolute integral that
-    # _ROUNDOFF scales
-    resk *= scale
-    # resasc * min(1, (200 * err / resasc)^1.5), dividing only below the cap
-    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err),
-                      where=200.0 * err < resasc)
-    err = np.maximum(resasc * ratio ** 1.5, _ROUNDOFF * resk)
-    return resk, err
-
-
-def _features(op: OperatingPoint):
-    """The narrow features of the integrands: (point, scale) pairs.
-
-    Points are offsets from the line center.  The line has half-width
-    Gamma at 0; with the drive on, the transparency window has half-width
-    eit_linewidth at omega_m.  Where the two coincide, the narrower scale
-    stands for both.  With the drive off the mechanics is decoupled, and
-    there is no window.
-    """
-    gamma = op.input_bandwidth
-    if kernels.coupling(op) == 0.0:
-        return [(0.0, gamma)]
-    window, width = op.mech_freq - op.input_center, eit_linewidth(op)
-    if window == 0.0:
-        return [(0.0, min(gamma, width))]
-    return [(0.0, gamma), (window, width)]
-
-
-def _doublings(reach, scale):
-    """An upper bound on the k >= 0 with scale*2^k < reach."""
-    if reach <= scale:
-        return 0
-    return 1 + math.floor(math.log2(reach) - math.log2(scale))
-
-
-def _first_edges(op: OperatingPoint, lo: float, hi: float):
-    """Panel edges of the first partition, as offsets from the line center.
-
-    Each feature gets the cuts point and point +- scale*2^k, k = 0, 1, ...,
-    that fall strictly inside the band; omega_m is always a cut.
-
-    Raises
-    ------
-    NumericalFailureError
-        When those cuts alone would make more than _MAX_PANELS panels; the
-        count is bounded from log2(band/scale) before any cut is made.
-    """
-    features = _features(op)
-    steps = [(_doublings(point - lo, scale), _doublings(hi - point, scale))
-             for point, scale in features]
-    n_panels = 2 + sum(1 + below + above for below, above in steps)
-    if n_panels > _MAX_PANELS:
-        raise NumericalFailureError(
-            f"band integrals did not converge within {_MAX_PANELS} panels: "
-            f"the graded first partition alone needs up to {n_panels}")
-    cuts = {lo, hi, op.mech_freq - op.input_center}
-    for (point, scale), (below, above) in zip(features, steps):
-        cuts.add(point)
-        cuts.update(point - scale * 2.0 ** k for k in range(below))
-        cuts.update(point + scale * 2.0 ** k for k in range(above))
-    return np.array(sorted(c for c in cuts if lo <= c <= hi))
-
-
-def _band_integrals(op: OperatingPoint, lo: float, hi: float):
-    """Integrate Scin, Scin*R, Scin*T, Sv and St over [lo, hi] together.
-
-    Returns the five integrals on the omega/omega_m axis as floats, the
-    worst relative error estimate among them and the number of frequency
-    nodes evaluated.
-
-    Raises
-    ------
-    NumericalFailureError
-        When meeting the tolerance would take more than _MAX_PANELS
-        panels, when no panel is over its share of a tolerance that the
-        total is over, or when an integral or its error estimate is not
-        finite.
-    """
-    center = op.input_center
-    edges = _first_edges(op, lo - center, hi - center)
-    a, b = edges[:-1], edges[1:]
-    val, err = _gk21(a, b, op)
-    n_evals = _GK_X.size * a.size
-    while True:
-        total, total_err = val.sum(axis=1), err.sum(axis=1)
-        # every term is >= 0, so the sum is finite only if all are
-        if not math.isfinite(total.sum() + total_err.sum()):
-            raise NumericalFailureError("band integrals did not converge: an "
-                                        "integral or its error estimate is "
-                                        "not finite")
-        tol = _REL_TOL * np.abs(total)
-        if np.all(total_err <= tol):
-            break
-        # split each panel over its fair share of any integral's tolerance;
-        # while one total is over, some panel is over its share of it,
-        # unless rounding hides it
-        split = np.any(err > (tol / a.size)[:, None], axis=0)
-        n_split = np.count_nonzero(split)
-        if n_split == 0:
-            raise NumericalFailureError(
-                "band integrals did not converge: no panel is over its "
-                "share of the tolerance")
-        if a.size + n_split > _MAX_PANELS:
-            raise NumericalFailureError(
-                f"band integrals did not converge within {_MAX_PANELS} panels")
-        keep = ~split
-        left, right = a[split], b[split]
-        mid = 0.5 * (left + right)
-        new_a = np.concatenate((left, mid))
-        new_b = np.concatenate((mid, right))
-        new_val, new_err = _gk21(new_a, new_b, op)
-        n_evals += _GK_X.size * new_a.size
-        a = np.concatenate((a[keep], new_a))
-        b = np.concatenate((b[keep], new_b))
-        val = np.concatenate((val[:, keep], new_val), axis=1)
-        err = np.concatenate((err[:, keep], new_err), axis=1)
-    worst = max((e / abs(v) if v else 0.0)
-                for v, e in zip(total.tolist(), total_err.tolist()))
-    return total.tolist(), worst, n_evals
 
 
 def _empty_cavity_report(op: OperatingPoint, lo: float, hi: float):
@@ -312,15 +133,33 @@ def _empty_cavity_report(op: OperatingPoint, lo: float, hi: float):
         raise NumericalFailureError(
             "empty-cavity band integrals are not finite")
     return RoutingReport(p_reflect=p_reflect, p_transmit=p_transmit,
-                         vacuum_leak=0.0, thermal_leak=0.0, band=(lo, hi),
-                         quad_error=0.0, n_evals=0)
+                         vacuum_leak=0.0, thermal_leak=0.0, band=(lo, hi))
+
+
+def _factored(red, u, sized=True):
+    """D(u), D'(u) and the size of D's terms at u (0.0 unless ``sized``),
+    from D = mech*cav - dd of the record ``red`` (kernels.reduced).
+
+    mech = (1 - u)*(1 + u) - i*g*u and cav = (k2 - i*u - i*dl)*(k2 - i*u +
+    i*dl) cancel nothing next to their zeros, so the size (|1 - u|*|1 + u|
+    + g*|u|)*|cav| + _RECORD*|dd| bounds D's rounding in ulp.
+    """
+    k2, g, dl, dd, _, _ = red
+    side = k2 - 1j * u
+    cav = (side - 1j * dl) * (side + 1j * dl)
+    bare = (1.0 - u) * (1.0 + u)
+    mech = bare - 1j * g * u
+    return (mech * cav - dd, -(2.0 * u + 1j * g) * cav - 2j * side * mech,
+            (abs(bare) + g * abs(u)) * abs(cav) + _RECORD * abs(dd) if sized
+            else 0.0)
 
 
 def _hurwitz_zeros(red):
-    """The zeros of D on the omega/omega_m axis and their worst backward
-    residual, from the record ``red`` of :func:`omrouter.kernels.reduced`.
+    """The zeros of D on the omega/omega_m axis, D' and the size of D's
+    terms at each, and their worst backward residual.
 
-    D(i*s) = s^4 + a3*s^3 + a2*s^2 + a1*s + a0 is the real quartic of
+    ``red`` is the record of :func:`omrouter.kernels.reduced`.  D(i*s) =
+    s^4 + a3*s^3 + a2*s^2 + a1*s + a0 is the real quartic of
     :func:`omrouter.kernels.stable_drive_window` in units of omega_m.
     Ferrari's method writes its
     depressed form y^4 + p*y^2 + q*y + r, y = s + a3/4, as
@@ -330,14 +169,15 @@ def _hurwitz_zeros(red):
     taking the root of largest magnitude so that q/t stays small, and that
     root is polished by one Newton step.  Where T < 0 the two quadratics
     are each other's conjugates, so only the first is solved.  Each zero
-    then takes one Newton step on the quartic.  The backward residual is
-    that of :func:`omrouter.stability.poles`, with a0 sized without
-    cancellation as c0 + |dd|.
+    then takes one Newton step on D's factored form (:func:`_factored`),
+    in which a zero's small imaginary part is not a small part of a sum of
+    monomials.  The backward residual is |D(u)| over the size of D's terms
+    plus |u|*|D'(u)|, the rounding of the zero itself.
     """
     k2, g, dl, dd, _, _ = red
     c0 = k2 * k2 + dl * dl
     a3, a2, a1 = 2.0 * k2 + g, c0 + 2.0 * k2 * g + 1.0, g * c0 + 2.0 * k2
-    a0, size0 = c0 - dd, c0 + abs(dd)
+    a0 = c0 - dd
     s = 0.25 * a3
     s2 = s * s
     p = a2 - 6.0 * s2
@@ -381,23 +221,129 @@ def _hurwitz_zeros(red):
             w = -w
         y = -0.5 * sign * (t + w)
         ys += [y, m / y]
-    zeros, sizes = [], []
+    zeros, slopes, sizes = [], [], []
     backward = 0.0
     for y in ys:
-        z = y - s
-        z -= ((((z + a3) * z + a2) * z + a1) * z + a0) \
-            / (((4.0 * z + 3.0 * a3) * z + 2.0 * a2) * z + a1)
-        r = abs(z)
-        size = (((r + a3) * r + a2) * r + a1) * r + size0
-        backward = max(backward,
-                       abs((((z + a3) * z + a2) * z + a1) * z + a0) / size)
-        zeros.append(1j * z)
+        u = 1j * (y - s)
+        value, slope, _ = _factored(red, u, sized=False)
+        u -= value / slope
+        value, slope, size = _factored(red, u)
+        backward = max(backward, abs(value) / (size + abs(u) * abs(slope)))
+        zeros.append(u)
+        slopes.append(slope)
         sizes.append(size)
     if big < 0.0:
-        # i*conj(s) = -conj(i*s)
-        zeros += [-z.conjugate() for z in zeros]
+        # D(-conj(u)) = conj(D(u)), so D'(-conj(u)) = -conj(D'(u))
+        zeros += [-u.conjugate() for u in zeros]
+        slopes += [-d.conjugate() for d in slopes]
         sizes += sizes
-    return zeros, sizes, backward
+    return zeros, slopes, sizes, backward
+
+
+def _clusters(poles):
+    """The upper poles as groups of indices, each either one pole or a
+    cluster: poles linked, pair by pair, where they lie closer together
+    than _CLUSTER times the height of each above the real axis, the least
+    distance to the band and to the lower poles.  There the sum of the
+    residues would cancel."""
+    reach = [_CLUSTER * p.imag for p in poles]
+    links = [(i, j) for i, p in enumerate(poles) for j in range(i)
+             if (gap := abs(p - poles[j])) < reach[i] and gap < reach[j]]
+    groups = [[i] for i in range(len(poles))]
+    for i, j in links:
+        gi, gj = (next(grp for grp in groups if k in grp) for k in (i, j))
+        if gi is not gj:
+            groups.remove(gj)
+            gi += gj
+    return groups
+
+
+def _contour(poles, group, a, b):
+    """Center, radius and node count of the trapezoid rule on a circle
+    about a cluster of upper poles.
+
+    The radius keeps the cluster within ``rate`` of it and every other
+    singularity of the integrands beyond 1/``rate`` of it, so the rule's
+    aliasing falls as rate^n.  NumericalFailureError where no circle
+    separates the cluster by a factor of 2.
+    """
+    center = sum(poles[j] for j in group) / len(group)
+    inner = max(abs(poles[j] - center) for j in group)
+    # the band, the lower poles and the other upper poles
+    outer = min([abs(center - min(max(center.real, a), b))]
+                + [abs(center - p.conjugate()) for p in poles]
+                + [abs(center - p) for j, p in enumerate(poles)
+                   if j not in group])
+    radius = max(0.25 * outer, math.sqrt(inner * outer))
+    rate = max(inner / radius, radius / outer)
+    if not rate <= 0.5:
+        raise NumericalFailureError(
+            f"drive-on band integrals failed: a cluster of poles at "
+            f"{center:.6g} omega_m is not separated from the rest")
+    return center, radius, math.ceil(_ALIAS_BITS * math.log(2.0)
+                                     / -math.log(rate))
+
+
+def _bose(x):
+    """B(x) = x/(e^x - 1) at a complex x != 0, as (x/2)*e^(-x/2)/sinh(x/2):
+    no e^x - 1 is formed, so none cancels."""
+    if x.real > 700.0:
+        # e^x - 1 is e^x to the last bit, and sinh(x/2) may overflow
+        return x * cmath.exp(-x)
+    if x.real < -700.0:
+        return -x
+    half = 0.5 * x
+    return half * cmath.exp(-half) / cmath.sinh(half)
+
+
+def _bose_real(x):
+    """B(x) = x/(e^x - 1) at a real x >= 0, 1 at 0."""
+    if x > 700.0:
+        return x * math.exp(-x)
+    return x / math.expm1(x) if x else 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs.
+
+    numpy.polynomial costs milliseconds to import: only a bath cold enough
+    that B is not its quartic on the band loads it."""
+    if n == 2:
+        return ((-1.0 / math.sqrt(3.0), 1.0), (1.0 / math.sqrt(3.0), 1.0))
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(n)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
+
+
+def _bose_rule(theta, a, b, poles):
+    """The Gauss-Legendre rule for St's integral J on [a, b], as (u,
+    weight, B(theta*u)) triples.
+
+    2 nodes where theta*|u| <= 0.01 at the band and at the poles, 16 or the
+    power of two at or above theta*(b - a)/2 otherwise; NumericalFailureError
+    where that takes more than _MAX_NODES.  theta*u is formed as
+    theta*a + theta*(u - a): where B falls fast, at the band's lower edge, a
+    node's argument is then rounded as little as it is small, and the
+    rounding of theta*a scales every B(theta*u) alike.
+    """
+    if theta * max(b, max(map(abs, poles))) <= 0.01:
+        n = 2
+    else:
+        n = 16
+        while n < 0.5 * theta * (b - a):
+            n *= 2
+        if n > _MAX_NODES:
+            raise NumericalFailureError(
+                f"thermal band integral needs more than {_MAX_NODES} nodes "
+                f"at hbar*omega_m/(kB*T) = {theta:.3e}")
+    half = 0.5 * (b - a)
+    edge = theta * a
+    rule = []
+    for x, w in _gauss_legendre(n):
+        step = half * (1.0 + x)
+        rule.append((a + step, half * w, _bose_real(edge + theta * step)))
+    return rule
 
 
 def _residue_integrals(red, a: float, b: float, line: complex):
@@ -405,108 +351,164 @@ def _residue_integrals(red, a: float, b: float, line: complex):
 
     On u = omega/omega_m, with D of the record ``red`` of
     :func:`omrouter.kernels.reduced`, the band [a, b] and the line's pole
-    ``line`` = c + i*gamma, each integrand is N/Q with Q = D*conj(D) for
-    Sv and St, times (u - c)^2 + gamma^2 for Scin*R and Scin*T, and
-    int N/Q = 2*Re sum N(p)/Q'(p)*Log((b-p)/(a-p)) over the upper poles p:
-    c + i*gamma and the conjugates of D's zeros z_k.  N is gamma/pi times
-    |(E - 1)*D|^2 or |E*D|^2, a constant for Sv, and for St |sb|^2 times
-    the Bernoulli polynomial of the Bose factor.  The conjugate factor of
-    N at conj(z_j) is the conjugate of its value at z_j, and Q' is formed
-    from differences of the computed zeros, so that the sum is exact for
-    them.
+    ``line`` = c + i*gamma, f is N/(D*conj(D)), times 1/|u - line|^2 for
+    Scin*R and Scin*T, with N gamma/pi times |(E - 1)*D|^2 or |E*D|^2, a
+    constant for Sv and |sb|^2 for St (see the module docstring).  A
+    cluster of poles (:func:`_clusters`) gives (1/n)*sum f(z)*J(z)*(z - c)
+    over the n nodes z of its circle about c (:func:`_contour`).
 
     Returns the list [int Scin*R, int Scin*T, vacuum_leak, thermal_leak],
     the zeros' worst backward residual, the worst ratio of the sum of
-    |terms| to the integral, and the zeros' worst condition
-    size(z)/(|D'(z)|*|Im z|): how much a backward error in z, relative to
-    the size of D's terms there, moves the integrals.  May raise
-    ArithmeticError or ValueError outside the float range.
+    |terms| to the integral, and the worst condition: size(z)/(|D'(z)|*|Im z|)
+    at an isolated zero z, how much a backward error in z, relative to the
+    size of D's terms there, moves the integrals, and size/|D| at a node
+    of a contour.  May raise ArithmeticError or ValueError outside the
+    float range, and NumericalFailureError as :func:`_contour` and
+    :func:`_bose_rule`.
     """
-    zeros, sizes, backward = _hurwitz_zeros(red)
-    k2, g, dl, _, h, theta = red
+    zeros, slopes, sizes, backward = _hurwitz_zeros(red)
+    k2, g, dl, dd, h, theta = red
     ih, ig, idl = 1j * h, 1j * g, 1j * dl
     side0 = complex(k2, -dl)
     # (E - 1)*D's constant: i*k2*h plus the drive's share dd = 2*h*dl
     refl0 = complex(2.0 * h * dl, k2 * h)
+    refl0_size = _RECORD * abs(refl0)
     line_c = line.conjugate()
+    poles = [z.conjugate() for z in zeros] + [line]
 
     def channels(u):
-        # E*D, (E - 1)*D and the sideband sb at u, (E - 1)*D without
-        # cancellation as mech*sb*i*(u - dl) + i*k2*h + dd
+        # E*D, (E - 1)*D, the sideband sb and D at u, (E - 1)*D without
+        # cancellation as mech*sb*i*(u - dl) + i*k2*h + dd and D as
+        # mech*sb*(k2 - i*(u - dl)) - dd, mech as in _factored
         iu = 1j * u
         sb = side0 - iu
-        ms = (1.0 - u * (u + ig)) * sb
-        return k2 * (ms + ih), ms * (iu - idl) + refl0, sb
+        ms = ((1.0 - u) * (1.0 + u) - ig * u) * sb
+        shifted = iu - idl
+        return (k2 * (ms + ih), ms * shifted + refl0, sb,
+                ms * (k2 - shifted) - dd)
+
+    def rounding(u):
+        # for an input u, rounded to the nearest float, how far the
+        # rounding of E*D and (E - 1)*D may exceed an ulp of them: the
+        # sizes of their terms, and their slopes times |u|/2, over their
+        # magnitudes
+        iu = 1j * u
+        sb = side0 - iu
+        bare = (1.0 - u) * (1.0 + u)
+        mech = bare - ig * u
+        ms = mech * sb
+        shifted = iu - idl
+        moved = 0.5 * abs(u)
+        size = (abs(bare) + g * abs(u)) * abs(sb) \
+            + moved * abs((2.0 * u + ig) * sb + 1j * mech)
+        return (k2 * (size + _RECORD * h) / abs(k2 * (ms + ih)),
+                (size * abs(shifted) + moved * abs(ms) + refl0_size)
+                / abs(ms * shifted + refl0))
 
     sv_num = 2.0 * (k2 * h) * (k2 * h)
-    st_num = 2.0 * k2 * g * h / theta if theta else 0.0
-    weight = line.imag / math.pi
-    refl = trans = sv = st = 0.0
-    refl_abs = trans_abs = sv_abs = st_abs = 0.0
+    st_num = 0.0
+    # B(theta*a), B's largest value on the band; where it underflows, St
+    # is 0 on the whole band in floats too
+    top = _bose_real(theta * a) if theta else 0.0
+    if top:
+        rule = _bose_rule(theta, a, b, poles[:4])
+        st_num = 2.0 * k2 * g * h / theta
+        # B(theta*u) changes by theta*du per du, so the rounding of the
+        # rule's nodes moves J by up to theta*(b - a) ulp of it
+        spread = 1.0 + theta * (b - a)
+
+    # the points at which f*J is summed, as (z, dbar, lin, scale): a pole's
+    # residue, where conj(D(conj z)) and z - line are replaced by the
+    # slopes dbar and lin of the factors that vanish there, or a node of a
+    # contour, where dbar is None and lin is z - line, weighted by scale
+    points = []
     condition = 0.0
-    for j, z in enumerate(zeros):
-        zc = z.conjugate()
-        o1, o2, o3 = zeros[:j] + zeros[j + 1:]
-        slope = (z - o1) * (z - o2) * (z - o3)
-        at_conj = (zc - z) * (zc - o1) * (zc - o2) * (zc - o3)
-        common = _band_log(a, b, zc) / (at_conj * slope.conjugate())
-        condition = max(condition, sizes[j] / (abs(slope) * -z.imag))
-        en_c, rn_c, sb_c = channels(zc)
-        en, rn, sb = channels(z)
-        line_part = weight * common / ((zc - line) * (zc - line_c))
-        t = rn_c * rn.conjugate() * line_part
-        refl += t.real
+    for group in _clusters(poles):
+        if len(group) > 1:
+            center, radius, n = _contour(poles, group, a, b)
+            for m in range(n):
+                step = radius * cmath.exp(2j * math.pi * m / n)
+                z = center + step
+                for u in (z, z.conjugate()):
+                    value, _, size = _factored(red, u)
+                    condition = max(condition, size / abs(value))
+                points.append((z, None, z - line, step / n))
+        elif group[0] == 4:
+            points.append((line, None, 1.0, 1.0))
+        else:
+            j = group[0]
+            points.append((poles[j], slopes[j].conjugate(), poles[j] - line,
+                           1.0))
+            condition = max(condition,
+                            sizes[j] / (abs(slopes[j]) * -zeros[j].imag))
+
+    weight = line.imag / math.pi
+    refl = trans = sv = st = 0j
+    refl_abs = trans_abs = sv_abs = st_abs = 0.0
+    for z, dbar, lin, scale in points:
+        en, rn, sb, dz = channels(z)
+        en_c, rn_c, sb_c, dz_c = channels(z.conjugate())
+        log = _band_log(a, b, z)
+        common = scale / (dz * (dz_c.conjugate() if dbar is None else dbar))
+        probe = weight * log * common / (lin * (z - line_c))
+        t = rn * rn_c.conjugate() * probe
+        refl += t
         refl_abs += abs(t)
-        t = en_c * en.conjugate() * line_part
-        trans += t.real
+        t = en * en_c.conjugate() * probe
+        trans += t
         trans_abs += abs(t)
-        t = sv_num * common
-        sv += t.real
+        if z is line:
+            # the line's pole is no pole of Sv and St; its term counts the
+            # rounding of its inputs as well
+            (en_cond, rn_cond), (en_cond_c, rn_cond_c) = \
+                rounding(line), rounding(line_c)
+            refl_abs += abs(probe * rn * rn_c) * (rn_cond + rn_cond_c)
+            trans_abs += abs(t) * (en_cond + en_cond_c)
+            continue
+        t = sv_num * log * common
+        sv += t
         sv_abs += abs(t)
-        if theta:
-            xz = theta * zc
-            x2 = xz * xz
-            bern = 1.0 - 0.5 * xz + x2 * (1.0 / 12.0 - x2 / 720.0)
-            t = st_num * sb_c * sb.conjugate() * bern * common
-            st += t.real
-            st_abs += abs(t)
-    d_line = d_line_c = 1.0
-    for z in zeros:
-        d_line *= line - z
-        d_line_c *= line_c - z
-    en, rn, _ = channels(line)
-    en_c, rn_c, _ = channels(line_c)
-    common = _band_log(a, b, line) \
-        / (2j * math.pi * d_line * d_line_c.conjugate())
-    t = rn * rn_c.conjugate() * common
-    refl += t.real
-    refl_abs += abs(t)
-    t = en * en_c.conjugate() * common
-    trans += t.real
-    trans_abs += abs(t)
-    cancel = max(refl_abs / abs(refl), trans_abs / abs(trans),
-                 sv_abs / abs(sv), st_abs / abs(st) if theta else 1.0)
-    return ([2.0 * refl, 2.0 * trans, 2.0 * sv, 2.0 * st], backward, cancel,
-            condition)
+        if st_num:
+            # J(z) = int_a^b B(theta*u)/(u - z) du
+            bz = _bose(theta * z)
+            if abs(bz) <= 2.0 * top:
+                bose = bz * log
+                for u, w, bu in rule:
+                    bose += w * (bu - bz) / (u - z)
+            else:
+                bose = 0j
+                for u, w, bu in rule:
+                    bose += w * bu / (u - z)
+            t = st_num * sb * sb_c.conjugate() * common * bose
+            st += t
+            st_abs += abs(t) * spread
+    # each integral is the real part of its sum
+    cancel = max(refl_abs / abs(refl.real), trans_abs / abs(trans.real),
+                 sv_abs / abs(sv.real),
+                 st_abs / abs(st.real) if st_num else 1.0)
+    return ([2.0 * refl.real, 2.0 * trans.real, 2.0 * sv.real, 2.0 * st.real],
+            backward, cancel, condition)
 
 
 def _residue_report(op: OperatingPoint, lo: float, hi: float):
-    """The drive-on report from :func:`_residue_integrals`, or None.
+    """The drive-on report from :func:`_residue_integrals`, on the band and
+    the line in units of omega_m.
 
-    The record of :func:`omrouter.kernels.reduced` is formed once, and the
-    band and the line are passed in units of omega_m.  None where the
-    closed form is not certified: St is not polynomial on the band, a zero
-    of d is not converged (backward residual above stability._ROUND), the
-    error estimate exceeds _RESIDUE_TOL, or the point is outside the float
-    range.
+    Raises InvalidParameterError for a bath_temp that is negative,
+    infinite or NaN (dataclasses.replace skips validation), and
+    NumericalFailureError for a report that is not certified (see the
+    module docstring), is not finite, or whose hbar*omega_m/(kB*T) is NaN
+    (a bath so hot that it underflows).
     """
     if not 0.0 <= op.bath_temp < math.inf:
-        return None
+        raise InvalidParameterError(
+            f"bath_temp must be >= 0 and finite, got {op.bath_temp!r}")
     wm = op.mech_freq
     red = kernels.reduced(op)
-    # theta*hi/omega_m, the Bose factor's largest argument on the band
-    if not red[5] * hi / wm <= _BERNOULLI_REACH:
-        return None
+    if math.isnan(red[5]):
+        raise NumericalFailureError(
+            f"hbar*omega_m/(kB*T) is not a number at bath_temp "
+            f"{op.bath_temp!r}")
     try:
         (refl, trans, sv, st), backward, cancel, condition = \
             _residue_integrals(red, lo / wm, hi / wm,
@@ -515,17 +517,20 @@ def _residue_report(op: OperatingPoint, lo: float, hi: float):
         mass = lorentzian_band_mass(lo, hi, op.input_center,
                                     op.input_bandwidth)
         p_reflect, p_transmit = refl / mass, trans / mass
-    except (ArithmeticError, ValueError):
-        return None
+    except (ArithmeticError, ValueError) as exc:
+        raise NumericalFailureError(
+            f"drive-on band integrals failed: {exc}") from None
     # each term's rounding, amplified by the cancellation among the terms,
     # and the zeros' backward error, amplified by their condition
     estimate = _EPS * cancel + max(backward, _EPS) * condition
-    if not (backward <= _ROUND and estimate <= _RESIDUE_TOL
-            and math.isfinite(p_reflect + p_transmit + sv + st)):
-        return None
+    if not math.isfinite(p_reflect + p_transmit + sv + st):
+        raise NumericalFailureError("drive-on band integrals are not finite")
+    if not (backward <= _ROUND and estimate <= _RESIDUE_TOL):
+        raise NumericalFailureError(
+            f"drive-on band integrals not certified: backward residual "
+            f"{backward:.3e} of d's zeros, estimated error {estimate:.3e}")
     return RoutingReport(p_reflect=p_reflect, p_transmit=p_transmit,
-                         vacuum_leak=sv, thermal_leak=st, band=(lo, hi),
-                         quad_error=0.0, n_evals=0)
+                         vacuum_leak=sv, thermal_leak=st, band=(lo, hi))
 
 
 def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
@@ -537,23 +542,10 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     small margin R itself does; they are reported as computed, never
     clamped.
 
-    Two kinds of report (see the module docstring):
-
-    * Closed form, with quad_error 0.0 and n_evals 0.  With the drive off
-      (kernels.coupling(op) == 0) always: the empty cavity's closed form,
-      exact to rounding, with both leaks 0.0.  With the drive on wherever
-      the residues at d's poles are certified: estimated within 4.5e-13,
-      and within 1e-12 of 50-digit residues as tested.  That is every
-      report of the benchmark's pool.
-    * Quadrature, with the drive on elsewhere: next to the exceptional
-      point or another cluster of poles, with a zero of d too close to the
-      real axis, or below about 1 mK on the default band.  One adaptive
-      21-point Gauss-Kronrod pass computes all five band integrals,
-      starting from panels graded geometrically toward the line center and
-      toward omega_m, and stops once each integral's error estimate is
-      within 1e-10 of its value, with the band in at most 400 panels, the
-      first partition included.  quad_error is the worst relative
-      estimate and n_evals the number of frequency nodes evaluated.
+    One closed form per drive state (see the module docstring): with the
+    drive off, the empty cavity's, with both leaks 0.0; with the drive on,
+    the residues at d's poles, certified to an estimated 1e-10 and, as
+    tested, within 1e-12 of 50-digit residues from 1 uK up.
 
     Parameters
     ----------
@@ -568,12 +560,12 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
     UnstableOperatingPointError
         When a pole of the response lies on or above the real axis
         (:func:`omrouter.kernels.is_stable`).
+    InvalidParameterError
+        For a band that is not two finite numbers 0 < lo < hi or that
+        misses the line core, and with the drive on for a bath_temp that
+        is negative, infinite or NaN.
     NumericalFailureError
-        When the quadrature needs more than 400 panels (grading toward a
-        line of about 1e-60 of the band's width alone takes that many),
-        when an integrand overflows, or when the drive-off closed form is
-        not finite.  A drive-on closed form that is not finite is not
-        reported; the quadrature runs instead.
+        When a closed form is not finite or not certified.
     """
     kernels.require_stable(op)
     if band is None:
@@ -591,16 +583,7 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
 
     if kernels.coupling(op) == 0.0:
         return _empty_cavity_report(op, lo, hi)
-    report = _residue_report(op, lo, hi)
-    if report is not None:
-        return report
-    # the leaks are integrals on the omega/omega_m axis, the measure of the
-    # spectra
-    (mass, refl, trans, sv, st), quad_error, n_evals = _band_integrals(
-        op, lo, hi)
-    return RoutingReport(p_reflect=refl / mass, p_transmit=trans / mass,
-                         vacuum_leak=sv, thermal_leak=st, band=(lo, hi),
-                         quad_error=quad_error, n_evals=n_evals)
+    return _residue_report(op, lo, hi)
 
 
 def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
@@ -612,17 +595,13 @@ def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
     identical) and simply returns min(p_transmit, p_reflect) there.
 
     The contrast is noise-free: it uses the probe channels only, so it does
-    not depend on ``bath_temp``, except that a bath below about 1 mK sends
-    the on state to the quadrature, which moves it by less than 1e-10.
-    Temperature shows up only in :attr:`RoutingReport.thermal_leak`.  An
-    unstable on state raises UnstableOperatingPointError (the drive-off
-    state is always stable).  The drive-off report comes from the empty
-    cavity's closed form, and the on state from the residues at d's poles
-    wherever they are certified (see :func:`routing_probabilities`); only
-    an on state that falls back takes a quadrature pass.
+    not depend on ``bath_temp``.  Temperature shows up only in
+    :attr:`RoutingReport.thermal_leak`.  An unstable on state raises
+    UnstableOperatingPointError (the drive-off state is always stable).
     """
-    if not (p_on >= 0.0 and math.isfinite(p_on)):
-        raise InvalidParameterError(f"p_on must be >= 0 and finite, got {p_on!r}")
+    p_on = _real("p_on", p_on)
+    if not p_on >= 0.0:
+        raise InvalidParameterError(f"p_on must be >= 0, got {p_on!r}")
     off = routing_probabilities(
         derive_operating_point(replace(params, drive_power=0.0)), band=band)
     on = routing_probabilities(

@@ -463,12 +463,13 @@ def test_route_temp_flag_silences_thermal_leak(capsys):
 
 
 def test_route_unconverged_band_integral_exits_4(monkeypatch, capsys):
-    # no error estimate reaches a zero tolerance, so the panel budget runs
-    # out; a bath of 0.5 mK takes the drive-on report to the quadrature
-    monkeypatch.setattr(routing, "_REL_TOL", 0.0)
+    # no error estimate reaches a zero tolerance, so the drive-on report is
+    # not certified, and there is no other method to fall back to; at
+    # 0.5 mK St's integral takes the 16-node rule
+    monkeypatch.setattr(routing, "_RESIDUE_TOL", 0.0)
     code, out, err = _run(capsys, "route", "--temp", "0.5e-3")
     assert code == 4 and out == ""
-    assert err.startswith("error: band integrals did not converge")
+    assert err.startswith("error: drive-on band integrals not certified")
 
 
 @pytest.mark.parametrize("flags, width", [
@@ -499,9 +500,9 @@ def test_route_on_extreme_inputs_ends_cleanly(tmp_path, flags, width):
 
 
 def test_route_quadrature_at_an_extreme_bath(capsys):
-    # at the exceptional point the drive-on report is the quadrature's; at
-    # 1e305 K its St integral overflowed in rad/s and the route exited 4,
-    # while at 5 uW the closed form reported thermal_leak 4.5e304
+    # at the exceptional point, where two poles of d merge and are summed
+    # by a contour integral, St at 1e305 K is finite and so is its band
+    # integral, as at 5 uW: thermal_leak 4.5e304
     code, out, err = _run(capsys, "route", "--format", "json", "--temp",
                           "1e305", "--power", "5.2507297778e-6")
     assert code == 0 and err == ""

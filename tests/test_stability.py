@@ -225,6 +225,12 @@ def test_search_rejects_bad_arguments():
     params = default_params()
     with pytest.raises(InvalidParameterError):
         max_stable_power(params, -1e-6)
+    # an int past the float range and a string raised numpy's TypeError
+    for p_max in (10 ** 400, "1e-6"):
+        with pytest.raises(InvalidParameterError, match="p_max"):
+            max_stable_power(params, p_max)
+    with pytest.raises(InvalidParameterError, match="rel_tol"):
+        max_stable_power(params, 1e-6, rel_tol=10 ** 400)
     with pytest.raises(InvalidParameterError):
         max_stable_power(params, float("nan"))
     with pytest.raises(InvalidParameterError):
