@@ -44,7 +44,7 @@ from .errors import (InvalidParameterError, NumericalFailureError,
 from .kernels import is_stable
 from .operating_point import SystemParams, derive_operating_point
 from .response import output_spectra
-from .routing import routing_probabilities
+from .routing import _empty_cavity_report, routing_probabilities
 from .stability import assess_stability
 from .textout import csv_rows, fmt as _fmt, json_text
 
@@ -308,8 +308,9 @@ def cmd_route(args) -> int:
     params = _resolve(args)[0]
     op = derive_operating_point(params)
     on = routing_probabilities(op)
-    off = routing_probabilities(
-        derive_operating_point(replace(params, drive_power=0.0)))
+    # the drive-off report reads only the cavity and the line, which the
+    # drive power does not change, on the band just checked
+    off = _empty_cavity_report(op, *on.band)
     contrast = min(off.p_transmit, on.p_reflect)
     wm = op.mech_freq
     fields = {

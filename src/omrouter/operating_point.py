@@ -76,6 +76,12 @@ class SystemParams:
     input_bandwidth: float | None = None           # probe HWHM [rad/s]
 
 
+# validate's checks, as (field, may be None, must be > 0, must be >= 0)
+_CHECKS = tuple((f.name, f.default is None, f.name in _POSITIVE,
+                 f.name in ("drive_power", "bath_temp"))
+                for f in fields(SystemParams))
+
+
 def default_params() -> SystemParams:
     """Defaults: 1054 nm drive, 6.7 cm cavity, 40 ng membrane at 2*pi*134 kHz."""
     return SystemParams()
@@ -120,15 +126,15 @@ def validate(params: SystemParams) -> None:
         model still evaluates outside it, but the transparency-window
         picture degrades, so this is advisory rather than fatal.
     """
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if value is None and f.default is None:
+    for name, optional, positive, non_negative in _CHECKS:
+        value = getattr(params, name)
+        if value is None and optional:
             continue
-        _real(f.name, value)
-        if value <= 0.0 and f.name in _POSITIVE:
-            raise InvalidParameterError(f"{f.name} must be > 0, got {value!r}")
-        if value < 0.0 and f.name in ("drive_power", "bath_temp"):
-            raise InvalidParameterError(f"{f.name} must be >= 0, got {value!r}")
+        _real(name, value)
+        if positive and value <= 0.0:
+            raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+        if non_negative and value < 0.0:
+            raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
 
     gamma_m = params.mech_freq / params.quality
     kappa = params.cavity_decay
@@ -236,19 +242,22 @@ def derive_operating_point(params: SystemParams) -> OperatingPoint:
         omega_c=omega_c, g=g, gamma_m=gamma_m, eps_c=eps_c, c_s=c_s,
         n_cav=n_cav, q_s=q_s)
 
-    derived = {"omega_c": omega_c, "g": g, "gamma_m": gamma_m,
-               "eps_c": eps_c, "c_s": c_s, "n_cav": n_cav, "q_s": q_s}
+    derived = [omega_c, g, gamma_m, eps_c, c_s, n_cav, q_s]
     # the vacuum noise numerator is quadratic in g^2*|c_s|^2, so it
     # overflows first, and alone at zero detuning, where the drive term is 0
-    for name, term in (("drive term", kernels.drive_term),
-                       ("vacuum noise numerator", kernels.sv_numerator)):
+    for term in (kernels.drive_term, kernels.sv_numerator):
         try:
-            derived[name] = term(op)
+            derived.append(term(op))
         except OverflowError:   # a Python float ** past the float range
-            derived[name] = math.inf
-    for name, value in derived.items():
-        if not cmath.isfinite(value):
-            raise InvalidParameterError(
-                f"derived {name} is not finite ({value!r}): the inputs are "
-                "beyond the range of floating point")
+            derived.append(math.inf)
+    # the sum is finite where every value is; only where it is not are they
+    # looked at one by one, to name one that is not
+    if not cmath.isfinite(sum(derived)):
+        for name, value in zip(("omega_c", "g", "gamma_m", "eps_c", "c_s",
+                                "n_cav", "q_s", "drive term",
+                                "vacuum noise numerator"), derived):
+            if not cmath.isfinite(value):
+                raise InvalidParameterError(
+                    f"derived {name} is not finite ({value!r}): the inputs "
+                    "are beyond the range of floating point")
     return op

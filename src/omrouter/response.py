@@ -36,7 +36,7 @@ import numpy as np
 from . import kernels
 from .empty_cavity import lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
-from .operating_point import HBAR, OperatingPoint
+from .operating_point import HBAR, OperatingPoint, _real
 from .stability import _ROUND
 
 _SCAN_POINTS = 200001   # points of the dip scan's grid
@@ -180,12 +180,14 @@ class ChannelSpectra:
 
 
 def _pair(value):
-    """``value`` as two floats; (nan, nan) unless it is a pair of numbers."""
+    """``value`` as two floats; (nan, nan) unless it is a pair of finite
+    real numbers other than bools (:func:`omrouter.operating_point._real`:
+    no string is parsed, no int past the float range rounded)."""
     try:
-        lo, hi = map(float, value)
-    except (TypeError, ValueError, OverflowError):
+        lo, hi = value
+        return _real("lo", lo), _real("hi", hi)
+    except (TypeError, ValueError, InvalidParameterError):
         return math.nan, math.nan
-    return lo, hi
 
 
 def _require_finite_d2(top, op: OperatingPoint):
@@ -268,11 +270,16 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
 
 def default_grid(op: OperatingPoint, n_points: int = 4001) -> np.ndarray:
     """The standard scan window [0.5, 1.5]*omega_m in n_points points;
-    InvalidParameterError unless n_points is an int >= 2."""
+    InvalidParameterError unless n_points is an int >= 2 whose 8*n_points
+    bytes numpy can size."""
     if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) \
             or n_points < 2:
         raise InvalidParameterError(
             f"n_points must be an int >= 2, got {n_points!r}")
+    if n_points > np.iinfo(np.intp).max // 8:
+        raise InvalidParameterError(
+            "n_points is more than an array may hold: numpy cannot size "
+            "its 8*n_points bytes")
     return np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n_points)
 
 

@@ -31,9 +31,13 @@ the line's c + i*Gamma.  Where B is 1, J is Log((b-z)/(a-z)).  For St,
 J(z) is B(theta*z)*Log((b-z)/(a-z)) plus the integral of the smooth
 (B(theta*u) - B(theta*z))/(u - z) by a Gauss-Legendre rule, or, where
 B(theta*z) is more than twice B on the band and that would cancel, the
-rule's integral of B(theta*u)/(u - z).  The rule has 2 nodes where
-theta*|u| <= 0.01 (B is then its quartic to 1e-17, the integrand a
-cubic), else 16 up to 1,024 as theta*(b - a) grows.  Upper poles closer
+rule's integral of B(theta*u)/(u - z).  There is no rule where theta*u <=
+0.01 at the band and at the poles: B is then its quartic P to 1e-17, so
+each remainder int_a^b (P(theta*u) - P(theta*p))/(u - p) du is a cubic in
+p, and St's f = n/|D|^2 falls as u^-6, so sum_p Res_p(f)*p^k = 0 over all
+poles for k <= 4 and the remainders cancel exactly; J(p) is
+B(theta*p)*Log((b-p)/(a-p)) alone.  Elsewhere the rule has 16 up to 1,024
+nodes as theta*(b - a) grows.  Upper poles closer
 together than an eighth of their heights above the real axis (next to
 the exceptional point, or the line's pole on one of D's) would cancel;
 such a cluster is summed as one contour integral of f*J, by the
@@ -94,6 +98,10 @@ _CLUSTER = 0.125
 # a cluster's contour rule stops once its aliasing falls below 2^-56
 _ALIAS_BITS = 56.0
 
+# where theta*u is at most this at the band and at the poles, B is its
+# quartic to 1e-17 and St's integral takes no rule (see the module
+# docstring)
+_QUARTIC = 0.01
 # the largest Gauss-Legendre rule St's integral may take: 1,024 nodes
 # reach theta*(b - a) = 2,048, beyond which B underflows on the whole
 # default band
@@ -246,10 +254,22 @@ def _clusters(poles):
     than _CLUSTER times the height of each above the real axis, the least
     distance to the band and to the lower poles.  There the sum of the
     residues would cancel."""
-    reach = [_CLUSTER * p.imag for p in poles]
-    links = [(i, j) for i, p in enumerate(poles) for j in range(i)
-             if (gap := abs(p - poles[j])) < reach[i] and gap < reach[j]]
+    links = []
+    for i in range(1, len(poles)):
+        p = poles[i]
+        x, y = p.real, p.imag
+        reach = _CLUSTER * y
+        for j in range(i):
+            # |p - q| is at least each of its real and imaginary gaps, so
+            # a pair that either gap keeps apart takes no abs
+            q = poles[j]
+            if -reach < x - q.real < reach and -reach < y - q.imag < reach \
+                    and (gap := abs(p - q)) < reach \
+                    and gap < _CLUSTER * q.imag:
+                links.append((i, j))
     groups = [[i] for i in range(len(poles))]
+    if not links:
+        return groups
     for i, j in links:
         gi, gj = (next(grp for grp in groups if k in grp) for k in (i, j))
         if gi is not gj:
@@ -309,34 +329,28 @@ def _gauss_legendre(n):
 
     numpy.polynomial costs milliseconds to import: only a bath cold enough
     that B is not its quartic on the band loads it."""
-    if n == 2:
-        return ((-1.0 / math.sqrt(3.0), 1.0), (1.0 / math.sqrt(3.0), 1.0))
     from numpy.polynomial.legendre import leggauss
     nodes, weights = leggauss(n)
     return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
-def _bose_rule(theta, a, b, poles):
+def _bose_rule(theta, a, b):
     """The Gauss-Legendre rule for St's integral J on [a, b], as (u,
     weight, B(theta*u)) triples.
 
-    2 nodes where theta*|u| <= 0.01 at the band and at the poles, 16 or the
-    power of two at or above theta*(b - a)/2 otherwise; NumericalFailureError
-    where that takes more than _MAX_NODES.  theta*u is formed as
-    theta*a + theta*(u - a): where B falls fast, at the band's lower edge, a
-    node's argument is then rounded as little as it is small, and the
-    rounding of theta*a scales every B(theta*u) alike.
+    16 nodes, or the power of two at or above theta*(b - a)/2;
+    NumericalFailureError where that takes more than _MAX_NODES.  theta*u
+    is formed as theta*a + theta*(u - a): where B falls fast, at the band's
+    lower edge, a node's argument is then rounded as little as it is small,
+    and the rounding of theta*a scales every B(theta*u) alike.
     """
-    if theta * max(b, max(map(abs, poles))) <= 0.01:
-        n = 2
-    else:
-        n = 16
-        while n < 0.5 * theta * (b - a):
-            n *= 2
-        if n > _MAX_NODES:
-            raise NumericalFailureError(
-                f"thermal band integral needs more than {_MAX_NODES} nodes "
-                f"at hbar*omega_m/(kB*T) = {theta:.3e}")
+    n = 16
+    while n < 0.5 * theta * (b - a):
+        n *= 2
+    if n > _MAX_NODES:
+        raise NumericalFailureError(
+            f"thermal band integral needs more than {_MAX_NODES} nodes "
+            f"at hbar*omega_m/(kB*T) = {theta:.3e}")
     half = 0.5 * (b - a)
     edge = theta * a
     rule = []
@@ -376,42 +390,16 @@ def _residue_integrals(red, a: float, b: float, line: complex):
     line_c = line.conjugate()
     poles = [z.conjugate() for z in zeros] + [line]
 
-    def channels(u):
-        # E*D, (E - 1)*D, the sideband sb and D at u, (E - 1)*D without
-        # cancellation as mech*sb*i*(u - dl) + i*k2*h + dd and D as
-        # mech*sb*(k2 - i*(u - dl)) - dd, mech as in _factored
-        iu = 1j * u
-        sb = side0 - iu
-        ms = ((1.0 - u) * (1.0 + u) - ig * u) * sb
-        shifted = iu - idl
-        return (k2 * (ms + ih), ms * shifted + refl0, sb,
-                ms * (k2 - shifted) - dd)
-
-    def rounding(u):
-        # for an input u, rounded to the nearest float, how far the
-        # rounding of E*D and (E - 1)*D may exceed an ulp of them: the
-        # sizes of their terms, and their slopes times |u|/2, over their
-        # magnitudes
-        iu = 1j * u
-        sb = side0 - iu
-        bare = (1.0 - u) * (1.0 + u)
-        mech = bare - ig * u
-        ms = mech * sb
-        shifted = iu - idl
-        moved = 0.5 * abs(u)
-        size = (abs(bare) + g * abs(u)) * abs(sb) \
-            + moved * abs((2.0 * u + ig) * sb + 1j * mech)
-        return (k2 * (size + _RECORD * h) / abs(k2 * (ms + ih)),
-                (size * abs(shifted) + moved * abs(ms) + refl0_size)
-                / abs(ms * shifted + refl0))
-
     sv_num = 2.0 * (k2 * h) * (k2 * h)
     st_num = 0.0
     # B(theta*a), B's largest value on the band; where it underflows, St
     # is 0 on the whole band in floats too
     top = _bose_real(theta * a) if theta else 0.0
     if top:
-        rule = _bose_rule(theta, a, b, poles[:4])
+        # no rule where B is its quartic at the band and at D's poles: J(z)
+        # is then B(theta*z)*Log((b-z)/(a-z)) (see the module docstring)
+        rule = (() if theta * max(b, max(map(abs, poles[:4]))) <= _QUARTIC
+                else _bose_rule(theta, a, b))
         st_num = 2.0 * k2 * g * h / theta
         # B(theta*u) changes by theta*du per du, so the rounding of the
         # rule's nodes moves J by up to theta*(b - a) ulp of it
@@ -443,35 +431,67 @@ def _residue_integrals(red, a: float, b: float, line: complex):
                             sizes[j] / (abs(slopes[j]) * -zeros[j].imag))
 
     weight = line.imag / math.pi
+    side0_c = side0.conjugate()
+    refl0_c = refl0.conjugate()
+    # the sums leave out the constant factors k2^2 of E*D*conj(E*D),
+    # sv_num and st_num, and the ratio spread of St's term sizes
     refl = trans = sv = st = 0j
     refl_abs = trans_abs = sv_abs = st_abs = 0.0
     for z, dbar, lin, scale in points:
-        en, rn, sb, dz = channels(z)
-        en_c, rn_c, sb_c, dz_c = channels(z.conjugate())
+        # at z: mech = 1 - z^2 - i*g*z, as in _factored, the sideband sb,
+        # E*D/k2 = mech*sb + i*h, (E - 1)*D = mech*sb*i*(z - dl) + i*k2*h
+        # + dd without cancellation and D = mech*sb*(k2 - i*(z - dl)) - dd.
+        # A name ending in _c holds the conjugate of its value at conj(z),
+        # formed from z's terms: conjugation commutes with every rounded
+        # operation, so it is conj() of that value bit for bit
+        iu = 1j * z
+        shifted = iu - idl
+        bare = (1.0 - z) * (1.0 + z)
+        gz = ig * z
+        mech, mech_c = bare - gz, bare + gz
+        sb, sb_c = side0 - iu, side0_c + iu
+        ms, ms_c = mech * sb, mech_c * sb_c
+        en, en_c = ms + ih, ms_c - ih
+        rn, rn_c = ms * shifted + refl0, refl0_c - ms_c * shifted
+        if dbar is None:
+            dbar = ms_c * (k2 + shifted) - dd
         log = _band_log(a, b, z)
-        common = scale / (dz * (dz_c.conjugate() if dbar is None else dbar))
+        common = scale / ((ms * (k2 - shifted) - dd) * dbar)
         probe = weight * log * common / (lin * (z - line_c))
-        t = rn * rn_c.conjugate() * probe
-        refl += t
-        refl_abs += abs(t)
-        t = en * en_c.conjugate() * probe
+        term = rn * rn_c * probe
+        refl += term
+        refl_abs += abs(term)
+        t = en * en_c * probe
         trans += t
         trans_abs += abs(t)
         if z is line:
-            # the line's pole is no pole of Sv and St; its term counts the
-            # rounding of its inputs as well
-            (en_cond, rn_cond), (en_cond_c, rn_cond_c) = \
-                rounding(line), rounding(line_c)
-            refl_abs += abs(probe * rn * rn_c) * (rn_cond + rn_cond_c)
-            trans_abs += abs(t) * (en_cond + en_cond_c)
+            # the line's pole is no pole of Sv and St.  Its term counts the
+            # rounding of its inputs as well: for an input rounded to the
+            # nearest float, how far the rounding of E*D and (E - 1)*D, at
+            # the line and at its conjugate, may exceed an ulp of them, the
+            # sizes of their terms and their slopes times |z|/2, over their
+            # magnitudes
+            moved = 0.5 * abs(z)
+            base = abs(bare) + g * abs(z)
+            size = base * abs(sb) + moved * abs((2.0 * z + ig) * sb
+                                                + 1j * mech)
+            size_c = base * abs(sb_c) + moved * abs((2.0 * z - ig) * sb_c
+                                                    - 1j * mech_c)
+            refl_abs += abs(term) * (
+                (size * abs(shifted) + moved * abs(ms) + refl0_size)
+                / abs(rn)
+                + (size_c * abs(shifted) + moved * abs(ms_c) + refl0_size)
+                / abs(rn_c))
+            trans_abs += abs(t) * ((size + _RECORD * h) / abs(en)
+                                   + (size_c + _RECORD * h) / abs(en_c))
             continue
-        t = sv_num * log * common
+        t = log * common
         sv += t
         sv_abs += abs(t)
         if st_num:
             # J(z) = int_a^b B(theta*u)/(u - z) du
             bz = _bose(theta * z)
-            if abs(bz) <= 2.0 * top:
+            if not rule or abs(bz) <= 2.0 * top:
                 bose = bz * log
                 for u, w, bu in rule:
                     bose += w * (bu - bz) / (u - z)
@@ -479,14 +499,15 @@ def _residue_integrals(red, a: float, b: float, line: complex):
                 bose = 0j
                 for u, w, bu in rule:
                     bose += w * bu / (u - z)
-            t = st_num * sb * sb_c.conjugate() * common * bose
+            t = sb * sb_c * common * bose
             st += t
-            st_abs += abs(t) * spread
+            st_abs += abs(t)
     # each integral is the real part of its sum
     cancel = max(refl_abs / abs(refl.real), trans_abs / abs(trans.real),
                  sv_abs / abs(sv.real),
-                 st_abs / abs(st.real) if st_num else 1.0)
-    return ([2.0 * refl.real, 2.0 * trans.real, 2.0 * sv.real, 2.0 * st.real],
+                 st_abs * spread / abs(st.real) if st_num else 1.0)
+    return ([2.0 * refl.real, 2.0 * k2 * k2 * trans.real,
+             2.0 * sv_num * sv.real, 2.0 * st_num * st.real],
             backward, cancel, condition)
 
 
@@ -568,10 +589,22 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
         When a closed form is not finite or not certified.
     """
     kernels.require_stable(op)
+    lo, hi = _checked_band(op, band)
+    if kernels.coupling(op) == 0.0:
+        return _empty_cavity_report(op, lo, hi)
+    return _residue_report(op, lo, hi)
+
+
+def _checked_band(op: OperatingPoint, band):
+    """The band [rad/s] as two floats lo, hi, default [0.5, 1.5]*omega_m.
+
+    Raises InvalidParameterError for a band that is not two finite numbers
+    0 < lo < hi or that misses the line core.
+    """
     if band is None:
         band = (0.5 * op.mech_freq, 1.5 * op.mech_freq)
     lo, hi = _pair(band)
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+    if not 0.0 < lo < hi:   # NaN where band is not two finite numbers
         raise InvalidParameterError(
             f"band must be two finite numbers 0 < lo < hi, got {band!r}")
     center = op.input_center
@@ -580,10 +613,7 @@ def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
         raise InvalidParameterError(
             f"band {band!r} excludes the input line core "
             f"{center!r} +- {_BAND_COVER * gamma!r}")
-
-    if kernels.coupling(op) == 0.0:
-        return _empty_cavity_report(op, lo, hi)
-    return _residue_report(op, lo, hi)
+    return lo, hi
 
 
 def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
@@ -597,13 +627,18 @@ def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
     The contrast is noise-free: it uses the probe channels only, so it does
     not depend on ``bath_temp``.  Temperature shows up only in
     :attr:`RoutingReport.thermal_leak`.  An unstable on state raises
-    UnstableOperatingPointError (the drive-off state is always stable).
+    UnstableOperatingPointError (the drive-off state is always stable),
+    after the band is checked.
+
+    One operating point is derived, at p_on: the drive-off report reads
+    only the cavity and the line, which the drive power does not change.
     """
     p_on = _real("p_on", p_on)
     if not p_on >= 0.0:
         raise InvalidParameterError(f"p_on must be >= 0, got {p_on!r}")
-    off = routing_probabilities(
-        derive_operating_point(replace(params, drive_power=0.0)), band=band)
-    on = routing_probabilities(
-        derive_operating_point(replace(params, drive_power=p_on)), band=band)
+    op = derive_operating_point(replace(params, drive_power=p_on))
+    lo, hi = _checked_band(op, band)
+    off = _empty_cavity_report(op, lo, hi)
+    kernels.require_stable(op)
+    on = off if kernels.coupling(op) == 0.0 else _residue_report(op, lo, hi)
     return min(off.p_transmit, on.p_reflect)

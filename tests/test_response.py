@@ -562,10 +562,13 @@ def test_design_path_memory_is_bounded(op_5uw):
 
 
 @pytest.mark.parametrize("n_points", [0, 1, -3, 2.5, 4001.0, True, "5",
-                                      None])
+                                      None,
+                                      pytest.param(10 ** 400, id="10**400"),
+                                      pytest.param(2 ** 62, id="2**62")])
 def test_default_grid_refuses_fewer_than_two_points(op_5uw, n_points):
     # 1 and 0 gave one point and an empty array, which output_spectra
-    # refused only later
+    # refused only later; past what numpy can size, numpy raised a bare
+    # ValueError
     with pytest.raises(InvalidParameterError, match="n_points"):
         default_grid(op_5uw, n_points)
     grid = default_grid(op_5uw, np.int64(2))
@@ -580,7 +583,8 @@ def test_dip_scan_requires_drive(op_off):
 # the window must be two finite numbers 0 < lo < hi with hi*omega_m finite
 @pytest.mark.parametrize("window", [(1.5, 0.5), (0.0, 1.0), (0.5, math.inf),
                                     (0.5,), (0.5, 1.5, 2.0), "ab", None,
-                                    (0.5, 1e308), (0.5, 10 ** 400)])
+                                    (0.5, 1e308), (0.5, 10 ** 400),
+                                    ("0.5", "1.5"), (True, 1.5)])
 def test_dip_scan_rejects_a_bad_window(op_5uw, window):
     with pytest.raises(InvalidParameterError, match="bad scan window"):
         eit_linewidth_scan(op_5uw, window=window)

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, NumericalFailureError,
-                      assess_stability, default_params,
-                      derive_operating_point, eit_linewidth,
+                      UnstableOperatingPointError, assess_stability,
+                      default_params, derive_operating_point, eit_linewidth,
                       lorentzian_band_mass, reflection_R, routing,
                       routing_probabilities, switching_contrast,
                       thermal_noise, transmission_T, vacuum_noise)
@@ -151,6 +151,10 @@ def test_band_must_cover_the_line(op_5uw):
     5.0,
     # an int past the float range: refused, not an OverflowError
     (10 ** 400, 2),
+    # a bool and strings are not numbers: they were read as 1 rad/s and
+    # parsed
+    (True, 2.0 * WM),
+    ("1e5", "2e6"),
 ])
 def test_bad_bands_rejected(op_5uw, band):
     with pytest.raises(InvalidParameterError):
@@ -163,6 +167,36 @@ def test_negative_switch_power_rejected():
     for p_on in (-1e-6, 10 ** 400, "1e-6", math.nan, math.inf, True):
         with pytest.raises(InvalidParameterError, match="p_on"):
             switching_contrast(default_params(), p_on)
+
+
+def test_switch_checks_the_band_before_the_stability_verdict():
+    # blue of the cavity every drive of a microwatt is unstable; a band
+    # that misses the line core is still refused as such, as it was when
+    # the drive-off report came first
+    params = replace(default_params(), eff_detuning=-WM, input_center=WM)
+    with pytest.raises(UnstableOperatingPointError):
+        switching_contrast(params, 5e-6)
+    with pytest.raises(InvalidParameterError, match="line core"):
+        switching_contrast(params, 5e-6, band=(1.2 * WM, 1.5 * WM))
+
+
+def test_switch_derives_one_operating_point(monkeypatch):
+    # the drive-off report reads only the cavity and the line, so both
+    # reports come from the one point derived at p_on
+    calls = []
+
+    def counted(params):
+        calls.append(params.drive_power)
+        return derive_operating_point(params)
+
+    monkeypatch.setattr(routing, "derive_operating_point", counted)
+    params = default_params()
+    contrast = switching_contrast(params, 5e-6)
+    assert calls == [5e-6]
+    off = routing_probabilities(derive_operating_point(
+        replace(params, drive_power=0.0)))
+    on = routing_probabilities(derive_operating_point(params))
+    assert contrast == min(off.p_transmit, on.p_reflect)
 
 
 # ------------------------------------------------ the band integrator itself
@@ -445,11 +479,14 @@ def test_pool_reports_take_at_most_two_passes(power, monkeypatch):
 
 
 def test_non_finite_integral_raises(monkeypatch):
-    # a thermal integral that is inf (here B at every node of the rule) is
-    # refused, never reported
-    monkeypatch.setattr(routing, "_bose_real", lambda x: math.inf)
-    with pytest.raises(NumericalFailureError, match="not finite"):
-        routing_probabilities(_op())
+    # a thermal integral that is inf is refused, never reported, on both of
+    # St's paths: B at the poles at 20 mK, where St takes no rule, and B at
+    # every node of the rule below 1 mK
+    for temp, name in ((20e-3, "_bose"), (_SUB_MK_BATH, "_bose_real")):
+        with monkeypatch.context() as patch:
+            patch.setattr(routing, name, lambda x: math.inf)
+            with pytest.raises(NumericalFailureError, match="not finite"):
+                routing_probabilities(_op(bath_temp=temp))
 
 
 def test_uncertified_report_raises(op_5uw, monkeypatch):
@@ -468,10 +505,22 @@ def test_quadrature_of_a_finite_st_at_an_extreme_bath_is_finite():
         assert rep.thermal_leak == pytest.approx(4.54e304, rel=1e-2)
 
 
+def test_default_drive_on_report_takes_no_rule_and_no_contour(monkeypatch):
+    # at 20 mK B is its quartic on the band, so St takes no rule, and the
+    # default point's poles are apart, so no contour is summed
+    def refused(*args):
+        raise AssertionError("the default report took a rule or a contour")
+
+    for name in ("_bose_rule", "_gauss_legendre", "_contour"):
+        monkeypatch.setattr(routing, name, refused)
+    rep = routing_probabilities(_op())
+    assert rep.thermal_leak > 0.0
+
+
 def test_default_report_loads_no_gauss_legendre_table():
     # numpy.polynomial costs milliseconds to import (numpy 2 does not load
-    # it); a bath warm enough that B is its quartic on the band takes the
-    # tabulated 2-node rule
+    # it); a bath warm enough that B is its quartic on the band takes no
+    # rule
     code = ("import sys, omrouter\n"
             "before = 'numpy.polynomial' in sys.modules\n"
             "omrouter.routing_probabilities(omrouter.derive_operating_point("
@@ -685,6 +734,8 @@ def test_drive_on_closed_form_of_three_merged_poles():
     poles = [z.conjugate() for z in routing._hurwitz_zeros(
         kernels.reduced(op))[0]] + [complex(0.994988, 0.1)]
     assert sorted(map(len, routing._clusters(poles))) == [2, 3]
+    assert set(map(frozenset, routing._clusters(poles))) \
+        == _linked_groups(poles)
     _assert_near_oracle(routing_probabilities(op), op)
 
 
@@ -702,9 +753,10 @@ def test_drive_on_closed_form_of_weak_drives(overrides):
 @pytest.mark.parametrize("temp", [0.0, 10e-9, 0.1e-6, 1e-6, 10e-6, 0.5e-3,
                                   20e-3, 0.3])
 def test_drive_on_closed_form_at_any_bath(power, temp):
-    # B(theta*u) is taken exactly at the poles and the smooth remainder by
-    # a Gauss-Legendre rule of 2 to 512 nodes; below 1 uK the reference is
-    # mpmath.quad, and the rule's error reaches about 3e-11 at 10 nK
+    # B(theta*u) is taken exactly at the poles; the smooth remainder
+    # cancels from about 1 mK up and takes a Gauss-Legendre rule of 16 to
+    # 512 nodes below; below 1 uK the reference is mpmath.quad, and the
+    # rule's error reaches about 3e-11 at 10 nK
     op = _op(drive_power=power, bath_temp=temp)
     _assert_near_oracle(routing_probabilities(op), op,
                         rel=1e-12 if temp == 0.0 or temp >= 1e-6 else 1e-10)
@@ -807,6 +859,67 @@ def test_drive_on_closed_form_against_quadrature(params):
     warm = kernels.reduced(op)[5] * 1.5 < 2.0
     _assert_near_oracle(routing._residue_report(op, *_default_band(op)), op,
                         rel=1e-12 if warm else 1e-10)
+
+
+@settings(deadline=None, max_examples=50)
+@given(params=_bright_points, temp=st.floats(10e-3, 0.3))
+def test_thermal_leak_without_a_rule_is_the_rule_s(params, temp):
+    # from 10 mK up B is its quartic on the band and at the poles, so the
+    # rule's remainders cancel: St without them is within 1e-14 of St with
+    # the 16-node rule, forced by a threshold of -1
+    op = derive_operating_point(replace(params, bath_temp=temp))
+    assume(kernels.is_stable(op))
+
+    def refused(*args):
+        raise AssertionError("St took a rule from 10 mK up")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing, "_bose_rule", refused)
+        free = routing_probabilities(op).thermal_leak
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing, "_QUARTIC", -1.0)
+        ruled = routing_probabilities(op).thermal_leak
+    assert free == pytest.approx(ruled, rel=1e-14, abs=0.0)
+
+
+def _linked_groups(poles):
+    """The clusters of _clusters by brute force: every pair's distance
+    against both heights, then the connected components."""
+    n = len(poles)
+    near = [[abs(poles[i] - poles[j]) < routing._CLUSTER * poles[i].imag
+             and abs(poles[i] - poles[j]) < routing._CLUSTER * poles[j].imag
+             for j in range(n)] for i in range(n)]
+    seen, groups = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        group, stack = set(), [start]
+        while stack:
+            i = stack.pop()
+            if i not in group:
+                group.add(i)
+                stack += [j for j in range(n) if j != i and near[i][j]]
+        seen |= group
+        groups.append(frozenset(group))
+    return set(groups)
+
+
+_pole = st.builds(complex, st.floats(-2.0, 2.0), st.floats(1e-6, 0.5))
+
+
+@settings(deadline=None, max_examples=200)
+@given(poles=st.lists(_pole, min_size=1, max_size=3),
+       copies=st.lists(st.tuples(st.integers(0, 2), st.floats(-1.0, 1.0),
+                                 st.floats(-1.0, 1.0),
+                                 st.floats(1e-16, 0.3)), max_size=4))
+def test_cluster_screen_groups_as_brute_force(poles, copies):
+    # near-duplicates of the poles, each moved by up to 0.3 of its height
+    for k, dx, dy, scale in copies:
+        base = poles[k % len(poles)]
+        poles = poles + [base + complex(dx, dy) * scale * base.imag]
+    groups = routing._clusters(poles)
+    assert sorted(i for grp in groups for i in grp) == list(range(len(poles)))
+    assert set(map(frozenset, groups)) == _linked_groups(poles)
 
 
 # a third of the benchmark's design pool (list(_design_pool())[::3] of
