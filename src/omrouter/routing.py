@@ -27,7 +27,13 @@ x/(e^x - 1) for St and 1 for the others, and
 
 over f's upper poles p: the conjugates of D's zeros (Ferrari's method,
 then one Newton step on D's factored form) and, for Scin*R and Scin*T,
-the line's c + i*Gamma.  Where B is 1, J is Log((b-z)/(a-z)).  For St,
+the line's c + i*Gamma.  Next to the mechanical resonance the terms
+turn on digits that no float pole holds: 1 - u at a pole is then most
+of mech, and the line's pole may sit a few of its heights from one of
+D's, where their residues cancel.  So 1 - u at each pole and the
+distance between the line's pole and D's take what rounding leaves out
+of each pole: a zero's next Newton step, and the rounding of c =
+center/omega_m.  Where B is 1, J is Log((b-z)/(a-z)).  For St,
 J(z) is B(theta*z)*Log((b-z)/(a-z)) plus the integral of the smooth
 (B(theta*u) - B(theta*z))/(u - z) by a Gauss-Legendre rule, or, where
 B(theta*z) is more than twice B on the band and that would cancel, the
@@ -51,7 +57,10 @@ and of the rule's nodes, is estimated below 1e-10, the contract of the
 adaptive quadrature these sums replaced.  On 3,000 random points inside
 the hierarchy and across the exceptional point the error against
 50-digit residues stayed below 2e-13 and within 4 times the estimate
-(0.74 times where it is above 1e-13).  A report that is not certified
+(0.74 times where it is above 1e-13).  On 1,600 more, 1,200 of them
+with the line on the mechanical resonance or on the window's steep side,
+where float poles alone left up to 2.2e-12, it stayed below 6e-14 and
+within 3.2 times the estimate.  A report that is not certified
 raises NumericalFailureError; there is no other method to fall back to.
 """
 
@@ -164,7 +173,8 @@ def _factored(red, u, sized=True):
 
 def _hurwitz_zeros(red):
     """The zeros of D on the omega/omega_m axis, D' and the size of D's
-    terms at each, and their worst backward residual.
+    terms at each, their worst backward residual, and each zero's tail:
+    the further Newton step -D(u)/D'(u), which a float u cannot take.
 
     ``red`` is the record of :func:`omrouter.kernels.reduced`.  D(i*s) =
     s^4 + a3*s^3 + a2*s^2 + a1*s + a0 is the real quartic of
@@ -180,7 +190,9 @@ def _hurwitz_zeros(red):
     then takes one Newton step on D's factored form (:func:`_factored`),
     in which a zero's small imaginary part is not a small part of a sum of
     monomials.  The backward residual is |D(u)| over the size of D's terms
-    plus |u|*|D'(u)|, the rounding of the zero itself.
+    plus |u|*|D'(u)|, the rounding of the zero itself.  u plus its tail
+    is the zero to about the rounding of D(u) over |D'(u)|, far inside
+    that ulp of u.
     """
     k2, g, dl, dd, _, _ = red
     c0 = k2 * k2 + dl * dl
@@ -229,7 +241,7 @@ def _hurwitz_zeros(red):
             w = -w
         y = -0.5 * sign * (t + w)
         ys += [y, m / y]
-    zeros, slopes, sizes = [], [], []
+    zeros, tails, slopes, sizes = [], [], [], []
     backward = 0.0
     for y in ys:
         u = 1j * (y - s)
@@ -238,14 +250,16 @@ def _hurwitz_zeros(red):
         value, slope, size = _factored(red, u)
         backward = max(backward, abs(value) / (size + abs(u) * abs(slope)))
         zeros.append(u)
+        tails.append(-value / slope)
         slopes.append(slope)
         sizes.append(size)
     if big < 0.0:
         # D(-conj(u)) = conj(D(u)), so D'(-conj(u)) = -conj(D'(u))
         zeros += [-u.conjugate() for u in zeros]
+        tails += [-e.conjugate() for e in tails]
         slopes += [-d.conjugate() for d in slopes]
         sizes += sizes
-    return zeros, slopes, sizes, backward
+    return zeros, slopes, sizes, backward, tails
 
 
 def _clusters(poles):
@@ -360,12 +374,13 @@ def _bose_rule(theta, a, b):
     return rule
 
 
-def _residue_integrals(red, a: float, b: float, line: complex):
+def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
     """The drive-on band integrals from the residues at their upper poles.
 
     On u = omega/omega_m, with D of the record ``red`` of
     :func:`omrouter.kernels.reduced`, the band [a, b] and the line's pole
-    ``line`` = c + i*gamma, f is N/(D*conj(D)), times 1/|u - line|^2 for
+    ``line`` = c + i*gamma, whose center is c + ``tail`` (the rounding of
+    c), f is N/(D*conj(D)), times 1/|u - line|^2 for
     Scin*R and Scin*T, with N gamma/pi times |(E - 1)*D|^2 or |E*D|^2, a
     constant for Sv and |sb|^2 for St (see the module docstring).  A
     cluster of poles (:func:`_clusters`) gives (1/n)*sum f(z)*J(z)*(z - c)
@@ -373,21 +388,22 @@ def _residue_integrals(red, a: float, b: float, line: complex):
 
     Returns the list [int Scin*R, int Scin*T, vacuum_leak, thermal_leak],
     the zeros' worst backward residual, the worst ratio of the sum of
-    |terms| to the integral, and the worst condition: size(z)/(|D'(z)|*|Im z|)
-    at an isolated zero z, how much a backward error in z, relative to the
-    size of D's terms there, moves the integrals, and size/|D| at a node
-    of a contour.  May raise ArithmeticError or ValueError outside the
-    float range, and NumericalFailureError as :func:`_contour` and
-    :func:`_bose_rule`.
+    |terms| to the integral, and the worst condition: size(z)/(|D'(z)|*
+    min(|Im z|, |z - line|)) at an isolated zero z, how much a backward
+    error in z, relative to the size of D's terms there, moves the
+    integrals, and size/|D| at a node of a contour.  May raise
+    ArithmeticError or ValueError outside the float range, and
+    NumericalFailureError as :func:`_contour` and :func:`_bose_rule`.
     """
-    zeros, slopes, sizes, backward = _hurwitz_zeros(red)
+    zeros, slopes, sizes, backward, tails = _hurwitz_zeros(red)
     k2, g, dl, dd, h, theta = red
     ih, ig, idl = 1j * h, 1j * g, 1j * dl
     side0 = complex(k2, -dl)
     # (E - 1)*D's constant: i*k2*h plus the drive's share dd = 2*h*dl
     refl0 = complex(2.0 * h * dl, k2 * h)
     refl0_size = _RECORD * abs(refl0)
-    line_c = line.conjugate()
+    # z - conj(line) = (z - line) + gap, exactly
+    gap = complex(0.0, 2.0 * line.imag)
     poles = [z.conjugate() for z in zeros] + [line]
 
     sv_num = 2.0 * (k2 * h) * (k2 * h)
@@ -405,10 +421,14 @@ def _residue_integrals(red, a: float, b: float, line: complex):
         # rule's nodes moves J by up to theta*(b - a) ulp of it
         spread = 1.0 + theta * (b - a)
 
-    # the points at which f*J is summed, as (z, dbar, lin, scale): a pole's
-    # residue, where conj(D(conj z)) and z - line are replaced by the
-    # slopes dbar and lin of the factors that vanish there, or a node of a
-    # contour, where dbar is None and lin is z - line, weighted by scale
+    # the points at which f*J is summed, as (z, tail, dbar, pair, scale):
+    # the residue at one of D's poles, where conj(D(conj z)) is replaced
+    # by its slope dbar, at the line's, where pair is 2i*gamma, the slope
+    # of (u - line)*(u - conj(line)), or a node of a contour, where dbar
+    # is None; elsewhere pair is (z - line)*(z - conj(line)), and scale
+    # weights the point.  A pole is at z + tail, far below the ulp of z:
+    # next to the mechanical resonance mech and the distance between the
+    # line's pole and one of D's, whose terms then cancel, take it
     points = []
     condition = 0.0
     for group in _clusters(poles):
@@ -420,15 +440,18 @@ def _residue_integrals(red, a: float, b: float, line: complex):
                 for u in (z, z.conjugate()):
                     value, _, size = _factored(red, u)
                     condition = max(condition, size / abs(value))
-                points.append((z, None, z - line, step / n))
+                lin = z - line - tail
+                points.append((z, 0.0, None, lin * (lin + gap), step / n))
         elif group[0] == 4:
-            points.append((line, None, 1.0, 1.0))
+            points.append((line, tail, None, gap, 1.0))
         else:
             j = group[0]
-            points.append((poles[j], slopes[j].conjugate(), poles[j] - line,
-                           1.0))
-            condition = max(condition,
-                            sizes[j] / (abs(slopes[j]) * -zeros[j].imag))
+            off = tails[j].conjugate()
+            lin = poles[j] - line + off - tail
+            points.append((poles[j], off, slopes[j].conjugate(),
+                           lin * (lin + gap), 1.0))
+            condition = max(condition, sizes[j] / (
+                abs(slopes[j]) * min(-zeros[j].imag, abs(lin))))
 
     weight = line.imag / math.pi
     side0_c = side0.conjugate()
@@ -437,16 +460,17 @@ def _residue_integrals(red, a: float, b: float, line: complex):
     # sv_num and st_num, and the ratio spread of St's term sizes
     refl = trans = sv = st = 0j
     refl_abs = trans_abs = sv_abs = st_abs = 0.0
-    for z, dbar, lin, scale in points:
+    for z, off, dbar, pair, scale in points:
         # at z: mech = 1 - z^2 - i*g*z, as in _factored, the sideband sb,
         # E*D/k2 = mech*sb + i*h, (E - 1)*D = mech*sb*i*(z - dl) + i*k2*h
         # + dd without cancellation and D = mech*sb*(k2 - i*(z - dl)) - dd.
         # A name ending in _c holds the conjugate of its value at conj(z),
         # formed from z's terms: conjugation commutes with every rounded
-        # operation, so it is conj() of that value bit for bit
+        # operation, so it is conj() of that value bit for bit.  1 - z
+        # takes the pole's tail: next to the resonance it is most of mech
         iu = 1j * z
         shifted = iu - idl
-        bare = (1.0 - z) * (1.0 + z)
+        bare = (1.0 - z - off) * (1.0 + z)
         gz = ig * z
         mech, mech_c = bare - gz, bare + gz
         sb, sb_c = side0 - iu, side0_c + iu
@@ -457,7 +481,7 @@ def _residue_integrals(red, a: float, b: float, line: complex):
             dbar = ms_c * (k2 + shifted) - dd
         log = _band_log(a, b, z)
         common = scale / ((ms * (k2 - shifted) - dd) * dbar)
-        probe = weight * log * common / (lin * (z - line_c))
+        probe = weight * log * common / pair
         term = rn * rn_c * probe
         refl += term
         refl_abs += abs(term)
@@ -525,6 +549,12 @@ def _residue_report(op: OperatingPoint, lo: float, hi: float):
         raise InvalidParameterError(
             f"bath_temp must be >= 0 and finite, got {op.bath_temp!r}")
     wm = op.mech_freq
+    c = op.input_center / wm
+    # c's rounding, where c is within a factor 2 of 1: center - omega_m and
+    # c - 1 are then exact, and so is the tail, to the rounding of the
+    # line's offset from the mechanical resonance
+    tail = ((op.input_center - wm) / wm - (c - 1.0) if 0.5 <= c <= 2.0
+            else 0.0)
     red = kernels.reduced(op)
     if math.isnan(red[5]):
         raise NumericalFailureError(
@@ -533,8 +563,7 @@ def _residue_report(op: OperatingPoint, lo: float, hi: float):
     try:
         (refl, trans, sv, st), backward, cancel, condition = \
             _residue_integrals(red, lo / wm, hi / wm,
-                               complex(op.input_center / wm,
-                                       op.input_bandwidth / wm))
+                               complex(c, op.input_bandwidth / wm), tail)
         mass = lorentzian_band_mass(lo, hi, op.input_center,
                                     op.input_bandwidth)
         p_reflect, p_transmit = refl / mass, trans / mass

@@ -861,6 +861,22 @@ def test_drive_on_closed_form_against_quadrature(params):
                         rel=1e-12 if warm else 1e-10)
 
 
+@pytest.mark.parametrize("overrides", [
+    # the line's pole 0.14 of its height from the mechanical one: their
+    # terms cancel to 1/7, and a float zero alone left 2.2e-12
+    {"quality": 1778.2794100389228, "eff_detuning": 984375.0,
+     "input_center": 1e6, "input_bandwidth": 1000.0},
+    # a line of 1e-6*omega_m, 1e-5*omega_m below the mechanical resonance
+    # on the window's steep side: a float c alone left 1.2e-12 of p_transmit
+    {"quality": 17782.794100389227, "eff_detuning": 1e6,
+     "input_center": 999990.0, "input_bandwidth": 1.0},
+])
+def test_drive_on_closed_form_next_to_the_mechanical_resonance(overrides):
+    op = _op(mech_freq=1e6, cavity_decay=56234.13251903491, bath_temp=0.0,
+             drive_power=1.6755060480136922e-07, **overrides)
+    _assert_near_oracle(routing._residue_report(op, *_default_band(op)), op)
+
+
 @settings(deadline=None, max_examples=50)
 @given(params=_bright_points, temp=st.floats(10e-3, 0.3))
 def test_thermal_leak_without_a_rule_is_the_rule_s(params, temp):
@@ -943,7 +959,7 @@ _DESIGN_THIRD = [{"drive_power": power, "eff_detuning": detuning * WM,
     *_DESIGN_THIRD])
 def test_drive_on_closed_form_outside_the_resolved_sidebands(overrides):
     op = _op(**overrides)
-    zeros, _, _, backward = routing._hurwitz_zeros(kernels.reduced(op))
+    zeros, _, _, backward, _ = routing._hurwitz_zeros(kernels.reduced(op))
     roots, _ = stability.poles(op)
     for root in roots:
         assert min(abs(root - z) for z in zeros) < 1e-12
