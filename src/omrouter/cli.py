@@ -7,8 +7,13 @@ sweep      one spectrum block per value of a swept parameter
 stability  pole locations and stability margin of the working point
 route      band-integrated routing report, on state vs drive off
 
-Exit codes: 0 success, 2 invalid input or config, 3 unstable operating
-point, 4 numerical failure.  The library decides stability: spectrum and
+Exit codes: 0 success, 2 invalid input or config or an output that cannot
+be written, 3 unstable operating point, 4 numerical failure.  A nonzero
+exit prints one "error:" line on stderr and no traceback: an --out that
+names a directory or a path whose directory does not exist, and a reader
+of stdout that goes away (omrouter spectrum | head), exit 2 as well, and
+an existing --out file is then left as it was.  The library decides
+stability: spectrum and
 route exit 3 on the UnstableOperatingPointError it raises, stability
 prints its report and exits 3, and sweep marks an unstable value inline
 (stable column 0) by the same verdict, kernels.is_stable.
@@ -136,6 +141,9 @@ def _resolve(args):
     if not (0.0 < lo < hi):
         raise InvalidParameterError(f"grid bounds must satisfy 0 < lo < hi, "
                                     f"got ({lo!r}, {hi!r})")
+    if not math.isfinite(hi):   # np.linspace would form inf - inf
+        raise InvalidParameterError(
+            f"grid bounds must be finite in rad/s, got ({lo!r}, {hi!r})")
     return params, (lo, hi, n), cfg, scale
 
 
@@ -360,12 +368,30 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _drop_stdout():
+    """Point stdout's file descriptor at os.devnull, so that the flush at
+    exit does not raise BrokenPipeError again; a stdout without one (a
+    capture in memory) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # only writing the output raises it
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            _drop_stdout()
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
     except UnstableOperatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ one; the factors are passed in, so a grid evaluates each of them once.
 
 The channels mean something only where every zero of d lies below the
 real axis.  That verdict is also written once, here beside the drive term
-it turns on: :func:`is_stable`, from the Routh-Hurwitz conditions.
+it turns on: :func:`is_stable`, from the Routh-Hurwitz conditions; so is
+how d rounds: :func:`scale`, :func:`factored`, _ROUND and RECORD.
 
 Keep the arithmetic order as written (x*x rather than x**2, the drive term
 grouped as 2*hbar*(g^2*|c_s|^2)*Delta, complex array operands bound to
@@ -42,6 +43,14 @@ from .operating_point import HBAR, KB
 # a value's last bits would depend on the size of the array it sits in.
 BLOCK = 8192
 
+# 64 unit roundoffs: the kernel's d and E*d, a polynomial coefficient and
+# each Taylor coefficient of a dip-scan cell bound take at most 16 roundings
+# (a complex product counts as sqrt(5)): within _ROUND of their sizes
+_ROUND = 32.0 * np.finfo(float).eps
+# the record's dd and h are formed by up to 7 and 5 roundings, so the
+# sizes of the terms that carry them count them at this many ulp
+RECORD = 4.0
+
 
 def coupling(op):
     """g^2*|c_s|^2: the only combination through which the drive enters the
@@ -55,7 +64,7 @@ def drive_term(op):
 
 
 def reduced(op):
-    """d in units of omega_m: the record (k2, g, dl, dd, h, theta).
+    """d in units of omega_m: the record (k2, g, dl, dd, h, theta, a0).
 
     k2 = 2*kappa/omega_m, g = gamma_m/omega_m, dl = Delta/omega_m,
     dd = drive_term(op)/(m*omega_m^4) and h = hbar*coupling(op)/(m*omega_m^3),
@@ -66,13 +75,71 @@ def reduced(op):
     sb = k2 - i*(dl + x).  theta is 0.0 where kB*T is 0, and NaN where
     only the quotient is (an infinite bath, or one so hot that it
     underflows: St is not 0 there) or the bath is NaN.
+
+    a0 = D(0) = c0 - dd, c0 = k2^2 + dl^2.  Where it cancels below c0/8,
+    next to the red static bound, it is formed exactly from the point's
+    floats kappa, Delta, omega_m, m and coupling(op), and rounded once.
     """
     wm, mass = op.mech_freq, op.eff_mass
     kbt = KB * op.bath_temp
     theta = (HBAR * wm / kbt or math.nan) if kbt else 0.0
-    return (2.0 * op.cavity_decay / wm, op.gamma_m / wm,
-            op.eff_detuning / wm, drive_term(op) / mass / wm / wm / wm / wm,
-            HBAR * coupling(op) / mass / wm / wm / wm, theta)
+    k2, dl = 2.0 * op.cavity_decay / wm, op.eff_detuning / wm
+    dd = drive_term(op) / mass / wm / wm / wm / wm
+    c0 = k2 * k2 + dl * dl
+    a0 = c0 - dd
+    if abs(a0) < 0.125 * c0:
+        # fractions imports decimal, a millisecond: only points here pay it
+        from fractions import Fraction
+        w2 = Fraction(wm) ** 2
+        delta = Fraction(op.eff_detuning)
+        a0 = float((4 * Fraction(op.cavity_decay) ** 2 + delta * delta) / w2
+                   - 2 * Fraction(HBAR) * Fraction(coupling(op)) * delta
+                   / (Fraction(mass) * w2 * w2))
+    return (k2, op.gamma_m / wm, dl, dd,
+            HBAR * coupling(op) / mass / wm / wm / wm, theta, a0)
+
+
+def scale(red, x):
+    """(1 + x^2 + g*x)*((k2 + x)^2 + dl^2) + |dd|, the size of d/(m*omega_m^4)
+    at |omega| = x*omega_m >= 0: the kernel rounds d within _ROUND of it."""
+    k2, g, dl, dd = red[:4]
+    return (1.0 + x * x + g * x) * ((k2 + x) * (k2 + x) + dl * dl) + abs(dd)
+
+
+def factored(red, u, sized=True):
+    """D(u), D'(u) and the size of D's terms (0.0 unless ``sized``) on the
+    record ``red``, at a complex scalar or array u: D = mech*cav - dd, with
+    mech = (1 - u)*(1 + u) - i*g*u and cav = (k2 - i*u - i*dl)*(k2 - i*u +
+    i*dl), which cancel nothing next to their zeros: the size (|1 - u|*|1 +
+    u| + g*|u|)*|cav| + RECORD*|dd| bounds D's rounding in ulp.  Where |u| <
+    1/2, next to the red static bound, D = a0 - u*((2i*k2 + u) + (u +
+    i*g)*cav) and the size is |a0| (c0 + RECORD*|dd| unless 8*|a0| < c0, c0
+    = k2^2 + dl^2, where the record holds a0 exactly) plus |u|*(2*k2 + |u| +
+    (|u| + g)*|cav|)."""
+    k2, g, dl, dd, _, _, a0 = red
+    side = k2 - 1j * u
+    cav = (side - 1j * dl) * (side + 1j * dl)
+    bare = (1.0 - u) * (1.0 + u)
+    mech = bare - 1j * g * u
+    value = mech * cav - dd
+    slope = -(2.0 * u + 1j * g) * cav - 2j * side * mech
+    size = (abs(bare) + g * abs(u)) * abs(cav) + RECORD * abs(dd) if sized \
+        else 0.0
+    near = abs(u) < 0.5
+    # a Python scalar u, the common case, makes near a bool
+    if near is False or not np.any(near):
+        return value, slope, size
+    small = a0 - u * ((2j * k2 + u) + (u + 1j * g) * cav)
+    if sized:
+        c0 = k2 * k2 + dl * dl
+        au = abs(u)
+        small_size = (abs(a0) if 8.0 * abs(a0) < c0
+                      else c0 + RECORD * abs(dd)) \
+            + au * (2.0 * k2 + au + (au + g) * abs(cav))
+        size = small_size if near is True else np.where(near, small_size,
+                                                        size)
+    return (small if near is True else np.where(near, small, value), slope,
+            size)
 
 
 def _hurwitz_coeffs(op):

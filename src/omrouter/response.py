@@ -22,7 +22,8 @@ module validates inputs, assembles the port spectra and scans the dip.
 The pointwise functions (:func:`response_E` and the four channels) are
 the grid kernel's values at the caller's frequencies, bit for bit, behind
 one guard: they refuse an unstable operating point, as the spectra and
-the dip scan do, and a frequency where d cancels to near zero.
+the dip scan do, and a frequency where d cancels to near zero.  How d
+rounds is read from :mod:`omrouter.kernels`.
 """
 
 from __future__ import annotations
@@ -36,24 +37,15 @@ import numpy as np
 from . import kernels
 from .empty_cavity import lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
+from .kernels import _ROUND
 from .operating_point import HBAR, OperatingPoint, _real
-from .stability import _ROUND
 
 _SCAN_POINTS = 200001   # points of the dip scan's grid
 _CELL = 64              # grid points per cell of the dip scan's bounds
 
-# |d| below this fraction of its typical (cancellation-free) scale means
-# the response value carries no trustworthy digits
+# |D| below this fraction of kernels.scale means the response value carries
+# no trustworthy digits
 _SINGULAR_RTOL = 1e-12
-
-
-def _d_scale(omega, op: OperatingPoint):
-    """Cancellation-free magnitude of d's constituents: the typical scale
-    |d| is compared against to detect catastrophic loss of precision."""
-    aw = np.abs(omega)
-    f1 = op.eff_mass * (op.mech_freq ** 2 + aw * aw + op.gamma_m * aw)
-    f2 = np.abs(2.0 * op.cavity_decay - 1j * omega) ** 2 + op.eff_detuning ** 2
-    return f1 * f2 + abs(kernels.drive_term(op))
 
 
 def denominator_d(omega, op: OperatingPoint):
@@ -70,27 +62,28 @@ def denominator_d(omega, op: OperatingPoint):
                                kernels.cav_factor(w, op), op)
 
 
-def _guarded_amplitude(omega, op: OperatingPoint):
-    """E(omega), behind the checks every pointwise function shares (see
-    :func:`response_E`)."""
+def _checked(omega, op: OperatingPoint):
+    """omega as an array, behind the pointwise functions' checks."""
     kernels.require_stable(op)
     w = np.asarray(omega)
-    # an E divided by a d of 0 is never returned: the guard refuses that d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e, d = kernels._amplitude(w, op)
-    bad = np.abs(d) < _SINGULAR_RTOL * _d_scale(w, op)
+    # a scalar as a Python number, whose arithmetic takes a tenth of numpy's
+    x = (w.item() if w.ndim == 0 else w) / op.mech_freq
+    red = kernels.reduced(op)
+    # a frequency that is not finite is left to the kernel
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = np.abs(kernels.factored(red, x, sized=False)[0]) \
+            < _SINGULAR_RTOL * kernels.scale(red, np.abs(x))
     if np.any(bad):
         w_bad = np.atleast_1d(w)[np.atleast_1d(bad)][0]
         raise NumericalFailureError(
             f"near-singular response denominator at omega={w_bad:.9e}")
-    return e
+    return w
 
 
 def _channel(omega, op: OperatingPoint, row):
     """Row ``row`` of kernels.channel_arrays at the real frequencies
     omega, behind the shared checks; a float for a scalar omega."""
-    _guarded_amplitude(omega, op)
-    val = kernels.channel_arrays(omega, op)[row]
+    val = kernels.channel_arrays(_checked(omega, op), op)[row]
     return float(val[0]) if np.ndim(omega) == 0 else val
 
 
@@ -111,11 +104,11 @@ def response_E(omega, op: OperatingPoint):
         When a pole of the response lies on or above the real axis
         (:func:`omrouter.kernels.is_stable`).
     NumericalFailureError
-        When |d(omega)| cancels below 1e-12 of its cancellation-free
-        scale, which on the real axis only happens next to an instability
-        threshold.
+        When |D| (:func:`omrouter.kernels.factored`) is below 1e-12 of
+        :func:`omrouter.kernels.scale`, which on the real axis only
+        happens next to an instability threshold, or E is not finite.
     """
-    e = _guarded_amplitude(omega, op)
+    e, _ = kernels._finite(kernels._amplitude)(_checked(omega, op), op)
     return complex(e) if np.ndim(omega) == 0 else e
 
 
@@ -191,10 +184,12 @@ def _pair(value):
 
 
 def _require_finite_d2(top, op: OperatingPoint):
-    """Raise NumericalFailureError unless the square of d's
-    cancellation-free scale at omega = top, a grid's largest, is finite."""
+    """Raise NumericalFailureError unless the square of d's size at omega =
+    top, a grid's largest, is finite; no float power can overflow here."""
+    wm = op.mech_freq
     with np.errstate(over="ignore"):
-        scale = _d_scale(top, op)
+        scale = kernels.scale(kernels.reduced(op), top / wm) \
+            * wm * wm * wm * wm * op.eff_mass
         if not np.isfinite(scale * scale):
             raise NumericalFailureError(
                 f"|d|^2 overflows on the grid: d's scale at omega={top:.3e} "
@@ -251,8 +246,8 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
         (:func:`omrouter.kernels.is_stable`): the spectra would describe
         fluctuations that do not decay.
     NumericalFailureError
-        When |d|^2 may overflow on the grid: the square of d's
-        cancellation-free scale at the grid's largest omega is not finite.
+        When |d|^2 may overflow on the grid: the square of d's size at the
+        grid's largest omega is not finite.
         Or when a channel divides by zero or forms NaN, as
         :func:`omrouter.kernels.fill_channels` raises it, or the line
         density does (a line so narrow that Gamma^2 underflows).
@@ -359,7 +354,7 @@ def _cell_bounds(edges, op: OperatingPoint):
     coefficients, so at the cell's top c + r each is the sum of the sizes
     of the P_k times r^k: within _ROUND of it lie both the coefficients'
     rounding and the kernel's rounding of E*d and d on the cell (D's size
-    takes |k2 - i*x|^2 as (k2 + x)^2).  The kernel's division, modulus and
+    is :func:`omrouter.kernels.scale`).  The kernel's division, modulus and
     square move T by less than 4*_ROUND relative.  Everything is formed in
     units of omega_m, so no bound overflows where T is finite.
 
@@ -377,7 +372,7 @@ def _cell_bounds(edges, op: OperatingPoint):
                     op.eff_detuning, kernels.drive_term(op),
                     HBAR * kernels.coupling(op), edges[0], edges[-1]), 128):
         return low, high
-    k2, g, dl, dd, h, _ = kernels.reduced(op)
+    k2, g, dl, dd, h, *_ = red = kernels.reduced(op)
     x = edges / wm
     # in units of omega_m the bounds' products stay in range
     if not _within((k2, g, dl, dd, h, x[0], x[-1]), 64):
@@ -396,7 +391,7 @@ def _cell_bounds(edges, op: OperatingPoint):
     top = x[1:] * (1.0 + _ROUND)
     mech_top = 1.0 + top * top + g * top
     size_e = mech_top * (k2 + abs(dl) + top) + abs(h)
-    size_d = mech_top * ((k2 + top) ** 2 + dl * dl) + abs(dd)
+    size_d = kernels.scale(red, top)
     num_spread = _spread(num, r) + 2.0 * _ROUND * size_e
     den_spread = _spread(den, r) + 2.0 * _ROUND * size_d
     num, den = np.abs(num[0]), np.abs(den[0])

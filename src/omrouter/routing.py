@@ -33,35 +33,44 @@ of mech, and the line's pole may sit a few of its heights from one of
 D's, where their residues cancel.  So 1 - u at each pole and the
 distance between the line's pole and D's take what rounding leaves out
 of each pole: a zero's next Newton step, and the rounding of c =
-center/omega_m.  Where B is 1, J is Log((b-z)/(a-z)).  For St,
-J(z) is B(theta*z)*Log((b-z)/(a-z)) plus the integral of the smooth
-(B(theta*u) - B(theta*z))/(u - z) by a Gauss-Legendre rule, or, where
-B(theta*z) is more than twice B on the band and that would cancel, the
-rule's integral of B(theta*u)/(u - z).  There is no rule where theta*u <=
-0.01 at the band and at the poles: B is then its quartic P to 1e-17, so
-each remainder int_a^b (P(theta*u) - P(theta*p))/(u - p) du is a cubic in
-p, and St's f = n/|D|^2 falls as u^-6, so sum_p Res_p(f)*p^k = 0 over all
-poles for k <= 4 and the remainders cancel exactly; J(p) is
-B(theta*p)*Log((b-p)/(a-p)) alone.  Elsewhere the rule has 16 up to 1,024
-nodes as theta*(b - a) grows.  Upper poles closer
-together than an eighth of their heights above the real axis (next to
-the exceptional point, or the line's pole on one of D's) would cancel;
+center/omega_m.  Next to the red static bound D's constant term a0 =
+c0 - dd cancels and a zero approaches u = 0, whose term may carry most of
+the sums: there D is formed from a0, which the record then holds exactly
+(:func:`omrouter.kernels.factored`).  Where B is 1, J is
+Log((b-z)/(a-z)).  For St, J(z) is B(theta*z)*Log((b-z)/(a-z)) plus the
+integral of the smooth (B(theta*u) - B(theta*z))/(u - z) by a
+Gauss-Legendre rule, or, where B(theta*z) is more than twice B on the
+band and that would cancel, the rule's integral of B(theta*u)/(u - z).
+There is no rule where theta*u <= 0.01 at the band and at the poles: B is
+then its quartic P to 1e-17, so each remainder int_a^b (P(theta*u) -
+P(theta*p))/(u - p) du is a cubic in p, and St's f = n/|D|^2 falls as
+u^-6, so sum_p Res_p(f)*p^k = 0 over all poles for k <= 4 and the
+remainders cancel exactly; J(p) is B(theta*p)*Log((b-p)/(a-p)) alone.
+Elsewhere the rule has 16 up to 1,024 nodes as theta*(b - a) grows.
+Upper poles closer together than an eighth of their heights above the
+real axis (next to the exceptional point, or the line's pole on one of
+D's) would cancel;
 such a cluster is summed as one contour integral of f*J, by the
 trapezoid rule on a circle about it, with f formed from D's factors.
 
-A report is certified when every zero's backward residual is within
-stability._ROUND and its rounding error, amplified by the cancellation
-among the terms and by the conditioning of the isolated zeros and of D
-on the contours, counting the rounding of the record, of the line's pole
-and of the rule's nodes, is estimated below 1e-10, the contract of the
-adaptive quadrature these sums replaced.  On 3,000 random points inside
-the hierarchy and across the exceptional point the error against
-50-digit residues stayed below 2e-13 and within 4 times the estimate
-(0.74 times where it is above 1e-13).  On 1,600 more, 1,200 of them
-with the line on the mechanical resonance or on the window's steep side,
-where float poles alone left up to 2.2e-12, it stayed below 6e-14 and
-within 3.2 times the estimate.  A report that is not certified
-raises NumericalFailureError; there is no other method to fall back to.
+How D rounds is written in :mod:`omrouter.kernels`.  A report is
+certified when every zero's backward residual is within kernels._ROUND
+and its rounding error is estimated below 1e-10, the contract of the
+adaptive quadrature these sums replaced.  The estimate is each term's
+rounding, amplified by the cancellation among the terms and counting
+the rounding of the record, of the line's pole and of the rule's nodes,
+plus the zeros' backward error times each point's conditioning (of an
+isolated zero, or of D at a contour's node), weighted by its terms'
+share of the sums.  Against 50-digit residues the error stayed below
+1e-13 and within 3.9 times the estimate on 3,000 random points inside
+the hierarchy, below 6.1e-14 and within 0.64 times on 176 across the
+exceptional point or with the line on one of D's poles, and below
+3.8e-14 and within 1.1 times on 1,200 with the line 1e-7 to 1e-2 from
+the mechanical resonance.  Next to the red static bound, on 150 points
+whose a0 is 3e-4 to 0.1 of c0, all were certified, within 2.9e-12
+(median 6.1e-15) and 0.22 times the estimate.  A report that is not
+certified raises NumericalFailureError; there is no other method to
+fall back to.
 """
 
 from __future__ import annotations
@@ -76,6 +85,7 @@ from . import kernels
 from .empty_cavity import (_band_log, _lorentzian_band_integrals,
                            lorentzian_band_mass)
 from .errors import InvalidParameterError, NumericalFailureError
+from .kernels import _ROUND, RECORD
 from .operating_point import (OperatingPoint, SystemParams, _real,
                               derive_operating_point)
 # Not used here.  perfbench/tracer.py wraps these names in this module as
@@ -83,7 +93,6 @@ from .operating_point import (OperatingPoint, SystemParams, _real,
 from .response import (reflection_R, thermal_noise,  # noqa: F401
                        transmission_T, vacuum_noise)
 from .response import _pair
-from .stability import _ROUND
 
 # the band must cover the line core, center +- one half-width; wider lines
 # legitimately spill outside the band (that spillage is the physics of a
@@ -93,13 +102,11 @@ _BAND_COVER = 1.0
 _EPS = sys.float_info.epsilon
 # a drive-on report is certified where the rounding error of its residue
 # sums, amplified by the cancellation among the terms and by the
-# conditioning of d's zeros, is estimated below this (see the module
-# docstring for how far the true error stays from the estimate)
+# conditioning of d's zeros, weighted by their terms' share of the sums,
+# is estimated below this (see the module docstring for how far the true
+# error stays from the estimate)
 _RESIDUE_TOL = 1e-10
 _THIRD_TURN = 2.0 * math.pi / 3.0
-# the record's dd and h are formed by up to 7 and 5 roundings, so the
-# sizes of the terms that carry them count them at this many ulp
-_RECORD = 4.0
 
 # upper poles closer together than this fraction of their heights above
 # the real axis form one cluster
@@ -153,24 +160,6 @@ def _empty_cavity_report(op: OperatingPoint, lo: float, hi: float):
                          vacuum_leak=0.0, thermal_leak=0.0, band=(lo, hi))
 
 
-def _factored(red, u, sized=True):
-    """D(u), D'(u) and the size of D's terms at u (0.0 unless ``sized``),
-    from D = mech*cav - dd of the record ``red`` (kernels.reduced).
-
-    mech = (1 - u)*(1 + u) - i*g*u and cav = (k2 - i*u - i*dl)*(k2 - i*u +
-    i*dl) cancel nothing next to their zeros, so the size (|1 - u|*|1 + u|
-    + g*|u|)*|cav| + _RECORD*|dd| bounds D's rounding in ulp.
-    """
-    k2, g, dl, dd, _, _ = red
-    side = k2 - 1j * u
-    cav = (side - 1j * dl) * (side + 1j * dl)
-    bare = (1.0 - u) * (1.0 + u)
-    mech = bare - 1j * g * u
-    return (mech * cav - dd, -(2.0 * u + 1j * g) * cav - 2j * side * mech,
-            (abs(bare) + g * abs(u)) * abs(cav) + _RECORD * abs(dd) if sized
-            else 0.0)
-
-
 def _hurwitz_zeros(red):
     """The zeros of D on the omega/omega_m axis, D' and the size of D's
     terms at each, their worst backward residual, and each zero's tail:
@@ -187,17 +176,18 @@ def _hurwitz_zeros(red):
     taking the root of largest magnitude so that q/t stays small, and that
     root is polished by one Newton step.  Where T < 0 the two quadratics
     are each other's conjugates, so only the first is solved.  Each zero
-    then takes one Newton step on D's factored form (:func:`_factored`),
-    in which a zero's small imaginary part is not a small part of a sum of
-    monomials.  The backward residual is |D(u)| over the size of D's terms
-    plus |u|*|D'(u)|, the rounding of the zero itself.  u plus its tail
+    then takes one Newton step on D's factored form
+    (:func:`omrouter.kernels.factored`), in which a zero's small imaginary
+    part is not a small part of a sum of monomials, nor, next to the red
+    static bound, a zero next to u = 0 a small part of c0.  The backward
+    residual is |D(u)| over the size of D's terms plus |u|*|D'(u)|, the
+    rounding of the zero itself.  u plus its tail
     is the zero to about the rounding of D(u) over |D'(u)|, far inside
     that ulp of u.
     """
-    k2, g, dl, dd, _, _ = red
+    k2, g, dl, _, _, _, a0 = red
     c0 = k2 * k2 + dl * dl
     a3, a2, a1 = 2.0 * k2 + g, c0 + 2.0 * k2 * g + 1.0, g * c0 + 2.0 * k2
-    a0 = c0 - dd
     s = 0.25 * a3
     s2 = s * s
     p = a2 - 6.0 * s2
@@ -245,9 +235,9 @@ def _hurwitz_zeros(red):
     backward = 0.0
     for y in ys:
         u = 1j * (y - s)
-        value, slope, _ = _factored(red, u, sized=False)
+        value, slope, _ = kernels.factored(red, u, sized=False)
         u -= value / slope
-        value, slope, size = _factored(red, u)
+        value, slope, size = kernels.factored(red, u)
         backward = max(backward, abs(value) / (size + abs(u) * abs(slope)))
         zeros.append(u)
         tails.append(-value / slope)
@@ -388,20 +378,20 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
 
     Returns the list [int Scin*R, int Scin*T, vacuum_leak, thermal_leak],
     the zeros' worst backward residual, the worst ratio of the sum of
-    |terms| to the integral, and the worst condition: size(z)/(|D'(z)|*
-    min(|Im z|, |z - line|)) at an isolated zero z, how much a backward
-    error in z, relative to the size of D's terms there, moves the
-    integrals, and size/|D| at a node of a contour.  May raise
+    |terms| to the integral, and the worst condition: the sum over the
+    points of each one's cond (see below) times its |terms|, over the
+    integral, how much a backward error in D, relative to the size of its
+    terms, moves the integrals.  May raise
     ArithmeticError or ValueError outside the float range, and
     NumericalFailureError as :func:`_contour` and :func:`_bose_rule`.
     """
     zeros, slopes, sizes, backward, tails = _hurwitz_zeros(red)
-    k2, g, dl, dd, h, theta = red
+    k2, g, dl, dd, h, theta, _ = red
     ih, ig, idl = 1j * h, 1j * g, 1j * dl
     side0 = complex(k2, -dl)
     # (E - 1)*D's constant: i*k2*h plus the drive's share dd = 2*h*dl
     refl0 = complex(2.0 * h * dl, k2 * h)
-    refl0_size = _RECORD * abs(refl0)
+    refl0_size = RECORD * abs(refl0)
     # z - conj(line) = (z - line) + gap, exactly
     gap = complex(0.0, 2.0 * line.imag)
     poles = [z.conjugate() for z in zeros] + [line]
@@ -421,49 +411,57 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
         # rule's nodes moves J by up to theta*(b - a) ulp of it
         spread = 1.0 + theta * (b - a)
 
-    # the points at which f*J is summed, as (z, tail, dbar, pair, scale):
+    # the points at which f*J is summed, as (z, tail, dbar, pair, scale,
+    # cond):
     # the residue at one of D's poles, where conj(D(conj z)) is replaced
     # by its slope dbar, at the line's, where pair is 2i*gamma, the slope
     # of (u - line)*(u - conj(line)), or a node of a contour, where dbar
     # is None; elsewhere pair is (z - line)*(z - conj(line)), and scale
     # weights the point.  A pole is at z + tail, far below the ulp of z:
     # next to the mechanical resonance mech and the distance between the
-    # line's pole and one of D's, whose terms then cancel, take it
+    # line's pole and one of D's, whose terms then cancel, take it.  cond
+    # is how much a backward error in D, relative to the size of its terms,
+    # moves the point's terms: size/(|D'(z)|*min(|Im z|, |z - line|)) at an
+    # isolated zero, size/|D| at a node and 0 at the line's pole
     points = []
-    condition = 0.0
     for group in _clusters(poles):
         if len(group) > 1:
             center, radius, n = _contour(poles, group, a, b)
             for m in range(n):
                 step = radius * cmath.exp(2j * math.pi * m / n)
                 z = center + step
+                cond = 0.0
                 for u in (z, z.conjugate()):
-                    value, _, size = _factored(red, u)
-                    condition = max(condition, size / abs(value))
+                    value, _, size = kernels.factored(red, u)
+                    cond = max(cond, size / abs(value))
                 lin = z - line - tail
-                points.append((z, 0.0, None, lin * (lin + gap), step / n))
+                points.append((z, 0.0, None, lin * (lin + gap), step / n,
+                               cond))
         elif group[0] == 4:
-            points.append((line, tail, None, gap, 1.0))
+            points.append((line, tail, None, gap, 1.0, 0.0))
         else:
             j = group[0]
             off = tails[j].conjugate()
             lin = poles[j] - line + off - tail
             points.append((poles[j], off, slopes[j].conjugate(),
-                           lin * (lin + gap), 1.0))
-            condition = max(condition, sizes[j] / (
-                abs(slopes[j]) * min(-zeros[j].imag, abs(lin))))
+                           lin * (lin + gap), 1.0, sizes[j] / (
+                               abs(slopes[j]) * min(-zeros[j].imag,
+                                                    abs(lin)))))
 
     weight = line.imag / math.pi
     side0_c = side0.conjugate()
     refl0_c = refl0.conjugate()
     # the sums leave out the constant factors k2^2 of E*D*conj(E*D),
-    # sv_num and st_num, and the ratio spread of St's term sizes
+    # sv_num and st_num, and the ratio spread of St's term sizes; the _abs
+    # sums add the terms' moduli, the _cond sums them times their cond
     refl = trans = sv = st = 0j
     refl_abs = trans_abs = sv_abs = st_abs = 0.0
-    for z, off, dbar, pair, scale in points:
-        # at z: mech = 1 - z^2 - i*g*z, as in _factored, the sideband sb,
-        # E*D/k2 = mech*sb + i*h, (E - 1)*D = mech*sb*i*(z - dl) + i*k2*h
-        # + dd without cancellation and D = mech*sb*(k2 - i*(z - dl)) - dd.
+    refl_cond = trans_cond = sv_cond = st_cond = 0.0
+    for z, off, dbar, pair, scale, cond in points:
+        # at z: mech = 1 - z^2 - i*g*z, as in kernels.factored, the
+        # sideband sb, E*D/k2 = mech*sb + i*h, (E - 1)*D = mech*sb*i*(z -
+        # dl) + i*k2*h + dd without cancellation and D = mech*sb*(k2 - i*(z
+        # - dl)) - dd, or kernels.factored's form next to the static bound.
         # A name ending in _c holds the conjugate of its value at conj(z),
         # formed from z's terms: conjugation commutes with every rounded
         # operation, so it is conj() of that value bit for bit.  1 - z
@@ -477,17 +475,29 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
         ms, ms_c = mech * sb, mech_c * sb_c
         en, en_c = ms + ih, ms_c - ih
         rn, rn_c = ms * shifted + refl0, refl0_c - ms_c * shifted
-        if dbar is None:
-            dbar = ms_c * (k2 + shifted) - dd
+        if abs(z) < 0.5:
+            # next to the red static bound these D cancel to a0
+            dz = kernels.factored(red, z, sized=False)[0]
+            if dbar is None:
+                dbar = kernels.factored(
+                    red, z.conjugate(), sized=False)[0].conjugate()
+        else:
+            dz = ms * (k2 - shifted) - dd
+            if dbar is None:
+                dbar = ms_c * (k2 + shifted) - dd
         log = _band_log(a, b, z)
-        common = scale / ((ms * (k2 - shifted) - dd) * dbar)
+        common = scale / (dz * dbar)
         probe = weight * log * common / pair
         term = rn * rn_c * probe
         refl += term
-        refl_abs += abs(term)
+        mag_r = abs(term)
+        refl_abs += mag_r
+        refl_cond += cond * mag_r
         t = en * en_c * probe
         trans += t
-        trans_abs += abs(t)
+        mag_t = abs(t)
+        trans_abs += mag_t
+        trans_cond += cond * mag_t
         if z is line:
             # the line's pole is no pole of Sv and St.  Its term counts the
             # rounding of its inputs as well: for an input rounded to the
@@ -501,17 +511,19 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
                                                 + 1j * mech)
             size_c = base * abs(sb_c) + moved * abs((2.0 * z - ig) * sb_c
                                                     - 1j * mech_c)
-            refl_abs += abs(term) * (
+            refl_abs += mag_r * (
                 (size * abs(shifted) + moved * abs(ms) + refl0_size)
                 / abs(rn)
                 + (size_c * abs(shifted) + moved * abs(ms_c) + refl0_size)
                 / abs(rn_c))
-            trans_abs += abs(t) * ((size + _RECORD * h) / abs(en)
-                                   + (size_c + _RECORD * h) / abs(en_c))
+            trans_abs += mag_t * ((size + RECORD * h) / abs(en)
+                                   + (size_c + RECORD * h) / abs(en_c))
             continue
         t = log * common
         sv += t
-        sv_abs += abs(t)
+        mag_t = abs(t)
+        sv_abs += mag_t
+        sv_cond += cond * mag_t
         if st_num:
             # J(z) = int_a^b B(theta*u)/(u - z) du
             bz = _bose(theta * z)
@@ -525,11 +537,16 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
                     bose += w * bu / (u - z)
             t = sb * sb_c * common * bose
             st += t
-            st_abs += abs(t)
+            mag_t = abs(t)
+            st_abs += mag_t
+            st_cond += cond * mag_t
     # each integral is the real part of its sum
     cancel = max(refl_abs / abs(refl.real), trans_abs / abs(trans.real),
                  sv_abs / abs(sv.real),
                  st_abs * spread / abs(st.real) if st_num else 1.0)
+    condition = max(refl_cond / abs(refl.real), trans_cond / abs(trans.real),
+                    sv_cond / abs(sv.real),
+                    st_cond / abs(st.real) if st_num else 0.0)
     return ([2.0 * refl.real, 2.0 * k2 * k2 * trans.real,
              2.0 * sv_num * sv.real, 2.0 * st_num * st.real],
             backward, cancel, condition)

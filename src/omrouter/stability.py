@@ -48,40 +48,33 @@ def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
                      m * wm2 * cav0 - kernels.drive_term(op)], dtype=complex)
 
 
-# Relative allowance for rounding, 64 unit roundoffs.  The kernel's d and
-# E*d, a polynomial coefficient below and each Taylor coefficient of a cell
-# bound of the dip scan take at most 16 roundings (a complex product counts
-# as sqrt(5)): each is exact within _ROUND times its cancellation-free size.
-_ROUND = 32.0 * np.finfo(float).eps
-
-
 def poles(op: OperatingPoint):
     """d's poles in units of omega_m, and each one's backward residual.
 
     The poles are the roots of the monic d(z*omega_m)/(m*omega_m^4).  A
-    root's backward residual is |p(z)| / sum_k sizes_k*|z|^k by Horner's
-    rule, with each coefficient's size its modulus, except c0's, which is
-    sized without cancellation as m*omega_m^2*(4*kappa^2 + Delta^2) +
-    |drive term|.  Raises NumericalFailureError when a coefficient is not
-    finite.
+    root's backward residual is |D(z)|/(scale + |z|*|D'(z)|), D and D' from
+    :func:`omrouter.kernels.factored`, sized by :func:`omrouter.kernels.scale`
+    (np.roots is backward stable only in its companion matrix's norm).
+    Raises NumericalFailureError when a coefficient is not finite.
     """
-    _, _, _, wm2, cav0 = kernels._hurwitz_coeffs(op)
     with np.errstate(all="ignore"):
         scaled = d_polynomial_coeffs(op) \
             * op.mech_freq ** np.array([4, 3, 2, 1, 0.0])
-        sizes = np.abs(scaled)
-        sizes[-1] = op.eff_mass * wm2 * cav0 + abs(kernels.drive_term(op))
-        monic, sizes = scaled / scaled[0], sizes / sizes[0]
+        monic = scaled / scaled[0]
         if not np.isfinite(monic).all():
             raise NumericalFailureError(
                 "rescaled d polynomial coefficients are not finite")
         roots = np.roots(monic)
-        reach = np.abs(roots)
-        value = size = 0.0
-        for c, s in zip(monic, sizes):
-            value = value * roots + c
-            size = size * reach + s
-        return roots, np.abs(value) / size
+    red = kernels.reduced(op)
+    residuals = []
+    for z in roots.tolist():   # scalars: a fifth of the time of arrays
+        try:
+            value, slope, _ = kernels.factored(red, z, sized=False)
+            residuals.append(abs(value) / (kernels.scale(red, abs(z))
+                                           + abs(z) * abs(slope)))
+        except ArithmeticError:   # 0/0 or past the float range: refused
+            residuals.append(math.inf)
+    return roots, np.array(residuals)
 
 
 @dataclass(frozen=True)
@@ -97,9 +90,9 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
     """Locate the poles, measure their margin and give the verdict.
 
     The roots are those of :func:`poles`.  A root whose backward residual
-    is not below 1e-6 raises NumericalFailureError; c0 is sized without
-    cancellation, since next to the red static bound c0 -> 0 and a root
-    near omega = 0 is smaller than c0's rounding.  The roots are sorted by
+    is not below 1e-6 raises NumericalFailureError; next to the red static
+    bound a root near omega = 0 is smaller than c0's rounding, which
+    kernels.scale counts.  The roots are sorted by
     real part, then imaginary part, with a real part within _ROUND times the
     largest root's modulus read as 0: a pair on the imaginary axis, whose
     real parts are rounding noise, keeps one order under a 1-ulp change of
@@ -118,7 +111,7 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
             f"root residual {failed[0]:.3e} exceeds {_RESIDUAL_TOL:.0e}")
     roots = roots * op.mech_freq
     re = roots.real
-    re = np.where(np.abs(re) <= _ROUND * np.abs(roots).max(), 0.0, re)
+    re = np.where(np.abs(re) <= kernels._ROUND * np.abs(roots).max(), 0.0, re)
     roots = roots[np.lexsort((roots.imag, re))]
     margin = float(np.min(-roots.imag))
     return StabilityReport(roots=roots, margin=margin,

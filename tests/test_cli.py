@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -127,8 +129,11 @@ def test_two_point_grid_is_accepted(capsys):
     assert len(out.splitlines()) == 3
 
 
+# hi*omega_m = inf in the last two: np.linspace warned of inf - inf, a
+# traceback under -W error::RuntimeWarning, before the bounds were refused
 @pytest.mark.parametrize("grid", ["1.5:0.5:11", "0.5:1.5", "a:b:c",
-                                  "0.5:1.5:1", "-0.5:1.5:11", "0:1.5:11"])
+                                  "0.5:1.5:1", "-0.5:1.5:11", "0:1.5:11",
+                                  "0.5:inf:10", "0.5:1e308:10"])
 def test_bad_grid_flag_rejected(grid, capsys):
     code, out, err = _run(capsys, "spectrum", f"--grid={grid}")
     assert code == 2
@@ -155,6 +160,8 @@ def test_unstable_point_reports_and_writes_nothing(tmp_path, write_config,
                                   "{\"units\": \"hz\"}",
                                   "{\"grid_n\": 4001.5}",
                                   "{\"grid_n\": true}",
+                                  "{\"grid_hi\": 1e308}",
+                                  "{\"grid_hi\": Infinity}",
                                   pytest.param(
                                       "{\"quality\": 1" + "0" * 400 + "}",
                                       id="int-past-float-range")])
@@ -311,6 +318,56 @@ def test_out_file_survives_a_failed_stream(tmp_path, monkeypatch,
     assert err == "error: stream failed\n"
     assert path.read_bytes() == b"old,bytes\r\n"
     assert os.listdir(tmp_path / "out") == ["spec.csv"]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_directory"])
+def test_unwritable_out_exits_two(tmp_path, capsys, where):
+    # --out naming a directory raised IsADirectoryError, and one in a
+    # directory that does not exist FileNotFoundError, as tracebacks
+    (tmp_path / "keep.csv").write_bytes(b"old,bytes\r\n")
+    target = tmp_path if where == "directory" \
+        else tmp_path / "missing" / "spec.csv"
+    code, out, err = _run(capsys, "spectrum", "--grid", "0.9:1.1:5",
+                          "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write the output:")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["keep.csv"]
+    assert (tmp_path / "keep.csv").read_bytes() == b"old,bytes\r\n"
+
+
+def test_failed_write_leaves_an_existing_out_file(tmp_path, monkeypatch,
+                                                  capsys):
+    path = tmp_path / "spec.csv"
+    path.write_bytes(b"old,bytes\r\n")
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full)
+    code, out, err = _run(capsys, "spectrum", "--grid", "0.9:1.1:5",
+                          "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write the output: [Errno 28] No space " \
+        "left on device\n"
+    assert path.read_bytes() == b"old,bytes\r\n"
+    assert os.listdir(tmp_path) == ["spec.csv"]
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away, as for omrouter ... | head."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_exits_two(monkeypatch, capsys, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["spectrum", "--grid", "0.9:1.1:5", "--format", fmt])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == "error: cannot write the output: [Errno 32] Broken pipe\n"
 
 
 def test_new_out_file_gets_the_mode_open_gives(tmp_path, capsys):
@@ -682,9 +739,12 @@ def _src_env():
 
 
 def test_cli_import_loads_no_scipy():
+    # nor decimal, which fractions imports: only a point next to the red
+    # static bound forms its a0 exactly
     out = subprocess.run(
         [sys.executable, "-c",
-         "import omrouter.cli, sys; print('scipy' in sys.modules)"],
+         "import omrouter.cli, sys; "
+         "print('scipy' in sys.modules, 'decimal' in sys.modules)"],
         env=_src_env(), capture_output=True, text=True, check=True,
         timeout=60)
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"

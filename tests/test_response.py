@@ -636,3 +636,61 @@ def test_pointwise_functions_refuse_an_unstable_point(channel):
         channel(WM, op)
     with pytest.raises(UnstableOperatingPointError):
         channel(default_grid(op), op)
+
+
+@pytest.mark.parametrize("channel", _POINTWISE,
+                         ids=[f.__name__ for f in _POINTWISE])
+def test_pointwise_functions_run_the_kernel_once(monkeypatch, op_5uw,
+                                                 channel):
+    # the guard reads D from kernels.factored, so E and d are formed once
+    # a call, by the grid kernel's rows; the guard used to form them too
+    calls = []
+    amplitude = kernels._amplitude
+
+    def counted(w, op):
+        calls.append(w)
+        return amplitude(w, op)
+
+    monkeypatch.setattr(kernels, "_amplitude", counted)
+    channel(WM, op_5uw)
+    assert len(calls) == 1
+    channel(np.linspace(0.9 * WM, 1.1 * WM, 5), op_5uw)
+    assert len(calls) == 2
+
+
+def _rad_s_guard_refuses(omega, op):
+    """The pointwise guard as it was written in rad/s: |d| from the grid
+    kernel against 1e-12 of d's cancellation-free scale."""
+    aw = abs(omega)
+    mech = op.eff_mass * (op.mech_freq ** 2 + aw * aw + op.gamma_m * aw)
+    cav = abs(2.0 * op.cavity_decay - 1j * omega) ** 2 \
+        + op.eff_detuning ** 2
+    scale = mech * cav + abs(kernels.drive_term(op))
+    _, d = kernels._amplitude(np.asarray(omega), op)
+    return bool(abs(d) < 1e-12 * scale)
+
+
+def test_record_guard_refuses_where_the_rad_s_guard_did():
+    # 64 powers below each of three blue thresholds, down to 2^-51.5 of
+    # them, and each pole's real part moved by 0, 1e-13 and 1e-9: 2,304
+    # decisions, of which the rad/s guard refuses 1,024
+    from omrouter import assess_stability, max_stable_power
+    refused = 0
+    for detuning in (-0.95, -1.0, -1.05):
+        blue = replace(default_params(), eff_detuning=detuning * WM)
+        threshold = max_stable_power(blue, 1e-6)
+        for k in range(64):
+            power = threshold * (1.0 - 2.0 ** -(20.0 + k / 2.0))
+            op = derive_operating_point(replace(blue, drive_power=power))
+            for root in assess_stability(op).roots:
+                for factor in (1.0, 1.0 + 1e-13, 1.0 + 1e-9):
+                    omega = root.real * factor
+                    want = _rad_s_guard_refuses(omega, op)
+                    try:
+                        reflection_R(omega, op)
+                    except NumericalFailureError:
+                        refused += 1
+                        assert want, omega
+                    else:
+                        assert not want, omega
+    assert refused == 1024

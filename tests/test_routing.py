@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -801,7 +802,7 @@ def test_reduced_model_is_d_in_units_of_omega_m(params):
     # _ROUND of each coefficient's cancellation-free size; h and theta
     # scale back to E's numerator and the Bose factor's argument
     op = derive_operating_point(params)
-    k2, g, dl, dd, h, theta = kernels.reduced(op)
+    k2, g, dl, dd, h, theta, _ = kernels.reduced(op)
     m, wm = op.eff_mass, op.mech_freq
     monic = np.polymul([-1.0, -1j * g, 1.0],
                        [-1.0, -2j * k2, k2 * k2 + dl * dl])
@@ -812,9 +813,9 @@ def test_reduced_model_is_d_in_units_of_omega_m(params):
                               + op.eff_detuning ** 2) \
         + abs(kernels.drive_term(op))
     assert np.all(np.abs(monic * m * wm ** np.arange(5.0) - want)
-                  <= stability._ROUND * size)
+                  <= kernels._ROUND * size)
     assert h * m * wm ** 3 == pytest.approx(HBAR * kernels.coupling(op),
-                                            rel=stability._ROUND)
+                                            rel=kernels._ROUND)
     kbt = KB * op.bath_temp
     assert theta == (pytest.approx(HBAR * wm / kbt) if kbt else 0.0)
 
@@ -875,6 +876,62 @@ def test_drive_on_closed_form_next_to_the_mechanical_resonance(overrides):
     op = _op(mech_freq=1e6, cavity_decay=56234.13251903491, bath_temp=0.0,
              drive_power=1.6755060480136922e-07, **overrides)
     _assert_near_oracle(routing._residue_report(op, *_default_band(op)), op)
+
+
+def test_drive_on_closed_form_next_to_the_red_static_bound():
+    # a0, D's constant term, is 0.0064 of c0 = k2^2 + dl^2: the zero next
+    # to u = 0 placed by a rounded a0, and D at its conjugate formed as
+    # mech*cav - dd, left Sv 6.0e-12 off, 25 times the estimate
+    op = _op(mech_freq=1e5, quality=1036.632928437698,
+             cavity_decay=9646.616199111992, eff_detuning=93750.0,
+             drive_power=2.316173027544319e-08, bath_temp=0.0,
+             input_center=1e5, input_bandwidth=1000.0)
+    _assert_near_oracle(routing._residue_report(op, *_default_band(op)), op)
+
+
+def _static_bound_draw(rng):
+    """A stable point at T = 0 whose a0 is 3e-4 to 0.1 of c0."""
+    while True:
+        wm = 10 ** rng.uniform(3.0, 7.0)
+        kappa = wm * 10 ** rng.uniform(-2.0, -1.0)
+        base = replace(default_params(), mech_freq=wm, cavity_decay=kappa,
+                       quality=wm / (kappa * 10 ** rng.uniform(-4.0, -1.0)),
+                       eff_detuning=wm * rng.uniform(0.5, 1.5),
+                       input_bandwidth=wm * 10 ** rng.uniform(
+                           -4.0, math.log10(3e-2)),
+                       input_center=wm * rng.uniform(0.9, 1.1),
+                       bath_temp=0.0, drive_power=1e-9)
+        k2, _, dl, dd = kernels.reduced(derive_operating_point(base))[:4]
+        ratio = 10 ** rng.uniform(math.log10(3e-4), -1.0)
+        op = derive_operating_point(replace(
+            base, drive_power=1e-9 * (k2 * k2 + dl * dl) * (1.0 - ratio) / dd))
+        if kernels.is_stable(op):
+            return op
+
+
+def test_certified_reports_next_to_the_red_static_bound(monkeypatch):
+    # each certified report is within 4 times its estimate and within 1e-10
+    # of the 50-digit residues, where the zero next to u = 0 carries most
+    # of the sums' terms (the first 50 points of a seeded draw)
+    found = []
+    integrals = routing._residue_integrals
+
+    def kept(*args):
+        found.append(integrals(*args))
+        return found[-1]
+
+    monkeypatch.setattr(routing, "_residue_integrals", kept)
+    rng = random.Random(5)
+    for _ in range(50):
+        op = _static_bound_draw(rng)
+        rep = routing._residue_report(op, *_default_band(op))
+        _, backward, cancel, condition = found[-1]
+        eps = sys.float_info.epsilon
+        estimate = eps * cancel + max(backward, eps) * condition
+        for value, ref in zip(_report_values(rep),
+                              _mp_drive_on_report(op, *rep.band)):
+            err = abs(value - ref) / abs(ref) if ref else abs(value)
+            assert err <= min(4.0 * estimate, 1e-10)
 
 
 @settings(deadline=None, max_examples=50)
@@ -963,5 +1020,5 @@ def test_drive_on_closed_form_outside_the_resolved_sidebands(overrides):
     roots, _ = stability.poles(op)
     for root in roots:
         assert min(abs(root - z) for z in zeros) < 1e-12
-    assert backward <= stability._ROUND
+    assert backward <= kernels._ROUND
     _assert_near_oracle(routing._residue_report(op, *_default_band(op)), op)

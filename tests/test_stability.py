@@ -145,6 +145,17 @@ def test_residual_guard_rejects_one_wrong_root(monkeypatch, op_5uw, which):
         assess_stability(op_5uw)
 
 
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+def test_residual_guard_refuses_roots_it_cannot_size():
+    # kappa/omega_m and Delta/omega_m are 0.0 in the record: two roots at 0,
+    # where D and the size of d's terms are both 0, are refused, not divided
+    op = derive_operating_point(replace(
+        default_params(), mech_freq=1e10, cavity_decay=5e-324,
+        eff_detuning=0.0, drive_power=0.0))
+    with pytest.raises(NumericalFailureError, match="root residual inf"):
+        assess_stability(op)
+
+
 # the default geometry's exceptional point, where the membrane pole and the
 # cavity pole merge: 5% above the 5 uW design drive
 EXCEPTIONAL_POWER = 5.2507297778e-6
