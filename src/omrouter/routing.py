@@ -61,9 +61,11 @@ rounding, amplified by the cancellation among the terms and counting
 the rounding of the record, of the line's pole and of the rule's nodes,
 plus the zeros' backward error times each point's conditioning (of an
 isolated zero, or of D at a contour's node), weighted by its terms'
-share of the sums.  Against 50-digit residues the error stayed below
-1e-13 and within 3.9 times the estimate on 3,000 random points inside
-the hierarchy, below 6.1e-14 and within 0.64 times on 176 across the
+share of the sums.  Against 50-digit residues, on random points inside
+the hierarchy (tests/test_routing.py's _hierarchy_draw), the error
+stayed below 3.9e-14 and within 4.7 times the estimate on 600 points of
+random.Random(11), and below 2.0e-13 and within 6.8 times on 3,000 of
+random.Random(1); below 6.1e-14 and within 0.64 times on 176 across the
 exceptional point or with the line on one of D's poles, and below
 3.8e-14 and within 1.1 times on 1,200 with the line 1e-7 to 1e-2 from
 the mechanical resonance.  Next to the red static bound, on 150 points

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import errno
 import hashlib
 import io
@@ -7,10 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omrouter
 from omrouter import cli, default_params, routing
@@ -447,9 +453,237 @@ def test_unknown_format_rejected_by_parser(capsys):
     assert exc.value.code == 2
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that read the command line before cli's flag
+    table, kept as the oracle of the parser's differential test."""
+    parser = argparse.ArgumentParser(
+        prog="omrouter",
+        description="Single-photon routing spectra of a driven "
+                    "optomechanical cavity")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, func, blurb in (
+            ("spectrum", cli.cmd_spectrum,
+             "channel spectra on a frequency grid"),
+            ("sweep", cli.cmd_sweep, "spectrum blocks over a swept parameter"),
+            ("stability", cli.cmd_stability, "pole locations and margin"),
+            ("route", cli.cmd_route, "band-integrated routing report")):
+        p = sub.add_parser(name, help=blurb)
+        p.add_argument("--config", help="flat json config file")
+        p.add_argument("--power", type=float, help="drive power [W]")
+        p.add_argument("--temp", type=float, help="bath temperature [K]")
+        p.add_argument("--grid", help="lo:hi:n in units of mech_freq")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help="output file (default stdout)")
+        p.set_defaults(func=func)
+    return parser
+
+
+_ORACLE = build_parser()
+_ARGV_FIELDS = ("command", "config", "power", "temp", "grid", "format", "out")
+
+
+def _parsed(parse, argv):
+    """(exit code or None, field values, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+    # repr, so that nan equals nan and -0.0 differs from 0.0
+    return (None, tuple(repr(getattr(args, f)) for f in _ARGV_FIELDS),
+            out.getvalue(), err.getvalue())
+
+
+# full and prefix flags with values that they take after a space
+_POWER_FLAGS = st.sampled_from(("--power", "--pow", "--p", "--temp", "--te"))
+_TEXT_FLAGS = st.sampled_from(("--config", "--con", "--grid", "--g", "--out",
+                               "--o"))
+_FLAG_VALUES = st.one_of(
+    st.tuples(_POWER_FLAGS,
+              st.sampled_from(("5e-6", "0", "-0", "-1", "-.5", "nan",
+                               "1e400"))),
+    st.tuples(st.sampled_from(("--format", "--fo", "--f")),
+              st.sampled_from(("json", "csv"))),
+    st.tuples(_TEXT_FLAGS,
+              st.sampled_from(("cfg.json", "0.9:1.1:5", "", "-", "-1",
+                               "-1 2"))))
+# after "=" any value is taken
+_EQ_FLAG_VALUES = st.one_of(
+    _FLAG_VALUES,
+    st.tuples(st.one_of(_POWER_FLAGS, _TEXT_FLAGS),
+              st.sampled_from(("-1e-6", "-x", "-h"))))
+_COMMAND_NAMES = st.sampled_from(
+    ("spectrum", "sweep", "stability", "route"))
+# a command, then flags with values after a space or an "=", repeated
+_GOOD_ARGV = st.builds(
+    lambda command, tail: [command] + sum(tail, []), _COMMAND_NAMES,
+    st.lists(st.one_of(_FLAG_VALUES.map(list),
+                       _EQ_FLAG_VALUES.map(lambda fv: ["=".join(fv)])),
+             max_size=4))
+_TOKENS = st.sampled_from(
+    ("spectrum", "route", "bogus", "extra", "--", "-h", "--help", "--he",
+     "-hh", "-hx", "--x", "-p", "--=json", "--power", "--fo", "-1", "-1e-6",
+     "-x", "xml", "1e400", "nan", "--power=--", "--out=--", "--fo=xml",
+     "--temp=x"))
+# the same, with tokens before the command or in place of it, flags
+# without a value, values a flag refuses, extra positionals, "--" and -h
+_ARGV = st.one_of(_GOOD_ARGV, st.builds(
+    lambda head, argv, tail, token: head + argv[:tail] + token + argv[tail:],
+    st.lists(_TOKENS, max_size=1), _GOOD_ARGV, st.integers(0, 9),
+    st.lists(_TOKENS, min_size=1, max_size=2)))
+
+
+def _oracle(argv):
+    # the flag table's help text is argparse's at 80 columns, frozen
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        return _parsed(_ORACLE.parse_args, argv)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(argv=_ARGV)
+def test_parser_reads_argv_as_argparse_did(argv):
+    want, got = _oracle(argv), _parsed(cli._parse_args, argv)
+    if want[0] is None and "[]" in want[1]:
+        # argparse stored [] for --flag=--, a value of no type, and
+        # accepted it; the flag table refuses it
+        assert got[0] == 2, argv
+    elif want[0] == 2:
+        assert got[0] == 2 and got[2] == "", argv
+        lines = got[3].splitlines()
+        assert lines[0].startswith("usage: omrouter")
+        assert re.fullmatch(r"omrouter( \w+)?: error: .+", lines[-1])
+        assert all(line.startswith(" ") for line in lines[1:-1])
+    else:
+        assert got == want, argv
+
+
+def test_help_is_argparse_s_at_80_columns(capsys):
+    for argv in (["-h"], ["--help"], ["route", "-h"], ["stability", "--he"],
+                 ["--power", "-h", "route"], ["sweep", "-hh"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == _oracle(argv)[2]
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    want = _run(capsys, "route", "--format", "json")
+    monkeypatch.setattr(sys, "argv", ["omrouter", "route", "--fo=json"])
+    code = main()
+    assert (code, capsys.readouterr().out) == want[:2]
+
+
+def test_cli_import_loads_no_argparse():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import omrouter.cli, sys; print('argparse' in sys.modules)"],
+        env=_src_env(), capture_output=True, text=True, check=True,
+        timeout=60)
+    assert out.stdout == "False\n"
+
+
+# configs and --out targets of the argv property test, by name
+_MAIN_CONFIGS = {
+    "sweep_power": {"sweep_param": "power", "sweep_values": [5e-6, 0.0]},
+    # the -omega_m point is unstable: a nan row, a "stable": false block
+    "sweep_detuning": {"sweep_param": "detuning", "sweep_values": [1.0, -1.0],
+                       "drive_power": 1e-6},
+    "blue": {"eff_detuning": -1.0, "drive_power": 1e-6},
+    "resonant": {"eff_detuning": 0.0},
+    "bad": {"bogus": 1},
+}
+_MAIN_FLAGS = st.one_of(
+    st.tuples(st.just("--power"),
+              st.sampled_from(("5e-6", "0", "2e-5", "1e-3", "-1", "nan",
+                               "inf", "1e400", "1e270", "-1e-6"))),
+    st.tuples(st.just("--temp"),
+              st.sampled_from(("0.02", "0", "1e-9", "1e305", "1e308", "-1",
+                               "nan", "inf"))),
+    st.tuples(st.just("--grid"),
+              st.sampled_from(("0.9:1.1:5", "0.5:1.5:3", "1.1:0.9:5",
+                               "0.9:1.1:1", "a:b:c", "0.9:inf:5",
+                               "0.5:1e308:5", "0.9:1.1", "0.9:1.1:1e12",
+                               "0.9:1.1:100000000000"))),
+    st.tuples(st.just("--format"), st.sampled_from(("csv", "json", "xml"))),
+    st.tuples(st.just("--config"),
+              st.sampled_from(tuple(_MAIN_CONFIGS) + ("missing",))),
+    st.tuples(st.just("--out"), st.sampled_from(("file", "dir", "nodir"))))
+_MAIN_ARGV = st.tuples(
+    _COMMAND_NAMES,
+    st.lists(st.one_of(_MAIN_FLAGS.map(list),
+                       _MAIN_FLAGS.map(lambda fv: ["=".join(fv)]),
+                       st.sampled_from((["--config=--"], ["--out=--"],
+                                        ["--grid=--"], ["--power"],
+                                        ["extra"], ["--bogus"]))),
+             max_size=4))
+
+
+def _non_finite(text, command):
+    """The nan and inf fields of an output, but for a sweep's rows of
+    unstable points."""
+    if text.startswith("{"):   # a sweep's unstable blocks have no values
+        return re.findall(r"NaN|Infinity", text)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return [f for row in rows if command != "sweep" or row[2] == "1"
+            for f in row if f in ("nan", "inf", "-inf")]
+
+
+def _named_path(paths, previous, token):
+    """``token`` with the name of a config or an --out target replaced by
+    its path."""
+    flag, eq, name = token.partition("=")
+    if eq and flag in ("--config", "--out"):
+        return f"{flag}={paths.get(name, name)}"
+    if previous in ("--config", "--out"):
+        return str(paths.get(token, token))
+    return token
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(drawn=_MAIN_ARGV)
+def test_argv_through_main_exits_cleanly(drawn):
+    # tiny grids first, which a drawn --grid overrides
+    command, tail = drawn
+    argv = [command, "--grid", "0.9:1.1:5"] + sum(tail, [])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {"file": tmp / "out.csv", "dir": tmp,
+                 "nodir": tmp / "no" / "out.csv", "missing": tmp / "no.json"}
+        for name, entries in _MAIN_CONFIGS.items():
+            paths[name] = tmp / f"{name}.json"
+            paths[name].write_text(json.dumps(entries))
+        paths["file"].write_bytes(b"old,bytes\r\n")
+        argv = [_named_path(paths, a, b) for a, b in zip([""] + argv, argv)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # a refusal of the parser
+                assert exc.code == 2
+                code = None
+        out, err = out.getvalue(), err.getvalue()
+        kept = paths["file"].read_bytes() == b"old,bytes\r\n"
+        written = paths["file"].read_text() if not kept else ""
+    assert "Traceback" not in err
+    if code is None:
+        assert out == "" and kept
+        return
+    assert code in (0, 2, 3, 4), argv
+    if code == 3 and command == "stability":
+        assert err == ""
+    elif code:
+        assert out == "" and kept, argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if code == 0:
+        assert not _non_finite(out or written, command), argv
+
+
 def test_one_process_gives_the_bytes_of_separate_runs(capsys):
-    # main reuses one parser; commands run in turn, with argparse errors in
-    # between, must print what a fresh interpreter prints for each
+    # main keeps nothing from one call to the next: commands run in turn,
+    # with parser refusals in between, must print what a fresh interpreter
+    # prints for each
     runs = (["spectrum", "--grid", "0.9:1.1:21"], ["route", "--format", "json"],
             ["stability"], ["spectrum", "--grid", "0.9:1.1:21", "--format",
                             "json"])
