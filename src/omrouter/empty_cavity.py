@@ -13,6 +13,44 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError
+from .operating_point import _real
+
+
+def _numbers(name, value, kinds="iuf"):
+    """``value`` as an array whose dtype kind is in ``kinds``: integers and
+    floats, and complex numbers where ``kinds`` has "c".
+
+    Anything else raises InvalidParameterError naming ``name``.  That covers
+    strings, which are never parsed, and None, bools and ragged lists.  It
+    also covers ints past the int64 range, which numpy stores as objects.
+    """
+    what = ("integers in the int64 range, floats or complex numbers"
+            if "c" in kinds else "integers in the int64 range or floats")
+    try:
+        array = np.asarray(value)
+    except ValueError:   # a ragged nested list
+        raise InvalidParameterError(
+            f"{name} must be {what}, got a ragged list") from None
+    if array.dtype.kind not in kinds:
+        got = f"an array of {array.dtype}" if array.ndim \
+            else type(value).__name__
+        raise InvalidParameterError(f"{name} must be {what}, got {got}")
+    return array
+
+
+def _offset(omega, resonance, decay):
+    """omega - resonance and kappa as floats, for the etalon's closed forms.
+
+    Raises InvalidParameterError unless omega is finite real numbers,
+    resonance a finite real number and decay one > 0.
+    """
+    w = np.asarray(_numbers("omega", omega), dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise InvalidParameterError("omega must be finite")
+    decay = _real("decay", decay)
+    if not decay > 0.0:
+        raise InvalidParameterError(f"decay must be > 0, got {decay!r}")
+    return w - _real("resonance", resonance), decay
 
 
 def empty_reflectance(omega, resonance, decay):
@@ -20,17 +58,30 @@ def empty_reflectance(omega, resonance, decay):
 
     Vanishes on resonance (everything leaks out the far mirror) and tends
     to 1 far away.  ``decay`` is kappa, so the reflection dip has
-    half-width 2*kappa.
+    half-width 2*kappa.  InvalidParameterError unless omega is finite real
+    numbers, resonance a finite real number and decay one > 0.
     """
-    d = np.asarray(omega, dtype=float) - resonance
+    d, decay = _offset(omega, resonance, decay)
     return d * d / (4.0 * decay * decay + d * d)
 
 
 def empty_transmittance(omega, resonance, decay):
-    """T(omega) = 4 kappa^2 / (4 kappa^2 + (omega-omega_0)^2), so R + T = 1."""
-    d = np.asarray(omega, dtype=float) - resonance
+    """T(omega) = 4 kappa^2 / (4 kappa^2 + (omega-omega_0)^2), so R + T = 1.
+    Refuses its arguments as :func:`empty_reflectance` does."""
+    d, decay = _offset(omega, resonance, decay)
     k2 = 4.0 * decay * decay
     return k2 / (k2 + d * d)
+
+
+def _line(center, bandwidth):
+    """The line's center and half-width as floats; InvalidParameterError
+    unless both are finite real numbers and the half-width is > 0."""
+    center = _real("input_center", center)
+    bandwidth = _real("input_bandwidth", bandwidth)
+    if not bandwidth > 0.0:
+        raise InvalidParameterError(
+            f"input_bandwidth must be > 0, got {bandwidth!r}")
+    return center, bandwidth
 
 
 def lorentzian_input(omega, center, bandwidth):
@@ -38,11 +89,11 @@ def lorentzian_input(omega, center, bandwidth):
 
     ``bandwidth`` is the half-width at half-maximum Gamma; the peak density
     is 1/(pi*Gamma) and the density falls to half of that at center +- Gamma.
+    InvalidParameterError unless omega is real numbers, center a finite
+    real number and bandwidth one > 0.
     """
-    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise InvalidParameterError(
-            f"input_bandwidth must be > 0 and finite, got {bandwidth!r}")
-    d = np.asarray(omega, dtype=float) - center
+    center, bandwidth = _line(center, bandwidth)
+    d = np.asarray(_numbers("omega", omega), dtype=float) - center
     return (bandwidth / math.pi) / (d * d + bandwidth * bandwidth)
 
 
@@ -51,10 +102,11 @@ def lorentzian_band_mass(lo, hi, center, bandwidth):
 
     Used to normalize band integrals; note the heavy tails, e.g. the mass
     within +-50 Gamma is (2/pi)*atan(50) = 0.9873, not 1.
+    InvalidParameterError unless the four arguments are finite real
+    numbers and bandwidth is > 0.
     """
-    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise InvalidParameterError(
-            f"input_bandwidth must be > 0 and finite, got {bandwidth!r}")
+    center, bandwidth = _line(center, bandwidth)
+    lo, hi = _real("lo", lo), _real("hi", hi)
     return (math.atan((hi - center) / bandwidth)
             - math.atan((lo - center) / bandwidth)) / math.pi
 

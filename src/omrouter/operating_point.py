@@ -107,13 +107,23 @@ def _real(name, value) -> float:
     return value
 
 
+def _system_params(params) -> SystemParams:
+    """``params``, or InvalidParameterError naming its type unless it is a
+    SystemParams."""
+    if not isinstance(params, SystemParams):
+        raise InvalidParameterError(
+            f"params must be a SystemParams, got {type(params).__name__}")
+    return params
+
+
 def validate(params: SystemParams) -> None:
     """Reject unphysical inputs; warn when the sideband hierarchy fails.
 
     Raises
     ------
     InvalidParameterError
-        Naming the offending field.  Every field must be a finite
+        Naming the type of ``params`` unless it is a SystemParams, else
+        naming the offending field.  Every field must be a finite
         numbers.Real other than a bool, or None for input_center and
         input_bandwidth.  Strictly positive: wavelength, cavity_length,
         eff_mass, mech_freq, quality, cavity_decay and the resolved
@@ -126,6 +136,7 @@ def validate(params: SystemParams) -> None:
         model still evaluates outside it, but the transparency-window
         picture degrades, so this is advisory rather than fatal.
     """
+    _system_params(params)
     for name, optional, positive, non_negative in _CHECKS:
         value = getattr(params, name)
         if value is None and optional:

@@ -21,8 +21,9 @@ The channel formulas live in :mod:`omrouter.kernels`, written once; this
 module validates inputs, assembles the port spectra and scans the dip.
 The pointwise functions (:func:`response_E` and the four channels) are
 the grid kernel's values at the caller's frequencies, bit for bit, behind
-one guard: they refuse an unstable operating point, as the spectra and
-the dip scan do, and a frequency where d cancels to near zero.  How d
+one guard: they refuse a frequency that is not real (E alone takes
+complex ones), an unstable operating point, as the spectra and the dip
+scan do, and a frequency where d cancels to near zero.  How d
 rounds is read from :mod:`omrouter.kernels`.
 """
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .empty_cavity import lorentzian_input
+from .empty_cavity import _numbers, lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
 from .kernels import _ROUND
 from .operating_point import HBAR, OperatingPoint, _real
@@ -62,10 +63,12 @@ def denominator_d(omega, op: OperatingPoint):
                                kernels.cav_factor(w, op), op)
 
 
-def _checked(omega, op: OperatingPoint):
-    """omega as an array, behind the pointwise functions' checks."""
+def _checked(omega, op: OperatingPoint, kinds="iuf"):
+    """omega as an array, behind the pointwise functions' checks: a dtype
+    of the kinds ``kinds`` (integers and floats unless told otherwise), a
+    stable point, and a d that does not cancel to near zero."""
+    w = _numbers("omega", omega, kinds)
     kernels.require_stable(op)
-    w = np.asarray(omega)
     # a scalar as a Python number, whose arithmetic takes a tenth of numpy's
     x = (w.item() if w.ndim == 0 else w) / op.mech_freq
     red = kernels.reduced(op)
@@ -100,6 +103,9 @@ def response_E(omega, op: OperatingPoint):
 
     Raises
     ------
+    InvalidParameterError
+        When omega is not integers, floats or complex numbers; the four
+        channels take integers and floats only.
     UnstableOperatingPointError
         When a pole of the response lies on or above the real axis
         (:func:`omrouter.kernels.is_stable`).
@@ -108,7 +114,8 @@ def response_E(omega, op: OperatingPoint):
         :func:`omrouter.kernels.scale`, which on the real axis only
         happens next to an instability threshold, or E is not finite.
     """
-    e, _ = kernels._finite(kernels._amplitude)(_checked(omega, op), op)
+    e, _ = kernels._finite(kernels._amplitude)(_checked(omega, op, "iufc"),
+                                               op)
     return complex(e) if np.ndim(omega) == 0 else e
 
 
@@ -197,7 +204,7 @@ def _require_finite_d2(top, op: OperatingPoint):
 
 
 def _check_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
+    g = np.asarray(_numbers("grid", grid), dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise InvalidParameterError("grid must be 1-d with at least 2 points")
     if not np.all(np.isfinite(g)) or g[0] <= 0.0:
@@ -241,6 +248,9 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
 
     Raises
     ------
+    InvalidParameterError
+        Unless the grid is at least 2 real numbers, finite, positive and
+        strictly increasing, in 1-d.
     UnstableOperatingPointError
         When a pole of the response lies on or above the real axis
         (:func:`omrouter.kernels.is_stable`): the spectra would describe

@@ -89,7 +89,7 @@ from .empty_cavity import (_band_log, _lorentzian_band_integrals,
 from .errors import InvalidParameterError, NumericalFailureError
 from .kernels import _ROUND, RECORD
 from .operating_point import (OperatingPoint, SystemParams, _real,
-                              derive_operating_point)
+                              _system_params, derive_operating_point)
 # Not used here.  perfbench/tracer.py wraps these names in this module as
 # its response.pointwise layer and reports the layer absent without them.
 from .response import (reflection_R, thermal_noise,  # noqa: F401
@@ -684,7 +684,8 @@ def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
     p_on = _real("p_on", p_on)
     if not p_on >= 0.0:
         raise InvalidParameterError(f"p_on must be >= 0, got {p_on!r}")
-    op = derive_operating_point(replace(params, drive_power=p_on))
+    op = derive_operating_point(replace(_system_params(params),
+                                        drive_power=p_on))
     lo, hi = _checked_band(op, band)
     off = _empty_cavity_report(op, lo, hi)
     kernels.require_stable(op)

@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import InvalidParameterError, NumericalFailureError
 from .operating_point import (OperatingPoint, SystemParams, _real,
-                              derive_operating_point)
+                              _system_params, derive_operating_point)
 
 _RESIDUAL_TOL = 1e-6
 
@@ -137,14 +137,16 @@ def max_stable_power(params: SystemParams, p_max: float,
     Raises
     ------
     InvalidParameterError
-        For p_max < 0 or not finite, or rel_tol outside (0, 1).
+        For p_max < 0 or not finite, rel_tol outside (0, 1), or params
+        that is not a SystemParams.
     """
     p_max = _real("p_max", p_max)
     if not p_max >= 0.0:
         raise InvalidParameterError(f"p_max must be >= 0, got {p_max!r}")
     if not 0.0 < _real("rel_tol", rel_tol) < 1.0:
         raise InvalidParameterError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
-    op = derive_operating_point(replace(params, drive_power=p_max))
+    op = derive_operating_point(replace(_system_params(params),
+                                        drive_power=p_max))
     if kernels.is_stable(op):
         return p_max
 

@@ -64,6 +64,7 @@ def test_spectrum_repeated_runs_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.dispatch_bytes
 def test_spectrum_default_bytes_frozen(capsys):
     # sha256 of `omrouter spectrum` with every default (4001-point csv); the
     # benchmark gate pins the same digest as spectrum_csv|5e-6|20e-3
@@ -80,6 +81,7 @@ def test_spectrum_default_bytes_frozen(capsys):
 _SWEEP_DETUNING = {"sweep_param": "detuning", "sweep_values": [1.0, -1.0]}
 
 
+@pytest.mark.dispatch_bytes
 @pytest.mark.parametrize("command, fmt, digest", [
     ("spectrum", "json",
      "68b4bdff71a0bcbe1a9446d4e4cb4f3c9783250d07a83861e359b9cc2e1d781f"),

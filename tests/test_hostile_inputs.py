@@ -1,0 +1,106 @@
+"""Hostile arguments at the library's public functions.
+
+Each call either returns or raises one of the package's three error
+classes; a RegimeWarning is the one warning it may give.
+"""
+
+import math
+import warnings
+from dataclasses import fields, replace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from omrouter import (InvalidParameterError, NumericalFailureError,
+                      RegimeWarning, SystemParams,
+                      UnstableOperatingPointError, default_grid,
+                      default_params, derive_operating_point,
+                      eit_linewidth_scan, empty_reflectance,
+                      empty_transmittance, lorentzian_band_mass,
+                      lorentzian_input, max_stable_power, output_spectra,
+                      reflection_R, response_E, routing_probabilities,
+                      switching_contrast, thermal_noise, transmission_T,
+                      vacuum_noise, validate)
+
+OP = derive_operating_point(default_params())
+WM = OP.mech_freq
+
+_HOSTILE = st.sampled_from([
+    "1e6", "", None, True, False, 1j, WM * (1 + 0.1j), math.inf, -math.inf,
+    math.nan, 10 ** 400, -(2 ** 1100), [], [[]], [None, 1.0], ["a", "b"],
+    [[0.9 * WM, 1.1 * WM]], [[WM], [WM, WM]], [WM, math.inf],
+    [WM, 10 ** 400], np.array([0.9, 1.1]) * WM * (1 + 0.1j), (1.0, "a"),
+])
+
+
+def _or_hostile(*valid):
+    return st.one_of(st.sampled_from(valid), _HOSTILE)
+
+
+def _pair(lo, hi):
+    return st.one_of(_HOSTILE, st.tuples(_or_hostile(lo), _or_hostile(hi)))
+
+
+_OP = st.just(OP)
+_OMEGA = _or_hostile(WM, [0.9 * WM, 1.1 * WM])
+_BAND = st.one_of(st.none(), _pair(0.5 * WM, 1.5 * WM))
+_POWER = _or_hostile(1e-6)
+_PARAMS = st.one_of(
+    st.just(default_params()), _HOSTILE,
+    st.builds(lambda name, value: replace(default_params(), **{name: value}),
+              st.sampled_from([f.name for f in fields(SystemParams)]),
+              _HOSTILE))
+
+# each public function with one strategy per argument
+_ENTRIES = [
+    (response_E, _OMEGA, _OP),
+    (reflection_R, _OMEGA, _OP),
+    (transmission_T, _OMEGA, _OP),
+    (vacuum_noise, _OMEGA, _OP),
+    (thermal_noise, _OMEGA, _OP),
+    (output_spectra, _or_hostile(np.linspace(0.9, 1.1, 5) * WM), _OP),
+    (default_grid, _OP, _or_hostile(5)),
+    (eit_linewidth_scan, _OP, _pair(0.5, 1.5)),
+    (empty_reflectance, _OMEGA, _or_hostile(WM), _or_hostile(OP.cavity_decay)),
+    (empty_transmittance, _OMEGA, _or_hostile(WM),
+     _or_hostile(OP.cavity_decay)),
+    (lorentzian_input, _OMEGA, _or_hostile(WM), _or_hostile(0.01 * WM)),
+    (lorentzian_band_mass, _or_hostile(0.5 * WM), _or_hostile(1.5 * WM),
+     _or_hostile(WM), _or_hostile(0.01 * WM)),
+    (validate, _PARAMS),
+    (derive_operating_point, _PARAMS),
+    (routing_probabilities, _OP, _BAND),
+    (switching_contrast, _PARAMS, _POWER, _BAND),
+    (max_stable_power, _PARAMS, _POWER, _or_hostile(0.01)),
+]
+
+
+@st.composite
+def _calls(draw):
+    function, *arguments = draw(st.sampled_from(_ENTRIES))
+    return function, tuple(draw(a) for a in arguments)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(call=_calls())
+@example(call=(reflection_R, ("1e6", OP)))
+@example(call=(reflection_R, (None, OP)))
+@example(call=(reflection_R, (WM * (1 + 0.1j), OP)))
+@example(call=(output_spectra, ("ab", OP)))
+@example(call=(output_spectra, (np.array([0.9, 1.1]) * WM * (1 + 0.1j), OP)))
+@example(call=(lorentzian_band_mass, (0.5 * WM, 1.5 * WM, WM, "a")))
+@example(call=(empty_reflectance, ("a", 0, 1)))
+@example(call=(derive_operating_point, (None,)))
+def test_public_functions_return_or_raise_a_package_error(call):
+    function, arguments = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", category=RegimeWarning)
+        # numpy before 1.24 warns as it stores a ragged list as objects
+        warnings.filterwarnings("ignore", message="Creating an ndarray from ragged")
+        try:
+            function(*arguments)
+        except (InvalidParameterError, NumericalFailureError,
+                UnstableOperatingPointError):
+            pass

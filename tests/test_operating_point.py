@@ -109,6 +109,13 @@ def test_invalid_inputs_name_the_field(field, value):
         validate(params)
 
 
+@pytest.mark.parametrize("params", ["x", None, {}])
+def test_params_that_are_not_system_params_name_the_type(params):
+    for check in (validate, derive_operating_point):
+        with pytest.raises(InvalidParameterError, match="SystemParams"):
+            check(params)
+
+
 def test_defaults_pass_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

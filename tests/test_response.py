@@ -207,6 +207,10 @@ def test_transmitted_leakage_small_against_input_peak(op_5uw):
     np.array([0.0, 1.0]),
     np.array([1.0, np.nan]),
     np.array([1.0, 1.0, 2.0]),
+    # not real numbers: no string is parsed, no complex part dropped
+    "ab",
+    [None, 1.0],
+    np.array([0.9, 1.1]) * WM * (1 + 0.1j),
 ])
 def test_bad_grids_rejected(op_5uw, grid):
     with pytest.raises(InvalidParameterError):
@@ -477,6 +481,7 @@ def test_dip_scan_is_the_dense_scan_on_random_points(data):
     _assert_bounds_enclose(op, window)
 
 
+@pytest.mark.dispatch_bytes
 def test_design_spectra_and_dip_frozen_whole():
     # sha256 of each 200,001-point channel and the full dip geometry at
     # 1, 5 and 20 uW (Delta = omega_m, 20 mK), recorded before the spectra
