@@ -106,6 +106,8 @@ def _load_config(path):
         raise InvalidParameterError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"malformed config json: {exc}")
+    except ValueError as exc:   # not UTF-8, or an int past str's digit limit
+        raise InvalidParameterError(f"unreadable config json: {exc}")
     if not isinstance(cfg, dict):
         raise InvalidParameterError("config must be a flat json object")
     unknown = set(cfg) - _ALL_KEYS

@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from . import operating_point
 from .errors import (InvalidParameterError, NumericalFailureError,
                      UnstableOperatingPointError)
 from .operating_point import HBAR, KB
@@ -220,7 +221,9 @@ def is_stable(op):
 
 
 def require_stable(op):
-    """Raise UnstableOperatingPointError unless :func:`is_stable` holds."""
+    """Raise InvalidParameterError unless ``op`` is an OperatingPoint, and
+    UnstableOperatingPointError unless :func:`is_stable` holds."""
+    operating_point._operating_point(op)
     if not is_stable(op):
         raise UnstableOperatingPointError(
             f"operating point unstable: at drive power {op.drive_power:.6e} W "

@@ -116,6 +116,15 @@ def _system_params(params) -> SystemParams:
     return params
 
 
+def _operating_point(op) -> OperatingPoint:
+    """``op``, or InvalidParameterError naming its type unless it is an
+    OperatingPoint."""
+    if not isinstance(op, OperatingPoint):
+        raise InvalidParameterError(
+            f"op must be an OperatingPoint, got {type(op).__name__}")
+    return op
+
+
 def validate(params: SystemParams) -> None:
     """Reject unphysical inputs; warn when the sideband hierarchy fails.
 

@@ -39,7 +39,7 @@ from . import kernels
 from .empty_cavity import _numbers, lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
 from .kernels import _ROUND
-from .operating_point import HBAR, OperatingPoint, _real
+from .operating_point import HBAR, OperatingPoint, _operating_point, _real
 
 _SCAN_POINTS = 200001   # points of the dip scan's grid
 _CELL = 64              # grid points per cell of the dip scan's bounds
@@ -56,11 +56,23 @@ def denominator_d(omega, op: OperatingPoint):
                * ((2*kappa - i*omega)^2 + Delta^2)
                - 2*hbar*g^2*|c_s|^2*Delta
 
-    Accepts real or complex omega, scalar or array.
+    Accepts finite real or complex omega, scalar or array; anything else
+    raises InvalidParameterError.  Integers are taken as floats, so their
+    squares do not wrap around.  A d past the float range raises
+    NumericalFailureError.
     """
-    w = np.asarray(omega)
-    return kernels.denominator(kernels.mech_factor(w, op),
-                               kernels.cav_factor(w, op), op)
+    _operating_point(op)
+    w = _numbers("omega", omega, "iufc")
+    if w.dtype.kind in "iu":
+        w = w.astype(float)
+    if not np.all(np.isfinite(w)):
+        raise InvalidParameterError("omega must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = kernels.denominator(kernels.mech_factor(w, op),
+                                kernels.cav_factor(w, op), op)
+    if not np.all(np.isfinite(d)):
+        raise NumericalFailureError("d is past the float range")
+    return d
 
 
 def _checked(omega, op: OperatingPoint, kinds="iuf"):
@@ -179,15 +191,27 @@ class ChannelSpectra:
     Sdout: np.ndarray   # total transmitted-port output density
 
 
-def _pair(value):
-    """``value`` as two floats; (nan, nan) unless it is a pair of finite
-    real numbers other than bools (:func:`omrouter.operating_point._real`:
-    no string is parsed, no int past the float range rounded)."""
+def _interval(name, value):
+    """``value`` as two floats 0 < lo < hi, else InvalidParameterError
+    naming ``name``.
+
+    Each is a finite real number other than a bool
+    (:func:`omrouter.operating_point._real`: no string is parsed, no int
+    past the float range rounded).  The message shows the parsed floats or
+    the type, never ``value`` itself: the repr of an int of more than 4,300
+    digits raises ValueError.
+    """
     try:
         lo, hi = value
-        return _real("lo", lo), _real("hi", hi)
+        lo, hi = _real("lo", lo), _real("hi", hi)
     except (TypeError, ValueError, InvalidParameterError):
-        return math.nan, math.nan
+        raise InvalidParameterError(
+            f"bad {name}: not two finite real numbers, got "
+            f"{type(value).__name__}") from None
+    if not 0.0 < lo < hi:
+        raise InvalidParameterError(
+            f"bad {name} ({lo!r}, {hi!r}): not 0 < lo < hi")
+    return lo, hi
 
 
 def _require_finite_d2(top, op: OperatingPoint):
@@ -275,8 +299,9 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
 
 def default_grid(op: OperatingPoint, n_points: int = 4001) -> np.ndarray:
     """The standard scan window [0.5, 1.5]*omega_m in n_points points;
-    InvalidParameterError unless n_points is an int >= 2 whose 8*n_points
-    bytes numpy can size."""
+    InvalidParameterError unless op is an OperatingPoint and n_points is an
+    int >= 2 whose 8*n_points bytes numpy can size."""
+    _operating_point(op)
     if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) \
             or n_points < 2:
         raise InvalidParameterError(
@@ -305,6 +330,7 @@ def eit_linewidth(op: OperatingPoint) -> float:
     formula runs 20% above that width; :func:`eit_linewidth_scan` agrees
     with the closed form to 0.03% there.
     """
+    _operating_point(op)
     drive = (HBAR * op.g ** 2 * op.eps_c ** 2
              / (4.0 * op.eff_mass * op.mech_freq * op.cavity_decay
                 * (4.0 * op.cavity_decay ** 2 + op.mech_freq ** 2)))
@@ -467,9 +493,11 @@ def eit_linewidth_scan(op: OperatingPoint, window=(0.5, 1.5)) -> DipScan:
     if op.drive_power <= 0.0:
         raise InvalidParameterError(
             "eit_linewidth_scan needs drive_power > 0: no dip without drive")
-    lo, hi = _pair(window)
-    if not (0.0 < lo < hi and math.isfinite(hi * op.mech_freq)):
-        raise InvalidParameterError(f"bad scan window {window!r}")
+    lo, hi = _interval("scan window", window)
+    if not math.isfinite(hi * op.mech_freq):
+        raise InvalidParameterError(
+            f"bad scan window ({lo!r}, {hi!r}): hi*omega_m is past the "
+            "float range")
     _require_finite_d2(hi * op.mech_freq, op)
     n = _SCAN_POINTS
     grid = _linspace_at(lo * op.mech_freq, hi * op.mech_freq, n)

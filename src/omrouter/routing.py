@@ -61,18 +61,19 @@ rounding, amplified by the cancellation among the terms and counting
 the rounding of the record, of the line's pole and of the rule's nodes,
 plus the zeros' backward error times each point's conditioning (of an
 isolated zero, or of D at a contour's node), weighted by its terms'
-share of the sums.  Against 50-digit residues, on random points inside
-the hierarchy (tests/test_routing.py's _hierarchy_draw), the error
-stayed below 3.9e-14 and within 4.7 times the estimate on 600 points of
+share of the sums.  Against 50-digit residues
+(tests/oracles.py's drive_on_report), on random points inside the
+hierarchy (tests/oracles.py's hierarchy_draw), the error stayed below
+3.9e-14 and within 4.7 times the estimate on 600 points of
 random.Random(11), and below 2.0e-13 and within 6.8 times on 3,000 of
-random.Random(1); below 6.1e-14 and within 0.64 times on 176 across the
-exceptional point or with the line on one of D's poles, and below
-3.8e-14 and within 1.1 times on 1,200 with the line 1e-7 to 1e-2 from
-the mechanical resonance.  Next to the red static bound, on 150 points
-whose a0 is 3e-4 to 0.1 of c0, all were certified, within 2.9e-12
-(median 6.1e-15) and 0.22 times the estimate.  A report that is not
-certified raises NumericalFailureError; there is no other method to
-fall back to.
+random.Random(1).  Next to the red static bound, on 150 points of
+tests/oracles.py's static_bound_draw with random.Random(5), whose a0 is
+3e-4 to 0.1 of c0, all were certified, within 2.9e-12 (median over the
+points of each one's largest error 5.8e-15) and 0.22 times the
+estimate.  Across the exceptional point, with the line on one of D's
+poles and next to the mechanical resonance, tests/test_routing.py holds
+named points within 1e-12.  A report that is not certified raises
+NumericalFailureError; there is no other method to fall back to.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ from .operating_point import (OperatingPoint, SystemParams, _real,
 # its response.pointwise layer and reports the layer absent without them.
 from .response import (reflection_R, thermal_noise,  # noqa: F401
                        transmission_T, vacuum_noise)
-from .response import _pair
+from .response import _interval
 
 # the band must cover the line core, center +- one half-width; wider lines
 # legitimately spill outside the band (that spillage is the physics of a
@@ -651,15 +652,12 @@ def _checked_band(op: OperatingPoint, band):
     """
     if band is None:
         band = (0.5 * op.mech_freq, 1.5 * op.mech_freq)
-    lo, hi = _pair(band)
-    if not 0.0 < lo < hi:   # NaN where band is not two finite numbers
-        raise InvalidParameterError(
-            f"band must be two finite numbers 0 < lo < hi, got {band!r}")
+    lo, hi = _interval("band", band)
     center = op.input_center
     gamma = op.input_bandwidth
     if lo > center - _BAND_COVER * gamma or hi < center + _BAND_COVER * gamma:
         raise InvalidParameterError(
-            f"band {band!r} excludes the input line core "
+            f"band ({lo!r}, {hi!r}) excludes the input line core "
             f"{center!r} +- {_BAND_COVER * gamma!r}")
     return lo, hi
 

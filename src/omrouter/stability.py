@@ -20,8 +20,9 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidParameterError, NumericalFailureError
-from .operating_point import (OperatingPoint, SystemParams, _real,
-                              _system_params, derive_operating_point)
+from .operating_point import (OperatingPoint, SystemParams,
+                              _operating_point, _real, _system_params,
+                              derive_operating_point)
 
 _RESIDUAL_TOL = 1e-6
 
@@ -42,7 +43,7 @@ def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
     are those of :func:`omrouter.kernels._hurwitz_coeffs`, with c0's
     drive-free part formed as (m*omega_m^2)*(4*kappa^2 + Delta^2).
     """
-    m = op.eff_mass
+    m = _operating_point(op).eff_mass
     a3, a2, a1, wm2, cav0 = kernels._hurwitz_coeffs(op)
     return np.array([m, 1j * m * a3, -m * a2, -1j * m * a1,
                      m * wm2 * cav0 - kernels.drive_term(op)], dtype=complex)
@@ -104,7 +105,7 @@ def assess_stability(op: OperatingPoint) -> StabilityReport:
     where the margin is within the roots' rounding noise of zero, next to
     the threshold of :func:`max_stable_power`.
     """
-    roots, residuals = poles(op)
+    roots, residuals = poles(_operating_point(op))
     failed = residuals[~(residuals < _RESIDUAL_TOL)]
     if failed.size:
         raise NumericalFailureError(

@@ -5,8 +5,6 @@ import pytest
 
 from omrouter import default_params, derive_operating_point
 
-WM = default_params().mech_freq
-
 
 @pytest.fixture(scope="session")
 def op_off():

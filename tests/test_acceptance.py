@@ -20,17 +20,12 @@ from omrouter import (assess_stability, d_polynomial_coeffs, default_grid,
                       routing_probabilities, switching_contrast,
                       thermal_noise, transmission_T, vacuum_noise)
 from omrouter.cli import main as cli_main
-
-WM = default_params().mech_freq
+from oracles import WM, local_maxima
 
 
 def _report(num, name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d}: {name} ({detail})")
     assert ok, f"criterion {num}: {name}: {detail}"
-
-
-def _local_maxima(y):
-    return np.where((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:]))[0] + 1
 
 
 def test_criterion_01_empty_cavity_identities():
@@ -106,8 +101,8 @@ def test_criterion_04_transparency_window_width(op_5uw, op_20uw):
 def test_criterion_05_vacuum_noise_floor(op_5uw, op_20uw):
     sv5, sv20 = vacuum_noise(WM, op_5uw), vacuum_noise(WM, op_20uw)
     grid = default_grid(op_5uw)
-    n5 = len(_local_maxima(vacuum_noise(grid, op_5uw)))
-    n20 = len(_local_maxima(vacuum_noise(grid, op_20uw)))
+    n5 = len(local_maxima(vacuum_noise(grid, op_5uw)))
+    n20 = len(local_maxima(vacuum_noise(grid, op_20uw)))
     ok = (abs(sv5 - 0.02) <= 0.005 and abs(sv20 - 0.02) <= 0.005
           and n5 == 1 and n20 == 2)
     _report(5, "vacuum noise pins the window floor and splits when driven",

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 import omrouter
 from omrouter import cli, default_params, routing
 from omrouter.cli import main
-
-WM = default_params().mech_freq
+from oracles import EXCEPTIONAL_POWER, WM
 
 _FIELD = re.compile(r"-?\d\.\d{12}e[+-]\d{2,}|nan")
 
@@ -449,6 +448,23 @@ def test_missing_config_file(tmp_path, capsys):
     assert code == 2 and "config" in err
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param(b'{"drive_power": 1' + b"0" * 5000 + b"}",
+                 id="int-of-5001-digits"),
+    pytest.param(b"\xff\xfe{}", id="not-utf-8")])
+def test_unreadable_config_exits_two(tmp_path, raw, capsys):
+    # json.load raised a bare ValueError and the run ended in a traceback:
+    # CPython converts no int of more than 4,300 digits, and the codec
+    # refuses bytes that are not UTF-8.  A Python without the digit limit
+    # reads the int, which is then refused as past the float range
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    code, out, err = _run(capsys, "route", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "unreadable config json" in err or "past the float range" in err
+
+
 def test_unknown_format_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--format", "xml"])
@@ -797,7 +813,7 @@ def test_route_quadrature_at_an_extreme_bath(capsys):
     # by a contour integral, St at 1e305 K is finite and so is its band
     # integral, as at 5 uW: thermal_leak 4.5e304
     code, out, err = _run(capsys, "route", "--format", "json", "--temp",
-                          "1e305", "--power", "5.2507297778e-6")
+                          "1e305", "--power", repr(EXCEPTIONAL_POWER))
     assert code == 0 and err == ""
     fields = json.loads(out)
     assert all(math.isfinite(v) for key, v in fields.items()

@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -9,134 +8,91 @@ from omrouter import (InvalidParameterError, empty_reflectance,
                       empty_transmittance, lorentzian_band_mass,
                       lorentzian_input)
 from omrouter.empty_cavity import _lorentzian_band_integrals
-
-W0 = 841946.8311620646
-KAPPA = W0 / 10.0
+from oracles import KAPPA, WM, band_integrals
 
 
 def test_energy_conservation_everywhere():
     rng = np.random.default_rng(20260814)
-    omega = W0 + rng.uniform(-20.0, 20.0, size=10_000) * KAPPA
-    total = (empty_reflectance(omega, W0, KAPPA)
-             + empty_transmittance(omega, W0, KAPPA))
+    omega = WM + rng.uniform(-20.0, 20.0, size=10_000) * KAPPA
+    total = (empty_reflectance(omega, WM, KAPPA)
+             + empty_transmittance(omega, WM, KAPPA))
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_resonance_values_exact():
-    assert empty_transmittance(W0, W0, KAPPA) == 1.0
-    assert empty_reflectance(W0, W0, KAPPA) == 0.0
+    assert empty_transmittance(WM, WM, KAPPA) == 1.0
+    assert empty_reflectance(WM, WM, KAPPA) == 0.0
 
 
 def test_half_width_is_twice_kappa():
     for s in (-1.0, 1.0):
-        assert empty_transmittance(W0 + s * 2.0 * KAPPA, W0, KAPPA) == \
+        assert empty_transmittance(WM + s * 2.0 * KAPPA, WM, KAPPA) == \
             pytest.approx(0.5, rel=1e-12)
-        assert empty_reflectance(W0 + s * 2.0 * KAPPA, W0, KAPPA) == \
+        assert empty_reflectance(WM + s * 2.0 * KAPPA, WM, KAPPA) == \
             pytest.approx(0.5, rel=1e-12)
 
 
 def test_far_detuned_fully_reflective():
     for s in (-1.0, 1.0):
-        r = empty_reflectance(W0 + s * 1e6 * KAPPA, W0, KAPPA)
+        r = empty_reflectance(WM + s * 1e6 * KAPPA, WM, KAPPA)
         assert 1.0 - r < 1e-10
 
 
 def test_symmetry_about_resonance():
     d = np.linspace(0.1, 40.0, 400) * KAPPA
-    np.testing.assert_allclose(empty_reflectance(W0 + d, W0, KAPPA),
-                               empty_reflectance(W0 - d, W0, KAPPA),
+    np.testing.assert_allclose(empty_reflectance(WM + d, WM, KAPPA),
+                               empty_reflectance(WM - d, WM, KAPPA),
                                rtol=1e-12)
 
 
 def test_line_peak_density():
-    gamma = 0.01 * W0
-    assert lorentzian_input(W0, W0, gamma) == \
+    gamma = 0.01 * WM
+    assert lorentzian_input(WM, WM, gamma) == \
         pytest.approx(1.0 / (math.pi * gamma), rel=1e-12)
 
 
 def test_line_half_maximum_at_one_bandwidth():
-    gamma = 0.01 * W0
-    peak = lorentzian_input(W0, W0, gamma)
+    gamma = 0.01 * WM
+    peak = lorentzian_input(WM, WM, gamma)
     for s in (-1.0, 1.0):
-        assert lorentzian_input(W0 + s * gamma, W0, gamma) == \
+        assert lorentzian_input(WM + s * gamma, WM, gamma) == \
             pytest.approx(peak / 2.0, rel=1e-12)
 
 
 def test_line_mass_heavy_tails():
-    gamma = 0.01 * W0
-    mass = lorentzian_band_mass(W0 - 50.0 * gamma, W0 + 50.0 * gamma, W0, gamma)
+    gamma = 0.01 * WM
+    mass = lorentzian_band_mass(WM - 50.0 * gamma, WM + 50.0 * gamma, WM, gamma)
     # 50 half-widths capture most of the line, but the tails keep ~1.3%
     assert abs(mass - 1.0) < 2e-2
     assert mass == pytest.approx((2.0 / math.pi) * math.atan(50.0), rel=1e-12)
 
 
 def test_line_mass_matches_numeric_integral():
-    gamma = 0.01 * W0
-    grid = np.linspace(W0 - 50.0 * gamma, W0 + 50.0 * gamma, 2_000_001)
-    line = lorentzian_input(grid, W0, gamma)
+    gamma = 0.01 * WM
+    grid = np.linspace(WM - 50.0 * gamma, WM + 50.0 * gamma, 2_000_001)
+    line = lorentzian_input(grid, WM, gamma)
     # the trapezoid rule written out: np.trapezoid needs numpy 2
     numeric = 0.5 * np.sum(np.diff(grid) * (line[1:] + line[:-1]))
-    closed = lorentzian_band_mass(grid[0], grid[-1], W0, gamma)
+    closed = lorentzian_band_mass(grid[0], grid[-1], WM, gamma)
     assert numeric == pytest.approx(closed, rel=1e-6)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), "a", None])
 def test_nonpositive_bandwidth_rejected(bad):
     with pytest.raises(InvalidParameterError):
-        lorentzian_input(W0, W0, bad)
+        lorentzian_input(WM, WM, bad)
     with pytest.raises(InvalidParameterError):
-        lorentzian_band_mass(0.5 * W0, 1.5 * W0, W0, bad)
+        lorentzian_band_mass(0.5 * WM, 1.5 * WM, WM, bad)
 
 
 # ------------------------------------- the line's overlaps with the cavity
 
-def _mp_band_integrals(lo, hi, center, gamma, resonance, decay):
-    """(mass, int L*R, int L*T) over [lo, hi] at 50 digits.
-
-    The float inputs are taken exactly.  Each integrand is a ratio of
-    polynomials over the four simple poles center +- i*gamma and
-    resonance +- 2i*kappa, so its band integral is the sum over the poles
-    of residue*[log(hi-p) - log(lo-p)].  Where the line and the cavity
-    have the same pole, the mean over gamma*(1 +- 1e-20) stands in for it,
-    off by about 1e-40.
-    """
-    with mpmath.workdps(50):
-        lo, hi, center, gamma, resonance, decay = (
-            mpmath.mpf(v) for v in (lo, hi, center, gamma, resonance, decay))
-        width = 2 * decay
-
-        def band(num, gamma):
-            poles = [mpmath.mpc(center, gamma), mpmath.mpc(center, -gamma),
-                     mpmath.mpc(resonance, width),
-                     mpmath.mpc(resonance, -width)]
-            total = mpmath.mpc(0)
-            for i, p in enumerate(poles):
-                residue = num(p)
-                for j, q in enumerate(poles):
-                    if j != i:
-                        residue /= p - q
-                total += residue * (mpmath.log(hi - p) - mpmath.log(lo - p))
-            return total.real * gamma / mpmath.pi
-
-        def overlap(num):
-            if center != resonance or gamma != width:
-                return band(num, gamma)
-            shift = gamma * mpmath.mpf(10) ** -20
-            return (band(num, gamma + shift) + band(num, gamma - shift)) / 2
-
-        mass = (mpmath.atan((hi - center) / gamma)
-                - mpmath.atan((lo - center) / gamma)) / mpmath.pi
-        refl = overlap(lambda p: (p - resonance) ** 2)
-        trans = overlap(lambda p: width * width)
-        return float(mass), float(refl), float(trans)
-
-
 def _assert_closed_form_matches(cases):
     for gamma, width, offset in cases:
-        args = (0.5 * W0, 1.5 * W0, W0 + offset * W0, gamma * W0, W0,
-                0.5 * width * W0)
+        args = (0.5 * WM, 1.5 * WM, WM + offset * WM, gamma * WM, WM,
+                0.5 * width * WM)
         got = _lorentzian_band_integrals(*args)
-        exact = _mp_band_integrals(*args)
+        exact = band_integrals(*args)
         for name, value, ref in zip(("mass", "refl", "trans"), got, exact):
             assert value == pytest.approx(ref, rel=1e-13, abs=0.0), \
                 (name, gamma, width, offset)

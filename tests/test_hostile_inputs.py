@@ -14,22 +14,24 @@ from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, NumericalFailureError,
                       RegimeWarning, SystemParams,
-                      UnstableOperatingPointError, default_grid,
-                      default_params, derive_operating_point,
+                      UnstableOperatingPointError, assess_stability,
+                      d_polynomial_coeffs, default_grid, default_params,
+                      denominator_d, derive_operating_point, eit_linewidth,
                       eit_linewidth_scan, empty_reflectance,
                       empty_transmittance, lorentzian_band_mass,
                       lorentzian_input, max_stable_power, output_spectra,
                       reflection_R, response_E, routing_probabilities,
                       switching_contrast, thermal_noise, transmission_T,
                       vacuum_noise, validate)
+from oracles import WM
 
 OP = derive_operating_point(default_params())
-WM = OP.mech_freq
 
+# 10 ** 5000 has more digits than Python converts to str: its repr raises
 _HOSTILE = st.sampled_from([
     "1e6", "", None, True, False, 1j, WM * (1 + 0.1j), math.inf, -math.inf,
-    math.nan, 10 ** 400, -(2 ** 1100), [], [[]], [None, 1.0], ["a", "b"],
-    [[0.9 * WM, 1.1 * WM]], [[WM], [WM, WM]], [WM, math.inf],
+    math.nan, 10 ** 400, 10 ** 5000, -(2 ** 1100), [], [[]], [None, 1.0],
+    ["a", "b"], [[0.9 * WM, 1.1 * WM]], [[WM], [WM, WM]], [WM, math.inf],
     [WM, 10 ** 400], np.array([0.9, 1.1]) * WM * (1 + 0.1j), (1.0, "a"),
 ])
 
@@ -42,7 +44,7 @@ def _pair(lo, hi):
     return st.one_of(_HOSTILE, st.tuples(_or_hostile(lo), _or_hostile(hi)))
 
 
-_OP = st.just(OP)
+_OP = _or_hostile(OP)
 _OMEGA = _or_hostile(WM, [0.9 * WM, 1.1 * WM])
 _BAND = st.one_of(st.none(), _pair(0.5 * WM, 1.5 * WM))
 _POWER = _or_hostile(1e-6)
@@ -61,6 +63,11 @@ _ENTRIES = [
     (thermal_noise, _OMEGA, _OP),
     (output_spectra, _or_hostile(np.linspace(0.9, 1.1, 5) * WM), _OP),
     (default_grid, _OP, _or_hostile(5)),
+    (eit_linewidth, _OP),
+    (denominator_d, _or_hostile(WM, [0.9 * WM, 1.1 * WM], WM * (1 + 0.1j)),
+     _OP),
+    (assess_stability, _OP),
+    (d_polynomial_coeffs, _OP),
     (eit_linewidth_scan, _OP, _pair(0.5, 1.5)),
     (empty_reflectance, _OMEGA, _or_hostile(WM), _or_hostile(OP.cavity_decay)),
     (empty_transmittance, _OMEGA, _or_hostile(WM),
@@ -92,6 +99,11 @@ def _calls(draw):
 @example(call=(lorentzian_band_mass, (0.5 * WM, 1.5 * WM, WM, "a")))
 @example(call=(empty_reflectance, ("a", 0, 1)))
 @example(call=(derive_operating_point, (None,)))
+@example(call=(routing_probabilities, (OP, (10 ** 5000, 1.0))))
+@example(call=(eit_linewidth_scan, (OP, (10 ** 5000, 1.0))))
+@example(call=(default_grid, ("x", 5)))
+@example(call=(denominator_d, (10 ** 400, OP)))
+@example(call=(denominator_d, (math.inf, OP)))
 def test_public_functions_return_or_raise_a_package_error(call):
     function, arguments = call
     with warnings.catch_warnings():

@@ -12,7 +12,7 @@ from omrouter import (NumericalFailureError, RegimeWarning,
                       assess_stability, default_params,
                       derive_operating_point, kernels, output_spectra)
 from omrouter.operating_point import HBAR, KB
-from test_routing import _bright_points
+from oracles import bright_points, d_at
 
 _BASE = derive_operating_point(default_params())
 
@@ -293,7 +293,7 @@ def test_zero_over_zero_transmission_raises():
 
 
 @settings(deadline=None, max_examples=60)
-@given(params=_bright_points, x=st.floats(0.0, 2.0))
+@given(params=bright_points, x=st.floats(0.0, 2.0))
 def test_kernel_d_is_within_its_scale_of_the_exact_d(params, x):
     # kernels.scale bounds the grid kernel's rounding of d: within _ROUND
     # of m*omega_m^4*scale of d formed at 40 digits from the point's floats
@@ -301,13 +301,7 @@ def test_kernel_d_is_within_its_scale_of_the_exact_d(params, x):
     w = x * op.mech_freq
     d = complex(kernels._amplitude(np.array([w]), op)[1][0])
     with mpmath.workdps(40):
-        mpf = mpmath.mpf
-        m, wm, gm = mpf(op.eff_mass), mpf(op.mech_freq), mpf(op.gamma_m)
-        k, delta, omega = mpf(op.cavity_decay), mpf(op.eff_detuning), mpf(w)
-        exact = m * (wm * wm - omega * omega - 1j * gm * omega) \
-            * ((2 * k - 1j * omega) ** 2 + delta * delta) \
-            - 2 * mpf(HBAR) * mpf(kernels.coupling(op)) * delta
-        err = float(abs(d - exact))
+        err = float(abs(d - d_at(op, w)))
     wm = op.mech_freq
     bound = kernels._ROUND * op.eff_mass * wm ** 4 \
         * kernels.scale(kernels.reduced(op), abs(w) / wm)

@@ -6,8 +6,7 @@ import pytest
 
 from omrouter import (InvalidParameterError, RegimeWarning, default_params,
                       derive_operating_point, validate)
-
-WM = default_params().mech_freq
+from oracles import WM
 
 
 def test_default_derived_values_frozen(op_5uw):

@@ -9,21 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, NumericalFailureError,
-                      SystemParams, default_grid, default_params,
-                      denominator_d, derive_operating_point, eit_linewidth,
+                      default_grid, default_params, denominator_d,
+                      derive_operating_point, eit_linewidth,
                       eit_linewidth_scan, empty_reflectance, kernels,
                       lorentzian_input, output_spectra, reflection_R,
                       response_E, thermal_noise, transmission_T,
                       vacuum_noise)
 from omrouter.operating_point import HBAR
 from omrouter.response import DipScan
-
-WM = default_params().mech_freq
-KAPPA = WM / 10.0
-
-
-def _local_maxima(y):
-    return np.where((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:]))[0] + 1
+from oracles import (EXCEPTIONAL_POWER, KAPPA, WM, design_pool,
+                     local_maxima)
 
 
 # ---------------------------------------------------------------- amplitude
@@ -72,6 +67,16 @@ def test_denominator_drive_dominates_at_window(op_5uw):
     assert abs(denominator_d(WM, op)) == pytest.approx(drive, rel=5e-5)
 
 
+def test_denominator_takes_integers_as_floats(op_5uw):
+    # omega**2 of an int64 10**10 wrapped around and d came out 13 times
+    # too small; past the float range d is refused, not inf with a warning
+    assert denominator_d(10 ** 10, op_5uw) == denominator_d(1e10, op_5uw)
+    assert np.array_equal(denominator_d([3, 10 ** 10], op_5uw),
+                          denominator_d([3.0, 1e10], op_5uw))
+    with pytest.raises(NumericalFailureError, match="float range"):
+        denominator_d(1e200, op_5uw)
+
+
 # ------------------------------------------------------------ probe channels
 
 def test_window_inverts_the_ports():
@@ -115,8 +120,8 @@ def test_vacuum_noise_quadratic_in_power_when_drive_is_weak():
 
 def test_vacuum_noise_splits_at_stronger_drive(op_5uw, op_20uw):
     grid = default_grid(op_5uw)
-    assert len(_local_maxima(vacuum_noise(grid, op_5uw))) == 1
-    peaks = _local_maxima(vacuum_noise(grid, op_20uw))
+    assert len(local_maxima(vacuum_noise(grid, op_5uw))) == 1
+    peaks = local_maxima(vacuum_noise(grid, op_20uw))
     assert len(peaks) == 2
     # the split peaks sit symmetrically-ish about the window
     x = grid[peaks] / WM
@@ -376,26 +381,15 @@ def _outcome(scan, op, window):
         return type(exc), str(exc)
 
 
-def _design_pool():
-    # the benchmark's design requests: powers x detunings x temperatures
-    for power in (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6, 18e-6,
-                  20e-6):
-        for detuning in (0.95, 1.0, 1.05):
-            for temp in (0.0, 20e-3, 50e-3):
-                yield derive_operating_point(SystemParams(
-                    drive_power=power, bath_temp=temp,
-                    eff_detuning=detuning * WM))
-
-
 # the default geometry's exceptional point, where the membrane pole and the
 # cavity pole merge
 _MERGED = derive_operating_point(replace(default_params(),
-                                         drive_power=5.2507297778e-6))
+                                         drive_power=EXCEPTIONAL_POWER))
 
 
 def test_dip_scan_is_the_dense_scan_on_the_design_pool():
     # and at the exceptional point, where two poles merge
-    for op in (*_design_pool(), _MERGED):
+    for op in (*design_pool(), _MERGED):
         assert eit_linewidth_scan(op) == _dense_scan(op)
 
 
@@ -405,7 +399,7 @@ def test_dip_scan_evaluates_a_tenth_of_the_grid_at_most(monkeypatch):
     monkeypatch.setattr(kernels, "transmission",
                         lambda w, op: points.append(np.size(w))
                         or evaluate(w, op))
-    for op in (*_design_pool(), _MERGED):
+    for op in (*design_pool(), _MERGED):
         points.clear()
         eit_linewidth_scan(op)
         assert 0 < sum(points) <= 0.1 * 200001
@@ -428,7 +422,7 @@ def test_cell_bounds_enclose_the_kernel():
     # on a third of the design pool and at the exceptional point every
     # cell has a finite upper bound, and each holds every value the kernel
     # computes
-    for op in (*list(_design_pool())[::3], _MERGED):
+    for op in (*list(design_pool())[::3], _MERGED):
         assert np.all(np.isfinite(_assert_bounds_enclose(op)))
 
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 import os
 import random
@@ -21,11 +20,13 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       thermal_noise, transmission_T, vacuum_noise)
 from omrouter import kernels, stability
 from omrouter.operating_point import HBAR, KB
-from test_empty_cavity import _mp_band_integrals
+from oracles import (BANDWIDTHS, COLD_BATHS, DETUNINGS, EXCEPTIONAL_POWER,
+                     POWERS, TEMPS, WM, band_integrals, band_sum,
+                     bright_points, drive_on_report, hierarchy_draw,
+                     static_bound_draw)
 
 import omrouter
 
-WM = default_params().mech_freq
 # a bath at which hbar*omega/(kB*T) passes 0.01 on the default band, so
 # that St's integral takes the 16-node Gauss-Legendre rule
 _SUB_MK_BATH = 0.5e-3
@@ -206,24 +207,6 @@ def _default_band(op):
     return 0.5 * op.mech_freq, 1.5 * op.mech_freq
 
 
-def _band_residues(num, poles, lo, hi):
-    """int_lo^hi num(w) / prod(w - p) dw over simple poles p, exactly.
-
-    num is a polynomial of degree below len(poles) - 1, so the integral is
-    the sum over the poles of residue*[log(hi-p) - log(lo-p)], the residue
-    being num(p)/prod(p - q) over the other poles q; no pole is real, so
-    the principal logarithm is continuous along the band.
-    """
-    total = 0j
-    for i, p in enumerate(poles):
-        residue = num(p)
-        for j, q in enumerate(poles):
-            if j != i:
-                residue /= p - q
-        total += residue * (cmath.log(hi - p) - cmath.log(lo - p))
-    return total.real
-
-
 def _line_poles(op):
     center, gamma = op.input_center, op.input_bandwidth
     return [center + 1j * gamma, center - 1j * gamma]
@@ -234,7 +217,7 @@ def _two_lorentzian_band_integral(lo, hi, center, gamma, delta, width):
                  * width^2/((w-delta)^2+width^2) dw, exactly."""
     poles = (center + 1j * gamma, center - 1j * gamma,
              delta + 1j * width, delta - 1j * width)
-    return gamma / math.pi * width * width * _band_residues(
+    return gamma / math.pi * width * width * band_sum(
         lambda p: 1.0, poles, lo, hi)
 
 
@@ -262,7 +245,7 @@ def test_drive_off_reflection_of_narrow_lines_against_residues(width):
     lo, hi = _default_band(op)
     delta, kappa2 = op.eff_detuning, 2.0 * op.cavity_decay
     poles = _line_poles(op) + [delta + 1j * kappa2, delta - 1j * kappa2]
-    refl = op.input_bandwidth / math.pi * _band_residues(
+    refl = op.input_bandwidth / math.pi * band_sum(
         lambda p: (p - delta) ** 2, poles, lo, hi)
     mass = lorentzian_band_mass(lo, hi, op.input_center, op.input_bandwidth)
     rep = routing_probabilities(op)
@@ -311,11 +294,11 @@ def test_drive_on_band_integrals_against_residues(power, width):
     poles = noise_poles + _line_poles(op)
     rep = routing_probabilities(op)
     assert rep.p_reflect * mass == pytest.approx(
-        scale * _band_residues(abs2(r_num), poles, lo, hi), rel=1e-10, abs=0.0)
+        scale * band_sum(abs2(r_num), poles, lo, hi), rel=1e-10, abs=0.0)
     assert rep.p_transmit * mass == pytest.approx(
-        scale * _band_residues(abs2(e_num), poles, lo, hi), rel=1e-10, abs=0.0)
-    sv = _band_residues(lambda p: kernels.sv_numerator(op) / (m * m),
-                        noise_poles, lo, hi)
+        scale * band_sum(abs2(e_num), poles, lo, hi), rel=1e-10, abs=0.0)
+    sv = band_sum(lambda p: kernels.sv_numerator(op) / (m * m),
+                  noise_poles, lo, hi)
     assert rep.vacuum_leak * op.mech_freq == pytest.approx(sv, rel=1e-10,
                                                            abs=0.0)
 
@@ -414,10 +397,10 @@ def test_drive_off_probabilities_sum_to_one(params):
 @given(params=_dark_points)
 def test_drive_off_closed_form_against_quadrature(params):
     # the drive-off report comes from the empty cavity's closed form; its
-    # 50-digit residues (tests/test_empty_cavity.py) are the reference
+    # 50-digit residues (oracles.band_integrals) are the reference
     op = derive_operating_point(params)
     rep = routing_probabilities(op)
-    mass, refl, trans = _mp_band_integrals(
+    mass, refl, trans = band_integrals(
         *rep.band, op.input_center, op.input_bandwidth, op.eff_detuning,
         op.cavity_decay)
     assert rep.p_reflect == pytest.approx(refl / mass, rel=1e-10, abs=0.0)
@@ -468,12 +451,11 @@ def test_non_finite_closed_form_raises():
 
 # the benchmark's routing pool: no report, drive on or off, at any bath
 # temperature of the pool, evaluates a channel on a grid
-@pytest.mark.parametrize("power", [0.0, 1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6,
-                                   12e-6, 15e-6, 18e-6, 20e-6])
+@pytest.mark.parametrize("power", [0.0, *POWERS])
 def test_pool_reports_take_at_most_two_passes(power, monkeypatch):
     _no_grid(monkeypatch)
-    for temp in (0.0, 10e-3, 20e-3, 30e-3, 40e-3, 50e-3):
-        for width in (0.001, 0.002, 0.005, 0.01, 0.015, 0.02):
+    for temp in TEMPS:
+        for width in BANDWIDTHS:
             rep = routing_probabilities(_op(drive_power=power, bath_temp=temp,
                                             input_bandwidth=width * WM))
             assert all(math.isfinite(v) for v in _report_values(rep))
@@ -501,7 +483,7 @@ def test_uncertified_report_raises(op_5uw, monkeypatch):
 def test_quadrature_of_a_finite_st_at_an_extreme_bath_is_finite():
     # at 1e305 K St is finite (3e305 at omega_m), and so is its band
     # integral, at the exceptional point (a cluster of poles) and at 5 uW
-    for power in (_EP, 5e-6):
+    for power in (EXCEPTIONAL_POWER, 5e-6):
         rep = routing_probabilities(_op(drive_power=power, bath_temp=1e305))
         assert rep.thermal_leak == pytest.approx(4.54e304, rel=1e-2)
 
@@ -537,152 +519,12 @@ def test_default_report_loads_no_gauss_legendre_table():
 
 # ----------------------------------------- the drive-on closed form
 
-# the default geometry's exceptional point [W], where two poles of d merge
-_EP = 5.2507297778e-6
-
-
-def _mp_polymul(p, q):
-    out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
-def _mp_drive_on_report(op, lo, hi):
-    """(p_reflect, p_transmit, vacuum_leak, thermal_leak) at 50 digits.
-
-    The float fields of op are taken exactly.  On the axis u = omega/omega_m
-    every channel is a ratio over |D(u)|^2, D = d/(m*omega_m^4) being a
-    monic quartic, whose zeros mpmath.polyroots finds.  Each rational band
-    integral is the sum over its poles p of residue*[log(b-p) - log(a-p)].
-    St carries the true Bose factor: its numerator n(u)*B(theta*u), with
-    B(x) = x/(e^x - 1) and theta = hbar*omega_m/(kB*T), is not a
-    polynomial.  Dividing n times B's Taylor series to x^30 by |D|^2 leaves
-    a polynomial part S, integrated exactly, and a remainder equal to
-    n*B at the poles, integrated by residues.  The series' terms fall like
-    (theta*b/(2*pi))^k, so they reach 1e-15 only while theta*b < 2 (about
-    5 uK on the default band); at colder baths St is the 30-digit
-    mpmath.quad of :func:`_mp_thermal_quad` instead.
-    """
-    with mpmath.workdps(50):
-        mpf, mpc = mpmath.mpf, mpmath.mpc
-        wm = mpf(op.mech_freq)
-        k = mpf(op.cavity_decay) / wm
-        gm = mpf(op.gamma_m) / wm
-        dl = mpf(op.eff_detuning) / wm
-        h = (mpf(HBAR) * mpf(kernels.coupling(op))
-             / (mpf(op.eff_mass) * wm ** 3))
-        a, b = mpf(lo) / wm, mpf(hi) / wm
-        c, gw = mpf(op.input_center) / wm, mpf(op.input_bandwidth) / wm
-        i = mpc(0, 1)
-        # ascending coefficients of D
-        d = _mp_polymul([mpc(1), -i * gm, mpc(-1)],
-                        [(2 * k) ** 2 + dl ** 2, -4 * i * k, mpc(-1)])
-        d[0] -= 2 * h * dl
-        zeros = mpmath.polyroots(d[::-1], maxsteps=500, extraprec=400)
-        noise_poles = list(zeros) + [mpmath.conj(z) for z in zeros]
-        line_poles = [mpc(c, gw), mpc(c, -gw)]
-
-        def band(num, poles):
-            total = mpc(0)
-            for j, p in enumerate(poles):
-                residue = num(p)
-                for m, q in enumerate(poles):
-                    if m != j:
-                        residue /= p - q
-                total += residue * (mpmath.log(b - p) - mpmath.log(a - p))
-            return total.real
-
-        def d_at(u):
-            return sum(coef * u ** n for n, coef in enumerate(d))
-
-        def e_num(u):
-            return 2 * k * ((1 - u * u - i * gm * u) * (2 * k - i * (dl + u))
-                            + i * h)
-
-        def abs2(f):
-            return lambda p: f(p) * mpmath.conj(f(mpmath.conj(p)))
-
-        weight = gw / mpmath.pi
-        mass = (mpmath.atan((b - c) / gw) - mpmath.atan((a - c) / gw)) \
-            / mpmath.pi
-        refl = weight * band(abs2(lambda u: e_num(u) - d_at(u)),
-                             noise_poles + line_poles)
-        trans = weight * band(abs2(e_num), noise_poles + line_poles)
-        sv = 8 * (k * h) ** 2 * band(lambda p: mpc(1), noise_poles)
-        st = mpf(0)
-        kbt = mpf(KB) * mpf(op.bath_temp)
-        if kbt and mpf(HBAR) * wm / kbt * b >= 2:
-            return tuple(float(v) for v in (refl / mass, trans / mass, sv)) \
-                + (_mp_thermal_quad(op, lo, hi),)
-        if kbt:
-            theta = mpf(HBAR) * wm / kbt
-            side = [dl ** 2 + 4 * k * k, 2 * dl, mpf(1)]
-            series = [mpmath.bernoulli(n) / mpmath.factorial(n) * theta ** n
-                      for n in range(31)]
-            num = _mp_polymul(side, series)
-            denom = _mp_polymul(d, [mpmath.conj(x) for x in d])
-            part = mpc(0)
-            for deg in range(len(num) - 1, 7, -1):
-                coef = num[deg]
-                part += coef * (b ** (deg - 7) - a ** (deg - 7)) / (deg - 7)
-                for n in range(9):
-                    num[deg - 8 + n] -= coef * denom[n]
-
-            def bose(p):
-                x = theta * p
-                return (p * p + 2 * dl * p + dl ** 2 + 4 * k * k) \
-                    * x / mpmath.expm1(x)
-
-            st = 4 * k * gm * h / theta * (band(bose, noise_poles)
-                                           + part.real)
-        return tuple(float(v) for v in (refl / mass, trans / mass, sv, st))
-
-
-def _mp_thermal_quad(op, lo, hi):
-    """The thermal leak by a 30-digit mpmath.quad of St on u = omega/omega_m.
-
-    The band is cut at the real parts of d's zeros, at r +- |Im z|*4^k
-    around each, and at a + 2^k/theta, where B(theta*u) falls by e^-2^k:
-    the integrand's narrow features.
-    """
-    with mpmath.workdps(30):
-        mpf, mpc = mpmath.mpf, mpmath.mpc
-        wm = mpf(op.mech_freq)
-        k = mpf(op.cavity_decay) / wm
-        gm = mpf(op.gamma_m) / wm
-        dl = mpf(op.eff_detuning) / wm
-        h = (mpf(HBAR) * mpf(kernels.coupling(op))
-             / (mpf(op.eff_mass) * wm ** 3))
-        a, b = mpf(lo) / wm, mpf(hi) / wm
-        theta = mpf(HBAR) * wm / (mpf(KB) * mpf(op.bath_temp))
-        i = mpc(0, 1)
-        d = _mp_polymul([mpc(1), -i * gm, mpc(-1)],
-                        [(2 * k) ** 2 + dl ** 2, -4 * i * k, mpc(-1)])
-        d[0] -= 2 * h * dl
-        zeros = mpmath.polyroots(d[::-1], maxsteps=500, extraprec=300)
-
-        def st(u):
-            x = theta * u
-            return ((u + dl) ** 2 + 4 * k * k) * x / mpmath.expm1(x) \
-                / abs(mpmath.polyval(d[::-1], u)) ** 2
-
-        cuts = {a, b}
-        for z in zeros:
-            cuts.update(z.real + s * abs(z.imag) * 4 ** n
-                        for s in (-1, 0, 1) for n in range(4))
-        cuts.update(a + mpf(2) ** n / theta for n in range(7))
-        total = mpmath.quad(st, sorted(c for c in cuts if a <= c <= b))
-        return float(4 * k * gm * h / theta * total)
-
-
 def _report_values(rep):
     return (rep.p_reflect, rep.p_transmit, rep.vacuum_leak, rep.thermal_leak)
 
 
 def _assert_near_oracle(rep, op, rel=1e-12):
-    exact = _mp_drive_on_report(op, *rep.band)
+    exact = drive_on_report(op, *rep.band)
     for name, value, ref in zip(("p_reflect", "p_transmit", "vacuum_leak",
                                  "thermal_leak"), _report_values(rep), exact):
         assert value == pytest.approx(ref, rel=rel, abs=0.0), name
@@ -693,8 +535,9 @@ _WIDTHS_AND_BATHS = ((1e-12, 20e-3), (1e-6, 0.0), (1e-3, 0.3), (0.02, 20e-3),
 
 
 @pytest.mark.parametrize("center", [0.95, 1.0, 1.05])
-@pytest.mark.parametrize("power", [1e-6, 5e-6, 20e-6, _EP * 0.99,
-                                   _EP * 1.01])
+@pytest.mark.parametrize("power", [1e-6, 5e-6, 20e-6,
+                                   EXCEPTIONAL_POWER * 0.99,
+                                   EXCEPTIONAL_POWER * 1.01])
 def test_drive_on_closed_form_against_mpmath(power, center):
     # off-centre lines, widths from 1e-12*omega_m, and powers 1% from the
     # exceptional point: every report is a closed form, within 1e-12 of
@@ -710,7 +553,7 @@ def test_drive_on_closed_form_across_the_exceptional_point():
     # cancel: such a cluster is summed by a contour integral about it
     for step in (0.0, 1e-9, 1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1):
         for sign in ((1.0,) if step == 0.0 else (1.0, -1.0)):
-            op = _op(drive_power=_EP * (1.0 + sign * step))
+            op = _op(drive_power=EXCEPTIONAL_POWER * (1.0 + sign * step))
             _assert_near_oracle(routing_probabilities(op), op)
 
 
@@ -730,7 +573,7 @@ def test_drive_on_closed_form_with_the_line_on_a_pole():
 def test_drive_on_closed_form_of_three_merged_poles():
     # at the exceptional point, a line of half-width 0.1*omega_m centred on
     # the merged pole makes a cluster of three
-    op = _op(drive_power=_EP, input_center=0.994988 * WM,
+    op = _op(drive_power=EXCEPTIONAL_POWER, input_center=0.994988 * WM,
              input_bandwidth=0.1 * WM)
     poles = [z.conjugate() for z in routing._hurwitz_zeros(
         kernels.reduced(op))[0]] + [complex(0.994988, 0.1)]
@@ -750,7 +593,7 @@ def test_drive_on_closed_form_of_weak_drives(overrides):
     _assert_near_oracle(routing_probabilities(op), op)
 
 
-@pytest.mark.parametrize("power", [5e-6, _EP])
+@pytest.mark.parametrize("power", [5e-6, EXCEPTIONAL_POWER])
 @pytest.mark.parametrize("temp", [0.0, 10e-9, 0.1e-6, 1e-6, 10e-6, 0.5e-3,
                                   20e-3, 0.3])
 def test_drive_on_closed_form_at_any_bath(power, temp):
@@ -768,34 +611,8 @@ def test_thermal_leak_is_zero_where_b_underflows_on_the_band():
     assert routing_probabilities(_op(bath_temp=1e-9)).thermal_leak == 0.0
 
 
-# drive on, inside gamma_m << kappa << omega_m, with lines off center; the
-# power scales with omega_m^3 so that the drive's share of d stays near
-# the default point's
-_bright_points = st.builds(
-    lambda log_wm, log_kappa, log_gamma, detuning, log_width, center, temp,
-    log_power:
-        replace(default_params(),
-                mech_freq=10 ** log_wm,
-                cavity_decay=10 ** (log_wm + log_kappa),
-                quality=10 ** -(log_kappa + log_gamma),
-                eff_detuning=detuning * 10 ** log_wm,
-                input_bandwidth=10 ** (log_wm + log_width),
-                input_center=center * 10 ** log_wm,
-                drive_power=10 ** log_power * (10 ** log_wm / WM) ** 3,
-                bath_temp=temp),
-    log_wm=st.floats(5.0, 6.5),
-    log_kappa=st.floats(-1.3, -1.0),
-    log_gamma=st.floats(-4.0, -1.05),
-    detuning=st.floats(0.8, 1.2),
-    log_width=st.floats(-6.0, -1.5),
-    center=st.floats(0.9, 1.1),
-    temp=st.floats(0.0, 0.3),
-    log_power=st.floats(-7.0, -4.7),
-)
-
-
 @settings(deadline=None, max_examples=50)
-@given(params=_bright_points)
+@given(params=bright_points)
 def test_reduced_model_is_d_in_units_of_omega_m(params):
     # the record's monic quartic D = mech*cav - dd, expanded from its
     # factors, times m*omega_m^(4-k), is d_polynomial_coeffs to within
@@ -849,7 +666,7 @@ def test_reduced_model_never_reads_a_hot_bath_as_zero_kelvin():
 
 
 @settings(deadline=None, max_examples=50)
-@given(params=_bright_points)
+@given(params=bright_points)
 def test_drive_on_closed_form_against_quadrature(params):
     # within 1e-12 of the 50-digit residues while their Bose series holds
     # (theta*b < 2); at colder baths, where the thermal rule's error grows
@@ -860,6 +677,17 @@ def test_drive_on_closed_form_against_quadrature(params):
     warm = kernels.reduced(op)[5] * 1.5 < 2.0
     _assert_near_oracle(routing._residue_report(op, *_default_band(op)), op,
                         rel=1e-12 if warm else 1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalFailureError,
+                   reason="St's terms cancel by more than the 1e-10 "
+                   "estimate allows at these baths")
+@pytest.mark.parametrize("case", list(COLD_BATHS))
+def test_cold_bath_report_against_the_exact_model(case):
+    # points of bright_points' ranges that routing refuses at a bath of 1 to
+    # 100 nK; each report is to be within 1e-12 of the 50-digit residues
+    op = derive_operating_point(COLD_BATHS[case])
+    _assert_near_oracle(routing_probabilities(op), op)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -889,112 +717,52 @@ def test_drive_on_closed_form_next_to_the_red_static_bound():
     _assert_near_oracle(routing._residue_report(op, *_default_band(op)), op)
 
 
-def _static_bound_draw(rng):
-    """A stable point at T = 0 whose a0 is 3e-4 to 0.1 of c0."""
-    while True:
-        wm = 10 ** rng.uniform(3.0, 7.0)
-        kappa = wm * 10 ** rng.uniform(-2.0, -1.0)
-        base = replace(default_params(), mech_freq=wm, cavity_decay=kappa,
-                       quality=wm / (kappa * 10 ** rng.uniform(-4.0, -1.0)),
-                       eff_detuning=wm * rng.uniform(0.5, 1.5),
-                       input_bandwidth=wm * 10 ** rng.uniform(
-                           -4.0, math.log10(3e-2)),
-                       input_center=wm * rng.uniform(0.9, 1.1),
-                       bath_temp=0.0, drive_power=1e-9)
-        k2, _, dl, dd = kernels.reduced(derive_operating_point(base))[:4]
-        ratio = 10 ** rng.uniform(math.log10(3e-4), -1.0)
-        op = derive_operating_point(replace(
-            base, drive_power=1e-9 * (k2 * k2 + dl * dl) * (1.0 - ratio) / dd))
-        if kernels.is_stable(op):
-            return op
+def _errors_and_estimates(monkeypatch, draw, rng, count):
+    """(error, estimate) of each value of the reports at ``count`` points
+    of ``draw(rng)``, the error against the 50-digit residues."""
+    found = []
+    integrals = routing._residue_integrals
+
+    def kept(*args):
+        found.append(integrals(*args))
+        return found[-1]
+
+    monkeypatch.setattr(routing, "_residue_integrals", kept)
+    eps = sys.float_info.epsilon
+    for _ in range(count):
+        op = draw(rng)
+        rep = routing._residue_report(op, *_default_band(op))
+        _, backward, cancel, condition = found[-1]
+        estimate = eps * cancel + max(backward, eps) * condition
+        for value, ref in zip(_report_values(rep),
+                              drive_on_report(op, *rep.band)):
+            err = abs(value - ref) / abs(ref) if ref else abs(value)
+            yield err, estimate
 
 
 def test_certified_reports_next_to_the_red_static_bound(monkeypatch):
     # each certified report is within 4 times its estimate and within 1e-10
     # of the 50-digit residues, where the zero next to u = 0 carries most
     # of the sums' terms (the first 50 points of a seeded draw)
-    found = []
-    integrals = routing._residue_integrals
-
-    def kept(*args):
-        found.append(integrals(*args))
-        return found[-1]
-
-    monkeypatch.setattr(routing, "_residue_integrals", kept)
-    rng = random.Random(5)
-    for _ in range(50):
-        op = _static_bound_draw(rng)
-        rep = routing._residue_report(op, *_default_band(op))
-        _, backward, cancel, condition = found[-1]
-        eps = sys.float_info.epsilon
-        estimate = eps * cancel + max(backward, eps) * condition
-        for value, ref in zip(_report_values(rep),
-                              _mp_drive_on_report(op, *rep.band)):
-            err = abs(value - ref) / abs(ref) if ref else abs(value)
-            assert err <= min(4.0 * estimate, 1e-10)
-
-
-def _hierarchy_draw(rng):
-    """A stable drive-on point drawn by ``rng`` from _bright_points' ranges,
-    with T = 0 or a bath log-uniform from 1 mK to 0.3 K.
-
-    The routing module docstring's error bounds come from 600 points of
-    random.Random(11) and 3,000 of random.Random(1), each report against
-    :func:`_mp_drive_on_report`.
-    """
-    while True:
-        log_wm = rng.uniform(5.0, 6.5)
-        log_kappa = rng.uniform(-1.3, -1.0)
-        log_gamma = rng.uniform(-4.0, -1.05)
-        detuning = rng.uniform(0.8, 1.2)
-        log_width = rng.uniform(-6.0, -1.5)
-        center = rng.uniform(0.9, 1.1)
-        temp = 0.0 if rng.random() < 0.5 \
-            else 10 ** rng.uniform(-3.0, math.log10(0.3))
-        log_power = rng.uniform(-7.0, -4.7)
-        wm = 10 ** log_wm
-        op = derive_operating_point(replace(
-            default_params(), mech_freq=wm,
-            cavity_decay=10 ** (log_wm + log_kappa),
-            quality=10 ** -(log_kappa + log_gamma),
-            eff_detuning=detuning * wm,
-            input_bandwidth=10 ** (log_wm + log_width),
-            input_center=center * wm,
-            drive_power=10 ** log_power * (wm / WM) ** 3, bath_temp=temp))
-        if kernels.is_stable(op):
-            return op
+    for err, estimate in _errors_and_estimates(
+            monkeypatch, static_bound_draw, random.Random(5), 50):
+        assert err <= min(4.0 * estimate, 1e-10)
 
 
 def test_reports_within_the_docstring_s_bound(monkeypatch):
     # the first 90 points of the routing docstring's 600-point draw hold
     # its largest error, 3.82e-14 of a vacuum_leak, at 4.62 times the
     # estimate
-    found = []
-    integrals = routing._residue_integrals
-
-    def kept(*args):
-        found.append(integrals(*args))
-        return found[-1]
-
-    monkeypatch.setattr(routing, "_residue_integrals", kept)
-    rng = random.Random(11)
-    eps = sys.float_info.epsilon
     worst = 0.0
-    for _ in range(90):
-        op = _hierarchy_draw(rng)
-        rep = routing._residue_report(op, *_default_band(op))
-        _, backward, cancel, condition = found[-1]
-        estimate = eps * cancel + max(backward, eps) * condition
-        for value, ref in zip(_report_values(rep),
-                              _mp_drive_on_report(op, *rep.band)):
-            err = abs(value - ref) / abs(ref) if ref else abs(value)
-            assert err <= min(4.7 * estimate, 3.9e-14)
-            worst = max(worst, err / estimate)
+    for err, estimate in _errors_and_estimates(
+            monkeypatch, hierarchy_draw, random.Random(11), 90):
+        assert err <= min(4.7 * estimate, 3.9e-14)
+        worst = max(worst, err / estimate)
     assert worst > 4.0
 
 
 @settings(deadline=None, max_examples=50)
-@given(params=_bright_points, temp=st.floats(10e-3, 0.3))
+@given(params=bright_points, temp=st.floats(10e-3, 0.3))
 def test_thermal_leak_without_a_rule_is_the_rule_s(params, temp):
     # from 10 mK up B is its quartic on the band and at the poles, so the
     # rule's remainders cancel: St without them is within 1e-14 of St with
@@ -1054,13 +822,11 @@ def test_cluster_screen_groups_as_brute_force(poles, copies):
     assert set(map(frozenset, groups)) == _linked_groups(poles)
 
 
-# a third of the benchmark's design pool (list(_design_pool())[::3] of
-# tests/test_response.py): its points at T = 0, every zero set of the pool
+# a third of the benchmark's design pool (list(design_pool())[::3]): its
+# points at T = 0, every zero set of the pool
 _DESIGN_THIRD = [{"drive_power": power, "eff_detuning": detuning * WM,
                   "bath_temp": 0.0}
-                 for power in (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6,
-                               15e-6, 18e-6, 20e-6)
-                 for detuning in (0.95, 1.0, 1.05)]
+                 for power in POWERS for detuning in DETUNINGS]
 
 
 @pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")

@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,9 +15,8 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       switching_contrast)
 from omrouter.operating_point import HBAR
 from omrouter.stability import poles
-
-WM = default_params().mech_freq
-KAPPA = WM / 10.0
+from oracles import (DETUNINGS, EXCEPTIONAL_POWER, KAPPA, POWERS, WM,
+                     exactly_stable)
 
 
 def _op(power, detuning=WM):
@@ -67,9 +65,8 @@ def test_d_coefficients_are_the_direct_expansion_bit_for_bit():
     # x86-64, omega_m**2 rounds otherwise than omega_m*omega_m on 4 of the
     # sweep's 3,000 omega_m
     rng = np.random.default_rng(3000)
-    points = [_op(power, detuning * WM) for power in
-              (0.0, 1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6, 18e-6,
-               20e-6) for detuning in (0.95, 1.0, 1.05)]
+    points = [_op(power, detuning * WM) for power in (0.0, *POWERS)
+              for detuning in DETUNINGS]
     for _ in range(3000):
         wm = 10 ** rng.uniform(3.0, 8.0)
         points.append(derive_operating_point(replace(
@@ -154,11 +151,6 @@ def test_residual_guard_refuses_roots_it_cannot_size():
         eff_detuning=0.0, drive_power=0.0))
     with pytest.raises(NumericalFailureError, match="root residual inf"):
         assess_stability(op)
-
-
-# the default geometry's exceptional point, where the membrane pole and the
-# cavity pole merge: 5% above the 5 uW design drive
-EXCEPTIONAL_POWER = 5.2507297778e-6
 
 
 def test_assessment_holds_at_the_exceptional_point():
@@ -252,10 +244,6 @@ def test_search_rejects_bad_arguments():
 
 # ------------------------------------------------- exact Hurwitz threshold
 
-BLUE_POWERS = (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6, 18e-6,
-               20e-6)
-
-
 def _stable(params, power):
     return assess_stability(derive_operating_point(
         replace(params, drive_power=power))).stable
@@ -265,9 +253,9 @@ def _stable(params, power):
 def test_threshold_contract_holds_at_tight_tolerances(rel_tol):
     # the bisection over a root-sign verdict broke this at 1e-9 on three
     # of these thirty blue twins
-    for detuning in (0.95, 1.0, 1.05):
+    for detuning in DETUNINGS:
         blue = replace(default_params(), eff_detuning=-detuning * WM)
-        for p_max in BLUE_POWERS:
+        for p_max in POWERS:
             p = max_stable_power(blue, p_max, rel_tol=rel_tol)
             assert 0.0 < p < p_max
             assert _stable(blue, p)
@@ -329,28 +317,6 @@ def _hierarchy_params(draw):
                    eff_detuning=detuning)
 
 
-def _mp_stable(op):
-    """Stability from 50-digit roots of d(i*s)/m, built from the op's fields.
-
-    The float d_polynomial_coeffs are not used: their rounding moves the
-    threshold of the rounded polynomial far more than 1e-12.
-    """
-    with mpmath.workdps(50):
-        wm, gm, k = (mpmath.mpf(v) for v in (op.mech_freq, op.gamma_m,
-                                             op.cavity_decay))
-        delta, m = mpmath.mpf(op.eff_detuning), mpmath.mpf(op.eff_mass)
-        x = 2 * mpmath.mpf(HBAR) * mpmath.mpf(op.g) ** 2 \
-            * mpmath.mpf(op.n_cav) * delta / m
-        cav0 = 4 * k * k + delta * delta
-        # s = wm*z, monic in z
-        coeffs = [1, (4 * k + gm) / wm,
-                  (cav0 + 4 * k * gm + wm * wm) / wm ** 2,
-                  (gm * cav0 + 4 * k * wm * wm) / wm ** 3,
-                  (wm * wm * cav0 - x) / wm ** 4]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
-        return all(mpmath.re(r) < 0 for r in roots)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_threshold_brackets_the_exact_roots(data):
@@ -360,8 +326,8 @@ def test_threshold_brackets_the_exact_roots(data):
     assume(p < p_max)
     below = derive_operating_point(replace(params, drive_power=p * (1 - 1e-12)))
     above = derive_operating_point(replace(params, drive_power=p * (1 + 1e-12)))
-    assert _mp_stable(below) and kernels.is_stable(below)
-    assert not _mp_stable(above) and not kernels.is_stable(above)
+    assert exactly_stable(below) and kernels.is_stable(below)
+    assert not exactly_stable(above) and not kernels.is_stable(above)
 
 
 @settings(max_examples=60, deadline=None)

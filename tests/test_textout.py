@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from omrouter import default_params, derive_operating_point, output_spectra
 from omrouter import textout
 from omrouter.cli import _spectrum_columns
+from oracles import POWERS, TEMPS
 
 
 def _fields(values):
@@ -328,9 +329,7 @@ def test_repr_matches_json_on_exact_rounding_ties():
 def _spectrum_pool():
     """The values of 60 spectra: 10 drive powers x 6 bath temperatures."""
     return np.concatenate([
-        c for p in (1e-6, 2e-6, 3e-6, 5e-6, 7e-6, 10e-6, 12e-6, 15e-6,
-                    18e-6, 20e-6)
-        for t in (0.0, 10e-3, 20e-3, 30e-3, 40e-3, 50e-3)
+        c for p in POWERS for t in TEMPS
         for c in _spectrum_table(drive_power=p, bath_temp=t)])
 
 
