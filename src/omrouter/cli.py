@@ -62,7 +62,8 @@ import numpy as np
 from .errors import (InvalidParameterError, NumericalFailureError,
                      UnstableOperatingPointError)
 from .kernels import is_stable
-from .operating_point import SystemParams, derive_operating_point
+from .operating_point import (SystemParams, _interval, _real,
+                              derive_operating_point)
 from .response import output_spectra
 from .routing import _empty_cavity_report, routing_probabilities
 from .stability import assess_stability
@@ -86,14 +87,9 @@ _COLUMNS = ("omega_over_omega_m", "R", "T", "Sv", "St", "Scout", "Sdout")
 MAX_ROWS = 10_000_000
 
 
-def _num(value, key):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParameterError(f"config key {key!r} must be a number")
-    try:
-        return float(value)
-    except OverflowError:   # a json integer past the float range
-        raise InvalidParameterError(
-            f"config key {key!r} is past the float range") from None
+def _shown(value):
+    """A config value in a message: a string's repr, else the type."""
+    return repr(value) if isinstance(value, str) else type(value).__name__
 
 
 def _load_config(path):
@@ -122,19 +118,19 @@ def _resolve(args):
     units = cfg.get("units", "omega_m")
     if units not in ("omega_m", "rad_s"):
         raise InvalidParameterError(
-            f"units must be 'omega_m' or 'rad_s', got {units!r}")
+            f"units must be 'omega_m' or 'rad_s', got {_shown(units)}")
     defaults = SystemParams()
-    mech_freq = _num(cfg["mech_freq"], "mech_freq") if "mech_freq" in cfg \
+    mech_freq = _real("mech_freq", cfg["mech_freq"]) if "mech_freq" in cfg \
         else defaults.mech_freq
     scale = mech_freq if units == "omega_m" else 1.0
 
     kwargs = {"mech_freq": mech_freq}
     for key in _SI_KEYS:
         if key != "mech_freq" and key in cfg:
-            kwargs[key] = _num(cfg[key], key)
+            kwargs[key] = _real(key, cfg[key])
     for key in _FREQ_KEYS:
         if key in cfg:
-            kwargs[key] = _num(cfg[key], key) * scale
+            kwargs[key] = _real(key, cfg[key]) * scale
     if args.power is not None:
         kwargs["drive_power"] = args.power
     if args.temp is not None:
@@ -145,9 +141,9 @@ def _resolve(args):
         lo, hi, n = _parse_grid_flag(args.grid)
         lo, hi = lo * mech_freq, hi * mech_freq
     else:
-        lo = _num(cfg["grid_lo"], "grid_lo") * scale if "grid_lo" in cfg \
+        lo = _real("grid_lo", cfg["grid_lo"]) * scale if "grid_lo" in cfg \
             else 0.5 * mech_freq
-        hi = _num(cfg["grid_hi"], "grid_hi") * scale if "grid_hi" in cfg \
+        hi = _real("grid_hi", cfg["grid_hi"]) * scale if "grid_hi" in cfg \
             else 1.5 * mech_freq
         n = cfg.get("grid_n", 4001)
         if isinstance(n, bool) or not isinstance(n, int):
@@ -155,12 +151,8 @@ def _resolve(args):
     if n < 2:
         raise InvalidParameterError(f"grid needs at least 2 points, got {n}")
     _check_rows(n)
-    if not (0.0 < lo < hi):
-        raise InvalidParameterError(f"grid bounds must satisfy 0 < lo < hi, "
-                                    f"got ({lo!r}, {hi!r})")
-    if not math.isfinite(hi):   # np.linspace would form inf - inf
-        raise InvalidParameterError(
-            f"grid bounds must be finite in rad/s, got ({lo!r}, {hi!r})")
+    # finite in rad/s: np.linspace would form inf - inf
+    lo, hi = _interval("grid bounds in rad/s", (lo, hi))
     return params, (lo, hi, n), cfg, scale
 
 
@@ -255,10 +247,11 @@ def _sweep_params_list(cfg, base: SystemParams, scale: float):
     values = cfg.get("sweep_values")
     if param not in _SWEEP_PARAMS:
         raise InvalidParameterError(
-            f"sweep_param must be one of {_SWEEP_PARAMS}, got {param!r}")
+            f"sweep_param must be one of {_SWEEP_PARAMS}, got "
+            f"{_shown(param)}")
     if not isinstance(values, list) or not values:
         raise InvalidParameterError("sweep_values must be a non-empty list")
-    values = [_num(v, "sweep_values") for v in values]
+    values = [_real("sweep_values", v) for v in values]
     field = {"power": "drive_power", "temperature": "bath_temp",
              "detuning": "eff_detuning", "bandwidth": "input_bandwidth"}[param]
     unit = scale if param in ("detuning", "bandwidth") else 1.0

@@ -12,30 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .operating_point import _real
-
-
-def _numbers(name, value, kinds="iuf"):
-    """``value`` as an array whose dtype kind is in ``kinds``: integers and
-    floats, and complex numbers where ``kinds`` has "c".
-
-    Anything else raises InvalidParameterError naming ``name``.  That covers
-    strings, which are never parsed, and None, bools and ragged lists.  It
-    also covers ints past the int64 range, which numpy stores as objects.
-    """
-    what = ("integers in the int64 range, floats or complex numbers"
-            if "c" in kinds else "integers in the int64 range or floats")
-    try:
-        array = np.asarray(value)
-    except ValueError:   # a ragged nested list
-        raise InvalidParameterError(
-            f"{name} must be {what}, got a ragged list") from None
-    if array.dtype.kind not in kinds:
-        got = f"an array of {array.dtype}" if array.ndim \
-            else type(value).__name__
-        raise InvalidParameterError(f"{name} must be {what}, got {got}")
-    return array
+from .operating_point import _numbers, _real
 
 
 def _offset(omega, resonance, decay):
@@ -44,12 +21,8 @@ def _offset(omega, resonance, decay):
     Raises InvalidParameterError unless omega is finite real numbers,
     resonance a finite real number and decay one > 0.
     """
-    w = np.asarray(_numbers("omega", omega), dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise InvalidParameterError("omega must be finite")
-    decay = _real("decay", decay)
-    if not decay > 0.0:
-        raise InvalidParameterError(f"decay must be > 0, got {decay!r}")
+    w = np.asarray(_numbers("omega", omega, finite=True), dtype=float)
+    decay = _real("decay", decay, above=0.0)
     return w - _real("resonance", resonance), decay
 
 
@@ -73,17 +46,6 @@ def empty_transmittance(omega, resonance, decay):
     return k2 / (k2 + d * d)
 
 
-def _line(center, bandwidth):
-    """The line's center and half-width as floats; InvalidParameterError
-    unless both are finite real numbers and the half-width is > 0."""
-    center = _real("input_center", center)
-    bandwidth = _real("input_bandwidth", bandwidth)
-    if not bandwidth > 0.0:
-        raise InvalidParameterError(
-            f"input_bandwidth must be > 0, got {bandwidth!r}")
-    return center, bandwidth
-
-
 def lorentzian_input(omega, center, bandwidth):
     """Unit-mass Lorentzian line: (Gamma/pi) / ((omega-center)^2 + Gamma^2).
 
@@ -92,7 +54,8 @@ def lorentzian_input(omega, center, bandwidth):
     InvalidParameterError unless omega is real numbers, center a finite
     real number and bandwidth one > 0.
     """
-    center, bandwidth = _line(center, bandwidth)
+    center = _real("input_center", center)
+    bandwidth = _real("input_bandwidth", bandwidth, above=0.0)
     d = np.asarray(_numbers("omega", omega), dtype=float) - center
     return (bandwidth / math.pi) / (d * d + bandwidth * bandwidth)
 
@@ -105,7 +68,8 @@ def lorentzian_band_mass(lo, hi, center, bandwidth):
     InvalidParameterError unless the four arguments are finite real
     numbers and bandwidth is > 0.
     """
-    center, bandwidth = _line(center, bandwidth)
+    center = _real("input_center", center)
+    bandwidth = _real("input_bandwidth", bandwidth, above=0.0)
     lo, hi = _real("lo", lo), _real("hi", hi)
     return (math.atan((hi - center) / bandwidth)
             - math.atan((lo - center) / bandwidth)) / math.pi

@@ -32,8 +32,7 @@ import math
 import numpy as np
 
 from . import operating_point
-from .errors import (InvalidParameterError, NumericalFailureError,
-                     UnstableOperatingPointError)
+from .errors import NumericalFailureError, UnstableOperatingPointError
 from .operating_point import HBAR, KB
 
 # Grid kernels run in blocks of this many points, writing into preallocated
@@ -298,10 +297,7 @@ def thermal_weight(omega, op):
         When bath_temp is negative, NaN or infinite, as a point made by
         dataclasses.replace, which skips validation, can carry.
     """
-    if not 0.0 <= op.bath_temp < math.inf:
-        raise InvalidParameterError(
-            f"bath_temp must be >= 0 and finite, got {op.bath_temp!r}")
-    kbt = KB * op.bath_temp
+    kbt = KB * operating_point._real("bath_temp", op.bath_temp, at_least=0.0)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     amp = 2.0 * HBAR * op.gamma_m * op.eff_mass
 

@@ -28,6 +28,8 @@ import numbers
 import warnings
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import InvalidParameterError, RegimeWarning
 
 TWO_PI = 2.0 * math.pi
@@ -45,10 +47,7 @@ from . import kernels  # noqa: E402
 _HIERARCHY_FACTOR = 10.0
 _HIERARCHY_SLACK = 1.0 - 1e-9
 
-# the fields validate requires > 0 (input_bandwidth where it is not None)
-_POSITIVE = ("wavelength", "cavity_length", "eff_mass", "mech_freq",
-             "quality", "cavity_decay", "input_bandwidth")
-# the numbers validate accepts, float first: a check against the abstract
+# the numbers _real accepts, float first: a check against the abstract
 # numbers.Real alone is several times slower for a float
 _REAL = (float, numbers.Real)
 
@@ -76,10 +75,14 @@ class SystemParams:
     input_bandwidth: float | None = None           # probe HWHM [rad/s]
 
 
-# validate's checks, as (field, may be None, must be > 0, must be >= 0)
-_CHECKS = tuple((f.name, f.default is None, f.name in _POSITIVE,
-                 f.name in ("drive_power", "bath_temp"))
-                for f in fields(SystemParams))
+# validate's checks, as (field, may be None, at_least, above): each field
+# is >= 0, > 0 or unbounded
+_CHECKS = tuple(
+    (f.name, f.default is None) + (
+        (0.0, None) if f.name in ("drive_power", "bath_temp")
+        else (None, None) if f.name in ("eff_detuning", "input_center")
+        else (None, 0.0))
+    for f in fields(SystemParams))
 
 
 def default_params() -> SystemParams:
@@ -87,16 +90,21 @@ def default_params() -> SystemParams:
     return SystemParams()
 
 
-def _real(name, value) -> float:
+# The three checks of every argument a caller passes.  A refusal names the
+# argument and shows a parsed float or a type, never the argument: the
+# repr of an int of more than 4,300 digits raises ValueError.
+def _real(name, value, *, at_least=None, above=None, below=None) -> float:
     """``value`` as a finite float, or InvalidParameterError naming ``name``.
 
     A finite numbers.Real other than a bool; an int past the float range is
-    refused, not rounded.  A float, what callers pass, is tested first.
+    refused, not rounded.  Where given, the float must be >= ``at_least``,
+    > ``above`` and < ``below``.  A float, what callers pass, is tested
+    first.
     """
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, _REAL):
             raise InvalidParameterError(
-                f"{name} must be a real number, got {value!r}")
+                f"{name} must be a real number, got {type(value).__name__}")
         try:
             value = float(value)
         except OverflowError:   # an int past the float range
@@ -104,7 +112,64 @@ def _real(name, value) -> float:
                 f"{name} is past the float range") from None
     if value - value != 0.0:   # inf or NaN
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    if at_least is not None and not value >= at_least:
+        raise InvalidParameterError(
+            f"{name} must be >= {at_least:g}, got {value!r}")
+    if above is not None and not value > above:
+        raise InvalidParameterError(
+            f"{name} must be > {above:g}, got {value!r}")
+    if below is not None and not value < below:
+        raise InvalidParameterError(
+            f"{name} must be < {below:g}, got {value!r}")
     return value
+
+
+def _numbers(name, value, kinds="iuf", finite=False):
+    """``value`` as an array whose dtype kind is in ``kinds``: integers and
+    floats, and complex numbers where ``kinds`` has "c"; every value
+    finite where ``finite``.
+
+    Anything else raises InvalidParameterError naming ``name``.  That covers
+    strings, which are never parsed, and None, bools and ragged lists.  It
+    also covers ints past the int64 range, which numpy stores as objects.
+    """
+    what = ("integers in the int64 range, floats or complex numbers"
+            if "c" in kinds else "integers in the int64 range or floats")
+    try:
+        array = np.asarray(value)
+    except ValueError:   # a ragged nested list
+        raise InvalidParameterError(
+            f"{name} must be {what}, got a ragged list") from None
+    if array.dtype.kind not in kinds:
+        got = f"an array of {array.dtype}" if array.ndim \
+            else type(value).__name__
+        raise InvalidParameterError(f"{name} must be {what}, got {got}")
+    if finite and not np.all(np.isfinite(array)):
+        raise InvalidParameterError(f"{name} must be finite")
+    return array
+
+
+def _interval(name, value):
+    """``value`` as two floats 0 < lo < hi, else InvalidParameterError
+    naming ``name``.
+
+    Each is a finite real number other than a bool (:func:`_real`: no
+    string is parsed, no int past the float range rounded).
+    """
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"bad {name}: not two numbers, got {type(value).__name__}") \
+            from None
+    try:
+        lo, hi = _real("lo", lo), _real("hi", hi)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"bad {name}: {exc}") from None
+    if not 0.0 < lo < hi:
+        raise InvalidParameterError(
+            f"bad {name} ({lo!r}, {hi!r}): not 0 < lo < hi")
+    return lo, hi
 
 
 def _system_params(params) -> SystemParams:
@@ -146,15 +211,10 @@ def validate(params: SystemParams) -> None:
         picture degrades, so this is advisory rather than fatal.
     """
     _system_params(params)
-    for name, optional, positive, non_negative in _CHECKS:
+    for name, optional, at_least, above in _CHECKS:
         value = getattr(params, name)
-        if value is None and optional:
-            continue
-        _real(name, value)
-        if positive and value <= 0.0:
-            raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
-        if non_negative and value < 0.0:
-            raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
+        if value is not None or not optional:
+            _real(name, value, at_least=at_least, above=above)
 
     gamma_m = params.mech_freq / params.quality
     kappa = params.cavity_decay

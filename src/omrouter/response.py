@@ -36,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .empty_cavity import _numbers, lorentzian_input
+from .empty_cavity import lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
 from .kernels import _ROUND
-from .operating_point import HBAR, OperatingPoint, _operating_point, _real
+from .operating_point import (HBAR, OperatingPoint, _interval, _numbers,
+                              _operating_point)
 
 _SCAN_POINTS = 200001   # points of the dip scan's grid
 _CELL = 64              # grid points per cell of the dip scan's bounds
@@ -62,11 +63,9 @@ def denominator_d(omega, op: OperatingPoint):
     NumericalFailureError.
     """
     _operating_point(op)
-    w = _numbers("omega", omega, "iufc")
+    w = _numbers("omega", omega, "iufc", finite=True)
     if w.dtype.kind in "iu":
         w = w.astype(float)
-    if not np.all(np.isfinite(w)):
-        raise InvalidParameterError("omega must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         d = kernels.denominator(kernels.mech_factor(w, op),
                                 kernels.cav_factor(w, op), op)
@@ -102,6 +101,13 @@ def _channel(omega, op: OperatingPoint, row):
     return float(val[0]) if np.ndim(omega) == 0 else val
 
 
+@kernels._finite
+def _amplitude(w, op):
+    """E and d from the grid kernel, behind its floating-point guard,
+    which is wrapped once here rather than on every call."""
+    return kernels._amplitude(w, op)
+
+
 def response_E(omega, op: OperatingPoint):
     """Transmitted probe amplitude E(omega).
 
@@ -126,8 +132,7 @@ def response_E(omega, op: OperatingPoint):
         :func:`omrouter.kernels.scale`, which on the real axis only
         happens next to an instability threshold, or E is not finite.
     """
-    e, _ = kernels._finite(kernels._amplitude)(_checked(omega, op, "iufc"),
-                                               op)
+    e, _ = _amplitude(_checked(omega, op, "iufc"), op)
     return complex(e) if np.ndim(omega) == 0 else e
 
 
@@ -191,29 +196,6 @@ class ChannelSpectra:
     Sdout: np.ndarray   # total transmitted-port output density
 
 
-def _interval(name, value):
-    """``value`` as two floats 0 < lo < hi, else InvalidParameterError
-    naming ``name``.
-
-    Each is a finite real number other than a bool
-    (:func:`omrouter.operating_point._real`: no string is parsed, no int
-    past the float range rounded).  The message shows the parsed floats or
-    the type, never ``value`` itself: the repr of an int of more than 4,300
-    digits raises ValueError.
-    """
-    try:
-        lo, hi = value
-        lo, hi = _real("lo", lo), _real("hi", hi)
-    except (TypeError, ValueError, InvalidParameterError):
-        raise InvalidParameterError(
-            f"bad {name}: not two finite real numbers, got "
-            f"{type(value).__name__}") from None
-    if not 0.0 < lo < hi:
-        raise InvalidParameterError(
-            f"bad {name} ({lo!r}, {hi!r}): not 0 < lo < hi")
-    return lo, hi
-
-
 def _require_finite_d2(top, op: OperatingPoint):
     """Raise NumericalFailureError unless the square of d's size at omega =
     top, a grid's largest, is finite; no float power can overflow here."""
@@ -228,11 +210,11 @@ def _require_finite_d2(top, op: OperatingPoint):
 
 
 def _check_grid(grid) -> np.ndarray:
-    g = np.asarray(_numbers("grid", grid), dtype=float)
+    g = np.asarray(_numbers("grid", grid, finite=True), dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise InvalidParameterError("grid must be 1-d with at least 2 points")
-    if not np.all(np.isfinite(g)) or g[0] <= 0.0:
-        raise InvalidParameterError("grid must be finite and strictly positive")
+    if g[0] <= 0.0:
+        raise InvalidParameterError("grid must be strictly positive")
     if not np.all(g[1:] > g[:-1]):
         raise InvalidParameterError("grid must be strictly increasing")
     return g
@@ -302,10 +284,12 @@ def default_grid(op: OperatingPoint, n_points: int = 4001) -> np.ndarray:
     InvalidParameterError unless op is an OperatingPoint and n_points is an
     int >= 2 whose 8*n_points bytes numpy can size."""
     _operating_point(op)
-    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) \
-            or n_points < 2:
+    whole = isinstance(n_points, numbers.Integral) \
+        and not isinstance(n_points, bool)
+    if not whole or n_points < 2:
         raise InvalidParameterError(
-            f"n_points must be an int >= 2, got {n_points!r}")
+            "n_points must be an int >= 2, got "
+            + ("one below 2" if whole else type(n_points).__name__))
     if n_points > np.iinfo(np.intp).max // 8:
         raise InvalidParameterError(
             "n_points is more than an array may hold: numpy cannot size "

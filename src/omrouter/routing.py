@@ -89,13 +89,12 @@ from .empty_cavity import (_band_log, _lorentzian_band_integrals,
                            lorentzian_band_mass)
 from .errors import InvalidParameterError, NumericalFailureError
 from .kernels import _ROUND, RECORD
-from .operating_point import (OperatingPoint, SystemParams, _real,
-                              _system_params, derive_operating_point)
+from .operating_point import (OperatingPoint, SystemParams, _interval,
+                              _real, _system_params, derive_operating_point)
 # Not used here.  perfbench/tracer.py wraps these names in this module as
 # its response.pointwise layer and reports the layer absent without them.
 from .response import (reflection_R, thermal_noise,  # noqa: F401
                        transmission_T, vacuum_noise)
-from .response import _interval
 
 # the band must cover the line core, center +- one half-width; wider lines
 # legitimately spill outside the band (that spillage is the physics of a
@@ -144,15 +143,15 @@ def _empty_cavity_report(op: OperatingPoint, lo: float, hi: float):
     Raises
     ------
     NumericalFailureError
-        When a probability is not finite, or a ratio under a logarithm
-        underflows to 0: the cavity or the line is too narrow or too far
-        away for the float range.
+        When a probability is not finite, a pole factor divides by zero
+        or a ratio under a logarithm underflows to 0: the cavity or the
+        line is too narrow or too far away for the float range.
     """
     try:
         mass, refl, trans = _lorentzian_band_integrals(
             lo, hi, op.input_center, op.input_bandwidth, op.eff_detuning,
             op.cavity_decay)
-    except ValueError as exc:   # cmath.log(0)
+    except (ArithmeticError, ValueError) as exc:   # x/0 or cmath.log(0)
         raise NumericalFailureError(
             f"empty-cavity band integrals failed: {exc}") from None
     p_reflect, p_transmit = refl / mass, trans / mass
@@ -186,7 +185,8 @@ def _hurwitz_zeros(red):
     residual is |D(u)| over the size of D's terms plus |u|*|D'(u)|, the
     rounding of the zero itself.  u plus its tail
     is the zero to about the rounding of D(u) over |D'(u)|, far inside
-    that ulp of u.
+    that ulp of u.  NumericalFailureError where the resolvent's root is
+    not finite.
     """
     k2, g, dl, _, _, _, a0 = red
     c0 = k2 * k2 + dl * dl
@@ -221,6 +221,10 @@ def _hurwitz_zeros(red):
     lin = p * p - 4.0 * r
     big -= (((big + 2.0 * p) * big + lin) * big - q * q) \
         / ((3.0 * big + 4.0 * p) * big + lin)
+    if not math.isfinite(big):   # a NaN would give two zeros, not four
+        raise NumericalFailureError(
+            "drive-on band integrals failed: the resolvent cubic's terms "
+            "are past the float range")
     t = cmath.sqrt(big)
     ratio = q / t
     ys = []
@@ -386,7 +390,8 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
     integral, how much a backward error in D, relative to the size of its
     terms, moves the integrals.  May raise
     ArithmeticError or ValueError outside the float range, and
-    NumericalFailureError as :func:`_contour` and :func:`_bose_rule`.
+    NumericalFailureError as :func:`_hurwitz_zeros`, :func:`_contour` and
+    :func:`_bose_rule` raise it.
     """
     zeros, slopes, sizes, backward, tails = _hurwitz_zeros(red)
     k2, g, dl, dd, h, theta, _ = red
@@ -565,9 +570,7 @@ def _residue_report(op: OperatingPoint, lo: float, hi: float):
     module docstring), is not finite, or whose hbar*omega_m/(kB*T) is NaN
     (a bath so hot that it underflows).
     """
-    if not 0.0 <= op.bath_temp < math.inf:
-        raise InvalidParameterError(
-            f"bath_temp must be >= 0 and finite, got {op.bath_temp!r}")
+    temp = _real("bath_temp", op.bath_temp, at_least=0.0)
     wm = op.mech_freq
     c = op.input_center / wm
     # c's rounding, where c is within a factor 2 of 1: center - omega_m and
@@ -578,8 +581,7 @@ def _residue_report(op: OperatingPoint, lo: float, hi: float):
     red = kernels.reduced(op)
     if math.isnan(red[5]):
         raise NumericalFailureError(
-            f"hbar*omega_m/(kB*T) is not a number at bath_temp "
-            f"{op.bath_temp!r}")
+            f"hbar*omega_m/(kB*T) is not a number at bath_temp {temp!r}")
     try:
         (refl, trans, sv, st), backward, cancel, condition = \
             _residue_integrals(red, lo / wm, hi / wm,
@@ -679,9 +681,7 @@ def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
     One operating point is derived, at p_on: the drive-off report reads
     only the cavity and the line, which the drive power does not change.
     """
-    p_on = _real("p_on", p_on)
-    if not p_on >= 0.0:
-        raise InvalidParameterError(f"p_on must be >= 0, got {p_on!r}")
+    p_on = _real("p_on", p_on, at_least=0.0)
     op = derive_operating_point(replace(_system_params(params),
                                         drive_power=p_on))
     lo, hi = _checked_band(op, band)

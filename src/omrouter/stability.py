@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import InvalidParameterError, NumericalFailureError
+from .errors import NumericalFailureError
 from .operating_point import (OperatingPoint, SystemParams,
                               _operating_point, _real, _system_params,
                               derive_operating_point)
@@ -141,11 +141,8 @@ def max_stable_power(params: SystemParams, p_max: float,
         For p_max < 0 or not finite, rel_tol outside (0, 1), or params
         that is not a SystemParams.
     """
-    p_max = _real("p_max", p_max)
-    if not p_max >= 0.0:
-        raise InvalidParameterError(f"p_max must be >= 0, got {p_max!r}")
-    if not 0.0 < _real("rel_tol", rel_tol) < 1.0:
-        raise InvalidParameterError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
+    p_max = _real("p_max", p_max, at_least=0.0)
+    _real("rel_tol", rel_tol, above=0.0, below=1.0)
     op = derive_operating_point(replace(_system_params(params),
                                         drive_power=p_max))
     if kernels.is_stable(op):

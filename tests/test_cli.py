@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omrouter
@@ -275,6 +275,34 @@ def test_spectrum_whose_d_squared_overflows_exits_four(write_config, capsys):
     assert code == 4 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: |d|^2 overflows")
+
+
+@pytest.mark.parametrize("entries, flags, message", [
+    ({"mech_freq": 1e55, "cavity_decay": 0.1, "eff_detuning": 1.0}, [],
+     "Hurwitz stability bounds are not finite"),
+    ({"eff_mass": 6.9e67, "quality": 1.7e-77}, [],
+     "drive-on band integrals failed"),
+    ({"units": "rad_s", "input_bandwidth": 1e-240, "cavity_decay": 1e-170,
+      "eff_detuning": -1e-28, "input_center": 865880.0}, ["--power", "0"],
+     "empty-cavity band integrals are not finite"),
+    ({"units": "rad_s", "input_bandwidth": 1e-283, "cavity_decay": 1e57},
+     [], "drive-on band integrals failed"),
+    ({"units": "rad_s", "input_bandwidth": 1e-283, "cavity_decay": 1e57},
+     ["--power", "0"], "empty-cavity band integrals failed")],
+    ids=["hurwitz-overflow", "resolvent-overflow", "far-line",
+         "flat-line-on", "flat-line-off"])
+def test_route_numerical_refusals_exit_four(write_config, capsys, entries,
+                                            flags, message):
+    # a verdict or a resolvent past the float range, and closed forms that
+    # are not finite or divide by zero: each is a NumericalFailureError,
+    # exit 4; the resolvent and the drive-off division by zero ended in a
+    # traceback
+    cfg = write_config("far.json", **entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", omrouter.RegimeWarning)
+        code, out, err = _run(capsys, "route", "--config", cfg, *flags)
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
 def test_sweep_rows_bounded_by_grid_times_values(write_config, capsys):
@@ -696,6 +724,91 @@ def test_argv_through_main_exits_cleanly(drawn):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if code == 0:
         assert not _non_finite(out or written, command), argv
+
+
+# config values that no key takes, as json reads them: ints past the float
+# range (but within CPython's 4,300 digits), the edges of the float range,
+# json's Infinity and NaN, and values of the wrong type
+_CONFIG_HOSTILE = st.sampled_from([
+    10 ** 400, -(10 ** 400), 10 ** 4000, 0, 0.0, -0.0, 5e-324, 1e308,
+    -1e308, math.inf, -math.inf, math.nan, True, False, "1e-6", "", "hz",
+    None, [], [[]], [1.0, [2.0]], [None, 1.0]])
+# a value each key takes, in units of omega_m where units are not rad_s
+_CONFIG_VALID = {
+    "wavelength": 1054e-9, "cavity_length": 6.7e-2, "eff_mass": 40e-12,
+    "mech_freq": WM, "quality": 1.1e6, "drive_power": 5e-6,
+    "bath_temp": 0.02, "cavity_decay": 0.1, "eff_detuning": 1.0,
+    "input_center": 1.0, "input_bandwidth": 0.01, "grid_lo": 0.5,
+    "grid_hi": 1.5, "grid_n": 5, "units": "rad_s",
+    "sweep_param": "power", "sweep_values": [1e-6]}
+_SWEEP_VALID = st.sampled_from((0.0, 1e-6, 5e-6, 0.02, 1.0, -1.0, 0.01))
+_SWEEP_VALUES = st.lists(_SWEEP_VALID, min_size=1, max_size=36)
+_SWEEP_HOSTILE = st.lists(st.one_of(_SWEEP_VALID, _CONFIG_HOSTILE),
+                          max_size=36)
+
+
+@st.composite
+def _hostile_configs(draw):
+    """A flat config over the 17 keys, most values valid and the rest
+    hostile, with an unknown key in some."""
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALID)),
+                         unique=True, max_size=5))
+    # sweep's two keys in every config, which the other commands ignore
+    keys += [k for k in ("sweep_param", "sweep_values") if k not in keys]
+    # an unknown key in a few configs: hypothesis draws 0 here in about a
+    # third of them, 7 in a few
+    if draw(st.integers(0, 9)) == 7:
+        keys.append("bogus")
+    cfg = {}
+    for key in keys:
+        valid, hostile = st.just(_CONFIG_VALID.get(key)), _CONFIG_HOSTILE
+        if key == "sweep_param":
+            valid = st.sampled_from(
+                ("power", "temperature", "detuning", "bandwidth"))
+        elif key == "sweep_values":
+            valid = _SWEEP_VALUES
+            hostile = st.one_of(_SWEEP_HOSTILE, _CONFIG_HOSTILE)
+        # three valid values to each hostile one
+        cfg[key] = draw(st.one_of(valid, valid, valid, hostile))
+    return cfg
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cfg=_hostile_configs())
+# the drive-off route of a line 1e-283 rad/s wide on a cavity 1e57 rad/s
+# wide ended in a ZeroDivisionError traceback
+@example(cfg={"units": "rad_s", "cavity_decay": 1e57,
+              "input_bandwidth": 1e-283, "drive_power": 0.0})
+def test_hostile_config_through_main_exits_cleanly(cfg):
+    # every subcommand either writes its output or exits 2, 3 or 4 with one
+    # error line, leaving an existing --out file as it was
+    old = b"old,bytes\r\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_path = Path(tmp) / "cfg.json", Path(tmp) / "out.txt"
+        path.write_text(json.dumps(cfg))
+        for command in ("spectrum", "sweep", "stability", "route"):
+            out_path.write_bytes(old)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", omrouter.RegimeWarning)
+                code = main([command, "--config", str(path), "--grid",
+                             "0.9:1.1:5", "--out", str(out_path)])
+            out, err = out.getvalue(), err.getvalue()
+            written = out_path.read_bytes()
+            assert code in (0, 2, 3, 4), (command, cfg)
+            assert out == "" and "Traceback" not in err, (command, cfg)
+            if code == 3 and command == "stability":
+                assert err == ""
+            elif code:
+                assert written == old, (command, cfg)
+                assert len(err.splitlines()) == 1 \
+                    and err.startswith("error: "), (command, cfg, err)
+            else:
+                assert err == "", (command, cfg)
+                assert not _non_finite(written.decode(), command), \
+                    (command, cfg)
 
 
 def test_one_process_gives_the_bytes_of_separate_runs(capsys):

@@ -27,10 +27,13 @@ from oracles import WM
 
 OP = derive_operating_point(default_params())
 
-# 10 ** 5000 has more digits than Python converts to str: its repr raises
+# 10 ** 5000 has more digits than Python converts to str: its repr raises,
+# as a scalar and inside a list; +-0, -1 and the smallest subnormal sit on
+# or past the bounds > 0 and >= 0
 _HOSTILE = st.sampled_from([
     "1e6", "", None, True, False, 1j, WM * (1 + 0.1j), math.inf, -math.inf,
-    math.nan, 10 ** 400, 10 ** 5000, -(2 ** 1100), [], [[]], [None, 1.0],
+    math.nan, 10 ** 400, 10 ** 5000, -(10 ** 5000), [10 ** 5000],
+    -(2 ** 1100), 0.0, -0.0, -1.0, 5e-324, [], [[]], [None, 1.0],
     ["a", "b"], [[0.9 * WM, 1.1 * WM]], [[WM], [WM, WM]], [WM, math.inf],
     [WM, 10 ** 400], np.array([0.9, 1.1]) * WM * (1 + 0.1j), (1.0, "a"),
 ])
@@ -104,6 +107,12 @@ def _calls(draw):
 @example(call=(default_grid, ("x", 5)))
 @example(call=(denominator_d, (10 ** 400, OP)))
 @example(call=(denominator_d, (math.inf, OP)))
+@example(call=(validate, (SystemParams(mech_freq=[10 ** 5000]),)))
+@example(call=(default_grid, (OP, -(10 ** 5000))))
+@example(call=(lorentzian_input, (1.0, [10 ** 5000], 1.0)))
+@example(call=(max_stable_power, (SystemParams(), [10 ** 5000])))
+@example(call=(switching_contrast, (SystemParams(), [10 ** 5000])))
+@example(call=(empty_reflectance, (1.0, 1.0, [10 ** 5000])))
 def test_public_functions_return_or_raise_a_package_error(call):
     function, arguments = call
     with warnings.catch_warnings():

@@ -306,3 +306,17 @@ def test_kernel_d_is_within_its_scale_of_the_exact_d(params, x):
     bound = kernels._ROUND * op.eff_mass * wm ** 4 \
         * kernels.scale(kernels.reduced(op), abs(w) / wm)
     assert err <= bound
+
+
+def test_hurwitz_bounds_past_the_float_range_raise():
+    # at omega_m = 1e55 rad/s the drive-free part of the Hurwitz bound,
+    # of order kappa*gamma_m*kappa^2*omega_m^2, overflows: no verdict is
+    # read off an inf, and every checked entry point refuses the point
+    wm = 1e55
+    op = derive_operating_point(replace(
+        default_params(), mech_freq=wm, cavity_decay=0.1 * wm,
+        eff_detuning=wm))
+    with pytest.raises(NumericalFailureError, match="Hurwitz"):
+        kernels.is_stable(op)
+    with pytest.raises(NumericalFailureError, match="Hurwitz"):
+        output_spectra(np.array([0.9, 1.1]) * wm, op)

@@ -454,6 +454,21 @@ def test_dip_scan_with_uncertified_cells_evaluates_the_whole_grid(
     assert sum(points) >= 2 * 200001
 
 
+@pytest.mark.parametrize("overrides", [
+    {"eff_mass": 1e-40, "drive_power": 5e-6 * 1e-40 / 40e-12},
+    {"quality": 1e20}], ids=["mass-past-2^-128", "gamma-past-2^-64"])
+def test_cell_bounds_outside_their_float_range_prove_nothing(overrides):
+    # a 1e-40 kg membrane (the drive scaled with it) is outside the range
+    # in rad/s that keeps the bounds' roundings relative, and a damping of
+    # 1e-20 omega_m outside the one in units of omega_m: every cell is
+    # (0, inf), so every cell is evaluated, and the scan is the dense one
+    from omrouter.response import _cell_bounds
+    op = derive_operating_point(replace(default_params(), **overrides))
+    low, high = _cell_bounds(np.linspace(0.5, 1.5, 9) * op.mech_freq, op)
+    assert np.all(low == 0.0) and np.all(high == np.inf)
+    assert eit_linewidth_scan(op) == _dense_scan(op)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_dip_scan_is_the_dense_scan_on_random_points(data):

@@ -437,6 +437,49 @@ def test_closed_form_logarithm_of_zero_raises(op_off):
         routing_probabilities(op, band=(center, center + 1.0))
 
 
+# a line 1e-240 rad/s wide at 1.03 omega_m from a cavity 1e-170 rad/s
+# wide: the drive-off closed form's probabilities are not finite
+_FAR_LINE = {"input_bandwidth": 1e-240, "cavity_decay": 1e-170,
+             "eff_detuning": -1e-28, "input_center": 865880.0}
+# a line 1e-283 rad/s wide on a cavity 1e57 rad/s wide: in units of the
+# cavity's width the line's height underflows to 0, and a pole factor of
+# the closed form divides by zero, drive on or off
+_FLAT_LINE = {"input_bandwidth": 1e-283, "cavity_decay": 1e57}
+
+
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+@pytest.mark.parametrize("line, power, message", [
+    (_FAR_LINE, 0.0, "not finite"), (_FLAT_LINE, 0.0, "failed"),
+    (_FLAT_LINE, 5e-6, "failed")], ids=["far", "flat-off", "flat-on"])
+def test_closed_form_past_the_float_range_raises(line, power, message):
+    # the flat line's drive-off report, and so the switch, ended in a bare
+    # ZeroDivisionError; the drive-on residues refused it already
+    params = replace(default_params(), drive_power=power, **line)
+    with pytest.raises(NumericalFailureError, match=message):
+        routing_probabilities(derive_operating_point(params))
+    with pytest.raises(NumericalFailureError, match=message):
+        switching_contrast(params, power)
+
+
+@pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
+def test_resolvent_past_the_float_range_raises():
+    # gamma_m = 6e76 omega_m: the resolvent cubic's terms overflow and its
+    # root is NaN, which gave two zeros of D for four and an IndexError
+    op = _op(eff_mass=6.9e67, quality=1.7e-77)
+    with pytest.raises(NumericalFailureError, match="resolvent"):
+        routing_probabilities(op)
+
+
+def test_thermal_rule_past_its_node_cap_raises():
+    # at 2.5 nK (hbar*omega_m/(kB*T) = 2,572) B underflows on the default
+    # band and St takes no rule; on a band from 600/theta omega_m, where B
+    # is e^-600, the rule would need 2,048 nodes
+    op = _op(bath_temp=2.5e-9)
+    theta = kernels.reduced(op)[5]
+    with pytest.raises(NumericalFailureError, match="1024 nodes"):
+        routing_probabilities(op, band=(600.0 / theta * WM, 1.5 * WM))
+
+
 @pytest.mark.filterwarnings("ignore::omrouter.RegimeWarning")
 def test_non_finite_closed_form_raises():
     # line and cavity both 1e-300*omega_m wide: the products of three
