@@ -137,23 +137,28 @@ def _resolve(args):
         kwargs["bath_temp"] = args.temp
     params = replace(defaults, **kwargs)
 
+    # the config's grid keys are checked where --grid overrides them too
+    lo = _real("grid_lo", cfg["grid_lo"]) * scale if "grid_lo" in cfg \
+        else 0.5 * mech_freq
+    hi = _real("grid_hi", cfg["grid_hi"]) * scale if "grid_hi" in cfg \
+        else 1.5 * mech_freq
+    n = cfg.get("grid_n", 4001)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidParameterError("grid_n must be an integer")
+    _check_points(n)
     if args.grid is not None:
         lo, hi, n = _parse_grid_flag(args.grid)
         lo, hi = lo * mech_freq, hi * mech_freq
-    else:
-        lo = _real("grid_lo", cfg["grid_lo"]) * scale if "grid_lo" in cfg \
-            else 0.5 * mech_freq
-        hi = _real("grid_hi", cfg["grid_hi"]) * scale if "grid_hi" in cfg \
-            else 1.5 * mech_freq
-        n = cfg.get("grid_n", 4001)
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InvalidParameterError("grid_n must be an integer")
-    if n < 2:
-        raise InvalidParameterError(f"grid needs at least 2 points, got {n}")
-    _check_rows(n)
+        _check_points(n)
     # finite in rad/s: np.linspace would form inf - inf
     lo, hi = _interval("grid bounds in rad/s", (lo, hi))
     return params, (lo, hi, n), cfg, scale
+
+
+def _check_points(n):
+    if n < 2:
+        raise InvalidParameterError(f"grid needs at least 2 points, got {n}")
+    _check_rows(n)
 
 
 def _check_rows(rows, what="grid"):

@@ -54,10 +54,25 @@ def lorentzian_input(omega, center, bandwidth):
     InvalidParameterError unless omega is real numbers, center a finite
     real number and bandwidth one > 0.
     """
-    center = _real("input_center", center)
-    bandwidth = _real("input_bandwidth", bandwidth, above=0.0)
-    d = np.asarray(_numbers("omega", omega), dtype=float) - center
-    return (bandwidth / math.pi) / (d * d + bandwidth * bandwidth)
+    center, bandwidth = _line(center, bandwidth)
+    return _density(np.asarray(_numbers("omega", omega), dtype=float),
+                    center, bandwidth)
+
+
+def _line(center, bandwidth):
+    """The line's center and bandwidth as floats: InvalidParameterError
+    unless they are a finite real number and one > 0."""
+    return (_real("input_center", center),
+            _real("input_bandwidth", bandwidth, above=0.0))
+
+
+def _density(w, center, bandwidth, out=None):
+    """The line density at the float array w, of a checked line, written
+    into ``out`` where given."""
+    d = np.subtract(w, center, out=out)
+    return np.divide(bandwidth / math.pi,
+                     np.add(np.multiply(d, d, out=out),
+                            bandwidth * bandwidth, out=out), out=out)
 
 
 def lorentzian_band_mass(lo, hi, center, bandwidth):
@@ -68,8 +83,7 @@ def lorentzian_band_mass(lo, hi, center, bandwidth):
     InvalidParameterError unless the four arguments are finite real
     numbers and bandwidth is > 0.
     """
-    center = _real("input_center", center)
-    bandwidth = _real("input_bandwidth", bandwidth, above=0.0)
+    center, bandwidth = _line(center, bandwidth)
     lo, hi = _real("lo", lo), _real("hi", hi)
     return (math.atan((hi - center) / bandwidth)
             - math.atan((lo - center) / bandwidth)) / math.pi

@@ -20,10 +20,14 @@ real axis.  That verdict is also written once, here beside the drive term
 it turns on: :func:`is_stable`, from the Routh-Hurwitz conditions; so is
 how d rounds: :func:`scale`, :func:`factored`, _ROUND and RECORD.
 
-Keep the arithmetic order as written (x*x rather than x**2, the drive term
-grouped as 2*hbar*(g^2*|c_s|^2)*Delta, complex array operands bound to
-names before they are multiplied): the command line spectra are pinned
-byte for byte.
+Keep the arithmetic order as written: the command line spectra are pinned
+byte for byte.  Each step is one numpy ufunc on operands in the written
+order (x*x rather than x**2, the drive term grouped as
+2*hbar*(g^2*|c_s|^2)*Delta, mech first in mech*cav and mech*sb: numpy's
+SIMD complex product is not bitwise commutative).  The grid pass writes
+every step into a scratch row with ``out=``, so no temporary is left for
+numpy to elide into an in-place operation, and no complex product,
+square or quotient writes over one of its own operands.
 """
 
 import functools
@@ -31,16 +35,18 @@ import math
 
 import numpy as np
 
-from . import operating_point
+from . import empty_cavity, operating_point
 from .errors import NumericalFailureError, UnstableOperatingPointError
 from .operating_point import HBAR, KB
 
-# Grid kernels run in blocks of this many points, writing into preallocated
-# outputs.  A block's temporaries then stay in cache, and below 16,384
-# complex points (256 KiB) numpy never elides a temporary into an
-# in-place operation.  Elision can swap the operands of a complex
-# multiply, whose SIMD loop is not bitwise commutative, so without blocks
-# a value's last bits would depend on the size of the array it sits in.
+# The grid pass runs in blocks of this many points, and BLOCK sets the size
+# of each call's scratch: four complex and three float rows of BLOCK points
+# (704 KiB), which every step of a block writes into with out=, so they
+# stay in cache.  The public building blocks, called on whole arrays, form
+# temporaries instead; below 16,384 complex points (256 KiB) numpy never
+# elides one into an in-place operation, which can swap the operands of a
+# complex multiply.  A value's last bits then do not depend on the size of
+# the array it sits in.
 BLOCK = 8192
 
 # 64 unit roundoffs: the kernel's d and E*d, a polynomial coefficient and
@@ -229,21 +235,81 @@ def require_stable(op):
             "a pole lies on or above the real axis")
 
 
+# Each formula below is written once, as a function of its inputs and of
+# the arrays ``out`` (and ``tmp``, of the grid's kind) it may write into.
+# The grid pass gives it scratch rows, and every step is then a numpy ufunc
+# with ``out=``; the public building blocks give it none, and the same
+# steps run as operators on what the caller passed, so a scalar keeps the
+# rounding of Python's and numpy's scalar arithmetic, whose complex product
+# is not numpy's array loop.
+
+def _add(a, b, out=None):
+    return a + b if out is None else np.add(a, b, out=out)
+
+
+def _sub(a, b, out=None):
+    return a - b if out is None else np.subtract(a, b, out=out)
+
+
+def _mul(a, b, out=None):
+    return a * b if out is None else np.multiply(a, b, out=out)
+
+
+def _square(a, out=None):
+    # numpy runs an array's a ** 2 as np.square
+    return a ** 2 if out is None else np.square(a, out=out)
+
+
+def _abs2(z, out=None):
+    # |z|^2 as abs, then square: the pinned channels' order
+    return _square(np.abs(z, out=out), out)
+
+
+def _mech(w, op, out=None, tmp=None):
+    # m*((omega_m^2 - omega^2) - (i*gamma_m)*omega), omega^2 formed in tmp
+    sq = _sub(op.mech_freq * op.mech_freq, _mul(w, w, tmp), tmp)
+    return _mul(op.eff_mass, _sub(sq, _mul(1j * op.gamma_m, w, out), out),
+                out)
+
+
+def _cav(w, op, out=None, tmp=None):
+    # (2*kappa - i*omega)^2 + Delta^2, the factor formed in complex tmp
+    side = _sub(2.0 * op.cavity_decay, _mul(1j, w, tmp), tmp)
+    return _add(_square(side, out), op.eff_detuning * op.eff_detuning, out)
+
+
+def _sideband(w, op, out=None, tmp=None):
+    # 2*kappa - i*(Delta + omega), one linear factor of cav_factor, with
+    # Delta + omega formed in tmp
+    return _sub(2.0 * op.cavity_decay,
+                _mul(1j, _add(op.eff_detuning, w, tmp), out), out)
+
+
+def _denominator(mech, cav, op, out=None):
+    # mech * cav, in this order: numpy's SIMD complex product is not
+    # bitwise commutative
+    return _sub(_mul(mech, cav, out), drive_term(op), out)
+
+
+def _numerator(mech, sb, op, out=None):
+    # mech * sb, in this order, as in _denominator
+    return _mul(2.0 * op.cavity_decay,
+                _add(_mul(mech, sb, out), 1j * HBAR * coupling(op), out), out)
+
+
+def _v2(sb, op, out=None):
+    # |V|^2*|d|^2 from the sideband sb, into a float out
+    return _mul(2.0 * op.cavity_decay * coupling(op), _abs2(sb, out), out)
+
+
 def mech_factor(omega, op):
     """Inverse membrane susceptibility m*(omega_m^2 - omega^2 - i*gamma_m*omega)."""
-    return op.eff_mass * (op.mech_freq * op.mech_freq - omega * omega
-                          - 1j * op.gamma_m * omega)
+    return _mech(omega, op)
 
 
 def cav_factor(omega, op):
     """Cavity factor (2*kappa - i*omega)^2 + Delta^2."""
-    return (2.0 * op.cavity_decay - 1j * omega) ** 2 \
-        + op.eff_detuning * op.eff_detuning
-
-
-def _sideband(omega, op):
-    # 2*kappa - i*(Delta + omega), one linear factor of cav_factor
-    return 2.0 * op.cavity_decay - 1j * (op.eff_detuning + omega)
+    return _cav(omega, op)
 
 
 def denominator(mech, cav, op):
@@ -251,15 +317,14 @@ def denominator(mech, cav, op):
 
     mech and cav are mech_factor(omega, op) and cav_factor(omega, op).
     """
-    return mech * cav - drive_term(op)
+    return _denominator(mech, cav, op)
 
 
 def e_numerator(omega, op, mech):
     """E(omega) * d(omega), given mech = mech_factor(omega, op)."""
-    # named, so that numpy cannot elide it into the product (see BLOCK):
-    # on arrays of 256 KiB or more that would run sb * mech, not mech * sb
-    sb = _sideband(omega, op)
-    return 2.0 * op.cavity_decay * (mech * sb + 1j * HBAR * coupling(op))
+    # the sideband is an argument, so numpy cannot elide it into the
+    # product (see BLOCK): on 256 KiB or more that would run sb * mech
+    return _numerator(mech, _sideband(omega, op), op)
 
 
 def sv_numerator(op):
@@ -269,8 +334,12 @@ def sv_numerator(op):
 
 def v2_numerator(omega, op):
     """|V(omega)|^2 * |d(omega)|^2, V being the membrane-force-to-field gain."""
-    return 2.0 * op.cavity_decay * coupling(op) \
-        * np.abs(_sideband(omega, op)) ** 2
+    return _v2(_sideband(omega, op), op)
+
+
+def _kbt(op):
+    """kB*T of the point's bath, refused as :func:`thermal_weight` says."""
+    return KB * operating_point._real("bath_temp", op.bath_temp, at_least=0.0)
 
 
 def thermal_weight(omega, op):
@@ -297,12 +366,17 @@ def thermal_weight(omega, op):
         When bath_temp is negative, NaN or infinite, as a point made by
         dataclasses.replace, which skips validation, can carry.
     """
-    kbt = KB * operating_point._real("bath_temp", op.bath_temp, at_least=0.0)
+    kbt = _kbt(op)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    amp = 2.0 * HBAR * op.gamma_m * op.eff_mass
+    return _weight(w, op, kbt, *(np.empty_like(w) for _ in range(3)))
 
+
+def _weight(w, op, kbt, out, x, tmp):
+    """:func:`thermal_weight` on the float array w at kbt = _kbt(op), written
+    into out, with x and tmp as scratch of w's shape."""
+    amp = 2.0 * HBAR * op.gamma_m * op.eff_mass
     if kbt == 0.0:
-        out = np.zeros_like(w)
+        out.fill(0.0)
         neg = w < 0.0
         out[neg] = amp * (-w[neg])
         return out
@@ -310,19 +384,38 @@ def thermal_weight(omega, op):
     # x overflowing to inf gives a weight of 0 for omega > 0; 1/expm1(x)
     # overflowing, and 0 * inf at omega = 0, only where |x| < eps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = HBAR * w / kbt
-        out = amp * w * (1.0 / np.expm1(x))
-    out[np.abs(x) < np.finfo(float).eps] = \
+        np.divide(np.multiply(HBAR, w, out=x), kbt, out=x)
+        np.divide(1.0, np.expm1(x, out=out), out=out)
+        np.multiply(np.multiply(amp, w, out=tmp), out, out=out)
+    out[np.abs(x, out=x) < np.finfo(float).eps] = \
         2.0 * op.gamma_m * op.eff_mass * kbt
     return out
 
 
-def _amplitude(w, op):
-    """E(omega) and d(omega) on one block of frequencies."""
-    mech = mech_factor(w, op)
-    cav = cav_factor(w, op)
-    d = denominator(mech, cav, op)
-    return e_numerator(w, op, mech) / d, d
+def _scratch(size, kind):
+    """One call's scratch for blocks of up to ``size`` points: four complex
+    rows, and three of the grid's kind (float, or complex for a complex
+    grid).  Separate arrays: below 128 KiB each, a 4,001-point grid's rows
+    come from the heap where one table of them would be mapped afresh."""
+    return ([np.empty(size, complex) for _ in range(4)],
+            [np.empty(size, kind) for _ in range(3)])
+
+
+def _amplitude(w, op, c=None, f=None):
+    """E(omega) and d(omega) on one block of frequencies w.
+
+    They are formed in the complex scratch rows c[0] and c[1], with the
+    sideband left in c[2], and the rows c[3] and f[0] are overwritten
+    (:func:`_scratch`); without scratch the block gets its own.  No complex
+    product, square or quotient writes over one of its operands: numpy
+    would round a 1-point block of that by another loop.
+    """
+    if c is None:
+        c, f = _scratch(w.size, w.dtype)
+    mech = _mech(w, op, c[0], f[0])
+    d = _denominator(mech, _cav(w, op, c[3], c[1]), op, c[1])
+    sb = _sideband(w, op, c[2], f[0])
+    return np.divide(_numerator(mech, sb, op, c[3]), d, out=c[0]), d
 
 
 def _flat(omega):
@@ -334,6 +427,24 @@ def _flat(omega):
 def blocks(size):
     """The slices that cut a flat grid of ``size`` points into BLOCK points."""
     return [slice(lo, lo + BLOCK) for lo in range(0, size, BLOCK)]
+
+
+def _pass(flat, op):
+    """E and d on the 1-d grid ``flat``, BLOCK points at a time.
+
+    Yields (b, w, e, d, c, f) for each block: its slice of the grid, its
+    frequencies, E and d, and the call's scratch rows cut to the block
+    (:func:`_amplitude`), which the caller may overwrite before it asks
+    for the next block.  The scratch is the call's own, so calls share
+    nothing.
+    """
+    c, f = _scratch(min(BLOCK, flat.size), flat.dtype)
+    for b in blocks(flat.size):
+        w = flat[b]
+        if w.size < c[0].size:
+            c, f = [a[:w.size] for a in c], [a[:w.size] for a in f]
+        e, d = _amplitude(w, op, c, f)
+        yield b, w, e, d, c, f
 
 
 def _finite(kernel):
@@ -350,29 +461,53 @@ def _finite(kernel):
 
 
 @_finite
-def fill_channels(flat, op, refl, trans, sv, st):
-    """Write R, T, Sv and St on the 1-d grid ``flat`` into the given arrays.
+def fill_channels(flat, op, refl, trans, sv, st, *ports):
+    """Write R, T, Sv and St on the 1-d grid ``flat`` into the given arrays,
+    and the port outputs Scout and Sdout into two more where given.
 
-    The grid is evaluated BLOCK points at a time, so a value does not
-    depend on the size of the grid around it.  The four outputs are
-    preallocated by the caller: separate arrays, or rows of one table.
+    The ports mix the probe line (op.input_center, op.input_bandwidth) in
+    as the density Scin = omega_m*lorentzian_input(omega, ...):
+
+        Scout = Scin*R + Sv,    Sdout = Scin*T + St.
+
+    One pass over the grid, BLOCK points at a time, so a value does not
+    depend on the size of the grid around it: each block's channels are
+    formed from its E, d and sideband, and its ports from its channels,
+    while they are in cache.  The bath, and the line where the ports are
+    asked for, are checked once a call.  The outputs are preallocated by
+    the caller: separate arrays, or rows of one table.
 
     Raises
     ------
+    InvalidParameterError
+        As :func:`thermal_weight` for the bath, and as
+        :func:`omrouter.empty_cavity.lorentzian_input` for the line.
     NumericalFailureError
         When a channel divides by zero, overflows or forms NaN: |d|^2
         underflowing to 0 over a zero numerator (drive off), St past the
-        float range (a bath near 1e308 K), or inf arithmetic.
+        float range (a bath near 1e308 K), or inf arithmetic; or the line
+        density does (a line so narrow that Gamma^2 underflows).
     """
+    kbt = _kbt(op)
+    if ports:
+        scout, sdout = ports
+        center, bandwidth = empty_cavity._line(op.input_center,
+                                               op.input_bandwidth)
     sv_num = sv_numerator(op)
-    for b in blocks(flat.size):
-        w = flat[b]
-        e, d = _amplitude(w, op)
-        refl[b] = np.abs(e - 1.0) ** 2
-        trans[b] = np.abs(e) ** 2
-        absd2 = np.abs(d) ** 2
-        sv[b] = sv_num / absd2
-        st[b] = v2_numerator(w, op) / absd2 * thermal_weight(w, op)
+    for b, w, e, d, c, f in _pass(flat, op):
+        t, r, s = trans[b], refl[b], sv[b]
+        _abs2(e, t)
+        _abs2(np.subtract(e, 1.0, out=e), r)
+        absd2 = _abs2(d, f[1])
+        np.divide(sv_num, absd2, out=s)
+        v2 = np.divide(_v2(c[2], op, f[2]), absd2, out=f[2])
+        th = np.multiply(v2, _weight(w, op, kbt, st[b], f[0], f[1]),
+                         out=st[b])
+        if ports:
+            scin = np.multiply(op.mech_freq, empty_cavity._density(
+                w, center, bandwidth, f[0]), out=f[0])
+            np.add(np.multiply(scin, r, out=scout[b]), s, out=scout[b])
+            np.add(np.multiply(scin, t, out=sdout[b]), th, out=sdout[b])
 
 
 def channel_arrays(omega, op):
@@ -398,7 +533,7 @@ def channel_arrays(omega, op):
 
     Raises
     ------
-    NumericalFailureError
+    InvalidParameterError, NumericalFailureError
         As :func:`fill_channels`.
     """
     shape, flat = _flat(omega)
@@ -412,7 +547,6 @@ def transmission(omega, op):
     """Probe transmission |E(omega)|^2 alone: channel_arrays' T, bit for bit."""
     shape, flat = _flat(omega)
     trans = np.empty(flat.size)
-    for b in blocks(flat.size):
-        e, _ = _amplitude(flat[b], op)
-        trans[b] = np.abs(e) ** 2
+    for b, _, e, _, _, _ in _pass(flat, op):
+        _abs2(e, trans[b])
     return trans.reshape(shape)

@@ -18,7 +18,7 @@ unit omega/omega_m (so band integrals are photon probabilities); the grid
 itself stays in rad/s.
 
 The channel formulas live in :mod:`omrouter.kernels`, written once; this
-module validates inputs, assembles the port spectra and scans the dip.
+module validates inputs, allocates the spectra table and scans the dip.
 The pointwise functions (:func:`response_E` and the four channels) are
 the grid kernel's values at the caller's frequencies, bit for bit, behind
 one guard: they refuse a frequency that is not real (E alone takes
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .empty_cavity import lorentzian_input
 from .errors import InvalidParameterError, NumericalFailureError
 from .kernels import _ROUND
 from .operating_point import (HBAR, OperatingPoint, _interval, _numbers,
@@ -103,9 +102,13 @@ def _channel(omega, op: OperatingPoint, row):
 
 @kernels._finite
 def _amplitude(w, op):
-    """E and d from the grid kernel, behind its floating-point guard,
-    which is wrapped once here rather than on every call."""
-    return kernels._amplitude(w, op)
+    """E at the frequencies w from the grid kernel's block pass, behind its
+    floating-point guard; integers are taken as floats."""
+    flat = np.ravel(np.asarray(w, dtype=np.result_type(w, float)))
+    e = np.empty(flat.size, complex)
+    for b, _, block, _, _, _ in kernels._pass(flat, op):
+        e[b] = block
+    return e.reshape(np.shape(w))
 
 
 def response_E(omega, op: OperatingPoint):
@@ -114,10 +117,10 @@ def response_E(omega, op: OperatingPoint):
     E = 2*kappa*[m*(omega_m^2 - omega^2 - i*gamma_m*omega)
         *(2*kappa - i*(Delta+omega)) + i*hbar*g^2*|c_s|^2] / d(omega)
 
-    E and d come from the grid kernel's :func:`omrouter.kernels._amplitude`,
-    and the four channels below are rows of
-    :func:`omrouter.kernels.channel_arrays` at omega, bit for bit.  All
-    five share one guard.
+    E comes from the grid kernel's block pass, and the four channels
+    below are rows of :func:`omrouter.kernels.channel_arrays` at omega,
+    bit for bit: a scalar omega gives an array's value.  All five share
+    one guard.
 
     Raises
     ------
@@ -132,7 +135,7 @@ def response_E(omega, op: OperatingPoint):
         :func:`omrouter.kernels.scale`, which on the real axis only
         happens next to an instability threshold, or E is not finite.
     """
-    e, _ = _amplitude(_checked(omega, op, "iufc"), op)
+    e = _amplitude(_checked(omega, op, "iufc"), op)
     return complex(e) if np.ndim(omega) == 0 else e
 
 
@@ -220,24 +223,6 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
-@kernels._finite
-def _fill_ports(g, op, table):
-    """Rows 4 and 5 of output_spectra's table, Scout and Sdout, from rows 0-3.
-
-    Raises
-    ------
-    NumericalFailureError
-        When the line density divides by zero or forms NaN: Gamma^2
-        underflowing to 0 at the line center, or inf times 0.
-    """
-    refl, trans, sv, st, scout, sdout = table
-    for b in kernels.blocks(g.size):
-        scin = op.mech_freq * lorentzian_input(g[b], op.input_center,
-                                               op.input_bandwidth)
-        np.add(scin * refl[b], sv[b], out=scout[b])
-        np.add(scin * trans[b], st[b], out=sdout[b])
-
-
 def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
     """Evaluate all channels and the port outputs on a grid.
 
@@ -250,7 +235,8 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
 
     integrate to photon numbers.  Grids are restricted to omega > 0, where
     the rotating-frame noise formulas apply.  The six outputs are the rows
-    of one (6, n) table, filled in place block by block.
+    of one (6, n) table, filled in one pass of
+    :func:`omrouter.kernels.fill_channels`, block by block.
 
     Raises
     ------
@@ -272,9 +258,8 @@ def output_spectra(grid, op: OperatingPoint) -> ChannelSpectra:
     g = _check_grid(grid)
     _require_finite_d2(g[-1], op)
     table = np.empty((6, g.size))
+    kernels.fill_channels(g, op, *table)
     refl, trans, sv, st, scout, sdout = table
-    kernels.fill_channels(g, op, refl, trans, sv, st)
-    _fill_ports(g, op, table)
     return ChannelSpectra(grid=g, R=refl, Tx=trans, Sv=sv, St=st,
                           Scout=scout, Sdout=sdout)
 

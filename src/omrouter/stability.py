@@ -25,6 +25,10 @@ from .operating_point import (OperatingPoint, SystemParams,
                               derive_operating_point)
 
 _RESIDUAL_TOL = 1e-6
+# ulp steps each walk of max_stable_power may take from the closed form to
+# the verdict's edge: it takes a few where the verdict's rounding is
+# relative, and never ends where the window or drive_term underflows
+_WALK = 64
 
 
 def d_polynomial_coeffs(op: OperatingPoint) -> np.ndarray:
@@ -140,6 +144,10 @@ def max_stable_power(params: SystemParams, p_max: float,
     InvalidParameterError
         For p_max < 0 or not finite, rel_tol outside (0, 1), or params
         that is not a SystemParams.
+    NumericalFailureError
+        When the verdict's edge is not within _WALK ulp of P*: where the
+        Hurwitz window underflows to (-0.0, 0.0), no power is stable, and
+        where drive_term underflows to 0 the verdict holds far past P*.
     """
     p_max = _real("p_max", p_max, at_least=0.0)
     _real("rel_tol", rel_tol, above=0.0, below=1.0)
@@ -155,9 +163,21 @@ def max_stable_power(params: SystemParams, p_max: float,
     lo, hi = kernels.stable_drive_window(op)
     x = kernels.drive_term(op) / op.eff_mass
     # the verdict is monotone in the power: walk the few ulp to its edge
-    p = p_max * ((hi if x > 0.0 else lo) / x)
-    while not stable_at(p):
+    p = edge = p_max * ((hi if x > 0.0 else lo) / x)
+    for _ in range(_WALK):
+        if stable_at(p):
+            break
         p = math.nextafter(p, 0.0)
-    while stable_at(math.nextafter(p, p_max)):
-        p = math.nextafter(p, p_max)
-    return p
+    else:
+        raise NumericalFailureError(
+            f"no drive power within {_WALK} ulp below {edge:.6e} W is "
+            f"stable: the window ({lo:.3e}, {hi:.3e}) of drive_term/m "
+            "underflows")
+    for _ in range(_WALK):
+        up = math.nextafter(p, p_max)
+        if not stable_at(up):
+            return p
+        p = up
+    raise NumericalFailureError(
+        f"the drive power is still stable {_WALK} ulp above {edge:.6e} W, "
+        "its closed-form threshold: drive_term underflows there")

@@ -183,6 +183,23 @@ def test_bad_config_rejected_without_output(tmp_path, text, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("entries", [{"grid_lo": "x", "grid_n": [1]},
+                                     {"grid_hi": None}, {"grid_n": 1},
+                                     {"grid_n": 10 ** 30}])
+def test_config_grid_keys_checked_under_the_grid_flag(entries, write_config,
+                                                      capsys):
+    # --grid overrides the config's grid, but a key that would be refused
+    # without it is refused with it: these ran with exit 0
+    cfg = write_config("grid.json", **entries)
+    for flags in ([], ["--grid", "0.9:1.1:3"]):
+        code, out, err = _run(capsys, "spectrum", "--config", cfg, *flags)
+        assert (code, out) == (2, "") and err.startswith("error:")
+    valid = write_config("valid.json", grid_lo=0.6, grid_hi=0.7, grid_n=3)
+    code, out, _ = _run(capsys, "spectrum", "--config", valid,
+                        "--grid", "0.9:1.1:3")
+    assert code == 0 and out.splitlines()[1].startswith("9.000000000000e-01,")
+
+
 @pytest.mark.parametrize("where", ["config", "flag"])
 @pytest.mark.parametrize("n", [10 ** 12, 10 ** 30])
 def test_huge_grid_rejected_before_allocating(where, n, write_config,
@@ -774,15 +791,17 @@ def _hostile_configs(draw):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(cfg=_hostile_configs())
+@given(cfg=_hostile_configs(), grid=st.booleans())
 # the drive-off route of a line 1e-283 rad/s wide on a cavity 1e57 rad/s
 # wide ended in a ZeroDivisionError traceback
 @example(cfg={"units": "rad_s", "cavity_decay": 1e57,
-              "input_bandwidth": 1e-283, "drive_power": 0.0})
-def test_hostile_config_through_main_exits_cleanly(cfg):
+              "input_bandwidth": 1e-283, "drive_power": 0.0}, grid=True)
+def test_hostile_config_through_main_exits_cleanly(cfg, grid):
     # every subcommand either writes its output or exits 2, 3 or 4 with one
-    # error line, leaving an existing --out file as it was
+    # error line, leaving an existing --out file as it was; half the runs
+    # take the config's own grid, a 5-point one where its keys are valid
     old = b"old,bytes\r\n"
+    flags = ["--grid", "0.9:1.1:5"] if grid else []
     with tempfile.TemporaryDirectory() as tmp:
         path, out_path = Path(tmp) / "cfg.json", Path(tmp) / "out.txt"
         path.write_text(json.dumps(cfg))
@@ -793,8 +812,8 @@ def test_hostile_config_through_main_exits_cleanly(cfg):
                     contextlib.redirect_stderr(err), \
                     warnings.catch_warnings():
                 warnings.simplefilter("ignore", omrouter.RegimeWarning)
-                code = main([command, "--config", str(path), "--grid",
-                             "0.9:1.1:5", "--out", str(out_path)])
+                code = main([command, "--config", str(path), *flags,
+                             "--out", str(out_path)])
             out, err = out.getvalue(), err.getvalue()
             written = out_path.read_bytes()
             assert code in (0, 2, 3, 4), (command, cfg)

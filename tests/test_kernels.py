@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from omrouter import (NumericalFailureError, RegimeWarning,
                       assess_stability, default_params,
-                      derive_operating_point, kernels, output_spectra)
+                      derive_operating_point, kernels, lorentzian_input,
+                      output_spectra)
 from omrouter.operating_point import HBAR, KB
 from oracles import bright_points, d_at
 
@@ -252,6 +253,52 @@ def test_thermal_weight_fast_branch_matches_general_path(n, temp):
     # every other value's bits as they are
     general = kernels.thermal_weight(np.concatenate(([0.0], grid)), op)
     assert np.array_equal(kernels.thermal_weight(grid, op), general[1:])
+
+
+_EDGES = (1, kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1,
+          2 * kernels.BLOCK + 3)
+
+
+def _pieces(n, cuts, least=1):
+    """Slices of a grid of n points cut at those of ``cuts`` that leave
+    ``least`` points or more before and after them."""
+    bounds = [0, *(c for c in cuts if least <= c <= n - least), n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("n", _EDGES)
+@pytest.mark.parametrize("power,temp", _DESIGN_POINTS)
+def test_block_edges_bit_for_bit(n, power, temp):
+    # a grid of n points and its slices, cut next to the block edges,
+    # give the same bits: nothing one block writes to its scratch reaches
+    # the next, and a 1-point block rounds as a long one
+    op = _design_point(power, temp)
+    grid = np.linspace(0.5 * op.mech_freq, 1.5 * op.mech_freq, n)
+    block = kernels.BLOCK
+    cuts = (1, 3, block - 2, block + 1, 2 * block, 2 * block + 2)
+    whole = kernels.channel_arrays(grid, op)
+    parts = [kernels.channel_arrays(grid[p], op) for p in _pieces(n, cuts)]
+    for row, got in enumerate(whole):
+        assert np.array_equal(got, np.concatenate([q[row] for q in parts]))
+    assert np.array_equal(kernels.transmission(grid, op), np.concatenate(
+        [kernels.transmission(grid[p], op) for p in _pieces(n, cuts)]))
+    if n < 2:
+        return
+    # output_spectra takes 2 points or more a call
+    spec = output_spectra(grid, op)
+    parts = [output_spectra(grid[p], op) for p in
+             _pieces(n, (2, block - 1, block + 1, 2 * block), least=2)]
+    rows = ("R", "Tx", "Sv", "St", "Scout", "Sdout")
+    for name, got in zip(rows, whole):
+        assert np.array_equal(getattr(spec, name), got)
+    for name in rows:
+        assert np.array_equal(getattr(spec, name), np.concatenate(
+            [getattr(q, name) for q in parts]))
+    # the ports are the line's mix of the channels to the bit
+    scin = op.mech_freq * lorentzian_input(grid, op.input_center,
+                                           op.input_bandwidth)
+    assert np.array_equal(spec.Scout, scin * spec.R + spec.Sv)
+    assert np.array_equal(spec.Sdout, scin * spec.Tx + spec.St)
 
 
 def test_channel_arrays_keeps_the_grid_shape(op_5uw):

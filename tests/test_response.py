@@ -30,6 +30,20 @@ def test_zero_drive_reduces_to_bare_cavity(op_off):
     np.testing.assert_allclose(response_E(omega, op_off), expected, rtol=1e-12)
 
 
+def test_scalar_amplitude_is_the_grid_kernels(op_5uw):
+    # a scalar omega runs the grid kernel's block pass like an array: its
+    # E is the array's to the bit, where numpy's scalar complex product
+    # had rounded it apart on hosts with FMA
+    grid = np.linspace(0.5 * WM, 1.5 * WM, 301)
+    e, _ = kernels._amplitude(grid, op_5uw)
+    assert np.array_equal(response_E(grid, op_5uw), e)
+    for w, want in zip(grid.tolist(), e.tolist()):
+        got = response_E(w, op_5uw)
+        assert type(got) is complex and got == want
+    # integers are taken as floats: omega^2 of an int64 10**10 wrapped
+    assert response_E(10 ** 10, op_5uw) == response_E(1e10, op_5uw)
+
+
 def test_zero_drive_unity_at_detuning(op_off):
     assert abs(response_E(op_off.eff_detuning, op_off) - 1.0) < 1e-12
 
@@ -537,6 +551,27 @@ def test_design_spectra_and_dip_frozen_whole():
         assert eit_linewidth_scan(op) == dips[power]
 
 
+def test_no_state_between_calls(op_5uw, capsys):
+    # each call forms its scratch afresh: grid A, then a grid B of another
+    # size and window, then A again give A's bytes, and so do two runs of
+    # the spectrum command in one process
+    from omrouter import cli
+    op = op_5uw
+    a = default_grid(op, 4001)
+    b = np.linspace(0.7 * WM, 1.3 * WM, 2 * kernels.BLOCK + 3)
+    rows = ("R", "Tx", "Sv", "St", "Scout", "Sdout")
+    first = output_spectra(a, op)
+    output_spectra(b, op)
+    again = output_spectra(a, op)
+    for name in rows:
+        assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+    runs = []
+    for _ in range(2):
+        assert cli.main(["spectrum"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1] and runs[0].count("\n") == 4002
+
+
 def test_output_spectra_rows_share_one_table(op_5uw):
     spec = output_spectra(default_grid(op_5uw), op_5uw)
     table = spec.R.base
@@ -661,9 +696,9 @@ def test_pointwise_functions_run_the_kernel_once(monkeypatch, op_5uw,
     calls = []
     amplitude = kernels._amplitude
 
-    def counted(w, op):
+    def counted(w, op, *scratch):
         calls.append(w)
-        return amplitude(w, op)
+        return amplitude(w, op, *scratch)
 
     monkeypatch.setattr(kernels, "_amplitude", counted)
     channel(WM, op_5uw)

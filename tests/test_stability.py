@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, NumericalFailureError,
-                      UnstableOperatingPointError, assess_stability,
-                      d_polynomial_coeffs, default_grid, default_params,
-                      denominator_d, derive_operating_point,
+                      RegimeWarning, UnstableOperatingPointError,
+                      assess_stability, d_polynomial_coeffs, default_grid,
+                      default_params, denominator_d, derive_operating_point,
                       eit_linewidth_scan, kernels, max_stable_power,
-                      output_spectra, routing_probabilities,
+                      output_spectra, routing_probabilities, stability,
                       switching_contrast)
 from omrouter.operating_point import HBAR
 from omrouter.stability import poles
@@ -306,6 +307,29 @@ def test_threshold_takes_a_few_verdicts(monkeypatch):
         max_stable_power(replace(default_params(), eff_detuning=detuning * WM),
                          1.0)
         assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("fields, match", [
+    # the Hurwitz window underflows to (-0.0, 0.0): no power is stable,
+    # and the walk down from a start power of 0 never moved
+    ({"mech_freq": 1.04e-71, "eff_detuning": 9.13e-125,
+      "cavity_decay": 3.83e-119}, "below"),
+    # drive_term underflows to 0 up to far past the threshold, so the
+    # verdict holds there and the walk up went on for ever
+    ({"mech_freq": 7.5e-85, "wavelength": 3.9e-127, "cavity_length": 9.0e37,
+      "input_bandwidth": 1.3e-118}, "above")])
+def test_threshold_walk_refuses_an_underflowing_point(fields, match,
+                                                      monkeypatch):
+    params = replace(default_params(), **fields)
+    calls = []
+    verdict = kernels.is_stable
+    monkeypatch.setattr(kernels, "is_stable",
+                        lambda op: calls.append(op) or verdict(op))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        with pytest.raises(NumericalFailureError, match=match):
+            max_stable_power(params, 1e-3)
+    assert len(calls) <= 1 + 2 * stability._WALK
 
 
 def _hierarchy_params(draw):
