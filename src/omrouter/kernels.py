@@ -1,7 +1,7 @@
 """The response-channel formulas of the driven cavity, each written once.
 
-Frequencies are sideband offsets omega from the drive [rad/s]; every
-function accepts a scalar or an array there.  All four channels share the
+Frequencies are sideband offsets omega from the drive [rad/s], taken as
+a grid: a scalar is a grid of one point.  All four channels share the
 degree-4 denominator
 
     d(omega) = mech(omega) * cav(omega) - 2*hbar*g^2*|c_s|^2*Delta
@@ -12,8 +12,9 @@ and are ratios over it (E) or over |d|^2 (Sv and St):
     Sv = 8*(kappa*hbar*g^2*|c_s|^2)^2 / |d|^2
     St = |V|^2 * thermal_weight,  |V|^2 = 2*kappa*g^2*|c_s|^2*|2*kappa - i*(Delta+omega)|^2 / |d|^2
 
-d is built from its two factors and the numerator of E from the mechanical
-one; the factors are passed in, so a grid evaluates each of them once.
+One block pass evaluates them: it forms the factors mech and cav, d,
+the sideband 2*kappa - i*(Delta+omega) and E's numerator once a block,
+and every channel is read from those rows.
 
 The channels mean something only where every zero of d lies below the
 real axis.  That verdict is also written once, here beside the drive term
@@ -42,11 +43,9 @@ from .operating_point import HBAR, KB
 # The grid pass runs in blocks of this many points, and BLOCK sets the size
 # of each call's scratch: four complex and three float rows of BLOCK points
 # (704 KiB), which every step of a block writes into with out=, so they
-# stay in cache.  The public building blocks, called on whole arrays, form
-# temporaries instead; below 16,384 complex points (256 KiB) numpy never
-# elides one into an in-place operation, which can swap the operands of a
-# complex multiply.  A value's last bits then do not depend on the size of
-# the array it sits in.
+# stay in cache.  No step forms a temporary that numpy could elide into an
+# in-place operation, which can swap the operands of a complex multiply,
+# so a value's last bits do not depend on the size of the grid it sits in.
 BLOCK = 8192
 
 # 64 unit roundoffs: the kernel's d and E*d, a polynomial coefficient and
@@ -235,96 +234,50 @@ def require_stable(op):
             "a pole lies on or above the real axis")
 
 
-# Each formula below is written once, as a function of its inputs and of
-# the arrays ``out`` (and ``tmp``, of the grid's kind) it may write into.
-# The grid pass gives it scratch rows, and every step is then a numpy ufunc
-# with ``out=``; the public building blocks give it none, and the same
-# steps run as operators on what the caller passed, so a scalar keeps the
-# rounding of Python's and numpy's scalar arithmetic, whose complex product
-# is not numpy's array loop.
+# Each formula below is written once, as numpy ufuncs that write into the
+# scratch rows ``out`` (and ``tmp``, of the grid's kind) of the block pass.
 
-def _add(a, b, out=None):
-    return a + b if out is None else np.add(a, b, out=out)
-
-
-def _sub(a, b, out=None):
-    return a - b if out is None else np.subtract(a, b, out=out)
-
-
-def _mul(a, b, out=None):
-    return a * b if out is None else np.multiply(a, b, out=out)
-
-
-def _square(a, out=None):
-    # numpy runs an array's a ** 2 as np.square
-    return a ** 2 if out is None else np.square(a, out=out)
-
-
-def _abs2(z, out=None):
+def _abs2(z, out):
     # |z|^2 as abs, then square: the pinned channels' order
-    return _square(np.abs(z, out=out), out)
+    return np.square(np.abs(z, out=out), out=out)
 
 
-def _mech(w, op, out=None, tmp=None):
+def _mech(w, op, out, tmp):
     # m*((omega_m^2 - omega^2) - (i*gamma_m)*omega), omega^2 formed in tmp
-    sq = _sub(op.mech_freq * op.mech_freq, _mul(w, w, tmp), tmp)
-    return _mul(op.eff_mass, _sub(sq, _mul(1j * op.gamma_m, w, out), out),
-                out)
+    sq = np.subtract(op.mech_freq * op.mech_freq,
+                     np.multiply(w, w, out=tmp), out=tmp)
+    return np.multiply(op.eff_mass, np.subtract(
+        sq, np.multiply(1j * op.gamma_m, w, out=out), out=out), out=out)
 
 
-def _cav(w, op, out=None, tmp=None):
+def _cav(w, op, out, tmp):
     # (2*kappa - i*omega)^2 + Delta^2, the factor formed in complex tmp
-    side = _sub(2.0 * op.cavity_decay, _mul(1j, w, tmp), tmp)
-    return _add(_square(side, out), op.eff_detuning * op.eff_detuning, out)
+    side = np.subtract(2.0 * op.cavity_decay, np.multiply(1j, w, out=tmp),
+                       out=tmp)
+    return np.add(np.square(side, out=out), op.eff_detuning * op.eff_detuning,
+                  out=out)
 
 
-def _sideband(w, op, out=None, tmp=None):
-    # 2*kappa - i*(Delta + omega), one linear factor of cav_factor, with
+def _sideband(w, op, out, tmp):
+    # 2*kappa - i*(Delta + omega), one linear factor of _cav, with
     # Delta + omega formed in tmp
-    return _sub(2.0 * op.cavity_decay,
-                _mul(1j, _add(op.eff_detuning, w, tmp), out), out)
+    return np.subtract(2.0 * op.cavity_decay, np.multiply(
+        1j, np.add(op.eff_detuning, w, out=tmp), out=out), out=out)
 
 
-def _denominator(mech, cav, op, out=None):
-    # mech * cav, in this order: numpy's SIMD complex product is not
-    # bitwise commutative
-    return _sub(_mul(mech, cav, out), drive_term(op), out)
+def _denominator(mech, cav, op, out):
+    # d = mech * cav - drive_term(op), mech first: numpy's SIMD complex
+    # product is not bitwise commutative
+    return np.subtract(np.multiply(mech, cav, out=out), drive_term(op),
+                       out=out)
 
 
-def _numerator(mech, sb, op, out=None):
-    # mech * sb, in this order, as in _denominator
-    return _mul(2.0 * op.cavity_decay,
-                _add(_mul(mech, sb, out), 1j * HBAR * coupling(op), out), out)
-
-
-def _v2(sb, op, out=None):
-    # |V|^2*|d|^2 from the sideband sb, into a float out
-    return _mul(2.0 * op.cavity_decay * coupling(op), _abs2(sb, out), out)
-
-
-def mech_factor(omega, op):
-    """Inverse membrane susceptibility m*(omega_m^2 - omega^2 - i*gamma_m*omega)."""
-    return _mech(omega, op)
-
-
-def cav_factor(omega, op):
-    """Cavity factor (2*kappa - i*omega)^2 + Delta^2."""
-    return _cav(omega, op)
-
-
-def denominator(mech, cav, op):
-    """d(omega) = mech * cav - drive_term(op).
-
-    mech and cav are mech_factor(omega, op) and cav_factor(omega, op).
-    """
-    return _denominator(mech, cav, op)
-
-
-def e_numerator(omega, op, mech):
-    """E(omega) * d(omega), given mech = mech_factor(omega, op)."""
-    # the sideband is an argument, so numpy cannot elide it into the
-    # product (see BLOCK): on 256 KiB or more that would run sb * mech
-    return _numerator(mech, _sideband(omega, op), op)
+def _numerator(mech, sb, op, out):
+    # E*d = 2*kappa*(mech * sb + i*hbar*g^2*|c_s|^2), mech first as in
+    # _denominator
+    return np.multiply(2.0 * op.cavity_decay, np.add(
+        np.multiply(mech, sb, out=out), 1j * HBAR * coupling(op), out=out),
+        out=out)
 
 
 def sv_numerator(op):
@@ -332,9 +285,10 @@ def sv_numerator(op):
     return 8.0 * (op.cavity_decay * HBAR * coupling(op)) ** 2
 
 
-def v2_numerator(omega, op):
-    """|V(omega)|^2 * |d(omega)|^2, V being the membrane-force-to-field gain."""
-    return _v2(_sideband(omega, op), op)
+def _v2(sb, op, out):
+    # |V|^2*|d|^2 from the sideband sb, into a float out
+    return np.multiply(2.0 * op.cavity_decay * coupling(op), _abs2(sb, out),
+                       out=out)
 
 
 def _kbt(op):
@@ -401,17 +355,15 @@ def _scratch(size, kind):
             [np.empty(size, kind) for _ in range(3)])
 
 
-def _amplitude(w, op, c=None, f=None):
+def _amplitude(w, op, c, f):
     """E(omega) and d(omega) on one block of frequencies w.
 
     They are formed in the complex scratch rows c[0] and c[1], with the
     sideband left in c[2], and the rows c[3] and f[0] are overwritten
-    (:func:`_scratch`); without scratch the block gets its own.  No complex
-    product, square or quotient writes over one of its operands: numpy
-    would round a 1-point block of that by another loop.
+    (:func:`_scratch`).  No complex product, square or quotient writes
+    over one of its operands: numpy would round a 1-point block of that by
+    another loop.
     """
-    if c is None:
-        c, f = _scratch(w.size, w.dtype)
     mech = _mech(w, op, c[0], f[0])
     d = _denominator(mech, _cav(w, op, c[3], c[1]), op, c[1])
     sb = _sideband(w, op, c[2], f[0])
@@ -513,9 +465,12 @@ def fill_channels(flat, op, refl, trans, sv, st, *ports):
 def channel_arrays(omega, op):
     """Evaluate the four response channels on a frequency grid.
 
-    d is evaluated once and shared; there is no near-singular guard here
-    (the pointwise functions of :mod:`omrouter.response` add one).
-    The grid is evaluated as in :func:`fill_channels`.
+    d is evaluated once a block and shared; it is the d that
+    :func:`omrouter.response.denominator_d` returns.  There is no
+    near-singular guard here (the pointwise functions of
+    :mod:`omrouter.response` add one).  The grid is evaluated as in
+    :func:`fill_channels`, so a value's bits do not depend on the grid
+    around it: a scalar omega is a grid of one point.
 
     Parameters
     ----------

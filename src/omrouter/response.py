@@ -23,7 +23,8 @@ The pointwise functions (:func:`response_E` and the four channels) are
 the grid kernel's values at the caller's frequencies, bit for bit, behind
 one guard: they refuse a frequency that is not real (E alone takes
 complex ones), an unstable operating point, as the spectra and the dip
-scan do, and a frequency where d cancels to near zero.  How d
+scan do, and a frequency where d cancels to near zero.
+:func:`denominator_d` reads d from the same block pass, unguarded.  How d
 rounds is read from :mod:`omrouter.kernels`.
 """
 
@@ -56,21 +57,23 @@ def denominator_d(omega, op: OperatingPoint):
                * ((2*kappa - i*omega)^2 + Delta^2)
                - 2*hbar*g^2*|c_s|^2*Delta
 
-    Accepts finite real or complex omega, scalar or array; anything else
-    raises InvalidParameterError.  Integers are taken as floats, so their
-    squares do not wrap around.  A d past the float range raises
+    This is the grid kernel's d, from the block pass of
+    :mod:`omrouter.kernels` that the channels are read from, so a scalar
+    omega gives an array's value bit for bit.  It is formed at any point,
+    stable or not, and at zeros of d.  Accepts finite real or complex
+    omega, scalar or array; anything else raises InvalidParameterError.
+    Integers and single precision are taken in double, so squares do not
+    wrap around or overflow early.  A d past the float range raises
     NumericalFailureError.
     """
     _operating_point(op)
     w = _numbers("omega", omega, "iufc", finite=True)
-    if w.dtype.kind in "iu":
-        w = w.astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = kernels.denominator(kernels.mech_factor(w, op),
-                                kernels.cav_factor(w, op), op)
+    # E = E*d / d may overflow or be 0/0 where d is small or past range
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = _block_rows(w, op, 1)
     if not np.all(np.isfinite(d)):
         raise NumericalFailureError("d is past the float range")
-    return d
+    return d[()]
 
 
 def _checked(omega, op: OperatingPoint, kinds="iuf"):
@@ -100,15 +103,21 @@ def _channel(omega, op: OperatingPoint, row):
     return float(val[0]) if np.ndim(omega) == 0 else val
 
 
+def _block_rows(w, op, row):
+    """E (row 0) or d (row 1) at the frequencies w, in w's shape, from the
+    grid kernel's block pass; integers, float32 and complex64 are taken in
+    double."""
+    flat = np.ravel(np.asarray(w, dtype=np.result_type(w, float)))
+    out = np.empty(flat.size, complex)
+    for b, _, e, d, _, _ in kernels._pass(flat, op):
+        out[b] = (e, d)[row]
+    return out.reshape(np.shape(w))
+
+
 @kernels._finite
 def _amplitude(w, op):
-    """E at the frequencies w from the grid kernel's block pass, behind its
-    floating-point guard; integers are taken as floats."""
-    flat = np.ravel(np.asarray(w, dtype=np.result_type(w, float)))
-    e = np.empty(flat.size, complex)
-    for b, _, block, _, _, _ in kernels._pass(flat, op):
-        e[b] = block
-    return e.reshape(np.shape(w))
+    """E at the frequencies w behind the kernel's floating-point guard."""
+    return _block_rows(w, op, 0)
 
 
 def response_E(omega, op: OperatingPoint):

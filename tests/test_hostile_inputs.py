@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, NumericalFailureError,
-                      RegimeWarning, SystemParams,
+                      OperatingPoint, RegimeWarning, SystemParams,
                       UnstableOperatingPointError, assess_stability,
                       d_polynomial_coeffs, default_grid, default_params,
                       denominator_d, derive_operating_point, eit_linewidth,
@@ -56,6 +56,12 @@ _PARAMS = st.one_of(
     st.builds(lambda name, value: replace(default_params(), **{name: value}),
               st.sampled_from([f.name for f in fields(SystemParams)]),
               _HOSTILE))
+# a point with one field replaced, as dataclasses.replace allows
+_POINT = st.one_of(
+    st.just(OP),
+    st.builds(lambda name, value: replace(OP, **{name: value}),
+              st.sampled_from([f.name for f in fields(OperatingPoint)]),
+              _HOSTILE))
 
 # each public function with one strategy per argument
 _ENTRIES = [
@@ -78,8 +84,10 @@ _ENTRIES = [
     (lorentzian_input, _OMEGA, _or_hostile(WM), _or_hostile(0.01 * WM)),
     (lorentzian_band_mass, _or_hostile(0.5 * WM), _or_hostile(1.5 * WM),
      _or_hostile(WM), _or_hostile(0.01 * WM)),
+    (default_params,),
     (validate, _PARAMS),
     (derive_operating_point, _PARAMS),
+    (OperatingPoint.as_params, _POINT),
     (routing_probabilities, _OP, _BAND),
     (switching_contrast, _PARAMS, _POWER, _BAND),
     (max_stable_power, _PARAMS, _POWER, _or_hostile(0.01)),
@@ -107,6 +115,10 @@ def _calls(draw):
 @example(call=(default_grid, ("x", 5)))
 @example(call=(denominator_d, (10 ** 400, OP)))
 @example(call=(denominator_d, (math.inf, OP)))
+@example(call=(denominator_d, (np.float32(5e12), OP)))
+@example(call=(denominator_d, (np.array([WM, complex(math.inf, 0.0)]), OP)))
+@example(call=(denominator_d, ([], OP)))
+@example(call=(denominator_d, ([[0.9 * WM, 1.1 * WM]], OP)))
 @example(call=(validate, (SystemParams(mech_freq=[10 ** 5000]),)))
 @example(call=(default_grid, (OP, -(10 ** 5000))))
 @example(call=(lorentzian_input, (1.0, [10 ** 5000], 1.0)))

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omrouter import (NumericalFailureError, RegimeWarning,
-                      assess_stability, default_params,
+                      assess_stability, default_params, denominator_d,
                       derive_operating_point, kernels, lorentzian_input,
                       output_spectra)
 from omrouter.operating_point import HBAR, KB
@@ -202,13 +202,6 @@ def test_channel_bits_do_not_depend_on_array_size(power, temp):
                    for i in range(0, grid.size, 4001)))
     for got, parts in zip(whole, pieces):
         assert np.array_equal(got, np.concatenate(parts))
-    # the public building blocks too, unblocked
-    mech = kernels.mech_factor(grid, op)
-    numer = kernels.e_numerator(grid, op, mech)
-    for i in range(0, grid.size, 4001):
-        part = slice(i, i + 4001)
-        assert np.array_equal(
-            numer[part], kernels.e_numerator(grid[part], op, mech[part]))
 
 
 @pytest.mark.parametrize("power,temp", _DESIGN_POINTS)
@@ -225,8 +218,8 @@ def test_transmission_is_the_channel_t(power, temp):
 @pytest.mark.parametrize("power,temp", [p for p in _DESIGN_POINTS if p[1]])
 def test_thermal_channel_is_the_one_formula_bit_for_bit(n, power, temp):
     # St on the spectra's grids, and at frequencies with x between 1e-15
-    # and 30, is the expression below evaluated block by block: the
-    # frozen spectra pin these bits
+    # and 30, is the expression below evaluated block by block, with d
+    # from the block pass: the frozen spectra pin these bits
     op = _design_point(power, temp)
     kbt = KB * temp
     amp = 2.0 * HBAR * op.gamma_m * op.eff_mass
@@ -235,12 +228,12 @@ def test_thermal_channel_is_the_one_formula_bit_for_bit(n, power, temp):
                  np.sort(10 ** rng.uniform(-15.0, np.log10(30.0), n))
                  * (kbt / HBAR)):
         expected = np.empty(n)
-        for b in kernels.blocks(n):
-            w = grid[b]
+        for b, w, _, d, _, _ in kernels._pass(grid, op):
             weight = amp * w * (1.0 / np.expm1(HBAR * w / kbt))
-            _, d = kernels._amplitude(w, op)
-            expected[b] = kernels.v2_numerator(w, op) / np.abs(d) ** 2 \
-                * weight
+            sb = 2.0 * op.cavity_decay - 1j * (op.eff_detuning + w)
+            v2 = 2.0 * op.cavity_decay * (op.g ** 2 * op.n_cav) \
+                * np.abs(sb) ** 2
+            expected[b] = v2 / np.abs(d) ** 2 * weight
         assert np.array_equal(kernels.channel_arrays(grid, op)[3], expected)
 
 
@@ -346,7 +339,7 @@ def test_kernel_d_is_within_its_scale_of_the_exact_d(params, x):
     # of m*omega_m^4*scale of d formed at 40 digits from the point's floats
     op = derive_operating_point(params)
     w = x * op.mech_freq
-    d = complex(kernels._amplitude(np.array([w]), op)[1][0])
+    d = complex(denominator_d(w, op))
     with mpmath.workdps(40):
         err = float(abs(d - d_at(op, w)))
     wm = op.mech_freq

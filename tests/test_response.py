@@ -32,14 +32,21 @@ def test_zero_drive_reduces_to_bare_cavity(op_off):
 
 def test_scalar_amplitude_is_the_grid_kernels(op_5uw):
     # a scalar omega runs the grid kernel's block pass like an array: its
-    # E is the array's to the bit, where numpy's scalar complex product
-    # had rounded it apart on hosts with FMA
+    # E and d are the array's to the bit, where numpy's scalar complex
+    # product had rounded them apart on hosts with FMA; d at every point
+    # of the default window, real and complex
     grid = np.linspace(0.5 * WM, 1.5 * WM, 301)
-    e, _ = kernels._amplitude(grid, op_5uw)
+    _, _, e, d, _, _ = next(kernels._pass(grid, op_5uw))
     assert np.array_equal(response_E(grid, op_5uw), e)
+    assert np.array_equal(denominator_d(grid, op_5uw), d)
     for w, want in zip(grid.tolist(), e.tolist()):
         got = response_E(w, op_5uw)
         assert type(got) is complex and got == want
+    window = default_grid(op_5uw, 2001)
+    for omega in (window, window * (1.0 + 0.01j), window * (1.0 - 0.3j)):
+        array = denominator_d(omega, op_5uw)
+        for w, want in zip(omega.tolist(), array.tolist()):
+            assert denominator_d(w, op_5uw) == want
     # integers are taken as floats: omega^2 of an int64 10**10 wrapped
     assert response_E(10 ** 10, op_5uw) == response_E(1e10, op_5uw)
 
@@ -89,6 +96,19 @@ def test_denominator_takes_integers_as_floats(op_5uw):
                           denominator_d([3.0, 1e10], op_5uw))
     with pytest.raises(NumericalFailureError, match="float range"):
         denominator_d(1e200, op_5uw)
+    # float32 and complex64 are taken in double too: d of a float32 5e12
+    # is 2.5e40, which single precision had refused as past the float
+    # range, and an array's d is the float64 d to the bit, not complex64
+    w32 = np.float32(5e12)
+    assert denominator_d(w32, op_5uw) == denominator_d(float(w32), op_5uw)
+    grid = default_grid(op_5uw, 2001)
+    for omega in (grid, grid * (1.0 + 0.01j)):
+        narrow = omega.astype(np.complex64 if omega.dtype.kind == "c"
+                              else np.float32)
+        d = denominator_d(narrow, op_5uw)
+        assert d.dtype == np.complex128
+        assert np.array_equal(d, denominator_d(narrow.astype(omega.dtype),
+                                               op_5uw))
 
 
 # ------------------------------------------------------------ probe channels
@@ -715,8 +735,7 @@ def _rad_s_guard_refuses(omega, op):
     cav = abs(2.0 * op.cavity_decay - 1j * omega) ** 2 \
         + op.eff_detuning ** 2
     scale = mech * cav + abs(kernels.drive_term(op))
-    _, d = kernels._amplitude(np.asarray(omega), op)
-    return bool(abs(d) < 1e-12 * scale)
+    return bool(abs(denominator_d(omega, op)) < 1e-12 * scale)
 
 
 def test_record_guard_refuses_where_the_rad_s_guard_did():
