@@ -7,20 +7,12 @@ sweep      one spectrum block per value of a swept parameter
 stability  pole locations and stability margin of the working point
 route      band-integrated routing report, on state vs drive off
 
-Each takes the same six flags, read from one table: --config, --power,
---temp, --grid, --format and --out.  A flag may be shortened to a unique
-prefix (--pow, --fo=json), and its value follows after a space or after
-"=" (--flag=value); of a flag given twice, the last counts.  A value that
-starts with "-" needs "=" (--power=-1e-6) unless it is a plain negative
-number such as -1 or -.5.  -h or --help prints the help and exits 0.  The
-parser refuses a missing or unknown command, a flag before the command,
-an extra positional argument, an unknown flag, a flag without a value, a
---format other than csv or json, and a --power or --temp that float()
-cannot read: it prints the usage and one "omrouter: error:" or "omrouter
-<command>: error:" line on stderr and exits 2.  These are the rules, the
-messages and the 80-column help text of the argparse parser that the
-table replaced, but for --flag=--, which argparse took as an empty list
-and this refuses.
+Each takes the same six flags: --config, --power, --temp, --grid, --format
+and --out.  They follow argparse's rules and messages, and its help at 80
+columns whatever COLUMNS says (see README).  A plain argv, a command and
+then whole flags each followed by a value that it takes and that does not
+start with "-", is read without building the parser.  --flag=--, which
+argparse stores as an empty list, is refused.
 
 Exit codes: 0 success, 2 invalid input or config or an output that cannot
 be written, 3 unstable operating point, 4 numerical failure.  Past the
@@ -47,11 +39,11 @@ when complete and keeps the mode of the file it replaces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
-import re
 import stat
 import sys
 import types
@@ -362,153 +354,70 @@ _COMMANDS = {"spectrum": cmd_spectrum, "sweep": cmd_sweep,
 # the flags every subcommand takes, each with the converter of its text
 _FLAGS = {"--config": str, "--power": float, "--temp": float, "--grid": str,
           "--format": str, "--out": str}
-_COMMAND_FLAGS = ("--help",) + tuple(_FLAGS)
-# a token that starts with "-" is still a value when it reads as one of these
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-# argparse's help text for these flags at 80 columns, byte for byte
-_USAGE = "usage: omrouter [-h] {spectrum,sweep,stability,route} ...\n"
-_HELP = _USAGE + """
-Single-photon routing spectra of a driven optomechanical cavity
-
-positional arguments:
-  {spectrum,sweep,stability,route}
-    spectrum            channel spectra on a frequency grid
-    sweep               spectrum blocks over a swept parameter
-    stability           pole locations and margin
-    route               band-integrated routing report
-
-options:
-  -h, --help            show this help message and exit
-"""
-_COMMAND_HELP = """
-options:
-  -h, --help           show this help message and exit
-  --config CONFIG      flat json config file
-  --power POWER        drive power [W]
-  --temp TEMP          bath temperature [K]
-  --grid GRID          lo:hi:n in units of mech_freq
-  --format {csv,json}
-  --out OUT            output file (default stdout)
-"""
 
 
-def _usage(command):
-    if command is None:
-        return _USAGE
-    lead = f"usage: omrouter {command} "
-    return (f"{lead}[-h] [--config CONFIG] [--power POWER] [--temp TEMP]\n"
-            f"{' ' * len(lead)}[--grid GRID] [--format {{csv,json}}] "
-            f"[--out OUT]\n")
+@functools.cache
+def _parsers():
+    """argparse's parser of the command line, under None, and its subparser
+    of each command, built on the first call that needs them."""
+    import argparse
+    # the help at 80 columns whatever COLUMNS says
+    wide = functools.partial(argparse.HelpFormatter, width=78)
+    parser = argparse.ArgumentParser(
+        prog="omrouter", formatter_class=wide,
+        description="Single-photon routing spectra of a driven "
+                    "optomechanical cavity")
+    sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {None: parser}
+    for name, blurb in (
+            ("spectrum", "channel spectra on a frequency grid"),
+            ("sweep", "spectrum blocks over a swept parameter"),
+            ("stability", "pole locations and margin"),
+            ("route", "band-integrated routing report")):
+        p = parsers[name] = sub.add_parser(name, help=blurb,
+                                           formatter_class=wide)
+        p.add_argument("--config", help="flat json config file")
+        p.add_argument("--power", type=float, help="drive power [W]")
+        p.add_argument("--temp", type=float, help="bath temperature [K]")
+        p.add_argument("--grid", help="lo:hi:n in units of mech_freq")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help="output file (default stdout)")
+    return parsers
 
 
-def _refuse(command, message):
-    """Print the usage and one error line on stderr, and exit 2."""
-    prog = "omrouter" if command is None else f"omrouter {command}"
-    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _option(token, command):
-    """None where ``token`` is a value, else (flag, text after it or None),
-    with flag None for a flag that the command line does not know.
-
-    A long flag may be shortened to a unique prefix (--pow, --fo=json), and
-    -h may run on into more h's (-hh).  A token that names no flag and reads
-    as a negative number (-1, -.5) or holds a space is a value, as are "-"
-    and every token that does not start with "-".
-    """
-    if not token.startswith("-") or token == "-":
+def _plain(argv):
+    """The values of a plain ``argv`` (see the module docstring) as
+    argparse reads them, else None."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
         return None
-    names = ("--help",) if command is None else _COMMAND_FLAGS
-    if token == "-h" or token in names:
-        return token, None
-    head, eq, text = token.partition("=")
-    if eq and (head == "-h" or head in names):
-        return head, text
-    if token[1] == "-":
-        hits = [name for name in names if name.startswith(head)]
-        if len(hits) > 1:
-            _refuse(command, f"ambiguous option: {token} could match "
-                             f"{', '.join(hits)}")
-        if hits:
-            return hits[0], text if eq else None
-    elif token[1] == "h":
-        return "-h", token[2:]
-    if _NEGATIVE.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _help(command, flag, text):
-    """Print the help of ``command`` (None for the top level) and exit 0,
-    or refuse a help flag that carries text."""
-    tail = text.lstrip("h") if flag == "-h" and text is not None else text
-    if text is None or (text and not tail):
-        sys.stdout.write(_HELP if command is None
-                         else _usage(command) + _COMMAND_HELP)
-        raise SystemExit(0)
-    _refuse(command, f"argument -h/--help: ignored explicit argument {tail!r}")
+    args = {"command": argv[0], "config": None, "power": None, "temp": None,
+            "grid": None, "format": "csv", "out": None}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in _FLAGS or text.startswith("-"):
+            return None
+        try:
+            value = _FLAGS[flag](text)
+        except ValueError:
+            return None
+        if flag == "--format" and value not in ("csv", "json"):
+            return None
+        args[flag[2:]] = value
+    return types.SimpleNamespace(**args)
 
 
 def _parse_args(argv):
-    """The command and flag values of ``argv``, read by argparse's rules
-    (see the module docstring), refusals and help included."""
-    extras = []
-    for i, token in enumerate(argv):
-        option = None if token == "--" else _option(token, None)
-        if option is None:
-            break
-        if option[0] is None:
-            extras.append(token)
-        else:
-            _help(None, *option)
-    else:
-        token = None
-    if token is None or token == "--" and i + 1 == len(argv):
-        _refuse(None, "the following arguments are required: command")
-    if token not in _COMMANDS:
-        _refuse(None, f"argument command: invalid choice: {token!r} (choose "
-                      f"from 'spectrum', 'sweep', 'stability', 'route')")
-    command, rest = token, argv[i + 1:]
-    # tokens from "--" on are values, and no flag takes them
-    end = rest.index("--") if "--" in rest else len(rest)
-    options = [_option(t, command) for t in rest[:end]]
-    args = {"command": command, "config": None, "power": None, "temp": None,
-            "grid": None, "format": "csv", "out": None}
-    i = 0
-    while i < end:
-        option = options[i]
-        i += 1
-        if option is None or option[0] is None:
-            extras.append(rest[i - 1])
-            continue
-        flag, text = option
-        if flag in ("-h", "--help"):
-            _help(command, flag, text)
-        if text == "--":
-            # argparse stored [] here, a value of no type, and went on
-            args[flag[2:]] = []
-            continue
-        if text is None:
-            if i == end or options[i] is not None:
-                _refuse(command, f"argument {flag}: expected one argument")
-            text = rest[i]
-            i += 1
-        try:
-            args[flag[2:]] = value = _FLAGS[flag](text)
-        except ValueError:
-            _refuse(command, f"argument {flag}: invalid float value: {text!r}")
-        if flag == "--format" and value not in ("csv", "json"):
-            _refuse(command, f"argument --format: invalid choice: {value!r} "
-                             f"(choose from 'csv', 'json')")
-    extras += rest[end:]
-    if extras:
-        _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
-    for name, value in args.items():
-        if value == []:
-            _refuse(command, f"argument --{name}: expected one argument")
-    return types.SimpleNamespace(**args)
+    """The command and flag values of ``argv``: a plain argv's from
+    :func:`_plain`, every other's from argparse, refusals and help
+    included."""
+    args = _plain(argv)
+    if args is None:
+        parsers = _parsers()
+        args = parsers[None].parse_args(argv)
+        for flag in _FLAGS:
+            if getattr(args, flag[2:]) == []:   # argparse's --flag=--
+                parsers[args.command].error(
+                    f"argument {flag}: expected one argument")
+    return args
 
 
 def _drop_stdout():

@@ -15,15 +15,19 @@ import numpy as np
 from .operating_point import _numbers, _real
 
 
-def _offset(omega, resonance, decay):
-    """omega - resonance and kappa as floats, for the etalon's closed forms.
+def _shares(omega, resonance, decay):
+    """d/h and 2*kappa/h, with d = omega - resonance and h = hypot(d,
+    2*kappa): R and T are their squares, which hold where d^2 or kappa^2
+    would underflow or overflow.
 
     Raises InvalidParameterError unless omega is finite real numbers,
     resonance a finite real number and decay one > 0.
     """
     w = np.asarray(_numbers("omega", omega, finite=True), dtype=float)
-    decay = _real("decay", decay, above=0.0)
-    return w - _real("resonance", resonance), decay
+    width = 2.0 * _real("decay", decay, above=0.0)
+    d = w - _real("resonance", resonance)
+    h = np.hypot(d, width)
+    return d / h, width / h
 
 
 def empty_reflectance(omega, resonance, decay):
@@ -34,16 +38,15 @@ def empty_reflectance(omega, resonance, decay):
     half-width 2*kappa.  InvalidParameterError unless omega is finite real
     numbers, resonance a finite real number and decay one > 0.
     """
-    d, decay = _offset(omega, resonance, decay)
-    return d * d / (4.0 * decay * decay + d * d)
+    r = _shares(omega, resonance, decay)[0]
+    return r * r
 
 
 def empty_transmittance(omega, resonance, decay):
     """T(omega) = 4 kappa^2 / (4 kappa^2 + (omega-omega_0)^2), so R + T = 1.
     Refuses its arguments as :func:`empty_reflectance` does."""
-    d, decay = _offset(omega, resonance, decay)
-    k2 = 4.0 * decay * decay
-    return k2 / (k2 + d * d)
+    t = _shares(omega, resonance, decay)[1]
+    return t * t
 
 
 def lorentzian_input(omega, center, bandwidth):

@@ -195,7 +195,8 @@ def stable_drive_window(op):
     Raises
     ------
     NumericalFailureError
-        When a bound is past the float range (omega_m^6 overflows).
+        When a bound is past the float range (omega_m^6 overflows, or
+        a3^2 underflows to 0).
     """
     k = op.cavity_decay
     gm = op.gamma_m
@@ -206,7 +207,8 @@ def stable_drive_window(op):
     h = 4.0 * k * gm * ((d2 - wm2) * (d2 - wm2) + 8.0 * k2 * (d2 + wm2)
                         + 16.0 * k2 * k2 + 4.0 * k * gm * (cav0 + wm2)
                         + gm * gm * cav0)
-    lo = -h / (a3 * a3)
+    a3a3 = a3 * a3   # underflowing to 0, it leaves no finite lower bound
+    lo = -h / a3a3 if a3a3 else -math.inf
     hi = wm2 * cav0
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalFailureError("Hurwitz stability bounds are not finite")
@@ -319,6 +321,8 @@ def thermal_weight(omega, op):
     InvalidParameterError
         When bath_temp is negative, NaN or infinite, as a point made by
         dataclasses.replace, which skips validation, can carry.
+    NumericalFailureError
+        When the classical limit is taken and is past the float range.
     """
     kbt = _kbt(op)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -341,8 +345,12 @@ def _weight(w, op, kbt, out, x, tmp):
         np.divide(np.multiply(HBAR, w, out=x), kbt, out=x)
         np.divide(1.0, np.expm1(x, out=out), out=out)
         np.multiply(np.multiply(amp, w, out=tmp), out, out=out)
-    out[np.abs(x, out=x) < np.finfo(float).eps] = \
-        2.0 * op.gamma_m * op.eff_mass * kbt
+    small = np.abs(x, out=x) < np.finfo(float).eps
+    limit = 2.0 * op.gamma_m * op.eff_mass * kbt   # inf sets no numpy flag
+    if not math.isfinite(limit) and small.any():
+        raise NumericalFailureError(
+            "thermal weight is not finite: its classical limit overflows")
+    out[small] = limit
     return out
 
 

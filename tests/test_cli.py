@@ -3,6 +3,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -322,6 +323,30 @@ def test_route_numerical_refusals_exit_four(write_config, capsys, entries,
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", ["route", "stability", "spectrum"])
+def test_underflowing_a3_squared_exits_four(write_config, capsys, command):
+    # a3 = 4*kappa + gamma_m squares to 0: -H/a3^2 ended in a traceback
+    cfg = write_config("tiny.json", units="rad_s", quality=2e197,
+                       cavity_decay=2.8e-202)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", omrouter.RegimeWarning)
+        code, out, err = _run(capsys, command, "--config", cfg)
+    assert (code, out) == (4, "")
+    assert err == "error: Hurwitz stability bounds are not finite\n"
+
+
+def test_overflowing_classical_thermal_limit_exits_four(write_config,
+                                                       capsys):
+    # 2*gamma_m*m*kB*T overflows to inf: St and Sdout were written as inf
+    # at exit 0
+    cfg = write_config("hot.json", quality=2e-89, bath_temp=1.8e291)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", omrouter.RegimeWarning)
+        code, out, err = _run(capsys, "spectrum", "--config", cfg)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: thermal weight is not finite")
+
+
 def test_sweep_rows_bounded_by_grid_times_values(write_config, capsys):
     n = cli.MAX_ROWS // 2 + 1
     cfg = write_config("sweep.json", sweep_param="power", grid_n=n,
@@ -517,8 +542,8 @@ def test_unknown_format_rejected_by_parser(capsys):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser that read the command line before cli's flag
-    table, kept as the oracle of the parser's differential test."""
+    """The argparse parser of the command line, written apart from cli's
+    own, as the oracle of the parser's differential test."""
     parser = argparse.ArgumentParser(
         prog="omrouter",
         description="Single-photon routing spectra of a driven "
@@ -589,45 +614,57 @@ _TOKENS = st.sampled_from(
      "-hh", "-hx", "--x", "-p", "--=json", "--power", "--fo", "-1", "-1e-6",
      "-x", "xml", "1e400", "nan", "--power=--", "--out=--", "--fo=xml",
      "--temp=x"))
+# a value that a flag refuses, then the flag again with one it takes
+_REFUSED_THEN_TAKEN = st.sampled_from((
+    ["--format", "xml", "--format", "json"], ["--power", "x", "--power", "1"],
+    ["--temp", "-", "--temp", "0.02"], ["--format", "-1", "--format", "csv"],
+    ["--fo=xml", "--format", "json"], ["--power", "x", "--pow=1"]))
 # the same, with tokens before the command or in place of it, flags
 # without a value, values a flag refuses, extra positionals, "--" and -h
 _ARGV = st.one_of(_GOOD_ARGV, st.builds(
     lambda head, argv, tail, token: head + argv[:tail] + token + argv[tail:],
     st.lists(_TOKENS, max_size=1), _GOOD_ARGV, st.integers(0, 9),
-    st.lists(_TOKENS, min_size=1, max_size=2)))
+    st.lists(_TOKENS, min_size=1, max_size=2)), st.builds(
+    lambda argv, tail, repeat: argv[:tail] + repeat + argv[tail:],
+    _GOOD_ARGV, st.integers(1, 9), _REFUSED_THEN_TAKEN))
 
 
 def _oracle(argv):
-    # the flag table's help text is argparse's at 80 columns, frozen
+    # the parser prints its help and usage at 80 columns
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         return _parsed(_ORACLE.parse_args, argv)
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(argv=_ARGV)
+@example(argv=["route", "--format", "xml", "--format", "json"])
+@example(argv=["route", "--power", "x", "--power", "1"])
 def test_parser_reads_argv_as_argparse_did(argv):
     want, got = _oracle(argv), _parsed(cli._parse_args, argv)
     if want[0] is None and "[]" in want[1]:
         # argparse stored [] for --flag=--, a value of no type, and
-        # accepted it; the flag table refuses it
-        assert got[0] == 2, argv
-    elif want[0] == 2:
-        assert got[0] == 2 and got[2] == "", argv
-        lines = got[3].splitlines()
-        assert lines[0].startswith("usage: omrouter")
-        assert re.fullmatch(r"omrouter( \w+)?: error: .+", lines[-1])
-        assert all(line.startswith(" ") for line in lines[1:-1])
-    else:
-        assert got == want, argv
+        # accepted it; the parser refuses it as argparse refuses the first
+        # such flag given without a value
+        command = want[1][0].strip("'")
+        flag = "--" + _ARGV_FIELDS[want[1].index("[]")]
+        want = _oracle([command, flag])
+    assert got == want, argv
 
 
 def test_help_is_argparse_s_at_80_columns(capsys):
-    for argv in (["-h"], ["--help"], ["route", "-h"], ["stability", "--he"],
-                 ["--power", "-h", "route"], ["sweep", "-hh"]):
-        with pytest.raises(SystemExit) as exc:
+    # the help, and the usage of a refusal, whatever COLUMNS says
+    argvs = ((["-h"], 0), (["--help"], 0), (["route", "-h"], 0),
+             (["stability", "--he"], 0), (["--power", "-h", "route"], 0),
+             (["sweep", "-hh"], 0), (["bogus"], 2),
+             (["route", "--format", "xml"], 2), (["spectrum", "--power"], 2))
+    for columns, (argv, code) in itertools.product(("40", "80", "200"),
+                                                   argvs):
+        with mock.patch.dict(os.environ, {"COLUMNS": columns}), \
+                pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 0
-        assert capsys.readouterr().out == _oracle(argv)[2]
+        assert exc.value.code == code
+        cap = capsys.readouterr()
+        assert (cap.out, cap.err) == _oracle(argv)[2:], (columns, argv)
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
@@ -638,12 +675,20 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
 
 
 def test_cli_import_loads_no_argparse():
+    # nor does a plain argv, which main reads without building the parser;
+    # an "=" form is read by argparse
+    script = "\n".join((
+        "import sys", "import omrouter.cli",
+        "loaded = ['argparse' in sys.modules]",
+        "for argv in (['route', '--format', 'json', '--temp', '0'],",
+        "             ['route', '--fo=json']):",
+        "    omrouter.cli.main(argv)",
+        "    loaded.append('argparse' in sys.modules)",
+        "print(loaded)"))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import omrouter.cli, sys; print('argparse' in sys.modules)"],
-        env=_src_env(), capture_output=True, text=True, check=True,
-        timeout=60)
-    assert out.stdout == "False\n"
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True,
+        text=True, check=True, timeout=60)
+    assert out.stdout.endswith("}\n[False, False, True]\n")
 
 
 # configs and --out targets of the argv property test, by name
@@ -796,6 +841,12 @@ def _hostile_configs(draw):
 # wide ended in a ZeroDivisionError traceback
 @example(cfg={"units": "rad_s", "cavity_decay": 1e57,
               "input_bandwidth": 1e-283, "drive_power": 0.0}, grid=True)
+# a3 = 4*kappa + gamma_m squaring to 0 ended in a ZeroDivisionError
+# traceback, and a classical thermal weight past the float range in inf
+# at exit 0
+@example(cfg={"units": "rad_s", "quality": 2e197, "cavity_decay": 2.8e-202},
+         grid=False)
+@example(cfg={"quality": 2e-89, "bath_temp": 1.8e291}, grid=True)
 def test_hostile_config_through_main_exits_cleanly(cfg, grid):
     # every subcommand either writes its output or exits 2, 3 or 4 with one
     # error line, leaving an existing --out file as it was; half the runs

@@ -1,8 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omrouter import (InvalidParameterError, empty_reflectance,
                       empty_transmittance, lorentzian_band_mass,
@@ -30,6 +33,42 @@ def test_half_width_is_twice_kappa():
             pytest.approx(0.5, rel=1e-12)
         assert empty_reflectance(WM + s * 2.0 * KAPPA, WM, KAPPA) == \
             pytest.approx(0.5, rel=1e-12)
+
+
+# squares of these offsets and widths underflow or overflow, and R and T
+# once formed them: 0/0 or inf/inf, NaN with a RuntimeWarning
+_SQUARES_PAST_RANGE = [
+    (empty_reflectance, (1e200, 0.0, 1.0), 1.0),
+    (empty_reflectance, (WM, WM, 5e-324), 0.0),
+    (empty_transmittance, (1e-200, 0.0, 1e-170), 1.0),
+    (empty_transmittance, (0.0, 0.0, 3.8e166), 1.0)]
+
+
+@pytest.mark.parametrize("function, args, want", _SQUARES_PAST_RANGE)
+def test_squares_past_the_float_range_keep_their_ratio(function, args, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert function(*args) == want
+
+
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, deadline=None)
+@given(d=st.one_of(st.just(0.0), _LOG_UNIFORM, _LOG_UNIFORM.map(lambda x: -x)),
+       kappa=_LOG_UNIFORM)
+@example(d=1e200, kappa=1.0)
+@example(d=0.0, kappa=5e-324)
+@example(d=1e-200, kappa=1e-170)
+@example(d=0.0, kappa=3.8e166)
+def test_reflectance_and_transmittance_sum_to_one(d, kappa):
+    # R + T = 1 within a few ulp over the float range, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = empty_reflectance(d, 0.0, kappa)
+        t = empty_transmittance(d, 0.0, kappa)
+    assert 0.0 <= r <= 1.0 and 0.0 <= t <= 1.0
+    assert abs(r + t - 1.0) <= 4 * 2.0 ** -53
 
 
 def test_far_detuned_fully_reflective():

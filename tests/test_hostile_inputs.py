@@ -26,6 +26,14 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
 from oracles import WM
 
 OP = derive_operating_point(default_params())
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", RegimeWarning)
+    # a3 = 4*kappa + gamma_m squares to 0 at the first, and the classical
+    # thermal weight 2*gamma_m*m*kB*T is past the float range at the second
+    A3_UNDERFLOWS = derive_operating_point(
+        replace(default_params(), quality=2e197, cavity_decay=2.8e-202))
+    HOT = derive_operating_point(
+        replace(default_params(), quality=2e-89, bath_temp=1.8e291))
 
 # 10 ** 5000 has more digits than Python converts to str: its repr raises,
 # as a scalar and inside a list; +-0, -1 and the smallest subnormal sit on
@@ -125,6 +133,15 @@ def _calls(draw):
 @example(call=(max_stable_power, (SystemParams(), [10 ** 5000])))
 @example(call=(switching_contrast, (SystemParams(), [10 ** 5000])))
 @example(call=(empty_reflectance, (1.0, 1.0, [10 ** 5000])))
+@example(call=(assess_stability, (A3_UNDERFLOWS,)))
+@example(call=(routing_probabilities, (A3_UNDERFLOWS, None)))
+@example(call=(reflection_R, (WM, A3_UNDERFLOWS)))
+@example(call=(max_stable_power, (A3_UNDERFLOWS.as_params(), 1e-3, 0.01)))
+@example(call=(thermal_noise, (WM, HOT)))
+@example(call=(empty_reflectance, (1e200, 0, 1)))
+@example(call=(empty_reflectance, (WM, WM, 5e-324)))
+@example(call=(empty_transmittance, (1e-200, 0, 1e-170)))
+@example(call=(empty_transmittance, (0, 0, 3.8e166)))
 def test_public_functions_return_or_raise_a_package_error(call):
     function, arguments = call
     with warnings.catch_warnings():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import omrouter
 from omrouter import (NumericalFailureError, RegimeWarning,
                       assess_stability, default_params, denominator_d,
                       derive_operating_point, kernels, lorentzian_input,
@@ -360,3 +361,43 @@ def test_hurwitz_bounds_past_the_float_range_raise():
         kernels.is_stable(op)
     with pytest.raises(NumericalFailureError, match="Hurwitz"):
         output_spectra(np.array([0.9, 1.1]) * wm, op)
+
+
+def _derived(**fields):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        return derive_operating_point(replace(default_params(), **fields))
+
+
+def test_hurwitz_bound_over_an_underflowing_a3_squared_raises():
+    # a3 = 4*kappa + gamma_m is about 4e-192 rad/s here, and a3^2
+    # underflows to 0: -H/a3^2 once ended in a bare ZeroDivisionError
+    fields = {"quality": 2e197, "cavity_decay": 2.8e-202}
+    op = _derived(**fields)
+    calls = [lambda: kernels.stable_drive_window(op),
+             lambda: assess_stability(op),
+             lambda: output_spectra(np.array([0.9, 1.1]) * op.mech_freq, op),
+             lambda: omrouter.routing_probabilities(op),
+             lambda: omrouter.eit_linewidth_scan(op),
+             lambda: omrouter.max_stable_power(
+                 replace(default_params(), **fields), 1e-3)]
+    calls += [lambda name=name: getattr(omrouter, name)(op.mech_freq, op)
+              for name in _POINTWISE]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            with pytest.raises(NumericalFailureError, match="Hurwitz"):
+                call()
+
+
+def test_overflowing_classical_thermal_limit_raises():
+    # 2*gamma_m*m*kB*T is about 2e352 here, a Python product whose inf
+    # sets no numpy flag: thermal_noise once returned inf
+    op = _derived(quality=2e-89, bath_temp=1.8e291)
+    grid = np.array([0.9, 1.0, 1.1]) * op.mech_freq
+    for call in (lambda: kernels.thermal_weight(grid, op),
+                 lambda: omrouter.thermal_noise(op.mech_freq, op),
+                 lambda: kernels.channel_arrays(grid, op),
+                 lambda: output_spectra(grid, op)):
+        with pytest.raises(NumericalFailureError, match="classical limit"):
+            call()
