@@ -12,21 +12,31 @@ import math
 
 import numpy as np
 
+from .errors import NumericalFailureError
 from .operating_point import _numbers, _real
 
 
 def _shares(omega, resonance, decay):
     """d/h and 2*kappa/h, with d = omega - resonance and h = hypot(d,
     2*kappa): R and T are their squares, which hold where d^2 or kappa^2
-    would underflow or overflow.
+    would underflow or overflow.  Where d, 2*kappa or h is past the float
+    range, d and 2*kappa are quartered first, which changes no other value.
 
     Raises InvalidParameterError unless omega is finite real numbers,
     resonance a finite real number and decay one > 0.
     """
     w = np.asarray(_numbers("omega", omega, finite=True), dtype=float)
-    width = 2.0 * _real("decay", decay, above=0.0)
-    d = w - _real("resonance", resonance)
-    h = np.hypot(d, width)
+    decay = _real("decay", decay, above=0.0)
+    resonance = _real("resonance", resonance)
+    width = 2.0 * decay
+    with np.errstate(over="ignore"):
+        d = w - resonance
+        h = np.hypot(d, width)
+    over = np.isinf(h)
+    if over.any():
+        d = np.where(over, 0.25 * w - 0.25 * resonance, d)
+        width = np.where(over, 0.5 * decay, width)
+        h = np.hypot(d, width)
     return d / h, width / h
 
 
@@ -54,12 +64,32 @@ def lorentzian_input(omega, center, bandwidth):
 
     ``bandwidth`` is the half-width at half-maximum Gamma; the peak density
     is 1/(pi*Gamma) and the density falls to half of that at center +- Gamma.
-    InvalidParameterError unless omega is real numbers, center a finite
-    real number and bandwidth one > 0.
+    InvalidParameterError unless omega is finite real numbers, center a
+    finite real number and bandwidth one > 0; NumericalFailureError where
+    the density is past the float range (at the center of a line narrower
+    than about 1.8e-309).
+
+    Where the larger of |omega - center| and Gamma lies outside [2**-500,
+    2**500], so that their squares could underflow or overflow, both are
+    scaled by a power of two first, and the density back by it; that
+    changes no other value.
     """
     center, bandwidth = _line(center, bandwidth)
-    return _density(np.asarray(_numbers("omega", omega), dtype=float),
-                    center, bandwidth)
+    w = np.asarray(_numbers("omega", omega, finite=True), dtype=float)
+    with np.errstate(all="ignore"):
+        d = w - center
+        width = np.maximum(np.abs(d), bandwidth)
+        odd = (width < 2.0 ** -500) | (width > 2.0 ** 500)
+        if not odd.any():
+            return _density(w, center, bandwidth)
+        power = np.frexp(width)[1]
+        u, g = np.ldexp(d, -power), np.ldexp(bandwidth, -power)
+        scaled = np.ldexp((g / math.pi) / (u * u + g * g), -power)
+        density = np.where(odd, scaled, _density(w, center, bandwidth))
+    if not np.isfinite(density).all():
+        raise NumericalFailureError(
+            "the line density is past the float range")
+    return density[()]
 
 
 def _line(center, bandwidth):

@@ -2,14 +2,15 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omrouter import (InvalidParameterError, empty_reflectance,
-                      empty_transmittance, lorentzian_band_mass,
-                      lorentzian_input)
+from omrouter import (InvalidParameterError, NumericalFailureError,
+                      empty_reflectance, empty_transmittance,
+                      lorentzian_band_mass, lorentzian_input)
 from omrouter.empty_cavity import _lorentzian_band_integrals
 from oracles import KAPPA, WM, band_integrals
 
@@ -36,12 +37,15 @@ def test_half_width_is_twice_kappa():
 
 
 # squares of these offsets and widths underflow or overflow, and R and T
-# once formed them: 0/0 or inf/inf, NaN with a RuntimeWarning
+# once formed them: 0/0 or inf/inf, NaN with a RuntimeWarning; in the last
+# two the offset or 2*kappa itself is past the float range
 _SQUARES_PAST_RANGE = [
     (empty_reflectance, (1e200, 0.0, 1.0), 1.0),
     (empty_reflectance, (WM, WM, 5e-324), 0.0),
     (empty_transmittance, (1e-200, 0.0, 1e-170), 1.0),
-    (empty_transmittance, (0.0, 0.0, 3.8e166), 1.0)]
+    (empty_transmittance, (0.0, 0.0, 3.8e166), 1.0),
+    (empty_reflectance, (1e308, -1e308, 1.0), 1.0),
+    (empty_transmittance, (0.0, 0.0, 1e308), 1.0)]
 
 
 @pytest.mark.parametrize("function, args, want", _SQUARES_PAST_RANGE)
@@ -114,6 +118,28 @@ def test_line_mass_matches_numeric_integral():
     numeric = 0.5 * np.sum(np.diff(grid) * (line[1:] + line[:-1]))
     closed = lorentzian_band_mass(grid[0], grid[-1], WM, gamma)
     assert numeric == pytest.approx(closed, rel=1e-6)
+
+
+@pytest.mark.parametrize("offset, gamma", [
+    (1e-300, 1e-310), (0.0, 1e-170), (1e-160, 1e-170), (0.0, 1e200),
+    (1e200, 1e100), (1e300, 1e300), (-1.7e308, 1e-300)])
+def test_line_density_over_the_float_range(offset, gamma):
+    # the squares of these offsets and widths underflow or overflow, and
+    # the density once gave inf, NaN or 0 for a finite, nonzero value
+    with mpmath.workdps(40):
+        x, g = mpmath.mpf(offset), mpmath.mpf(gamma)
+        want = float(g / mpmath.pi / (x * x + g * g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lorentzian_input(offset, 0.0, gamma)
+    assert got == pytest.approx(want, rel=4 * 2.0 ** -52, abs=0.0)
+
+
+def test_line_density_past_the_float_range_refused():
+    # 1/(pi*Gamma) at the center of a line of 5e-324 is past the float
+    # range: once NaN, from 0/0
+    with pytest.raises(NumericalFailureError):
+        lorentzian_input(WM, WM, 5e-324)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), "a", None])

@@ -1,12 +1,13 @@
 """Hostile arguments at the library's public functions.
 
 Each call either returns or raises one of the package's three error
-classes; a RegimeWarning is the one warning it may give.
+classes; a RegimeWarning is the one warning it may give.  Every number it
+returns is finite: no public function promises inf or NaN.
 """
 
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -142,6 +143,10 @@ def _calls(draw):
 @example(call=(empty_reflectance, (WM, WM, 5e-324)))
 @example(call=(empty_transmittance, (1e-200, 0, 1e-170)))
 @example(call=(empty_transmittance, (0, 0, 3.8e166)))
+@example(call=(empty_reflectance, (1e308, -1e308, 1.0)))
+@example(call=(empty_transmittance, (0.0, 0.0, 1e308)))
+@example(call=(lorentzian_input, (WM, WM, 5e-324)))
+@example(call=(lorentzian_input, (math.nan, WM, 0.01 * WM)))
 def test_public_functions_return_or_raise_a_package_error(call):
     function, arguments = call
     with warnings.catch_warnings():
@@ -150,7 +155,22 @@ def test_public_functions_return_or_raise_a_package_error(call):
         # numpy before 1.24 warns as it stores a ragged list as objects
         warnings.filterwarnings("ignore", message="Creating an ndarray from ragged")
         try:
-            function(*arguments)
+            result = function(*arguments)
         except (InvalidParameterError, NumericalFailureError,
                 UnstableOperatingPointError):
-            pass
+            return
+    assert _finite(result), (function.__name__, result)
+
+
+def _finite(value):
+    """Whether every number in ``value`` is finite: a float, a numpy array
+    or scalar, or the fields of a dataclass, a tuple, list or dict."""
+    if is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, (float, complex, np.ndarray, np.number)):
+        return bool(np.isfinite(value).all())
+    return True

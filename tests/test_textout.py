@@ -96,12 +96,14 @@ def test_matches_percent_format_next_to_powers_of_ten():
 
 
 def test_matches_percent_format_at_the_edges_of_the_proven_range():
-    # 300 doubles either side of 1e-7, 1e-6, 1e16 and 1e17: the decades
-    # where the exact decomposition starts and ends, and next to them.
-    # Nothing outside [1e-6, 1e17) is proven, and below 1e17 e is 16
-    # whatever log10 rounds to, so every value there is
+    # 300 doubles either side of 1e-8, 1e-7, 1e-6, 1e16 and 1e17: the
+    # decades where the exact decomposition starts and ends, next to them,
+    # and the step from e = -7, where 10**23 carries its extra term, to
+    # e = -6.  Nothing outside [1e-7, 1e17) is proven, and below 1e17 e is
+    # 16 whatever log10 rounds to, so every value there is.  In [1e-7,
+    # 1e-6) only a miss of log10 by one leaves a value to fmt
     runs = []
-    for edge in (1e-7, 1e-6, 1e16, 1e17):
+    for edge in (1e-8, 1e-7, 1e-6, 1e16, 1e17):
         bits = np.float64(edge).view(np.int64)
         runs.append(np.arange(bits - 300, bits + 301).view(np.float64))
     x = np.concatenate(runs)
@@ -109,8 +111,9 @@ def test_matches_percent_format_at_the_edges_of_the_proven_range():
     with np.errstate(all="ignore"):
         ok = textout._fast(x)[2]
     a = np.abs(x)
-    assert not ok[(a < 1e-6) | (a >= 1e17)].any()
+    assert not ok[(a < 1e-7) | (a >= 1e17)].any()
     assert ok[(a > 9.99999e16) & (a < 1e17)].all()
+    assert ok[(a > 1e-7) & (a < 1e-6)].mean() > 0.95
     _assert_like_percent(x)
 
 
@@ -326,11 +329,16 @@ def test_repr_matches_json_on_exact_rounding_ties():
 
 
 @functools.cache
+def _spectrum_tables():
+    """The tables of 60 spectra: 10 drive powers x 6 bath temperatures."""
+    return [_spectrum_table(drive_power=p, bath_temp=t)
+            for p in POWERS for t in TEMPS]
+
+
+@functools.cache
 def _spectrum_pool():
-    """The values of 60 spectra: 10 drive powers x 6 bath temperatures."""
-    return np.concatenate([
-        c for p in POWERS for t in TEMPS
-        for c in _spectrum_table(drive_power=p, bath_temp=t)])
+    """The values of the 60 spectra of :func:`_spectrum_tables`."""
+    return np.concatenate([c for table in _spectrum_tables() for c in table])
 
 
 def test_repr_fast_path_covers_the_spectra():
@@ -344,12 +352,93 @@ def test_repr_fast_path_covers_the_spectra():
     assert share(_spectrum_pool()) >= 0.99
 
 
-def test_csv_fast_path_covers_the_spectra():
-    # as above for "%.12e": the pool's values, zeros included, are proven
-    # for at least 99%
+def test_csv_fast_path_covers_the_spectra(monkeypatch):
+    # as above for "%.12e", and every value: the pool's values, zeros and
+    # the decade [1e-7, 1e-6) included, are all proven, and no chunk of its
+    # spectra goes to the NUL slots
     x = _spectrum_pool()
     with np.errstate(all="ignore"):
-        assert textout._fast(x)[2].mean() >= 0.99
+        assert textout._fast(x)[2].all()
+
+    def refuse(lines):
+        raise AssertionError("a chunk went to the NUL slots")
+
+    monkeypatch.setattr(textout, "_ascii", refuse)
+    for table in _spectrum_tables():
+        assert sum(map(len, textout.csv_rows(table))) == 4001 * 7 * 19
+
+
+def test_calls_share_no_state(monkeypatch):
+    # two csv_rows generators consumed in turn, with a json_text call
+    # between their chunks, give the text each gives alone: the chunks
+    # alternate the 18-byte and the slot layouts (these draws hold no exact
+    # 13-digit tie), the last is short, and each call's scratch and line
+    # buffer are its own
+    k = 3
+    per_chunk = textout._CHUNK // k
+    rows = 4 * per_chunk + 7
+    rng = np.random.default_rng(33)
+    table = 10 ** rng.uniform(-7, 9, (rows, k))
+    table[per_chunk + 5, 1] = -1.5
+    table[3 * per_chunk + 2, 0] = math.nan
+    other = table[::-1] * 3.0
+    cols, other_cols = list(table.T), list(other.T)
+    slot_chunks = []
+    ascii_ = textout._ascii
+    monkeypatch.setattr(textout, "_ascii", lambda lines: (
+        slot_chunks.append(lines) or ascii_(lines)))
+    alone = ["".join(textout.csv_rows(c, prefix=p))
+             for c, p in ((cols, "a,"), (other_cols, ""))]
+    assert len(slot_chunks) == 4
+    monkeypatch.undo()
+    doc = {"x": table[:, 0], "y": other[:100, 2]}
+    json_alone = "".join(textout.json_text(doc))
+    first = textout.csv_rows(cols, prefix="a,")
+    second = textout.csv_rows(other_cols)
+    got = ["", ""]
+    for a, b in zip(first, second):
+        got[0] += a
+        assert "".join(textout.json_text(doc)) == json_alone
+        got[1] += b
+    assert got == alone
+    assert alone[0] == "".join("a," + ",".join(f"{v:.12e}" for v in row)
+                               + "\n" for row in table.tolist())
+
+
+def _edges(digits):
+    """0, 10**k - 1 and 10**k below 10**digits."""
+    return sorted({0, *(10 ** k for k in range(digits)),
+                   *(10 ** k - 1 for k in range(1, digits + 1))})
+
+
+def test_swar_quotients_are_exact():
+    # x // d = ((x * m) >> shift) & mask for every x < d*d: all of them for
+    # d = 100 and 10, and for d = 10**4 every x next to a multiple of d and
+    # a seeded sample (every x < 10**8 is checked outside the suite)
+    rng = np.random.default_rng(4)
+    near = np.arange(1, 10 ** 4) * 10 ** 4
+    for d, m, shift, mask, _ in textout._EIGHT_DIGITS + textout._FOUR_DIGITS:
+        x = np.arange(d * d) if d < 10 ** 4 else np.concatenate(
+            [near - 1, near, rng.integers(0, d * d, 10 ** 6)])
+        assert (((x * m) >> shift) & mask == x // d).all()
+
+
+def test_words_are_the_digits_eight_to_a_word():
+    rng = np.random.default_rng(8)
+    v = np.concatenate([_edges(8), rng.integers(0, 10 ** 8, 100_000)])
+    words = textout._words(v.astype("<i8"), np.empty(len(v), "<i8"))
+    text = words.view(np.uint8).tobytes().decode("ascii")
+    assert text == "".join(f"{n:08d}" for n in v.tolist())
+
+
+def test_words_are_four_digits_at_every_other_byte():
+    v = np.arange(10 ** 4)
+    words = textout._words(v.astype("<i8"), np.empty(len(v), "<i8"),
+                           textout._FOUR_DIGITS, textout._WIDE_ZEROS)
+    lanes = words.view(np.uint8).reshape(-1, 4, 2)
+    assert (lanes[..., 1] == 0xFF).all()
+    assert lanes[..., 0].tobytes().decode("ascii") \
+        == "".join(f"{n:04d}" for n in v.tolist())
 
 
 @pytest.mark.parametrize("doc", [
