@@ -13,6 +13,13 @@ behaviour: the probe photon is reflected at the window instead of
 transmitted.  The window closes when the drive is off, which is what makes
 the device a switchable router.
 
+The channels keep the photon's budget.  With M(omega) =
+|V|^2*2*hbar*gamma_m*m*omega, the probe's share absorbed by the membrane
+(|V|^2 as in :func:`thermal_noise`; M is |V|^2*(w(-omega) - w(omega)) for
+its thermal weight w), R + T + M = 1 + Sv at every omega, for every
+parameter set: an identity of the formulas.  In floats the defect stays
+within kernels._ROUND of R + T + M + Sv (tests/test_response.py).
+
 Output spectra mix the probe line with the channels.  Densities are per
 unit omega/omega_m (so band integrals are photon probabilities); the grid
 itself stays in rad/s.

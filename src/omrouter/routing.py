@@ -73,7 +73,11 @@ points of each one's largest error 5.8e-15) and 0.22 times the
 estimate.  Across the exceptional point, with the line on one of D's
 poles and next to the mechanical resonance, tests/test_routing.py holds
 named points within 1e-12.  A report that is not certified raises
-NumericalFailureError; there is no other method to fall back to.
+NumericalFailureError; there is no other method to fall back to.  A
+switch (:func:`switching_contrast`) forms the sum of Scin*R alone, the
+p_reflect it returns, and certifies that sum alone by the same rule: it
+is refused only where that sum is, never for the transmission or noise
+sums it would drop, and it reads no bath.
 """
 
 from __future__ import annotations
@@ -371,7 +375,8 @@ def _bose_rule(theta, a, b):
     return rule
 
 
-def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
+def _residue_integrals(red, a: float, b: float, line: complex, tail: float,
+                       full=True):
     """The drive-on band integrals from the residues at their upper poles.
 
     On u = omega/omega_m, with D of the record ``red`` of
@@ -383,12 +388,13 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
     cluster of poles (:func:`_clusters`) gives (1/n)*sum f(z)*J(z)*(z - c)
     over the n nodes z of its circle about c (:func:`_contour`).
 
-    Returns the list [int Scin*R, int Scin*T, vacuum_leak, thermal_leak],
-    the zeros' worst backward residual, the worst ratio of the sum of
-    |terms| to the integral, and the worst condition: the sum over the
-    points of each one's cond (see below) times its |terms|, over the
-    integral, how much a backward error in D, relative to the size of its
-    terms, moves the integrals.  May raise
+    Returns the list [int Scin*R, int Scin*T, vacuum_leak, thermal_leak]
+    ([int Scin*R] alone, with no theta read, where ``full`` is false), the
+    zeros' worst backward residual, and over the integrals returned the
+    worst ratio of the sum of |terms| to the integral and the worst
+    condition: the sum over the points of each one's cond (see below)
+    times its |terms|, over the integral, how much a backward error in D,
+    relative to the size of its terms, moves the integrals.  May raise
     ArithmeticError or ValueError outside the float range, and
     NumericalFailureError as :func:`_hurwitz_zeros`, :func:`_contour` and
     :func:`_bose_rule` raise it.
@@ -408,7 +414,7 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
     st_num = 0.0
     # B(theta*a), B's largest value on the band; where it underflows, St
     # is 0 on the whole band in floats too
-    top = _bose_real(theta * a) if theta else 0.0
+    top = _bose_real(theta * a) if full and theta else 0.0
     if top:
         # no rule where B is its quartic at the band and at D's poles: J(z)
         # is then B(theta*z)*Log((b-z)/(a-z)) (see the module docstring)
@@ -481,7 +487,6 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
         mech, mech_c = bare - gz, bare + gz
         sb, sb_c = side0 - iu, side0_c + iu
         ms, ms_c = mech * sb, mech_c * sb_c
-        en, en_c = ms + ih, ms_c - ih
         rn, rn_c = ms * shifted + refl0, refl0_c - ms_c * shifted
         if abs(z) < 0.5:
             # next to the red static bound these D cancel to a0
@@ -501,14 +506,9 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
         mag_r = abs(term)
         refl_abs += mag_r
         refl_cond += cond * mag_r
-        t = en * en_c * probe
-        trans += t
-        mag_t = abs(t)
-        trans_abs += mag_t
-        trans_cond += cond * mag_t
         if z is line:
-            # the line's pole is no pole of Sv and St.  Its term counts the
-            # rounding of its inputs as well: for an input rounded to the
+            # the line's pole is no pole of Sv and St.  Its terms count the
+            # rounding of their inputs as well: for an input rounded to the
             # nearest float, how far the rounding of E*D and (E - 1)*D, at
             # the line and at its conjugate, may exceed an ulp of them, the
             # sizes of their terms and their slopes times |z|/2, over their
@@ -524,6 +524,15 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
                 / abs(rn)
                 + (size_c * abs(shifted) + moved * abs(ms_c) + refl0_size)
                 / abs(rn_c))
+        if not full:
+            continue
+        en, en_c = ms + ih, ms_c - ih
+        t = en * en_c * probe
+        trans += t
+        mag_t = abs(t)
+        trans_abs += mag_t
+        trans_cond += cond * mag_t
+        if z is line:
             trans_abs += mag_t * ((size + RECORD * h) / abs(en)
                                    + (size_c + RECORD * h) / abs(en_c))
             continue
@@ -549,10 +558,13 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
             st_abs += mag_t
             st_cond += cond * mag_t
     # each integral is the real part of its sum
-    cancel = max(refl_abs / abs(refl.real), trans_abs / abs(trans.real),
-                 sv_abs / abs(sv.real),
+    cancel = refl_abs / abs(refl.real)
+    condition = refl_cond / abs(refl.real)
+    if not full:
+        return [2.0 * refl.real], backward, cancel, condition
+    cancel = max(cancel, trans_abs / abs(trans.real), sv_abs / abs(sv.real),
                  st_abs * spread / abs(st.real) if st_num else 1.0)
-    condition = max(refl_cond / abs(refl.real), trans_cond / abs(trans.real),
+    condition = max(condition, trans_cond / abs(trans.real),
                     sv_cond / abs(sv.real),
                     st_cond / abs(st.real) if st_num else 0.0)
     return ([2.0 * refl.real, 2.0 * k2 * k2 * trans.real,
@@ -560,17 +572,20 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float):
             backward, cancel, condition)
 
 
-def _residue_report(op: OperatingPoint, lo: float, hi: float):
-    """The drive-on report from :func:`_residue_integrals`, on the band and
-    the line in units of omega_m.
+def _residue_values(op: OperatingPoint, lo: float, hi: float, full=True):
+    """The drive-on values from :func:`_residue_integrals`, on the band and
+    the line in units of omega_m: [p_reflect, p_transmit, vacuum_leak,
+    thermal_leak], or where ``full`` is false [p_reflect] alone, from int
+    Scin*R alone, which reads no bath and is certified alone.
 
-    Raises InvalidParameterError for a bath_temp that is negative,
-    infinite or NaN (dataclasses.replace skips validation), and
-    NumericalFailureError for a report that is not certified (see the
-    module docstring), is not finite, or whose hbar*omega_m/(kB*T) is NaN
-    (a bath so hot that it underflows).
+    Raises, where ``full``, InvalidParameterError for a bath_temp that is
+    negative, infinite or NaN (dataclasses.replace skips validation) and
+    NumericalFailureError where hbar*omega_m/(kB*T) is NaN (a bath so hot
+    that it underflows); and NumericalFailureError for values that are not
+    certified (see the module docstring) or not finite.
     """
-    temp = _real("bath_temp", op.bath_temp, at_least=0.0)
+    if full:
+        temp = _real("bath_temp", op.bath_temp, at_least=0.0)
     wm = op.mech_freq
     c = op.input_center / wm
     # c's rounding, where c is within a factor 2 of 1: center - omega_m and
@@ -579,30 +594,36 @@ def _residue_report(op: OperatingPoint, lo: float, hi: float):
     tail = ((op.input_center - wm) / wm - (c - 1.0) if 0.5 <= c <= 2.0
             else 0.0)
     red = kernels.reduced(op)
-    if math.isnan(red[5]):
+    if full and math.isnan(red[5]):
         raise NumericalFailureError(
             f"hbar*omega_m/(kB*T) is not a number at bath_temp {temp!r}")
     try:
-        (refl, trans, sv, st), backward, cancel, condition = \
-            _residue_integrals(red, lo / wm, hi / wm,
-                               complex(c, op.input_bandwidth / wm), tail)
+        values, backward, cancel, condition = _residue_integrals(
+            red, lo / wm, hi / wm, complex(c, op.input_bandwidth / wm), tail,
+            full)
         mass = lorentzian_band_mass(lo, hi, op.input_center,
                                     op.input_bandwidth)
-        p_reflect, p_transmit = refl / mass, trans / mass
+        values[0] /= mass
+        if full:
+            values[1] /= mass
     except (ArithmeticError, ValueError) as exc:
         raise NumericalFailureError(
             f"drive-on band integrals failed: {exc}") from None
     # each term's rounding, amplified by the cancellation among the terms,
     # and the zeros' backward error, amplified by their condition
     estimate = _EPS * cancel + max(backward, _EPS) * condition
-    if not math.isfinite(p_reflect + p_transmit + sv + st):
+    if not math.isfinite(sum(values)):
         raise NumericalFailureError("drive-on band integrals are not finite")
     if not (backward <= _ROUND and estimate <= _RESIDUE_TOL):
         raise NumericalFailureError(
             f"drive-on band integrals not certified: backward residual "
             f"{backward:.3e} of d's zeros, estimated error {estimate:.3e}")
-    return RoutingReport(p_reflect=p_reflect, p_transmit=p_transmit,
-                         vacuum_leak=sv, thermal_leak=st, band=(lo, hi))
+    return values
+
+
+def _residue_report(op: OperatingPoint, lo: float, hi: float):
+    """The drive-on report of :func:`_residue_values`."""
+    return RoutingReport(*_residue_values(op, lo, hi), band=(lo, hi))
 
 
 def routing_probabilities(op: OperatingPoint, band=None) -> RoutingReport:
@@ -672,8 +693,12 @@ def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
     state, whichever is worse.  p_on = 0 is degenerate (both states
     identical) and simply returns min(p_transmit, p_reflect) there.
 
-    The contrast is noise-free: it uses the probe channels only, so it does
-    not depend on ``bath_temp``.  Temperature shows up only in
+    The contrast is noise-free: its on state forms the sum of Scin*R
+    alone, p_reflect, and certifies it alone as a report's sums are
+    certified (see the module docstring), so it does not depend on
+    ``bath_temp``, bit for bit, and its refusals come only from that
+    sum's certificate, never from the transmission or noise sums of a
+    report.  Temperature shows up only in
     :attr:`RoutingReport.thermal_leak`.  An unstable on state raises
     UnstableOperatingPointError (the drive-off state is always stable),
     after the band is checked.
@@ -687,5 +712,6 @@ def switching_contrast(params: SystemParams, p_on: float, band=None) -> float:
     lo, hi = _checked_band(op, band)
     off = _empty_cavity_report(op, lo, hi)
     kernels.require_stable(op)
-    on = off if kernels.coupling(op) == 0.0 else _residue_report(op, lo, hi)
-    return min(off.p_transmit, on.p_reflect)
+    on = (off.p_reflect if kernels.coupling(op) == 0.0
+          else _residue_values(op, lo, hi, full=False)[0])
+    return min(off.p_transmit, on)

@@ -394,18 +394,23 @@ def _shortest(x, scratch=None):
         group = np.floor_divide(eight, 10 ** 4, out=scratch.i(2 * k))
         np.subtract(eight, np.multiply(group, 10 ** 4, out=spare),
                     out=scratch.i(2 * k + 1))
-    digits = _words(scratch.rows(0, 4), scratch.rows(4, 8), _FOUR_DIGITS,
-                    _WIDE_ZEROS)
     # a 17-digit pick ends in a nonzero digit (else the multiple of 10
     # nearest Y would be as near, and taken), and a multiple of 10 taken
     # is not one of 100 (else that would be taken): only the digits of a
-    # multiple of 100 are counted, its first digit being nonzero
-    count = np.subtract(17, sixteen, out=scratch.i(4))
+    # multiple of 100 are counted, its first digit being nonzero: the
+    # place, 1 to 16, where its last nonzero group of four ends, less that
+    # group's trailing zeros (16 zeros leave group 0, with four, so 0)
     rows = np.flatnonzero(short)
-    last16 = np.take(digits, rows, axis=1).T.copy().view(np.uint8)[:, ::2]
-    # 1 + the place, 1 to 16, of the last nonzero digit after the first
-    count[rows] = 1 + np.max((last16 != ord("0")) * np.arange(1, 17), axis=1,
-                             initial=0)
+    groups = scratch.rows(0, 4)[:, rows]
+    last, place = groups[0], np.full(len(rows), 4)
+    for k in (1, 2, 3):
+        np.copyto(place, 4 * k + 4, where=groups[k] != 0)
+        np.copyto(last, groups[k], where=groups[k] != 0)
+    for tens in (10, 100, 1000, 10000):
+        place -= last % tens == 0
+    _words(scratch.rows(0, 4), scratch.rows(4, 8), _FOUR_DIGITS, _WIDE_ZEROS)
+    count = np.subtract(17, sixteen, out=scratch.i(4))
+    count[rows] = 1 + place
     np.copyto(count, 1, where=zero)
     np.add(index, np.subtract(count, 1, out=count), out=index)
     return index, ok

@@ -24,9 +24,12 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       reflection_R, response_E, routing_probabilities,
                       switching_contrast, thermal_noise, transmission_T,
                       vacuum_noise, validate)
-from oracles import WM
+from oracles import COLD_BATHS, WM
 
 OP = derive_operating_point(default_params())
+# a drive-on point at 1 nK whose report St's terms cancel past
+# certification; its switch reads no bath and returns
+COLD = COLD_BATHS["wm1e5-1nK"]
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", RegimeWarning)
     # a3 = 4*kappa + gamma_m squares to 0 at the first, and the classical
@@ -133,6 +136,7 @@ def _calls(draw):
 @example(call=(lorentzian_input, (1.0, [10 ** 5000], 1.0)))
 @example(call=(max_stable_power, (SystemParams(), [10 ** 5000])))
 @example(call=(switching_contrast, (SystemParams(), [10 ** 5000])))
+@example(call=(switching_contrast, (COLD, COLD.drive_power)))
 @example(call=(empty_reflectance, (1.0, 1.0, [10 ** 5000])))
 @example(call=(assess_stability, (A3_UNDERFLOWS,)))
 @example(call=(routing_probabilities, (A3_UNDERFLOWS, None)))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -17,8 +18,8 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       vacuum_noise)
 from omrouter.operating_point import HBAR
 from omrouter.response import DipScan
-from oracles import (EXCEPTIONAL_POWER, KAPPA, WM, design_pool,
-                     local_maxima)
+from oracles import (EXCEPTIONAL_POWER, KAPPA, WM, bright_points,
+                     design_pool, hierarchy_draw, local_maxima)
 
 
 # ---------------------------------------------------------------- amplitude
@@ -202,6 +203,41 @@ def test_thermal_noise_monotone_in_temperature(op_5uw):
     vals = [thermal_noise(w, replace(op_5uw, bath_temp=t))
             for t in (0.0, 10e-3, 20e-3, 0.1, 0.3)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+# ------------------------------------------------------------ photon budget
+
+def _budget_defect(op):
+    """The largest |R + T + M - 1 - Sv| over R + T + M + Sv on op's default
+    grid of 2,001 points, M = |V|^2*2*hbar*gamma_m*m*omega with |V|^2 as
+    in thermal_noise and d from denominator_d."""
+    w = default_grid(op, 2001)
+    kappa = op.cavity_decay
+    v2 = 2.0 * kappa * kernels.coupling(op) \
+        * np.abs(2.0 * kappa - 1j * (op.eff_detuning + w)) ** 2 \
+        / np.abs(denominator_d(w, op)) ** 2
+    m = v2 * 2.0 * HBAR * op.gamma_m * op.eff_mass * w
+    r, t, sv = (f(w, op) for f in (reflection_R, transmission_T,
+                                   vacuum_noise))
+    return np.max(np.abs(r + t + m - 1.0 - sv) / (r + t + m + sv))
+
+
+@settings(max_examples=50, deadline=None)
+@given(params=bright_points)
+def test_photon_budget_closes_pointwise(params):
+    # R + T + M = 1 + Sv is an identity of the formulas; the kernel keeps
+    # it within its rounding of the budget's terms
+    op = derive_operating_point(params)
+    assume(kernels.is_stable(op))
+    assert _budget_defect(op) <= kernels._ROUND
+
+
+def test_photon_budget_closes_on_a_seeded_hierarchy_draw():
+    # 300 points of random.Random(7) inside the hierarchy, at T = 0 and
+    # from 1 mK up, left at most 7 unit roundoffs with AVX512
+    rng = random.Random(7)
+    for _ in range(300):
+        assert _budget_defect(hierarchy_draw(rng)) <= kernels._ROUND
 
 
 # ------------------------------------------------------------ output spectra

@@ -418,14 +418,24 @@ def _no_grid(monkeypatch):
 
 
 def test_drive_off_closed_form_runs_no_quadrature_pass(op_off, monkeypatch):
-    # no report evaluates a channel on a grid: the drive-off one, and the
-    # on state of a switch at a bath below 1 mK, where St takes the
-    # 16-node rule
+    # no report evaluates a channel on a grid: the drive-off one, the on
+    # state of a switch at a bath below 1 mK, which sums Scin*R alone and
+    # so takes no rule, and the report there, where St takes the 16-node
+    # rule
     _no_grid(monkeypatch)
     rep = routing_probabilities(op_off)
     assert all(type(getattr(rep, name)) is float for name in
                ("p_reflect", "p_transmit", "vacuum_leak", "thermal_leak"))
-    switching_contrast(replace(default_params(), bath_temp=_SUB_MK_BATH), 5e-6)
+    rules = []
+    bose_rule = routing._bose_rule
+    monkeypatch.setattr(routing, "_bose_rule",
+                        lambda *args: rules.append(bose_rule(*args)) or
+                        rules[-1])
+    params = replace(default_params(), bath_temp=_SUB_MK_BATH)
+    switching_contrast(params, 5e-6)
+    assert rules == []
+    routing_probabilities(derive_operating_point(params))
+    assert [len(rule) for rule in rules] == [16]
 
 
 def test_closed_form_logarithm_of_zero_raises(op_off):
@@ -706,6 +716,10 @@ def test_reduced_model_never_reads_a_hot_bath_as_zero_kelvin():
     with pytest.raises(NumericalFailureError, match="not a number"):
         routing._residue_report(op, *band)
     assert math.isnan(kernels.reduced(op)[5])
+    # the switch, which reads no bath, takes it as any other
+    params = op.as_params()
+    assert switching_contrast(params, op.drive_power) == switching_contrast(
+        replace(params, bath_temp=0.0), op.drive_power)
 
 
 @settings(deadline=None, max_examples=50)
@@ -731,6 +745,63 @@ def test_cold_bath_report_against_the_exact_model(case):
     # 100 nK; each report is to be within 1e-12 of the 50-digit residues
     op = derive_operating_point(COLD_BATHS[case])
     _assert_near_oracle(routing_probabilities(op), op)
+
+
+# the baths of a switch at the points of COLD_BATHS besides their own 1
+# to 100 nK: T = 0, 1 nK, two warm ones and one where theta is a denormal
+_SWITCH_BATHS = (0.0, 1e-9, 20e-3, 0.3, 1e305)
+
+
+@pytest.mark.parametrize("case", list(COLD_BATHS))
+def test_switch_at_a_cold_bath_is_the_warm_switch(case):
+    # routing refuses these reports for St's cancellation; the switch sums
+    # Scin*R alone, which the bath does not enter, so at every bath it is
+    # the worse port of the 20 mK reports, bit for bit
+    params = COLD_BATHS[case]
+    power = params.drive_power
+    off = routing_probabilities(derive_operating_point(
+        replace(params, drive_power=0.0)))
+    on = routing_probabilities(derive_operating_point(
+        replace(params, bath_temp=20e-3)))
+    warm = min(off.p_transmit, on.p_reflect)
+    assert 0.45 < warm < 0.46
+    for temp in (params.bath_temp, *_SWITCH_BATHS):
+        assert switching_contrast(replace(params, bath_temp=temp),
+                                  power) == warm
+
+
+def _switch_is_the_worse_port(op):
+    """Whether routing_probabilities certifies the drive-on point op; where
+    it does, the switch at op's drive must be the worse port of the two
+    reports, bit for bit."""
+    try:
+        on = routing_probabilities(op)
+    except NumericalFailureError:
+        return False
+    params = op.as_params()
+    off = routing_probabilities(derive_operating_point(
+        replace(params, drive_power=0.0)))
+    assert switching_contrast(params, op.drive_power) \
+        == min(off.p_transmit, on.p_reflect)
+    return True
+
+
+def test_switch_is_the_worse_port_of_the_reports(monkeypatch):
+    # on seeded draws inside the hierarchy and next to the red static
+    # bound, and at the exceptional point, where the switch sums a cluster
+    # of poles on a contour
+    rng = random.Random(34)
+    points = ([hierarchy_draw(rng) for _ in range(40)]
+              + [static_bound_draw(rng) for _ in range(20)])
+    assert sum(map(_switch_is_the_worse_port, points)) >= 55
+    op = _op(drive_power=EXCEPTIONAL_POWER)
+    assert _switch_is_the_worse_port(op)
+    contours = []
+    contour = routing._contour
+    monkeypatch.setattr(routing, "_contour",
+                        lambda *args: contours.append(args) or contour(*args))
+    switching_contrast(op.as_params(), op.drive_power)
+    assert contours
 
 
 @pytest.mark.parametrize("overrides", [
