@@ -19,7 +19,10 @@ and every channel is read from those rows.
 The channels mean something only where every zero of d lies below the
 real axis.  That verdict is also written once, here beside the drive term
 it turns on: :func:`is_stable`, from the Routh-Hurwitz conditions; so is
-how d rounds: :func:`scale`, :func:`factored`, _ROUND and RECORD.
+the rest of d's algebra: :func:`reduced`, :func:`scale`, :func:`factored`,
+_ROUND, RECORD and :func:`zeros`, where routing finds d's zeros.  Only
+the roots that :mod:`omrouter.stability` prints still come from np.roots,
+until their pinned bytes are re-recorded.
 
 Keep the arithmetic order as written: the command line spectra are pinned
 byte for byte.  Each step is one numpy ufunc on operands in the written
@@ -31,6 +34,7 @@ numpy to elide into an in-place operation, and no complex product,
 square or quotient writes over one of its own operands.
 """
 
+import cmath
 import functools
 import math
 
@@ -55,6 +59,7 @@ _ROUND = 32.0 * np.finfo(float).eps
 # the record's dd and h are formed by up to 7 and 5 roundings, so the
 # sizes of the terms that carry them count them at this many ulp
 RECORD = 4.0
+_THIRD_TURN = 2.0 * math.pi / 3.0
 
 
 def coupling(op):
@@ -145,6 +150,100 @@ def factored(red, u, sized=True):
                                                         size)
     return (small if near is True else np.where(near, small, value), slope,
             size)
+
+
+def zeros(red):
+    """The zeros of D on the omega/omega_m axis, D' and the size of D's
+    terms at each, their worst backward residual, and each zero's tail:
+    the further Newton step -D(u)/D'(u), which a float u cannot take.
+
+    ``red`` is the record of :func:`reduced`.  D(i*s) = s^4 + a3*s^3 +
+    a2*s^2 + a1*s + a0 is the real quartic of :func:`stable_drive_window`
+    in units of omega_m.  Ferrari's method writes its depressed form
+    y^4 + p*y^2 + q*y + r, y = s + a3/4, as (y^2 + t*y + m1)*(y^2 - t*y +
+    m2), where T = t^2 is a root of the resolvent cubic T^3 + 2p*T^2 +
+    (p^2 - 4r)*T - q^2.  The cubic is solved in its depressed form by the
+    trigonometric (or hyperbolic) formula, taking the root of largest
+    magnitude so that q/t stays small, and that root is polished by one
+    Newton step.  Where T < 0 the two quadratics are each other's
+    conjugates, so only the first is solved.  Each zero then takes one
+    Newton step on D's factored form (:func:`factored`), in which a zero's
+    small imaginary part is not a small part of a sum of monomials, nor,
+    next to the red static bound, a zero next to u = 0 a small part of c0.
+    The backward residual is |D(u)| over the size of D's terms plus
+    |u|*|D'(u)|, the rounding of the zero itself.  u plus its tail is the
+    zero to about the rounding of D(u) over |D'(u)|, far inside that ulp
+    of u.  NumericalFailureError where the resolvent's root is not finite.
+    """
+    k2, g, dl, _, _, _, a0 = red
+    c0 = k2 * k2 + dl * dl
+    a3, a2, a1 = 2.0 * k2 + g, c0 + 2.0 * k2 * g + 1.0, g * c0 + 2.0 * k2
+    s = 0.25 * a3
+    s2 = s * s
+    p = a2 - 6.0 * s2
+    q = a1 - s * (2.0 * a2 - 8.0 * s2)
+    r = a0 - s * (a1 - s * (a2 - 3.0 * s2))
+    pc = -p * p / 3.0 - 4.0 * r
+    qc = p * (8.0 * r - 2.0 * p * p / 9.0) / 3.0 - q * q
+    shift = 2.0 * p / 3.0
+    if pc < 0.0:
+        amp = 2.0 * math.sqrt(-pc / 3.0)
+        c = 3.0 * qc / (pc * amp)
+        if abs(c) <= 1.0:
+            # three real roots; the largest and the smallest are the
+            # candidates for the largest magnitude
+            phi = math.acos(c) / 3.0
+            big = max(amp * math.cos(phi) - shift,
+                      amp * math.cos(phi - 2.0 * _THIRD_TURN) - shift,
+                      key=abs)
+        else:
+            big = -math.copysign(amp, qc) \
+                * math.cosh(math.acosh(abs(c)) / 3.0) - shift
+    elif pc > 0.0:
+        amp = 2.0 * math.sqrt(pc / 3.0)
+        big = -amp * math.sinh(math.asinh(3.0 * qc / (pc * amp)) / 3.0) \
+            - shift
+    else:
+        big = -math.copysign(abs(qc) ** (1.0 / 3.0), qc) - shift
+    lin = p * p - 4.0 * r
+    big -= (((big + 2.0 * p) * big + lin) * big - q * q) \
+        / ((3.0 * big + 4.0 * p) * big + lin)
+    if not math.isfinite(big):   # a NaN would give two zeros, not four
+        raise NumericalFailureError(
+            "drive-on band integrals failed: the resolvent cubic's terms "
+            "are past the float range")
+    t = cmath.sqrt(big)
+    ratio = q / t
+    ys = []
+    factors = [(1.0, 0.5 * (p + big - ratio))]
+    if big >= 0.0:
+        factors.append((-1.0, 0.5 * (p + big + ratio)))
+    for sign, m in factors:
+        # y^2 + sign*t*y + m = 0, the larger root first
+        w = cmath.sqrt(big - 4.0 * m)
+        if (t.conjugate() * w).real < 0.0:
+            w = -w
+        y = -0.5 * sign * (t + w)
+        ys += [y, m / y]
+    zeros, tails, slopes, sizes = [], [], [], []
+    backward = 0.0
+    for y in ys:
+        u = 1j * (y - s)
+        value, slope, _ = factored(red, u, sized=False)
+        u -= value / slope
+        value, slope, size = factored(red, u)
+        backward = max(backward, abs(value) / (size + abs(u) * abs(slope)))
+        zeros.append(u)
+        tails.append(-value / slope)
+        slopes.append(slope)
+        sizes.append(size)
+    if big < 0.0:
+        # D(-conj(u)) = conj(D(u)), so D'(-conj(u)) = -conj(D'(u))
+        zeros += [-u.conjugate() for u in zeros]
+        tails += [-e.conjugate() for e in tails]
+        slopes += [-d.conjugate() for d in slopes]
+        sizes += sizes
+    return zeros, slopes, sizes, backward, tails
 
 
 def _hurwitz_coeffs(op):

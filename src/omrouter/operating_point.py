@@ -75,6 +75,8 @@ class SystemParams:
     input_bandwidth: float | None = None           # probe HWHM [rad/s]
 
 
+# SystemParams' fields, an OperatingPoint's inputs
+_INPUTS = tuple(f.name for f in fields(SystemParams))
 # validate's checks, as (field, may be None, at_least, above): each field
 # is >= 0, > 0 or unbounded
 _CHECKS = tuple(
@@ -260,13 +262,7 @@ class OperatingPoint:
 
     def as_params(self) -> SystemParams:
         """Repackage the inputs, e.g. for a modified re-derivation."""
-        return SystemParams(
-            wavelength=self.wavelength, cavity_length=self.cavity_length,
-            eff_mass=self.eff_mass, mech_freq=self.mech_freq,
-            quality=self.quality, cavity_decay=self.cavity_decay,
-            eff_detuning=self.eff_detuning, drive_power=self.drive_power,
-            bath_temp=self.bath_temp, input_center=self.input_center,
-            input_bandwidth=self.input_bandwidth)
+        return SystemParams(**{name: getattr(self, name) for name in _INPUTS})
 
 
 def derive_operating_point(params: SystemParams) -> OperatingPoint:
@@ -309,18 +305,15 @@ def derive_operating_point(params: SystemParams) -> OperatingPoint:
             "derived eps_c or q_s divides by 0 or overflows: the inputs are "
             "beyond the range of floating point") from None
 
-    center = params.input_center if params.input_center is not None else delta
-    bandwidth = (params.input_bandwidth if params.input_bandwidth is not None
-                 else 0.01 * params.mech_freq)
+    inputs = {name: getattr(params, name) for name in _INPUTS}
+    if params.input_center is None:
+        inputs["input_center"] = delta
+    if params.input_bandwidth is None:
+        inputs["input_bandwidth"] = 0.01 * params.mech_freq
 
     op = OperatingPoint(
-        wavelength=params.wavelength, cavity_length=params.cavity_length,
-        eff_mass=params.eff_mass, mech_freq=params.mech_freq,
-        quality=params.quality, cavity_decay=kappa, eff_detuning=delta,
-        drive_power=params.drive_power, bath_temp=params.bath_temp,
-        input_center=center, input_bandwidth=bandwidth,
-        omega_c=omega_c, g=g, gamma_m=gamma_m, eps_c=eps_c, c_s=c_s,
-        n_cav=n_cav, q_s=q_s)
+        **inputs, omega_c=omega_c, g=g, gamma_m=gamma_m, eps_c=eps_c,
+        c_s=c_s, n_cav=n_cav, q_s=q_s)
 
     derived = [omega_c, g, gamma_m, eps_c, c_s, n_cav, q_s]
     # the vacuum noise numerator is quadratic in g^2*|c_s|^2, so it

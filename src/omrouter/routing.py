@@ -25,8 +25,9 @@ x/(e^x - 1) for St and 1 for the others, and
     int_a^b f*B du = 2*Re sum_p Res_p(f) * J(p),
     J(z) = int_a^b B(theta*u)/(u - z) du,
 
-over f's upper poles p: the conjugates of D's zeros (Ferrari's method,
-then one Newton step on D's factored form) and, for Scin*R and Scin*T,
+over f's upper poles p: the conjugates of D's zeros, which
+:func:`omrouter.kernels.zeros` finds (Ferrari's method, then one Newton
+step on D's factored form), and, for Scin*R and Scin*T,
 the line's c + i*Gamma.  Next to the mechanical resonance the terms
 turn on digits that no float pole holds: 1 - u at a pole is then most
 of mech, and the line's pole may sit a few of its heights from one of
@@ -53,10 +54,12 @@ D's) would cancel;
 such a cluster is summed as one contour integral of f*J, by the
 trapezoid rule on a circle about it, with f formed from D's factors.
 
-How D rounds is written in :mod:`omrouter.kernels`.  A report is
-certified when every zero's backward residual is within kernels._ROUND
-and its rounding error is estimated below 1e-10, the contract of the
-adaptive quadrature these sums replaced.  The estimate is each term's
+D's algebra, how it rounds and where its zeros lie, is written in
+:mod:`omrouter.kernels`; this module holds the band integrals and their
+certificate.  A report is certified when every zero's backward
+residual is within kernels._ROUND and its rounding error is estimated
+below 1e-10, the contract of the adaptive quadrature these sums
+replaced.  The estimate is each term's
 rounding, amplified by the cancellation among the terms and counting
 the rounding of the record, of the line's pole and of the rule's nodes,
 plus the zeros' backward error times each point's conditioning (of an
@@ -112,7 +115,6 @@ _EPS = sys.float_info.epsilon
 # is estimated below this (see the module docstring for how far the true
 # error stays from the estimate)
 _RESIDUE_TOL = 1e-10
-_THIRD_TURN = 2.0 * math.pi / 3.0
 
 # upper poles closer together than this fraction of their heights above
 # the real axis form one cluster
@@ -164,103 +166,6 @@ def _empty_cavity_report(op: OperatingPoint, lo: float, hi: float):
             "empty-cavity band integrals are not finite")
     return RoutingReport(p_reflect=p_reflect, p_transmit=p_transmit,
                          vacuum_leak=0.0, thermal_leak=0.0, band=(lo, hi))
-
-
-def _hurwitz_zeros(red):
-    """The zeros of D on the omega/omega_m axis, D' and the size of D's
-    terms at each, their worst backward residual, and each zero's tail:
-    the further Newton step -D(u)/D'(u), which a float u cannot take.
-
-    ``red`` is the record of :func:`omrouter.kernels.reduced`.  D(i*s) =
-    s^4 + a3*s^3 + a2*s^2 + a1*s + a0 is the real quartic of
-    :func:`omrouter.kernels.stable_drive_window` in units of omega_m.
-    Ferrari's method writes its
-    depressed form y^4 + p*y^2 + q*y + r, y = s + a3/4, as
-    (y^2 + t*y + m1)*(y^2 - t*y + m2), where T = t^2 is a root of the
-    resolvent cubic T^3 + 2p*T^2 + (p^2 - 4r)*T - q^2.  The cubic is solved
-    in its depressed form by the trigonometric (or hyperbolic) formula,
-    taking the root of largest magnitude so that q/t stays small, and that
-    root is polished by one Newton step.  Where T < 0 the two quadratics
-    are each other's conjugates, so only the first is solved.  Each zero
-    then takes one Newton step on D's factored form
-    (:func:`omrouter.kernels.factored`), in which a zero's small imaginary
-    part is not a small part of a sum of monomials, nor, next to the red
-    static bound, a zero next to u = 0 a small part of c0.  The backward
-    residual is |D(u)| over the size of D's terms plus |u|*|D'(u)|, the
-    rounding of the zero itself.  u plus its tail
-    is the zero to about the rounding of D(u) over |D'(u)|, far inside
-    that ulp of u.  NumericalFailureError where the resolvent's root is
-    not finite.
-    """
-    k2, g, dl, _, _, _, a0 = red
-    c0 = k2 * k2 + dl * dl
-    a3, a2, a1 = 2.0 * k2 + g, c0 + 2.0 * k2 * g + 1.0, g * c0 + 2.0 * k2
-    s = 0.25 * a3
-    s2 = s * s
-    p = a2 - 6.0 * s2
-    q = a1 - s * (2.0 * a2 - 8.0 * s2)
-    r = a0 - s * (a1 - s * (a2 - 3.0 * s2))
-    pc = -p * p / 3.0 - 4.0 * r
-    qc = p * (8.0 * r - 2.0 * p * p / 9.0) / 3.0 - q * q
-    shift = 2.0 * p / 3.0
-    if pc < 0.0:
-        amp = 2.0 * math.sqrt(-pc / 3.0)
-        c = 3.0 * qc / (pc * amp)
-        if abs(c) <= 1.0:
-            # three real roots; the largest and the smallest are the
-            # candidates for the largest magnitude
-            phi = math.acos(c) / 3.0
-            big = max(amp * math.cos(phi) - shift,
-                      amp * math.cos(phi - 2.0 * _THIRD_TURN) - shift,
-                      key=abs)
-        else:
-            big = -math.copysign(amp, qc) \
-                * math.cosh(math.acosh(abs(c)) / 3.0) - shift
-    elif pc > 0.0:
-        amp = 2.0 * math.sqrt(pc / 3.0)
-        big = -amp * math.sinh(math.asinh(3.0 * qc / (pc * amp)) / 3.0) \
-            - shift
-    else:
-        big = -math.copysign(abs(qc) ** (1.0 / 3.0), qc) - shift
-    lin = p * p - 4.0 * r
-    big -= (((big + 2.0 * p) * big + lin) * big - q * q) \
-        / ((3.0 * big + 4.0 * p) * big + lin)
-    if not math.isfinite(big):   # a NaN would give two zeros, not four
-        raise NumericalFailureError(
-            "drive-on band integrals failed: the resolvent cubic's terms "
-            "are past the float range")
-    t = cmath.sqrt(big)
-    ratio = q / t
-    ys = []
-    factors = [(1.0, 0.5 * (p + big - ratio))]
-    if big >= 0.0:
-        factors.append((-1.0, 0.5 * (p + big + ratio)))
-    for sign, m in factors:
-        # y^2 + sign*t*y + m = 0, the larger root first
-        w = cmath.sqrt(big - 4.0 * m)
-        if (t.conjugate() * w).real < 0.0:
-            w = -w
-        y = -0.5 * sign * (t + w)
-        ys += [y, m / y]
-    zeros, tails, slopes, sizes = [], [], [], []
-    backward = 0.0
-    for y in ys:
-        u = 1j * (y - s)
-        value, slope, _ = kernels.factored(red, u, sized=False)
-        u -= value / slope
-        value, slope, size = kernels.factored(red, u)
-        backward = max(backward, abs(value) / (size + abs(u) * abs(slope)))
-        zeros.append(u)
-        tails.append(-value / slope)
-        slopes.append(slope)
-        sizes.append(size)
-    if big < 0.0:
-        # D(-conj(u)) = conj(D(u)), so D'(-conj(u)) = -conj(D'(u))
-        zeros += [-u.conjugate() for u in zeros]
-        tails += [-e.conjugate() for e in tails]
-        slopes += [-d.conjugate() for d in slopes]
-        sizes += sizes
-    return zeros, slopes, sizes, backward, tails
 
 
 def _clusters(poles):
@@ -396,10 +301,10 @@ def _residue_integrals(red, a: float, b: float, line: complex, tail: float,
     times its |terms|, over the integral, how much a backward error in D,
     relative to the size of its terms, moves the integrals.  May raise
     ArithmeticError or ValueError outside the float range, and
-    NumericalFailureError as :func:`_hurwitz_zeros`, :func:`_contour` and
-    :func:`_bose_rule` raise it.
+    NumericalFailureError as :func:`omrouter.kernels.zeros`,
+    :func:`_contour` and :func:`_bose_rule` raise it.
     """
-    zeros, slopes, sizes, backward, tails = _hurwitz_zeros(red)
+    zeros, slopes, sizes, backward, tails = kernels.zeros(red)
     k2, g, dl, dd, h, theta, _ = red
     ih, ig, idl = 1j * h, 1j * g, 1j * dl
     side0 = complex(k2, -dl)

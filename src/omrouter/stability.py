@@ -6,8 +6,10 @@ axis for fluctuations to decay.  Whether they do is decided once, by the
 Routh-Hurwitz conditions in :func:`omrouter.kernels.is_stable`; this
 module adds the roots themselves, their ``margin`` (the distance of the
 closest zero to the axis, positive when stable) and the drive-power
-threshold.  Red detuning damps the membrane and is stable at the powers
-of interest; blue detuning anti-damps it and goes unstable at
+threshold.  d's zeros are found by :func:`omrouter.kernels.zeros`; only
+the roots printed here still come from np.roots, until their pinned
+bytes are re-recorded.  Red detuning damps the membrane and is stable at
+the powers of interest; blue detuning anti-damps it and goes unstable at
 nanowatt-scale drive.
 """
 

@@ -94,6 +94,31 @@ def d_coeffs(op):
     return d
 
 
+def _e_num(k, gm, dl, h, u):
+    """E*D at u: 2*k*(mech*sb + i*h), mech = 1 - u^2 - i*gm*u and sb =
+    2*k - i*(dl + u)."""
+    i = mpmath.mpc(0, 1)
+    return 2 * k * ((1 - u * u - i * gm * u) * (2 * k - i * (dl + u)) + i * h)
+
+
+def budget(op, x):
+    """(R, T, M, Sv) at omega = x*omega_m, at the caller's mpmath precision.
+
+    R = |E - 1|^2 and T = |E|^2 for E = E*D/D, Sv = 8*(k*h)^2/|D|^2, and
+    M = 4*k*gm*h*x*|sb|^2/|D|^2, the probe's share absorbed by the membrane
+    (omrouter.response's docstring) on this axis.  R + T + M = 1 + Sv is an
+    identity of these formulas.
+    """
+    _, k, gm, dl, h = _scalars(op)
+    x = mpmath.mpf(x)
+    d = polyval(d_coeffs(op), x)
+    e = _e_num(k, gm, dl, h, x) / d
+    d2 = abs(d) ** 2
+    sb2 = abs(2 * k - mpmath.mpc(0, 1) * (dl + x)) ** 2
+    return (abs(e - 1) ** 2, abs(e) ** 2, 4 * k * gm * h * x * sb2 / d2,
+            8 * (k * h) ** 2 / d2)
+
+
 def d_zeros(coeffs):
     """The four zeros of D, from its coefficients (:func:`d_coeffs`)."""
     return mpmath.polyroots(coeffs[::-1], maxsteps=500, extraprec=400)
@@ -188,15 +213,13 @@ def drive_on_report(op, lo, hi):
         wm, k, gm, dl, h = _scalars(op)
         a, b = mpf(lo) / wm, mpf(hi) / wm
         c, gw = mpf(op.input_center) / wm, mpf(op.input_bandwidth) / wm
-        i = mpc(0, 1)
         d = d_coeffs(op)
         zeros = d_zeros(d)
         noise_poles = list(zeros) + [mpmath.conj(z) for z in zeros]
         line_poles = [mpc(c, gw), mpc(c, -gw)]
 
         def e_num(u):
-            return 2 * k * ((1 - u * u - i * gm * u) * (2 * k - i * (dl + u))
-                            + i * h)
+            return _e_num(k, gm, dl, h, u)
 
         def abs2(f):
             return lambda p: f(p) * mpmath.conj(f(mpmath.conj(p)))

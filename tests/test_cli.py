@@ -717,14 +717,14 @@ _MAIN_FLAGS = st.one_of(
     st.tuples(st.just("--config"),
               st.sampled_from(tuple(_MAIN_CONFIGS) + ("missing",))),
     st.tuples(st.just("--out"), st.sampled_from(("file", "dir", "nodir"))))
-_MAIN_ARGV = st.tuples(
-    _COMMAND_NAMES,
-    st.lists(st.one_of(_MAIN_FLAGS.map(list),
-                       _MAIN_FLAGS.map(lambda fv: ["=".join(fv)]),
-                       st.sampled_from((["--config=--"], ["--out=--"],
-                                        ["--grid=--"], ["--power"],
-                                        ["extra"], ["--bogus"]))),
-             max_size=4))
+# flags after the command, each a list of argv tokens
+_MAIN_TAILS = st.lists(
+    st.one_of(_MAIN_FLAGS.map(list),
+              _MAIN_FLAGS.map(lambda fv: ["=".join(fv)]),
+              st.sampled_from((["--config=--"], ["--out=--"], ["--grid=--"],
+                               ["--power"], ["extra"], ["--bogus"]))),
+    max_size=4)
+_MAIN_ARGV = st.tuples(_COMMAND_NAMES, _MAIN_TAILS)
 
 
 def _non_finite(text, command):
@@ -748,6 +748,28 @@ def _named_path(paths, previous, token):
     return token
 
 
+def _main_in(tmp, argv):
+    """(exit code, stdout, stderr, bytes of the "file" target) of main(argv)
+    in the directory ``tmp``, with the names of the configs and --out
+    targets in argv replaced by paths there; the code is None where the
+    parser refuses argv."""
+    paths = {"file": tmp / "out.csv", "dir": tmp,
+             "nodir": tmp / "no" / "out.csv", "missing": tmp / "no.json"}
+    for name, entries in _MAIN_CONFIGS.items():
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(json.dumps(entries))
+    paths["file"].write_bytes(b"old,bytes\r\n")
+    argv = [_named_path(paths, a, b) for a, b in zip([""] + argv, argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # a refusal of the parser
+            assert exc.code == 2
+            code = None
+    return code, out.getvalue(), err.getvalue(), paths["file"].read_bytes()
+
+
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(drawn=_MAIN_ARGV)
 def test_argv_through_main_exits_cleanly(drawn):
@@ -755,25 +777,9 @@ def test_argv_through_main_exits_cleanly(drawn):
     command, tail = drawn
     argv = [command, "--grid", "0.9:1.1:5"] + sum(tail, [])
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        paths = {"file": tmp / "out.csv", "dir": tmp,
-                 "nodir": tmp / "no" / "out.csv", "missing": tmp / "no.json"}
-        for name, entries in _MAIN_CONFIGS.items():
-            paths[name] = tmp / f"{name}.json"
-            paths[name].write_text(json.dumps(entries))
-        paths["file"].write_bytes(b"old,bytes\r\n")
-        argv = [_named_path(paths, a, b) for a, b in zip([""] + argv, argv)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:   # a refusal of the parser
-                assert exc.code == 2
-                code = None
-        out, err = out.getvalue(), err.getvalue()
-        kept = paths["file"].read_bytes() == b"old,bytes\r\n"
-        written = paths["file"].read_text() if not kept else ""
+        code, out, err, written = _main_in(Path(tmp), argv)
+    kept = written == b"old,bytes\r\n"
+    written = written.decode() if not kept else ""
     assert "Traceback" not in err
     if code is None:
         assert out == "" and kept
@@ -786,6 +792,23 @@ def test_argv_through_main_exits_cleanly(drawn):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if code == 0:
         assert not _non_finite(out or written, command), argv
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "stability",
+                                     "route"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(tail=_MAIN_TAILS)
+# a sweep runs only from a config that names one
+@example(tail=[["--config", "sweep_power"]])
+@example(tail=[["--config", "sweep_detuning"], ["--format", "json"],
+               ["--out", "file"]])
+def test_argv_through_main_twice_gives_the_same_bytes(command, tail):
+    # two runs in one process share no state that moves their output: the
+    # same exit code, stdout, stderr and --out bytes
+    argv = [command, "--grid", "0.9:1.1:5"] + sum(tail, [])
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = [_main_in(Path(tmp), argv) for _ in range(2)]
+    assert first == second, argv
 
 
 # config values that no key takes, as json reads them: ints past the float

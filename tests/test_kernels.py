@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -9,12 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import omrouter
-from omrouter import (NumericalFailureError, RegimeWarning,
+from omrouter import (NumericalFailureError, RegimeWarning, SystemParams,
                       assess_stability, default_params, denominator_d,
                       derive_operating_point, kernels, lorentzian_input,
-                      output_spectra)
+                      output_spectra, stability)
 from omrouter.operating_point import HBAR, KB
-from oracles import bright_points, d_at
+from oracles import (DETUNINGS, EXCEPTIONAL_POWER, POWERS, WM, bright_points,
+                     d_at, d_coeffs, d_zeros, hierarchy_draw,
+                     static_bound_draw)
 
 _BASE = derive_operating_point(default_params())
 
@@ -401,3 +405,65 @@ def test_overflowing_classical_thermal_limit_raises():
                  lambda: output_spectra(grid, op)):
         with pytest.raises(NumericalFailureError, match="classical limit"):
             call()
+
+
+def _draws(draw, seed, n):
+    rng = random.Random(seed)
+    return [draw(rng) for _ in range(n)]
+
+
+def _points(powers, detunings):
+    return [derive_operating_point(SystemParams(
+        drive_power=power, eff_detuning=detuning * WM))
+        for power in powers for detuning in detunings]
+
+
+# the zero sets that the finder of d's zeros answers for, each a list of
+# points made when its test runs
+_ZERO_SETS = {
+    # the benchmark's design pool: its baths move no zero
+    "pool": lambda: _points(POWERS, DETUNINGS),
+    # two zeros merge at the exceptional power, and a zero there moves by
+    # about the square root of D's rounding
+    "exceptional-sweep": lambda: _points(
+        [EXCEPTIONAL_POWER * (1.0 + sign * step)
+         for step in (0.0, 1e-9, 1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
+         for sign in ((1.0,) if step == 0.0 else (1.0, -1.0))], [1.0]),
+    # a zero next to u = 0, where a0 is 3e-4 to 0.1 of c0
+    "red-static-bound": lambda: _draws(static_bound_draw, 5, 150),
+    # D = mech*cav, at the design detunings and on hierarchy geometries
+    "zero-drive": lambda: _points([0.0], DETUNINGS) + [
+        derive_operating_point(replace(op.as_params(), drive_power=0.0))
+        for op in _draws(hierarchy_draw, 1, 30)],
+    # blue detuning: unstable, a zero above the real axis
+    "blue": lambda: _points(POWERS, [-d for d in DETUNINGS]),
+    "hierarchy": lambda: _draws(hierarchy_draw, 11, 200),
+}
+
+
+def _zero_error(found, exact):
+    """The largest distance [omega_m] from a found zero to its exact one,
+    under the pairing of the four that makes it least."""
+    exact = [complex(z) for z in exact]
+    return min(max(abs(f - e) for f, e in zip(order, exact))
+               for order in itertools.permutations(found))
+
+
+@pytest.mark.parametrize("name", _ZERO_SETS)
+def test_zeros_against_50_digit_roots(name):
+    # kernels.zeros is within 4 ulp of 1 of D's exact zeros, formed at 50
+    # digits from the point's floats, and within 1e-11 across the
+    # exceptional point (6.0e-12 measured there); on every set its worst
+    # error is no worse than np.roots' in stability.poles (6.6e-10 across
+    # the exceptional point, up to 2.1e-14 elsewhere)
+    worst = worst_roots = 0.0
+    for op in _ZERO_SETS[name]():
+        with mpmath.workdps(50):
+            exact = d_zeros(d_coeffs(op))
+        worst = max(worst, _zero_error(
+            kernels.zeros(kernels.reduced(op))[0], exact))
+        worst_roots = max(worst_roots, _zero_error(
+            stability.poles(op)[0].tolist(), exact))
+    assert worst <= (1e-11 if name == "exceptional-sweep"
+                     else 4.0 * np.finfo(float).eps)
+    assert worst <= worst_roots

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,8 +19,9 @@ from omrouter import (InvalidParameterError, NumericalFailureError,
                       vacuum_noise)
 from omrouter.operating_point import HBAR
 from omrouter.response import DipScan
-from oracles import (EXCEPTIONAL_POWER, KAPPA, WM, bright_points,
-                     design_pool, hierarchy_draw, local_maxima)
+from oracles import (BRIGHT_RANGES, EXCEPTIONAL_POWER, KAPPA, WM,
+                     bright_params, bright_points, budget, design_pool,
+                     hierarchy_draw, local_maxima)
 
 
 # ---------------------------------------------------------------- amplitude
@@ -238,6 +240,21 @@ def test_photon_budget_closes_on_a_seeded_hierarchy_draw():
     rng = random.Random(7)
     for _ in range(300):
         assert _budget_defect(hierarchy_draw(rng)) <= kernels._ROUND
+
+
+def test_photon_budget_is_an_identity_at_50_digits():
+    # the exact channels keep R + T + M = 1 + Sv at 50 digits on 200
+    # seeded points of BRIGHT_RANGES, stable or not: detunings from blue
+    # to red, drives up to 100 times the range's, at -3 to 3 omega_m
+    ranges = dict(BRIGHT_RANGES, detuning=(-1.5, 1.5), log_power=(-7.0, -2.7))
+    rng = random.Random(23)
+    with mpmath.workdps(50):
+        for _ in range(200):
+            op = derive_operating_point(bright_params(
+                **{name: rng.uniform(*bounds)
+                   for name, bounds in ranges.items()}))
+            r, t, m, sv = budget(op, rng.uniform(-3.0, 3.0))
+            assert abs(r + t + m - 1 - sv) <= 1e-40 * (r + t + abs(m) + sv)
 
 
 # ------------------------------------------------------------ output spectra

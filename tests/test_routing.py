@@ -628,7 +628,7 @@ def test_drive_on_closed_form_of_three_merged_poles():
     # the merged pole makes a cluster of three
     op = _op(drive_power=EXCEPTIONAL_POWER, input_center=0.994988 * WM,
              input_bandwidth=0.1 * WM)
-    poles = [z.conjugate() for z in routing._hurwitz_zeros(
+    poles = [z.conjugate() for z in kernels.zeros(
         kernels.reduced(op))[0]] + [complex(0.994988, 0.1)]
     assert sorted(map(len, routing._clusters(poles))) == [2, 3]
     assert set(map(frozenset, routing._clusters(poles))) \
@@ -644,6 +644,13 @@ def test_drive_on_closed_form_of_weak_drives(overrides):
     # on D's factored form its imaginary part is not a small part of a sum
     op = _op(**overrides)
     _assert_near_oracle(routing_probabilities(op), op)
+
+
+def test_drive_on_closed_form_of_a_line_within_half_omega_m():
+    # the line's pole 0.3*omega_m + i*Gamma lies within 1/2 of u = 0, so
+    # D and its conjugate there are formed as next to the red static bound
+    op = _op(input_center=0.3 * WM, input_bandwidth=0.01 * WM)
+    _assert_near_oracle(routing_probabilities(op, (0.1 * WM, 1.5 * WM)), op)
 
 
 @pytest.mark.parametrize("power", [5e-6, EXCEPTIONAL_POWER])
@@ -955,7 +962,7 @@ _DESIGN_THIRD = [{"drive_power": power, "eff_detuning": detuning * WM,
     *_DESIGN_THIRD])
 def test_drive_on_closed_form_outside_the_resolved_sidebands(overrides):
     op = _op(**overrides)
-    zeros, _, _, backward, _ = routing._hurwitz_zeros(kernels.reduced(op))
+    zeros, _, _, backward, _ = kernels.zeros(kernels.reduced(op))
     roots, _ = stability.poles(op)
     for root in roots:
         assert min(abs(root - z) for z in zeros) < 1e-12

@@ -154,6 +154,14 @@ def test_rows_carry_prefix_and_separators():
                     "power,1.0,1,-2.500000000000e+00,0.000000000000e+00\n")
 
 
+def test_rows_refuse_ragged_columns_and_yield_nothing_for_empty_ones():
+    ragged = textout.csv_rows([np.array([1.0, 2.0]), np.array([3.0])])
+    with pytest.raises(ValueError, match="equal length"):
+        next(ragged)
+    assert list(textout.csv_rows([np.array([]), np.array([])],
+                                 prefix="x,")) == []
+
+
 def _spectrum_table(grid_n=4001, **changes):
     """The CLI's seven spectrum columns at the default operating point."""
     op = derive_operating_point(replace(default_params(), **changes))
