@@ -22,11 +22,14 @@ word goes into the text as one store through a word view of the lines.
 formed.  A chunk whose values are all proven and none negative (the St
 column of zeros at T = 0 included) is laid out in fields of exactly 18
 bytes; any other chunk in NUL-padded slots, the NULs then dropped.
-``json_text`` returns a list of pieces.
+``json_text`` returns a list of pieces.  Its arrays that follow one
+another at one indent share chunks, each chunk's lines cut at their ends.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import re
 from collections.abc import Iterator
@@ -104,14 +107,14 @@ class _Scratch:
 
     _ROWS rows of 8-byte words, each read as float64 (:meth:`f`), int64
     (:meth:`i`) or a block of rows (:meth:`rows`) as a step needs it, and
-    a last row that holds 8 rows of flags (:meth:`flag`).  It is one array
-    of little-endian words, so the bytes of a word of digits are its text
-    on any host; freed whole at the end of a call, it raises glibc's mmap
-    and trim thresholds, so the next call's scratch comes from the heap
-    without faulting fresh pages in.
+    a last row that holds 8 rows of flags (:meth:`flag`); row 10 holds a
+    JSON chunk's values.  It is one array of little-endian words, so the
+    bytes of a word of digits are its text on any host; freed whole at the
+    end of a call, it raises glibc's mmap and trim thresholds, so the next
+    call's scratch comes from the heap without faulting fresh pages in.
     """
 
-    _ROWS = 10
+    _ROWS = 11
 
     def __init__(self, size, block=None):
         self.block = np.empty((self._ROWS + 1, size), "<i8") \
@@ -513,18 +516,21 @@ def csv_rows(cols, prefix: str = "") -> Iterator[str]:
         yield _ascii(slot_lines)
 
 
-def _json_lines(values, pad: int, scratch, buffer) -> list[str]:
-    """The lines of a non-empty float array in json.dumps(indent=2), each
-    value at ``pad`` spaces and all but the last followed by a comma.
+def _json_run(arrays, scratch, buffer) -> Iterator[str]:
+    """For each of the non-empty (pad, head, values) ``arrays``, all of one
+    pad, its head and then the lines of its values in json.dumps(indent=2),
+    each at ``pad`` spaces and all but the last followed by a comma.
 
-    They are formed in the call's :class:`_Scratch` ``scratch`` and in the
-    uint8 ``buffer``, of at least min(_CHUNK, len(values)) lines, each
-    chunk's lines first as rows of _REPR_TEMPLATE with the indent and
-    separators around them, then ANDed with the digits of
-    :func:`_shortest` through word views of the lines.
+    The values are one stream, formed _CHUNK at a time in row 10 of the
+    call's :class:`_Scratch` ``scratch`` and in the uint8 ``buffer``, of
+    at least min(_CHUNK, n) lines for n values: each chunk's lines first
+    as rows of _REPR_TEMPLATE with the indent and separators around them,
+    then ANDed with the digits of :func:`_shortest` through word views of
+    the lines, then cut at the arrays' ends, one piece per array.
     """
-    x = values.astype(np.float64, copy=False)
-    rows = min(_CHUNK, len(x))
+    (pad, *_), heads, columns = zip(*arrays)
+    bounds = [0, *itertools.accumulate(column.size for column in columns)]
+    rows = min(_CHUNK, bounds[-1])
     width = pad + _R_SLOT + 2
     template = np.empty((len(_REPR_TEMPLATE), width), np.uint8)
     template[:, :pad] = ord(" ")
@@ -535,26 +541,33 @@ def _json_lines(values, pad: int, scratch, buffer) -> list[str]:
     scratch = scratch.cut(rows)
     words = [np.ndarray((rows,), "<i8", lines, pad + at, (width,))
              for at in range(8, 40, 8)]
-    parts = []
-    for start in range(0, len(x), _CHUNK):
-        block = x[start:start + _CHUNK]
-        n = len(block)
+    for start in range(0, bounds[-1], _CHUNK):
+        stop = min(start + _CHUNK, bounds[-1])
+        n = stop - start
         if n < rows:
             scratch, lines = scratch.cut(n), lines[:n]
             words = [word[:n] for word in words]
+        # (array, first value, last value + 1) of each array in the chunk
+        cuts = [(j, max(start, bounds[j]), min(stop, bounds[j + 1]))
+                for j in range(bisect.bisect_right(bounds, start) - 1,
+                               bisect.bisect_left(bounds, stop))]
+        x = np.concatenate([columns[j][lo - bounds[j]:hi - bounds[j]]
+                            for j, lo, hi in cuts], out=scratch.f(10))
         with np.errstate(all="ignore"):
-            index, ok = _shortest(block, scratch)
+            index, ok = _shortest(x, scratch)
         np.take(template, index, axis=0, out=lines, mode="clip")
         for word, digits in zip(words, scratch.rows(0, 4)):
             np.bitwise_and(word, digits, out=word)
         # the first digit, where every template keeps it
         lines[:, pad + 6] = np.add(scratch.i(9), ord("0"), out=scratch.i(9))
-        lines[:, pad] = np.signbit(block) * ord("-")
-        _patch(lines[:, pad:pad + _R_SLOT], ~ok, block, _json_texts)
-        if start + _CHUNK >= len(x):
-            lines[-1, -2] = 0
-        parts.append(_ascii(lines))
-    return parts
+        lines[:, pad] = np.signbit(x) * ord("-")
+        _patch(lines[:, pad:pad + _R_SLOT], ~ok, x, _json_texts)
+        for j, lo, hi in cuts:
+            if lo == bounds[j]:
+                yield heads[j]
+            if hi == bounds[j + 1]:
+                lines[hi - start - 1, -2] = 0
+            yield _ascii(lines[lo - start:hi - start])
 
 
 _COLUMN_MARK = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
@@ -563,12 +576,13 @@ _COLUMN_MARK = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
 def json_text(doc) -> list[str]:
     """json.dumps(doc, indent=2) plus a newline; arrays in doc are float lists.
 
-    The text is returned as a list of pieces of whole lines, one per chunk
-    of an array's values, to be written one after another.  The document
-    without its arrays is laid out by json.dumps; each array's values are
-    laid out one to a line, in the text ``json.dumps`` gives a float (repr,
-    NaN, Infinity).  One scratch and one line buffer serve every array of
-    the call.
+    The text is returned as a list of pieces of whole lines, to be written
+    one after another, a piece of values holding lines of one array only.
+    The document without its arrays is laid out by json.dumps; each array's
+    values are laid out one to a line, in the text ``json.dumps`` gives a
+    float (repr, NaN, Infinity).  Each run of non-empty arrays at one indent
+    (a spectrum's seven columns, every column of a sweep) is one stream of
+    chunks (:func:`_json_run`); one scratch and one line buffer serve all.
     """
     columns = []
 
@@ -583,21 +597,24 @@ def json_text(doc) -> list[str]:
         return node
 
     skeleton = json.dumps(mark(doc), indent=2) + "\n"
-    hits = list(_COLUMN_MARK.finditer(skeleton))
-    rows = min(_CHUNK, max((column.size for column in columns), default=0))
-    scratch = _Scratch(rows)
-    indent = max((len(hit[1]) for hit in hits), default=0)
-    buffer = np.empty(rows * (indent + 2 + _R_SLOT + 2), np.uint8)
-    parts, head, at = [], "", 0
-    for hit in hits:
+    # (pad, head, values) of each non-empty array, its head the text since
+    # the last array's lines
+    arrays, head, at = [], "", 0
+    for hit in _COLUMN_MARK.finditer(skeleton):
         head += skeleton[at:hit.start(2)] + hit[2]
         at = hit.end()
         column = columns[int(hit[3])]
         if column.size == 0:
             head += "[]"
             continue
-        parts.append(head + "[\n")
-        parts += _json_lines(column, len(hit[1]) + 2, scratch, buffer)
+        arrays.append((len(hit[1]) + 2, head + "[\n", column))
         head = hit[1] + "]"
+    rows = min(_CHUNK, sum(values.size for _, _, values in arrays))
+    scratch = _Scratch(rows)
+    pad = max((pad for pad, _, _ in arrays), default=0)
+    buffer = np.empty(rows * (pad + _R_SLOT + 2), np.uint8)
+    parts = []
+    for _, run in itertools.groupby(arrays, lambda array: array[0]):
+        parts += _json_run(list(run), scratch, buffer)
     parts.append(head + skeleton[at:])
     return parts

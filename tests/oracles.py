@@ -374,4 +374,7 @@ COLD_BATHS = {
                                 -7.0),
     "wm1e6-100nK": bright_params(6.0, -1.25, -2.0, 1.125, -2.0, 1.0, 100e-9,
                                  -7.0),
+    # found by a random draw of the drive-on quadrature property
+    "wm3e6-119nK": bright_params(6.5, -1.0, -2.0, 1.0, -2.0, 1.0, 1.19e-7,
+                                 -7.0),
 }

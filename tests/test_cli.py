@@ -635,7 +635,7 @@ def _oracle(argv):
         return _parsed(_ORACLE.parse_args, argv)
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(argv=_ARGV)
 @example(argv=["route", "--format", "xml", "--format", "json"])
 @example(argv=["route", "--power", "x", "--power", "1"])
@@ -770,7 +770,7 @@ def _main_in(tmp, argv):
     return code, out.getvalue(), err.getvalue(), paths["file"].read_bytes()
 
 
-@settings(derandomize=True, max_examples=250, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(drawn=_MAIN_ARGV)
 def test_argv_through_main_exits_cleanly(drawn):
     # tiny grids first, which a drawn --grid overrides
@@ -796,7 +796,7 @@ def test_argv_through_main_exits_cleanly(drawn):
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep", "stability",
                                      "route"])
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(tail=_MAIN_TAILS)
 # a sweep runs only from a config that names one
 @example(tail=[["--config", "sweep_power"]])
@@ -858,7 +858,7 @@ def _hostile_configs(draw):
     return cfg
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(cfg=_hostile_configs(), grid=st.booleans())
 # the drive-off route of a line 1e-283 rad/s wide on a cavity 1e57 rad/s
 # wide ended in a ZeroDivisionError traceback

@@ -58,7 +58,7 @@ def test_squares_past_the_float_range_keep_their_ratio(function, args, want):
 _LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 
 
-@settings(derandomize=True, deadline=None)
+@settings(deadline=None)
 @given(d=st.one_of(st.just(0.0), _LOG_UNIFORM, _LOG_UNIFORM.map(lambda x: -x)),
        kappa=_LOG_UNIFORM)
 @example(d=1e200, kappa=1.0)

@@ -112,7 +112,7 @@ def _calls(draw):
     return function, tuple(draw(a) for a in arguments)
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(call=_calls())
 @example(call=(reflection_R, ("1e6", OP)))
 @example(call=(reflection_R, (None, OP)))

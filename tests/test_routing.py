@@ -757,6 +757,9 @@ def test_cold_bath_report_against_the_exact_model(case):
 # the baths of a switch at the points of COLD_BATHS besides their own 1
 # to 100 nK: T = 0, 1 nK, two warm ones and one where theta is a denormal
 _SWITCH_BATHS = (0.0, 1e-9, 20e-3, 0.3, 1e305)
+# the lower end of each point's 20 mK switch, to two digits
+_WARM_SWITCH = {"wm1e5-1nK": 0.45, "wm1e6-10nK": 0.45, "wm1e6-100nK": 0.45,
+                "wm3e6-119nK": 0.04}
 
 
 @pytest.mark.parametrize("case", list(COLD_BATHS))
@@ -771,7 +774,7 @@ def test_switch_at_a_cold_bath_is_the_warm_switch(case):
     on = routing_probabilities(derive_operating_point(
         replace(params, bath_temp=20e-3)))
     warm = min(off.p_transmit, on.p_reflect)
-    assert 0.45 < warm < 0.46
+    assert _WARM_SWITCH[case] < warm < _WARM_SWITCH[case] + 0.01
     for temp in (params.bath_temp, *_SWITCH_BATHS):
         assert switching_contrast(replace(params, bath_temp=temp),
                                   power) == warm

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from omrouter import default_params, derive_operating_point, output_spectra
 from omrouter import textout
-from omrouter.cli import _spectrum_columns
+from omrouter.cli import _spectrum_columns, main
 from oracles import POWERS, TEMPS
 
 
@@ -459,16 +460,19 @@ def test_words_are_four_digits_at_every_other_byte():
     {"empty": np.array([]), "x": [1, 2]},
 ])
 def test_json_text_matches_indented_dumps(doc):
-    def plain(node):
-        if isinstance(node, dict):
-            return {k: plain(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return [plain(v) for v in node]
-        if isinstance(node, np.ndarray):
-            return [float(v) for v in node]
-        return node
     assert "".join(textout.json_text(doc)) \
-        == json.dumps(plain(doc), indent=2) + "\n"
+        == json.dumps(_plain(doc), indent=2) + "\n"
+
+
+def _plain(node):
+    """A document with its arrays as lists of floats, for json.dumps."""
+    if isinstance(node, dict):
+        return {k: _plain(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_plain(v) for v in node]
+    if isinstance(node, np.ndarray):
+        return [float(v) for v in node]
+    return node
 
 
 def test_json_text_pieces_are_whole_lines_of_a_chunk():
@@ -478,6 +482,82 @@ def test_json_text_pieces_are_whole_lines_of_a_chunk():
                                          indent=2) + "\n"
     assert all(piece.endswith("\n") for piece in pieces)
     assert max(piece.count("\n") for piece in pieces) <= textout._CHUNK + 1
+
+
+# a line of an array's values: its indent, the text of one float, a comma
+# but after its array's last value
+_VALUE_LINE = re.compile(r"( +)(-?[0-9][0-9.e+-]*|NaN|-?Infinity),?")
+
+
+def _assert_pieces_hold_one_array(pieces):
+    # every piece is whole lines; one of values holds those of one array,
+    # at one indent, with no line but its last short of a comma
+    for piece in pieces:
+        assert piece.endswith("\n")
+        lines = piece.splitlines()
+        values = [_VALUE_LINE.fullmatch(line) for line in lines]
+        if any(values):
+            assert all(values)
+            assert len(lines) <= textout._CHUNK
+            assert len({value[1] for value in values}) == 1
+            assert all(line.endswith(",") for line in lines[:-1])
+
+
+_C = textout._CHUNK
+# values the proof leaves to json.dumps: NaN, the infinities, -0.0, a power
+# of two and one in [1e-7, 1e-6)
+_LEFT_TO_DUMPS = np.array([math.nan, math.inf, -math.inf, -0.0, 0.25,
+                           2.0 ** -60, 4.2e-7, 1.5])
+
+
+def _straddling_docs():
+    rng = np.random.default_rng(36)
+
+    def draw(n):
+        return 10 ** rng.uniform(-9, 20, n) * rng.choice([-1.0, 1.0], n)
+    sizes = (_C - 1, 1, 0, _C + 3, 5)
+    yield {f"a{k}": draw(n) for k, n in enumerate(sizes)}
+    # two indents, interleaved: every array a run of its own
+    yield {"a": draw(_C - 2), "n": {"b": draw(_C + 1)}, "c": draw(3),
+           "m": {"d": draw(_C)}, "e": draw(_C + 7)}
+    # the values left to json.dumps at a chunk's end and at the next start
+    yield {"a": draw(_C - 4), "b": _LEFT_TO_DUMPS, "c": draw(2),
+           "d": _LEFT_TO_DUMPS[::-1].copy()}
+
+
+@pytest.mark.parametrize("doc", list(_straddling_docs()))
+def test_json_text_chunks_cross_the_arrays_ends(doc):
+    # a run of arrays at one indent is one stream of _CHUNK values, each
+    # chunk's lines cut at the arrays' ends; the text is json.dumps's
+    pieces = textout.json_text(doc)
+    assert "".join(pieces) == json.dumps(_plain(doc), indent=2) + "\n"
+    _assert_pieces_hold_one_array(pieces)
+
+
+def test_json_text_takes_one_pass_per_chunk_of_a_run(monkeypatch,
+                                                     write_config, tmp_path):
+    # the default spectrum's 7 x 4001 values take 4 passes of _shortest,
+    # not one per column; a sweep's blocks share chunks as well
+    passes = []
+    shortest = textout._shortest
+    monkeypatch.setattr(textout, "_shortest", lambda x, scratch=None: (
+        passes.append(x.size) or shortest(x, scratch)))
+    doc = dict(zip("abcdefg", _spectrum_table()))
+    pieces = textout.json_text(doc)
+    assert len(passes) == 4 and sum(passes) == 7 * 4001
+    _assert_pieces_hold_one_array(pieces)
+    passes.clear()
+    out = tmp_path / "sweep.json"
+    config = write_config(sweep_param="detuning",
+                          sweep_values=[1.0, -1.0, 1.5, 0.75])
+    assert main(["sweep", "--config", config, "--format", "json",
+                 "--out", str(out)]) == 0
+    blocks = json.loads(out.read_text())["blocks"]
+    assert [block["stable"] for block in blocks] == [True, False, True, True]
+    values = sum(len(column) for block in blocks if block["stable"]
+                 for column in block["spectrum"].values())
+    assert len(passes) == -(-values // textout._CHUNK)
+    assert sum(passes) == values
 
 
 def test_json_text_memory_is_bounded():
