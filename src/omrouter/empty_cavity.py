@@ -182,14 +182,16 @@ def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
     int L*R comes from N[zn, zw] = zn + zw.  u is measured in units of a
     power of two near max(Gamma, W), which changes no bit of a result
     that is in range without it, and keeps K's products of three inverse
-    widths finite however narrow the line and the cavity are.
+    widths finite however narrow the line and the cavity are.  The mass
+    is taken on [a, b] too, the band as the integrals read it, so that
+    its rounding moves the mass as it moves them.
 
     Raises
     ------
     InvalidParameterError
-        As :func:`lorentzian_band_mass`.
+        As :func:`lorentzian_band_mass`, for a band or line that is not
+        finite or a bandwidth that is not > 0.
     """
-    mass = lorentzian_band_mass(lo, hi, center, bandwidth)
     width = 2.0 * decay
     # lengths on the u axis in units of a power of two near max(Gamma, W):
     # exact, and K's three inverse widths then stay in the float range
@@ -197,6 +199,7 @@ def _lorentzian_band_integrals(lo, hi, center, bandwidth, resonance, decay):
     a, b = (lo - resonance) * unit, (hi - resonance) * unit
     gamma, width = bandwidth * unit, width * unit
     line = complex((center - resonance) * unit, gamma)
+    mass = lorentzian_band_mass(a, b, line.real, gamma)
     cavity = complex(0.0, width)
     narrow, wide = (line, cavity) if gamma <= width else (cavity, line)
 

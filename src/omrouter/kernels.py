@@ -165,11 +165,15 @@ def zeros(red):
     (p^2 - 4r)*T - q^2.  The cubic is solved in its depressed form by the
     trigonometric (or hyperbolic) formula, taking the root of largest
     magnitude so that q/t stays small, and that root is polished by one
-    Newton step.  Where T < 0 the two quadratics are each other's
-    conjugates, so only the first is solved.  Each zero then takes one
-    Newton step on D's factored form (:func:`factored`), in which a zero's
-    small imaginary part is not a small part of a sum of monomials, nor,
-    next to the red static bound, a zero next to u = 0 a small part of c0.
+    Newton step: where the depressed quartic is nearly even (q next to 0,
+    as at the default geometry once two zeros lie on the imaginary axis)
+    that root is of the order of q^2, below the formula's rounding, and
+    only the step finds it.  Where T < 0 the two quadratics are each
+    other's conjugates, so only the first is solved.  Each zero then takes
+    one Newton step on D's factored form (:func:`factored`), in which a
+    zero's small imaginary part is not a small part of a sum of monomials,
+    nor, next to the red static bound, a zero next to u = 0 a small part
+    of c0.
     The backward residual is |D(u)| over the size of D's terms plus
     |u|*|D'(u)|, the rounding of the zero itself.  u plus its tail is the
     zero to about the rounding of D(u) over |D'(u)|, far inside that ulp

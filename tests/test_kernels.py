@@ -438,6 +438,11 @@ _ZERO_SETS = {
     # blue detuning: unstable, a zero above the real axis
     "blue": lambda: _points(POWERS, [-d for d in DETUNINGS]),
     "hierarchy": lambda: _draws(hierarchy_draw, 11, 200),
+    # two zeros on the imaginary axis: the depressed quartic is nearly even
+    # (q = -4e-14), and the resolvent's one real root, about 4e-28, lies
+    # below the rounding of the cubic's formula and is its Newton step's
+    "imaginary-pair": lambda: _points(
+        [134.2e-6, 134.5e-6, 135e-6, 136e-6], [1.0]),
 }
 
 

@@ -636,6 +636,16 @@ def test_drive_on_closed_form_of_three_merged_poles():
     _assert_near_oracle(routing_probabilities(op), op)
 
 
+@pytest.mark.parametrize("power", [134.2e-6, 135e-6, 136e-6])
+def test_drive_on_closed_form_with_two_zeros_on_the_imaginary_axis(power):
+    # past about 133.9 uW two of d's zeros lie on the imaginary axis, and
+    # the resolvent cubic's one real root, about 4e-28, is found by
+    # kernels.zeros' Newton step on it; the formula's root alone would
+    # divide by zero or give the wrong zeros
+    op = _op(drive_power=power)
+    _assert_near_oracle(routing_probabilities(op), op)
+
+
 @pytest.mark.parametrize("overrides", [
     {"drive_power": 0.1e-6},
     {"drive_power": 1e-6, "cavity_decay": 0.03 * WM}])
@@ -669,6 +679,75 @@ def test_drive_on_closed_form_at_any_bath(power, temp):
 def test_thermal_leak_is_zero_where_b_underflows_on_the_band():
     # at 1 nK, x/(e^x - 1) underflows on the whole default band
     assert routing_probabilities(_op(bath_temp=1e-9)).thermal_leak == 0.0
+
+
+def test_thermal_leak_is_zero_where_b_is_subnormal_on_the_band():
+    # at theta = 1480, B(theta*a) is subnormal at the default band's lower
+    # edge: St is +0.0 there, as where B underflows to 0, the report is
+    # certified, and the fields that read no bath are the 0 K report's
+    rep = routing_probabilities(_op(bath_temp=HBAR * WM / (KB * 1480.0)))
+    assert rep.thermal_leak == 0.0
+    assert math.copysign(1.0, rep.thermal_leak) == 1.0
+    assert _report_values(rep)[:3] \
+        == _report_values(routing_probabilities(_op(bath_temp=0.0)))[:3]
+
+
+def test_thermal_leak_where_sinh_would_overflow_at_d_s_poles():
+    # at 4.4352 nK (theta = 1450) on (0.45, 1.5)*omega_m, theta*Re(z) is
+    # past 700 at D's poles next to omega_m, where sinh(x/2) overflows: B
+    # is x*e^-x there, and the leak, 4.7e-295, is the rule's to 1e-10
+    op = _op(bath_temp=4.4352e-9)
+    rep = routing_probabilities(op, (0.45 * WM, 1.5 * WM))
+    exact = drive_on_report(op, *rep.band)
+    for name, value, ref, rel in zip(
+            ("p_reflect", "p_transmit", "vacuum_leak", "thermal_leak"),
+            _report_values(rep), exact, (1e-12, 1e-12, 1e-12, 1e-10)):
+        assert value == pytest.approx(ref, rel=rel, abs=0.0), name
+
+
+def _core(op):
+    """The band the line's core fills, center +- Gamma."""
+    return (op.input_center - op.input_bandwidth,
+            op.input_center + op.input_bandwidth)
+
+
+@pytest.mark.parametrize("width", [1e-5, 1e-7, 1e-9, 1e-11])
+def test_drive_on_probabilities_of_a_narrow_line_on_its_core(width):
+    # on u = omega/omega_m the band's rounding is up to 1e-5 of a band
+    # 2e-11 wide; the line's mass is taken on the band the integrals read,
+    # so that rounding scales both probabilities' sums alike.  The vacuum
+    # leak is no ratio and keeps it: it is not held here
+    op = _op(bath_temp=0.0, input_center=WM, input_bandwidth=width * WM)
+    rep = routing_probabilities(op, _core(op))
+    exact = drive_on_report(op, *rep.band)
+    assert rep.p_reflect == pytest.approx(exact[0], rel=1e-12, abs=0.0)
+    assert rep.p_transmit == pytest.approx(exact[1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("width", [1e-9, 1e-11])
+def test_drive_on_leaks_of_a_narrow_band_that_u_holds_exactly(width):
+    # with omega_m a power of two the band's ends are exact on u, so the
+    # leaks are the integrals over the band as given.  At D's poles,
+    # Log((b-z)/(a-z)) is then near 0 and is formed from (b - a)/(a - z)
+    # (empty_cavity._band_log): the logarithm of the rounded ratio would
+    # leave both leaks 1e-7 off at 1e-11*omega_m, against 8.9e-13 and 4e-14
+    wm = 2.0 ** 22
+    op = _op(mech_freq=wm, cavity_decay=0.1 * wm, eff_detuning=wm,
+             input_center=0.95 * wm, input_bandwidth=width * wm)
+    _assert_near_oracle(routing_probabilities(op, _core(op)), op, rel=1e-11)
+
+
+@pytest.mark.parametrize("width", [1e-5, 1e-9, 1e-11])
+def test_drive_off_probabilities_of_a_narrow_line_on_its_core(width):
+    # as with the drive on, on the axis from the cavity resonance
+    op = _op(drive_power=0.0, input_center=0.2 * WM,
+             input_bandwidth=width * WM)
+    rep = routing_probabilities(op, _core(op))
+    mass, refl, trans = band_integrals(
+        *rep.band, op.input_center, op.input_bandwidth, op.eff_detuning,
+        op.cavity_decay)
+    assert rep.p_reflect == pytest.approx(refl / mass, rel=1e-12, abs=0.0)
+    assert rep.p_transmit == pytest.approx(trans / mass, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None, max_examples=50)
